@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import Chart, MetricField, Sym2Field, deriv, gradient
+from .grid import Chart, MetricField, deriv, gradient
 from .tensor import (
     Riem4Field,
     bianchi_project,
@@ -96,18 +96,16 @@ def ricci_scalar(riem: Riem4Field, g: MetricField) -> tuple[np.ndarray, np.ndarr
     return ric, scal
 
 
-def weyl(riem: Riem4Field, ric: np.ndarray, scal: np.ndarray, g: MetricField) -> Riem4Field:
-    """Trace-free part of the curvature tensor."""
+def _schouten(ric: np.ndarray, scal: np.ndarray, g: MetricField) -> np.ndarray:
+    """Schouten tensor ``P = (Ric - R g / (2 (n - 1))) / (n - 2)``."""
     n = g.chart.n
-    dense = g.dense
-    w = riem.pair.copy()
-    w -= kulkarni_nomizu(ric, dense) / (n - 2)
-    w += (
-        scal[..., None, None]
-        / (2.0 * (n - 1) * (n - 2))
-        * kulkarni_nomizu(dense, dense)
-    )
-    return Riem4Field(g.chart, w)
+    return (ric - (scal / (2.0 * (n - 1)))[..., None, None] * g.dense) / (n - 2)
+
+
+def weyl(riem: Riem4Field, ric: np.ndarray, scal: np.ndarray, g: MetricField) -> Riem4Field:
+    """Trace-free part of the curvature tensor, ``W = Riem - KN(P, g)`` with
+    the Schouten tensor ``P``."""
+    return Riem4Field(g.chart, riem.pair - kulkarni_nomizu(_schouten(ric, scal, g), g.dense))
 
 
 @dataclass
@@ -125,9 +123,6 @@ class CurvatureBundle:
     def chart(self) -> Chart:
         return self.g.chart
 
-    def ric_field(self) -> Sym2Field:
-        return Sym2Field.from_dense(self.chart, self.ric)
-
 
 def curvature_bundle(g: MetricField) -> CurvatureBundle:
     gamma = christoffel(g)
@@ -142,15 +137,8 @@ def decomposition_residual(g: MetricField) -> float:
     Zero to roundoff by construction; a wiring check for the trace and
     product plumbing.
     """
-    n = g.chart.n
     bundle = curvature_bundle(g)
-    dense = g.dense
-    recomposed = bundle.W.pair + kulkarni_nomizu(bundle.ric, dense) / (n - 2)
-    recomposed -= (
-        bundle.scal[..., None, None]
-        / (2.0 * (n - 1) * (n - 2))
-        * kulkarni_nomizu(dense, dense)
-    )
+    recomposed = bundle.W.pair + kulkarni_nomizu(_schouten(bundle.ric, bundle.scal, g), g.dense)
     diff = riemann_norm(Riem4Field(g.chart, recomposed - bundle.riem.pair), g)
     scale = max(float(np.max(riemann_norm(bundle.riem, g))), 1e-300)
     return float(np.max(diff)) / scale

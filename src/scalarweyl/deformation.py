@@ -11,9 +11,11 @@ the oracle in the tests.
 
 Index bookkeeping: ``grad`` holds the covariant components f_a (coordinate
 partials), ``hess`` the covariant Hessian with respect to the undeformed
-metric, and raised objects are produced on the fly with g^{-1}.  The error
-tensor is accumulated in pair storage, one Kulkarni-Nomizu product at a
-time, so peak memory stays at a few pair matrices even on 32^4 grids.
+metric, and raised objects are produced on the fly with g^{-1}.  Every
+block's second Kulkarni-Nomizu factor is h, g or df (x) df; the product is
+bilinear, so the error tensor is assembled in pair storage from one product
+per second factor, whose first factor is the coefficient-weighted sum of
+the first factors of that group's blocks.
 """
 
 from __future__ import annotations
@@ -187,20 +189,16 @@ def weyl_error(
     if flip_block is not None and flip_block not in range(1, BLOCK_COUNT + 1):
         raise ValueError(f"flip_block must lie in 1..{BLOCK_COUNT}")
 
-    # group identical Kulkarni-Nomizu factors so each product is formed once
-    groups: dict[tuple[str, str], np.ndarray] = {}
+    # one product per second factor, of the summed weighted first factors
+    firsts: dict[str, np.ndarray] = {}
     for idx, (coeff, a, b) in enumerate(table, start=1):
         if idx not in picked:
             continue
         c = -coeff if idx == flip_block else coeff
-        key = (a, b)
-        groups[key] = groups.get(key, 0.0) + c
-
-    mat = 0.0
-    for (a, b), coeff in groups.items():
-        mat = mat + coeff[..., None, None] * kulkarni_nomizu(ing[a], ing[b], n)
-    if np.isscalar(mat):
+        firsts[b] = firsts.get(b, 0.0) + c[..., None, None] * ing[a]
+    if not firsts:
         raise ValueError("no blocks selected")
+    mat = sum(kulkarni_nomizu(a, ing[b], n) for b, a in firsts.items())
     return Riem4Field(bundle.chart, mat)
 
 

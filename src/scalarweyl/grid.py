@@ -244,19 +244,6 @@ def sym2_unpack(packed: np.ndarray, n: int) -> np.ndarray:
     return out
 
 
-# Index-map sanity check, run once at import: pack/unpack must round-trip.
-def _validate_sym2_maps():
-    rng = np.random.default_rng(0)
-    for n in range(3, 7):
-        a = rng.standard_normal((2, n, n))
-        a = a + np.swapaxes(a, -1, -2)
-        if not np.array_equal(sym2_unpack(sym2_pack(a, n), n), a):
-            raise AssertionError(f"sym2 index map broken for n={n}")
-
-
-_validate_sym2_maps()
-
-
 @dataclass
 class Sym2Field:
     """Symmetric 2-tensor field, stored deduplicated (i <= j components)."""

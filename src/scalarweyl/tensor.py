@@ -4,8 +4,7 @@ A (0,4) tensor with the symmetries of a curvature tensor (antisymmetric in
 each index pair, symmetric under pair exchange) is stored as a symmetric
 matrix over the antisymmetric-pair basis: pairs ``(a < b)`` in lexicographic
 order index rows and columns, so ``n = 4`` needs a 6x6 matrix per point
-instead of 256 dense components.  The index map between dense and pair
-storage is validated once at import.
+instead of 256 dense components.
 
 All operations broadcast over arbitrary leading (grid) axes, so the same
 code serves single points and whole fields.
@@ -101,22 +100,6 @@ def dense_from_pair(mat: np.ndarray, n: int) -> np.ndarray:
     return out
 
 
-def _validate_pair_maps():
-    rng = np.random.default_rng(1)
-    for n in (3, 4):
-        t = rng.standard_normal((n, n, n, n))
-        # impose the pair symmetries exactly
-        t = t - np.swapaxes(t, 0, 1)
-        t = t - np.swapaxes(t, 2, 3)
-        t = t + np.transpose(t, (2, 3, 0, 1))
-        back = dense_from_pair(pair_from_dense(t, n), n)
-        if not np.allclose(back, t, rtol=0, atol=1e-13 * max(1.0, np.abs(t).max())):
-            raise AssertionError(f"pair index map broken for n={n}")
-
-
-_validate_pair_maps()
-
-
 @dataclass
 class PointMetric:
     """A single SPD matrix with cached inverse, for pointwise algebra."""
@@ -177,7 +160,7 @@ def kulkarni_nomizu(a, b, n: int | None = None) -> np.ndarray:
     """Kulkarni-Nomizu product of two symmetric 2-tensors, pair storage.
 
     ``(a ? b)_{ijkt} = a_ik b_jt + a_jt b_ik - a_it b_jk - a_jk b_it``,
-    returned as the (..., m, m) pair matrix.
+    returned as the (..., m, m) pair matrix; leading axes broadcast.
     """
     A = _dense_sym2(a)
     B = _dense_sym2(b)
@@ -185,7 +168,7 @@ def kulkarni_nomizu(a, b, n: int | None = None) -> np.ndarray:
         n = A.shape[-1]
     pairs = pair_indices(n)
     m = len(pairs)
-    out = np.empty(A.shape[:-2] + (m, m), dtype=float)
+    out = np.empty(np.broadcast_shapes(A.shape[:-2], B.shape[:-2]) + (m, m), float)
     for p, (i, j) in enumerate(pairs):
         for q in range(p, m):
             k, t = pairs[q]
@@ -207,22 +190,10 @@ def pair_lift(m1: np.ndarray, m2: np.ndarray, n: int | None = None) -> np.ndarra
     For antisymmetric pairs P=(a,b), Q=(e,f) the ordered-index double sum of
     ``m1^{ae} m2^{bf}`` against the pair signs equals this matrix, so full
     eight-index contractions of two curvature-type tensors reduce to matrix
-    algebra over pair space.
+    algebra over pair space.  For symmetric inputs that matrix is the
+    Kulkarni-Nomizu product of the two.
     """
-    if n is None:
-        n = m1.shape[-1]
-    pairs = pair_indices(n)
-    m = len(pairs)
-    out = np.empty(np.broadcast_shapes(m1.shape[:-2], m2.shape[:-2]) + (m, m), float)
-    for p, (a, b) in enumerate(pairs):
-        for q, (e, f) in enumerate(pairs):
-            out[..., p, q] = (
-                m1[..., a, e] * m2[..., b, f]
-                - m1[..., a, f] * m2[..., b, e]
-                - m1[..., b, e] * m2[..., a, f]
-                + m1[..., b, f] * m2[..., a, e]
-            )
-    return out
+    return kulkarni_nomizu(m1, m2, n)
 
 
 def pair_contract(t1: np.ndarray, t2: np.ndarray, k12: np.ndarray, k34: np.ndarray):
@@ -255,7 +226,8 @@ def _pair_of(T, n: int | None = None) -> tuple[np.ndarray, int]:
             return pair_from_dense(T, n), n
         raise FieldError("cannot infer dimension; pass n explicitly")
     m = len(pair_indices(n))
-    if T.shape[-1] == m and T.shape[-2] == m:
+    # for n = 3 a dense tensor also ends in (m, m) axes
+    if T.shape[-2:] == (m, m) and T.shape[-4:] != (n,) * 4:
         return T, n
     return pair_from_dense(T, n), n
 
@@ -298,27 +270,9 @@ def trace_13(T, inv: np.ndarray, n: int | None = None) -> np.ndarray:
 
 
 def vv_contract(T, v: np.ndarray, n: int | None = None) -> np.ndarray:
-    """Contraction ``S_ik = T_{ipkq} v^p v^q`` for a raised vector ``v``."""
-    if n is None and not isinstance(T, Riem4Field):
-        n = v.shape[-1]
-    mat, n = _pair_of(T, n)
-    _, pidx, sgn = _pair_lookup(n)
-    out = np.zeros(np.broadcast_shapes(mat.shape[:-2], v.shape[:-1]) + (n, n))
-    for i in range(n):
-        for k in range(i, n):
-            acc = 0.0
-            for p in range(n):
-                if p == i:
-                    continue
-                for q in range(n):
-                    if q == k:
-                        continue
-                    s = sgn[i, p] * sgn[k, q]
-                    acc = acc + s * v[..., p] * v[..., q] * mat[..., pidx[i, p], pidx[k, q]]
-            out[..., i, k] = acc
-            if k != i:
-                out[..., k, i] = acc
-    return out
+    """Contraction ``S_ik = T_{ipkq} v^p v^q`` for a raised vector ``v``:
+    the 1-3 trace of ``T`` against ``v (x) v``."""
+    return trace_13(T, v[..., :, None] * v[..., None, :], n)
 
 
 # ---------------------------------------------------------------------------

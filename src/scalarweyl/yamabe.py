@@ -45,7 +45,6 @@ class SolveReport:
     iterations: int
     wall_time: float
     history: list = field(default_factory=list)
-    path: str = "conformal"
     trichotomy: TrichotomyResult | None = None
 
 
@@ -480,6 +479,5 @@ def solve_constant_F(
         iterations=iterations,
         wall_time=time.perf_counter() - started,
         history=history,
-        path="conformal",
         trichotomy=tri,
     )

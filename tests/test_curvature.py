@@ -253,6 +253,19 @@ def test_weyl_trace_free_4d():
     assert validate_riemann_symmetries(b.riem) < 1e-9 * scale
 
 
+def test_weyl_forms_one_product(monkeypatch):
+    calls = []
+
+    def counted(a, b, n=None):
+        calls.append(1)
+        return kulkarni_nomizu(a, b, n)
+
+    monkeypatch.setattr("scalarweyl.curvature.kulkarni_nomizu", counted)
+    c = make_chart(4, (8,) * 4, (2 * np.pi,) * 4)
+    curvature_bundle(fourier_metric(c, amplitude=0.25, seed=2))
+    assert len(calls) == 1
+
+
 def test_decomposition_residual_and_corruption():
     c = make_chart(4, (8,) * 4, (2 * np.pi,) * 4)
     g = fourier_metric(c, amplitude=0.25, seed=3)

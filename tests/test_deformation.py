@@ -31,7 +31,7 @@ from scalarweyl.deformation import (
 )
 from scalarweyl.grid import FieldError, integrate, make_chart
 from scalarweyl.presets import flat_metric, fourier_metric, fourier_scalar
-from scalarweyl.tensor import riemann_norm
+from scalarweyl.tensor import kulkarni_nomizu, riemann_norm
 
 
 def torus(n, size, scheme="fd4"):
@@ -216,6 +216,23 @@ def test_error_flip_block_negates_that_block():
         flipped = weyl_error(b, flip_block=k).pair
         target = weyl_error(b, include=(k,)).pair
         assert np.max(np.abs(flipped - (weyl_error(b).pair - 2.0 * target))) < 1e-14
+
+
+def test_error_forms_one_product_per_second_factor(monkeypatch):
+    calls = []
+
+    def counted(a, b, n=None):
+        calls.append(1)
+        return kulkarni_nomizu(a, b, n)
+
+    b = bundle_for(4, 8)
+    monkeypatch.setattr("scalarweyl.deformation.kulkarni_nomizu", counted)
+    weyl_error(b)
+    # the second factors are h, g and df (x) df
+    assert len(calls) == 3
+    calls.clear()
+    weyl_error(b, include=(1, 2, 3))
+    assert len(calls) == 2
 
 
 # ---------------------------------------------------------------------------

@@ -102,7 +102,7 @@ def test_gradient_shape_and_values():
 
 def test_sym2_pack_roundtrip():
     rng = np.random.default_rng(7)
-    for n in (3, 4, 5):
+    for n in (3, 4, 5, 6):
         a = rng.standard_normal((2, 2, n, n))
         a = a + np.swapaxes(a, -1, -2)
         assert np.array_equal(sym2_unpack(sym2_pack(a, n), n), a)

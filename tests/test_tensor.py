@@ -48,7 +48,7 @@ def dense_norm_squared(t, inv):
 
 
 def test_pair_roundtrip_preserves_curvature_type():
-    for n in (3, 4, 5):
+    for n in (3, 4, 5, 6):
         t = random_curvature_type(n, seed=n)
         back = dense_from_pair(pair_from_dense(t, n), n)
         assert np.allclose(back, t, atol=1e-13)
@@ -63,21 +63,31 @@ def test_kn_identity_component():
     assert dense[0, 0, 1, 1] == pytest.approx(0.0)
 
 
+def dense_kn(a, b):
+    return (
+        np.einsum("...ik,...jt->...ijkt", a, b)
+        + np.einsum("...jt,...ik->...ijkt", a, b)
+        - np.einsum("...it,...jk->...ijkt", a, b)
+        - np.einsum("...jk,...it->...ijkt", a, b)
+    )
+
+
 def test_kn_matches_dense_formula():
     rng = np.random.default_rng(4)
-    n = 4
-    a = rng.standard_normal((n, n))
-    a = a + a.T
-    b = rng.standard_normal((n, n))
-    b = b + b.T
-    dense = dense_from_pair(kulkarni_nomizu(a, b), n)
-    expect = (
-        np.einsum("ik,jt->ijkt", a, b)
-        + np.einsum("jt,ik->ijkt", a, b)
-        - np.einsum("it,jk->ijkt", a, b)
-        - np.einsum("jk,it->ijkt", a, b)
-    )
-    assert np.allclose(dense, expect, atol=1e-13)
+    for n in (3, 4, 5, 6):
+        a = rng.standard_normal((n, n))
+        a = a + a.T
+        b = rng.standard_normal((n, n))
+        b = b + b.T
+        dense = dense_from_pair(kulkarni_nomizu(a, b), n)
+        assert np.allclose(dense, dense_kn(a, b), atol=1e-13)
+        # a point factor against a field factor broadcasts over the field
+        field = rng.standard_normal((2, 3, n, n))
+        field = field + np.swapaxes(field, -1, -2)
+        kn = kulkarni_nomizu(np.eye(n), field)
+        m = len(pair_indices(n))
+        assert kn.shape == (2, 3, m, m)
+        assert np.allclose(dense_from_pair(kn, n), dense_kn(np.eye(n), field), atol=1e-13)
 
 
 def test_gkng_norm_is_8n_n_minus_1():
@@ -113,16 +123,16 @@ def test_norm_metric_scaling():
 
 
 def test_pair_contract_matches_dense():
-    n = 4
-    t1 = random_curvature_type(n, seed=1)
-    t2 = random_curvature_type(n, seed=2)
-    inv = PointMetric(random_spd(n, seed=3)).inverse
-    k = pair_lift(inv, inv, n)
-    got = pair_contract(pair_from_dense(t1, n), pair_from_dense(t2, n), k, k)
-    expect = np.einsum(
-        "abcd,efgh,ae,bf,cg,dh->", t1, t2, inv, inv, inv, inv, optimize=True
-    )
-    assert got == pytest.approx(float(expect), rel=1e-12)
+    for n in (3, 4, 5, 6):
+        t1 = random_curvature_type(n, seed=1)
+        t2 = random_curvature_type(n, seed=2)
+        inv = PointMetric(random_spd(n, seed=3)).inverse
+        k = pair_lift(inv, inv, n)
+        got = pair_contract(pair_from_dense(t1, n), pair_from_dense(t2, n), k, k)
+        expect = np.einsum(
+            "abcd,efgh,ae,bf,cg,dh->", t1, t2, inv, inv, inv, inv, optimize=True
+        )
+        assert got == pytest.approx(float(expect), rel=1e-12)
 
 
 def test_mixed_pair_lift_frame_sums():
@@ -149,28 +159,28 @@ def test_mixed_pair_lift_frame_sums():
 
 def test_trace_13_of_kn():
     # g^{ik} (a ? g)_{ijkt} = (tr_g a) g_jt + (n-2) a_jt
-    n = 4
-    g = random_spd(n, seed=21)
-    pm = PointMetric(g)
     rng = np.random.default_rng(22)
-    a = rng.standard_normal((n, n))
-    a = a + a.T
-    ric = trace_13(kulkarni_nomizu(a, g), pm.inverse, n=n)
-    tra = float(np.einsum("ik,ik->", pm.inverse, a))
-    assert np.allclose(ric, tra * g + (n - 2) * a, atol=1e-12)
-    # sanity: trace of g ? g
-    ric2 = trace_13(kulkarni_nomizu(g, g), pm.inverse, n=n)
-    assert np.allclose(ric2, 2 * (n - 1) * g, atol=1e-12)
+    for n in (3, 4, 5, 6):
+        g = random_spd(n, seed=21)
+        pm = PointMetric(g)
+        a = rng.standard_normal((n, n))
+        a = a + a.T
+        ric = trace_13(kulkarni_nomizu(a, g), pm.inverse, n=n)
+        tra = float(np.einsum("ik,ik->", pm.inverse, a))
+        assert np.allclose(ric, tra * g + (n - 2) * a, atol=1e-12)
+        # sanity: trace of g ? g
+        ric2 = trace_13(kulkarni_nomizu(g, g), pm.inverse, n=n)
+        assert np.allclose(ric2, 2 * (n - 1) * g, atol=1e-12)
 
 
 def test_vv_contract_matches_dense():
-    n = 4
-    t = random_curvature_type(n, seed=31)
     rng = np.random.default_rng(32)
-    v = rng.standard_normal(n)
-    got = vv_contract(t, v, n=n)
-    expect = np.einsum("ipkq,p,q->ik", t, v, v)
-    assert np.allclose(got, expect, atol=1e-12)
+    for n in (3, 4, 5, 6):
+        t = random_curvature_type(n, seed=31)
+        v = rng.standard_normal(n)
+        got = vv_contract(t, v, n=n)
+        expect = np.einsum("ipkq,p,q->ik", t, v, v)
+        assert np.allclose(got, expect, atol=1e-12)
 
 
 def test_kn_satisfies_first_bianchi():
