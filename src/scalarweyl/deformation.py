@@ -16,6 +16,12 @@ block's second Kulkarni-Nomizu factor is h, g or df (x) df; the product is
 bilinear, so the error tensor is assembled in pair storage from one product
 per second factor, whose first factor is the coefficient-weighted sum of
 the first factors of that group's blocks.
+
+The ingredients come in two parts.  The scalar ingredients (the raised
+gradient, the Laplacian and the Hessian and Ricci contractions against it)
+feed the scalar closed form, the energy and the block coefficients; only
+the error tensor needs the (n, n) Kulkarni-Nomizu factors S, Q, V and
+df (x) df, so only ``weyl_error`` builds them.
 """
 
 from __future__ import annotations
@@ -106,40 +112,52 @@ def deformed_inverse(g: MetricField, grad: np.ndarray) -> np.ndarray:
     return g.inverse - fup[..., :, None] * fup[..., None, :] / w[..., None, None]
 
 
-def _error_ingredients(bundle: DeformationBundle) -> dict:
-    g = bundle.base.g
-    inv = g.inverse
+def _scalar_ingredients(bundle: DeformationBundle) -> dict:
+    """Pointwise scalars of the closed forms, plus the raised gradient
+    ``fup`` and ``u = h(., fup)``."""
+    inv = bundle.base.g.inverse
     h = bundle.hess
-    grad = bundle.grad
-    fup = np.einsum("...ab,...b->...a", inv, grad)
+    fup = np.einsum("...ab,...b->...a", inv, bundle.grad)
     lap = np.einsum("...ab,...ab->...", inv, h)
     hup = np.einsum("...ab,...bc->...ac", h, inv)  # mixed h_a{}^c
-    hh = np.einsum("...ac,...cb->...ab", hup, h)  # (h g^{-1} h)_ab
     h2 = np.einsum("...ab,...ab->...", hup, np.einsum("...ab,...bc->...ac", inv, h))
     u = np.einsum("...ab,...b->...a", h, fup)
     beta = np.einsum("...a,...a->...", u, fup)
     u2 = np.einsum("...a,...ab,...b->...", u, inv, u)
     return {
-        "gdense": g.dense,
-        "F2": grad[..., :, None] * grad[..., None, :],
-        "h": h,
-        "S": vv_contract(bundle.base.riem, fup),
-        "Q": lap[..., None, None] * h - hh,
-        "V": beta[..., None, None] * h - u[..., :, None] * u[..., None, :],
-        "ric": bundle.base.ric,
-        "scal": bundle.base.scal,
-        "rvv": np.einsum("...ab,...a,...b->...", bundle.base.ric, fup, fup),
-        "c7": lap**2 - h2,
-        "c10": lap * beta - u2,
         "fup": fup,
         "lap": lap,
         "u": u,
         "beta": beta,
         "u2": u2,
+        "rvv": np.einsum("...ab,...a,...b->...", bundle.base.ric, fup, fup),
+        "c7": lap**2 - h2,
+        "c10": lap * beta - u2,
     }
 
 
-def _block_table(ing: dict, w: np.ndarray, n: int) -> list[tuple[np.ndarray, str, str]]:
+def _kn_factors(bundle: DeformationBundle, ing: dict) -> dict:
+    """Kulkarni-Nomizu factors of the fifteen blocks, by block-table name."""
+    g = bundle.base.g
+    h = bundle.hess
+    grad = bundle.grad
+    u = ing["u"]
+    hup = np.einsum("...ab,...bc->...ac", h, g.inverse)  # mixed h_a{}^c
+    hh = np.einsum("...ac,...cb->...ab", hup, h)  # (h g^{-1} h)_ab
+    return {
+        "gdense": g.dense,
+        "F2": grad[..., :, None] * grad[..., None, :],
+        "h": h,
+        "S": vv_contract(bundle.base.riem, ing["fup"]),
+        "Q": ing["lap"][..., None, None] * h - hh,
+        "V": ing["beta"][..., None, None] * h - u[..., :, None] * u[..., None, :],
+        "ric": bundle.base.ric,
+    }
+
+
+def _block_table(
+    ing: dict, scal: np.ndarray, w: np.ndarray, n: int
+) -> list[tuple[np.ndarray, str, str]]:
     """Coefficient field and factor names for each of the fifteen blocks."""
     cn2 = 1.0 / (n - 2.0)
     cnn = 1.0 / ((n - 1.0) * (n - 2.0))
@@ -149,7 +167,7 @@ def _block_table(ing: dict, w: np.ndarray, n: int) -> list[tuple[np.ndarray, str
         # the Ricci block enters with a minus sign: the plus variant fails
         # the direct Weyl-difference oracle (coefficient fit lands on -1.0)
         (-cn2 * one, "ric", "F2"),
-        (cnn * ing["scal"], "gdense", "F2"),
+        (cnn * scal, "gdense", "F2"),
         (cn2 / w, "S", "gdense"),
         (cn2 / w, "S", "F2"),
         (-cnn * ing["rvv"] / w, "gdense", "gdense"),
@@ -178,8 +196,8 @@ def weyl_error(
     verification pipeline proves it is alive.
     """
     n = bundle.n
-    ing = _error_ingredients(bundle)
-    table = _block_table(ing, bundle.w, n)
+    ing = _scalar_ingredients(bundle)
+    table = _block_table(ing, bundle.base.scal, bundle.w, n)
     if include is None:
         picked = set(range(1, BLOCK_COUNT + 1))
     else:
@@ -190,21 +208,31 @@ def weyl_error(
         raise ValueError(f"flip_block must lie in 1..{BLOCK_COUNT}")
 
     # one product per second factor, of the summed weighted first factors
+    factors = _kn_factors(bundle, ing)
     firsts: dict[str, np.ndarray] = {}
     for idx, (coeff, a, b) in enumerate(table, start=1):
         if idx not in picked:
             continue
         c = -coeff if idx == flip_block else coeff
-        firsts[b] = firsts.get(b, 0.0) + c[..., None, None] * ing[a]
+        if b in firsts:
+            firsts[b] += c[..., None, None] * factors[a]
+        else:
+            firsts[b] = c[..., None, None] * factors[a]
     if not firsts:
         raise ValueError("no blocks selected")
-    mat = sum(kulkarni_nomizu(a, ing[b], n) for b, a in firsts.items())
+    # drop S, Q and V: only the second factors stay alive through the products
+    seconds = {b: factors[b] for b in firsts}
+    del factors
+    first, *rest = seconds
+    mat = kulkarni_nomizu(firsts.pop(first), seconds[first], n)
+    for b in rest:
+        mat += kulkarni_nomizu(firsts.pop(b), seconds[b], n)
     return Riem4Field(bundle.chart, mat)
 
 
 def deformed_scalar_closed_form(bundle: DeformationBundle) -> np.ndarray:
     """Scalar curvature of g + df (x) df from the four-term closed form."""
-    ing = _error_ingredients(bundle)
+    ing = _scalar_ingredients(bundle)
     w = bundle.w
     return (
         bundle.base.scal
@@ -224,7 +252,7 @@ def scalar_divergence_identity(bundle: DeformationBundle) -> tuple[float, float]
     """
     chart = bundle.chart
     g = bundle.base.g
-    ing = _error_ingredients(bundle)
+    ing = _scalar_ingredients(bundle)
     w = bundle.w
     v = (ing["lap"][..., None] * bundle.grad - ing["u"]) / w[..., None]
 
@@ -354,7 +382,7 @@ def deformation_energy(
         i1 = integrate(chart, bundle.base.scal, dens)
         i2 = 0.0
 
-    ing = _error_ingredients(bundle)
+    ing = _scalar_ingredients(bundle)
     i3 = -integrate(chart, ing["rvv"] / w, dens)
     i4 = ((n - 1.0) / (n - 2.0)) * integrate(
         chart, ing["u2"] / w**2 - ing["beta"] ** 2 / w**3, dens

@@ -125,12 +125,20 @@ def make_chart(n, sizes, lengths, scheme="fd4") -> Chart:
 
 
 def _deriv_fd4(arr: np.ndarray, axis: int, spacing: float) -> np.ndarray:
-    # 5-point centered stencil, periodic via roll.
-    up1 = np.roll(arr, -1, axis=axis)
-    dn1 = np.roll(arr, 1, axis=axis)
-    up2 = np.roll(arr, -2, axis=axis)
-    dn2 = np.roll(arr, 2, axis=axis)
-    return (8.0 * (up1 - dn1) - (up2 - dn2)) / (12.0 * spacing)
+    # 5-point centered stencil on one copy padded with two periodic ghost
+    # cells at each end; the four shifts are slices of that copy.
+    size = arr.shape[axis]
+    ext = np.take(arr, np.arange(-2, size + 2) % size, axis=axis)
+    lead = (slice(None),) * axis
+
+    def shifted(s: int) -> np.ndarray:
+        return ext[lead + (slice(2 + s, 2 + s + size),)]
+
+    out = np.subtract(shifted(1), shifted(-1))
+    out *= 8.0
+    out -= np.subtract(shifted(2), shifted(-2))
+    out /= 12.0 * spacing
+    return out
 
 
 def _deriv_spectral(arr: np.ndarray, axis: int, size: int, length: float) -> np.ndarray:

@@ -7,7 +7,12 @@ order index rows and columns, so ``n = 4`` needs a 6x6 matrix per point
 instead of 256 dense components.
 
 All operations broadcast over arbitrary leading (grid) axes, so the same
-code serves single points and whole fields.
+code serves single points and whole fields.  Fields are point-major (the
+components of one point are adjacent), so a single component of a field is
+strided.  The per-entry kernels ``kulkarni_nomizu`` and ``trace_13`` therefore
+walk the points in blocks small enough that a block of each input, the
+entry scratch and the output block stay in cache: the strided component
+reads then hit cache, and each cache line of the fields crosses memory once.
 """
 
 from __future__ import annotations
@@ -85,19 +90,10 @@ def pair_from_dense(dense: np.ndarray, n: int) -> np.ndarray:
 def dense_from_pair(mat: np.ndarray, n: int) -> np.ndarray:
     """Expand pair-matrix storage to the dense (..., n, n, n, n) tensor."""
     _, pidx, sgn = _pair_lookup(n)
-    out = np.zeros(mat.shape[:-2] + (n, n, n, n), dtype=mat.dtype)
-    for a in range(n):
-        for b in range(n):
-            if a == b:
-                continue
-            for c in range(n):
-                for d in range(n):
-                    if c == d:
-                        continue
-                    out[..., a, b, c, d] = (
-                        sgn[a, b] * sgn[c, d] * mat[..., pidx[a, b], pidx[c, d]]
-                    )
-    return out
+    # sgn vanishes on the diagonal, which zeroes the entries with a == b or c == d
+    return (sgn[:, :, None, None] * sgn[None, None]) * mat[
+        ..., pidx[:, :, None, None], pidx[None, None]
+    ]
 
 
 @dataclass
@@ -156,6 +152,25 @@ def _dense_sym2(x) -> np.ndarray:
     return np.asarray(x, dtype=float)
 
 
+# Points per block of the per-entry kernels.  For n = 4 a block of both
+# factors and of the product takes about 1.1 MB, inside a 2 MB L2 cache.  On
+# a Xeon with that L2, a 20^4 product ran fastest with 2048 points per block;
+# 512 and 8192 were 1.7x and 2.3x slower.
+_BLOCK = 2048
+
+
+def _point_rows(x: np.ndarray, lead: tuple[int, ...]) -> np.ndarray:
+    """``x`` broadcast to the leading shape ``lead``, with the leading axes
+    flattened to one point axis; a view where one exists, else a copy."""
+    return np.broadcast_to(x, lead + x.shape[-2:]).reshape((-1,) + x.shape[-2:])
+
+
+def _components(block: np.ndarray) -> list[list[np.ndarray]]:
+    """Views ``c[i][k] = block[:, i, k]``, made once per block rather than
+    once per use."""
+    return [[block[:, i, k] for k in range(block.shape[2])] for i in range(block.shape[1])]
+
+
 def kulkarni_nomizu(a, b, n: int | None = None) -> np.ndarray:
     """Kulkarni-Nomizu product of two symmetric 2-tensors, pair storage.
 
@@ -168,19 +183,27 @@ def kulkarni_nomizu(a, b, n: int | None = None) -> np.ndarray:
         n = A.shape[-1]
     pairs = pair_indices(n)
     m = len(pairs)
-    out = np.empty(np.broadcast_shapes(A.shape[:-2], B.shape[:-2]) + (m, m), float)
-    for p, (i, j) in enumerate(pairs):
-        for q in range(p, m):
-            k, t = pairs[q]
-            val = (
-                A[..., i, k] * B[..., j, t]
-                + A[..., j, t] * B[..., i, k]
-                - A[..., i, t] * B[..., j, k]
-                - A[..., j, k] * B[..., i, t]
-            )
-            out[..., p, q] = val
-            if q != p:
-                out[..., q, p] = val
+    lead = np.broadcast_shapes(A.shape[:-2], B.shape[:-2])
+    A = _point_rows(A, lead)
+    B = _point_rows(B, lead)
+    out = np.empty(lead + (m, m))
+    rows = out.reshape(-1, m, m)
+    val = np.empty(min(_BLOCK, len(rows)))
+    tmp = np.empty_like(val)
+    for s in range(0, len(rows), _BLOCK):
+        ac, bc = _components(A[s : s + _BLOCK]), _components(B[s : s + _BLOCK])
+        ob = rows[s : s + _BLOCK]
+        v, w = val[: len(ob)], tmp[: len(ob)]
+        for p, (i, j) in enumerate(pairs):
+            for q in range(p, m):
+                k, t = pairs[q]
+                np.multiply(ac[i][k], bc[j][t], out=v)
+                v += np.multiply(ac[j][t], bc[i][k], out=w)
+                v -= np.multiply(ac[i][t], bc[j][k], out=w)
+                v -= np.multiply(ac[j][k], bc[i][t], out=w)
+                ob[:, p, q] = v
+                if q != p:
+                    ob[:, q, p] = v
     return out
 
 
@@ -246,26 +269,51 @@ def riemann_norm(T, metric, n: int | None = None):
     return np.sqrt(riemann_norm_squared(T, metric, n))
 
 
+@lru_cache(maxsize=None)
+def _trace_terms(n: int) -> dict[tuple[int, int], list[tuple[int, int, int, int, bool]]]:
+    """For each entry (j, t >= j) of the 1-3 trace, its terms
+    ``(i, k, P, Q, positive)``: ``g^{ik}`` times pair entry (P, Q), added when
+    the product of the two pair signs is positive and subtracted otherwise."""
+    _, pidx, sgn = _pair_lookup(n)
+    return {
+        (j, t): [
+            (i, k, int(pidx[i, j]), int(pidx[k, t]), bool(sgn[i, j] * sgn[k, t] > 0))
+            for i in range(n)
+            if i != j
+            for k in range(n)
+            if k != t
+        ]
+        for j in range(n)
+        for t in range(j, n)
+    }
+
+
 def trace_13(T, inv: np.ndarray, n: int | None = None) -> np.ndarray:
     """Ricci-type trace ``S_jt = g^{ik} T_{ijkt}`` from pair storage."""
     mat, n = _pair_of(T, n if n is not None else inv.shape[-1])
-    _, pidx, sgn = _pair_lookup(n)
-    shape = np.broadcast_shapes(mat.shape[:-2], inv.shape[:-2])
-    out = np.zeros(shape + (n, n))
-    for j in range(n):
-        for t in range(j, n):
-            acc = 0.0
-            for i in range(n):
-                if i == j:
-                    continue
-                for k in range(n):
-                    if k == t:
-                        continue
-                    s = sgn[i, j] * sgn[k, t]
-                    acc = acc + s * inv[..., i, k] * mat[..., pidx[i, j], pidx[k, t]]
-            out[..., j, t] = acc
+    inv = np.asarray(inv, dtype=float)
+    lead = np.broadcast_shapes(mat.shape[:-2], inv.shape[:-2])
+    M = _point_rows(mat, lead)
+    G = _point_rows(inv, lead)
+    out = np.empty(lead + (n, n))
+    rows = out.reshape(-1, n, n)
+    acc = np.empty(min(_BLOCK, len(rows)))
+    tmp = np.empty_like(acc)
+    for s in range(0, len(rows), _BLOCK):
+        mc, gc = _components(M[s : s + _BLOCK]), _components(G[s : s + _BLOCK])
+        ob = rows[s : s + _BLOCK]
+        a, w = acc[: len(ob)], tmp[: len(ob)]
+        for (j, t), terms in _trace_terms(n).items():
+            a.fill(0.0)
+            for i, k, p, q, positive in terms:
+                np.multiply(gc[i][k], mc[p][q], out=w)
+                if positive:
+                    a += w
+                else:
+                    a -= w
+            ob[:, j, t] = a
             if t != j:
-                out[..., t, j] = acc
+                ob[:, t, j] = a
     return out
 
 

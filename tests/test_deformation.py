@@ -31,7 +31,7 @@ from scalarweyl.deformation import (
 )
 from scalarweyl.grid import FieldError, integrate, make_chart
 from scalarweyl.presets import flat_metric, fourier_metric, fourier_scalar
-from scalarweyl.tensor import kulkarni_nomizu, riemann_norm
+from scalarweyl.tensor import kulkarni_nomizu, riemann_norm, vv_contract
 
 
 def torus(n, size, scheme="fd4"):
@@ -233,6 +233,26 @@ def test_error_forms_one_product_per_second_factor(monkeypatch):
     calls.clear()
     weyl_error(b, include=(1, 2, 3))
     assert len(calls) == 2
+
+
+def test_only_the_error_tensor_contracts_riemann(monkeypatch):
+    calls = []
+
+    def counted(T, v, n=None):
+        calls.append(1)
+        return vv_contract(T, v, n)
+
+    b = bundle_for(4, 8)
+    monkeypatch.setattr("scalarweyl.deformation.vv_contract", counted)
+    weyl_error(b)
+    assert len(calls) == 1
+    calls.clear()
+    deformation_energy(b.base.g, b.f, 1.0, base=b.base)
+    # once, inside its weyl_error; the scalar terms need no Riemann contraction
+    assert len(calls) == 1
+    calls.clear()
+    deformed_scalar_closed_form(b)
+    assert len(calls) == 0
 
 
 # ---------------------------------------------------------------------------

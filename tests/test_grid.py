@@ -92,6 +92,35 @@ def test_deriv_trailing_component_axes():
     assert np.allclose(d[..., 0], deriv(c, np.sin(x), 0))
 
 
+def _roll_fd4(arr, axis, spacing):
+    # reference: the 5-point periodic stencil written with four rolls
+    up1 = np.roll(arr, -1, axis=axis)
+    dn1 = np.roll(arr, 1, axis=axis)
+    up2 = np.roll(arr, -2, axis=axis)
+    dn2 = np.roll(arr, 2, axis=axis)
+    return (8.0 * (up1 - dn1) - (up2 - dn2)) / (12.0 * spacing)
+
+
+def test_fd4_stencil_matches_roll_reference():
+    rng = np.random.default_rng(11)
+    # axis 0 at the minimum size of 8
+    c = make_chart(3, (8, 10, 12), (1.0, 2.0, 3.0))
+
+    def check(arr, full):
+        for axis in range(c.n):
+            ref = _roll_fd4(full, axis, c.spacings[axis])
+            got = deriv(c, arr, axis)
+            assert got.shape == ref.shape
+            assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+    for extra in ((), (3,), (3, 3)):
+        arr = rng.standard_normal(c.sizes + extra)
+        check(arr, arr)
+    # degenerate leading axes broadcast to the full grid first
+    sparse = rng.standard_normal((8, 1, 12, 2))
+    check(sparse, np.broadcast_to(sparse, c.sizes + (2,)))
+
+
 def test_gradient_shape_and_values():
     c = chart3(16, scheme="spectral")
     x, y, _ = c.mesh()

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from scalarweyl import tensor
 from scalarweyl.tensor import (
     PointMetric,
     bianchi_project,
@@ -171,6 +172,50 @@ def test_trace_13_of_kn():
         # sanity: trace of g ? g
         ric2 = trace_13(kulkarni_nomizu(g, g), pm.inverse, n=n)
         assert np.allclose(ric2, 2 * (n - 1) * g, atol=1e-12)
+
+
+def test_kernels_on_noncontiguous_views():
+    rng = np.random.default_rng(52)
+    n = 4
+    a = rng.standard_normal((6, 4, n, n))
+    a = a + np.swapaxes(a, -1, -2)
+    b = rng.standard_normal((6, 4, n, n))
+    b = b + np.swapaxes(b, -1, -2)
+    inv = np.linalg.inv(np.eye(n) + 0.1 * a)
+    mat = kulkarni_nomizu(a, b)
+    # a grid-axis swap and a strided slice of a field
+    for view in (lambda x: np.swapaxes(x, 0, 1), lambda x: x[::2]):
+        av, bv, iv, mv = view(a), view(b), view(inv), view(mat)
+        assert not av.flags.c_contiguous and not mv.flags.c_contiguous
+        assert np.array_equal(
+            kulkarni_nomizu(av, bv), kulkarni_nomizu(av.copy(), bv.copy())
+        )
+        assert np.array_equal(
+            trace_13(mv, iv, n=n), trace_13(mv.copy(), iv.copy(), n=n)
+        )
+    # a point inverse against a field matrix broadcasts over the field
+    pinv = PointMetric(random_spd(n, seed=53)).inverse
+    got = trace_13(mat, pinv, n=n)
+    assert got.shape == (6, 4, n, n)
+    for idx in ((0, 0), (5, 3)):
+        assert np.array_equal(got[idx], trace_13(mat[idx], pinv, n=n))
+
+
+def test_kernels_across_point_blocks():
+    # more points than one block of the kernels, the last block partial
+    rng = np.random.default_rng(54)
+    n = 4
+    lead = (2, tensor._BLOCK // 2 + 3)
+    a = rng.standard_normal(lead + (n, n))
+    a = a + np.swapaxes(a, -1, -2)
+    b = rng.standard_normal(lead + (n, n))
+    b = b + np.swapaxes(b, -1, -2)
+    kn = kulkarni_nomizu(a, b)
+    dense = dense_from_pair(kn, n)
+    assert np.allclose(dense, dense_kn(a, b), atol=1e-13)
+    inv = np.linalg.inv(np.eye(n) + 0.1 * a)
+    expect = np.einsum("...ik,...ijkt->...jt", inv, dense)
+    assert np.allclose(trace_13(kn, inv, n=n), expect, atol=1e-12)
 
 
 def test_vv_contract_matches_dense():
