@@ -124,9 +124,9 @@ def make_chart(n, sizes, lengths, scheme="fd4") -> Chart:
 # ---------------------------------------------------------------------------
 
 
-def _deriv_fd4(arr: np.ndarray, axis: int, spacing: float) -> np.ndarray:
-    # 5-point centered stencil on one copy padded with two periodic ghost
-    # cells at each end; the four shifts are slices of that copy.
+def _ghost_shifts(arr: np.ndarray, axis: int):
+    """Periodic shifts by -2..2 along ``axis``, as slices of one copy padded
+    with two ghost cells at each end: ``shifted(s)[i] == arr[i + s]``."""
     size = arr.shape[axis]
     ext = np.take(arr, np.arange(-2, size + 2) % size, axis=axis)
     lead = (slice(None),) * axis
@@ -134,6 +134,12 @@ def _deriv_fd4(arr: np.ndarray, axis: int, spacing: float) -> np.ndarray:
     def shifted(s: int) -> np.ndarray:
         return ext[lead + (slice(2 + s, 2 + s + size),)]
 
+    return shifted
+
+
+def _deriv_fd4(arr: np.ndarray, axis: int, spacing: float) -> np.ndarray:
+    # 5-point centered stencil on the ghost-cell shifts
+    shifted = _ghost_shifts(arr, axis)
     out = np.subtract(shifted(1), shifted(-1))
     out *= 8.0
     out -= np.subtract(shifted(2), shifted(-2))

@@ -9,9 +9,13 @@ The solver follows the standard negative-regime route: conformal change by
 the first eigenfunction to make the curvature coefficient pointwise negative,
 monotone iteration between constant barriers, then a damped Newton polish on
 the original metric so the reported residual is that of the original discrete
-equation, not of a conformally conjugated one.  Inner linear solves use
-conjugate gradient on the density-symmetrized operator, preconditioned by the
-constant-coefficient symbol inverted in Fourier space.
+equation, not of a conformally conjugated one.  The barrier stage is only an
+initializer: it hands over to Newton once its step falls below 1e-3 of the
+upper barrier, and each of its inner solves is only as tight as the last
+step asks (the inexact-Newton forcing term of Eisenstat and Walker);
+Newton's own inner solves and tolerance fix the accuracy.  Inner linear
+solves use conjugate gradient on the density-symmetrized operator,
+preconditioned by the constant-coefficient symbol inverted in Fourier space.
 """
 
 from __future__ import annotations
@@ -23,7 +27,7 @@ import numpy as np
 
 from .conformal import ConformalParams, conformal_metric, modified_laplacian_apply, scalar_weyl
 from .curvature import curvature_bundle
-from .grid import FieldError, MetricField, flux_laplacian, gradient, integrate
+from .grid import FieldError, MetricField, _ghost_shifts, flux_laplacian, gradient, integrate
 
 
 @dataclass(frozen=True)
@@ -55,7 +59,8 @@ class SolveReport:
 # blind to per-axis Nyquist modes, so the discrete spectrum bottom carries a
 # cluster of 2^n - 1 spurious eigenvalues next to the physical lambda_1.
 # The eigensolver therefore works with L + eta * sum_a B_a^2 / sqrt(det g),
-# where B_a is the unscaled three-point second difference: the penalty is
+# where B_a is the unscaled three-point second difference, so B_a^2 is the
+# five-point [1, -4, 6, -4, 1] fourth difference: the penalty is
 # positive semidefinite in the weighted product, kills nothing smooth
 # (O(h^4) on resolved modes, same order as the scheme), leaves constants
 # exactly in the kernel, and lifts the Nyquist cluster by O(eta).  The
@@ -63,15 +68,14 @@ class SolveReport:
 # positive on those modes.
 
 
-def _second_difference(arr, axis):
-    return np.roll(arr, -1, axis) - 2.0 * arr + np.roll(arr, 1, axis)
-
-
 def _penalty_apply(dens, eta):
     def pen(phi):
-        acc = np.zeros_like(phi)
+        acc = (6.0 * phi.ndim) * phi
         for a in range(phi.ndim):
-            acc += _second_difference(_second_difference(phi, a), a)
+            shifted = _ghost_shifts(phi, a)
+            acc += shifted(-2)
+            acc += shifted(2)
+            acc -= 4.0 * (shifted(-1) + shifted(1))
         return eta * acc / dens
 
     return pen
@@ -117,9 +121,15 @@ def _fourier_preconditioner(chart, a_n, c_lap, q_mean, pen_mean=0.0):
     denom = (
         a_n * max(c_lap, 1e-12) * sym + pen_mean * pen_sym + max(q_mean, 1e-12)
     )
+    # the symbol is even in k, so the real transform's half spectrum of the
+    # last axis carries all of it
+    denom = denom[..., : chart.sizes[-1] // 2 + 1]
+    axes = tuple(range(chart.n))
 
     def precond(r):
-        return np.real(np.fft.ifftn(np.fft.fftn(r) / denom))
+        spec = np.fft.rfftn(r, s=chart.sizes, axes=axes)
+        spec /= denom
+        return np.fft.irfftn(spec, s=chart.sizes, axes=axes)
 
     return precond
 
@@ -338,8 +348,14 @@ def conformal_energy(
 # ---------------------------------------------------------------------------
 # constant-curvature solve
 
+# The barrier stage hands over to Newton once its step is below
+# _HANDOFF * hi; each inner solve runs to the relative tolerance
+# _FORCING * (last step) / hi, clamped to [1e-10, _FORCING].
+_HANDOFF = 1e-3
+_FORCING = 1e-2
 
-def _newton_polish(g, a_n, F, p, u, solve, tol_abs, history, maxiter=40, cg_tol=1e-10):
+
+def _newton_polish(g, a_n, F, p, u, tol_abs, history, cg_maxiter, maxiter=40, cg_tol=1e-10):
     res_of = lambda v: -a_n * flux_laplacian(g, v) + F * v + v**p
     r = res_of(u)
     res = float(np.max(np.abs(r)))
@@ -348,14 +364,15 @@ def _newton_polish(g, a_n, F, p, u, solve, tol_abs, history, maxiter=40, cg_tol=
         if res <= tol_abs:
             return u, res, it - 1
         q = F + p * u ** (p - 1.0)
-        delta = solve(q, -r, cg_tol)
+        delta = _shifted_solver(g, a_n, q, cg_maxiter)(-r, cg_tol)
         step = 1.0
         while step > 1e-4:
             cand = u + step * delta
             if float(np.min(cand)) > 0.0:
-                cand_res = float(np.max(np.abs(res_of(cand))))
+                cand_r = res_of(cand)
+                cand_res = float(np.max(np.abs(cand_r)))
                 if cand_res < res:
-                    u, r, res = cand, res_of(cand), cand_res
+                    u, r, res = cand, cand_r, cand_res
                     break
             step *= 0.5
         else:
@@ -382,9 +399,11 @@ def solve_constant_F(
 
     Requires a negative trichotomy verdict.  ``init`` selects the route:
     "barriers" runs the monotone iteration on the eigenfunction-rescaled
-    metric before polishing, "eigen" starts Newton directly from a scaled
-    eigenfunction; both finish on the original metric and must agree (the
-    solution in the negative regime is unique).
+    metric as an initializer, handed to Newton once its step falls below
+    1e-3 of the upper barrier, with inner solves whose tolerance follows the
+    last step; "eigen" starts Newton directly from a scaled eigenfunction.
+    Both finish on the original metric and must agree (the solution in the
+    negative regime is unique).
 
     The report carries two residuals: the discrete equation's own, and an
     independent one from rerunning the full curvature pipeline on the
@@ -419,12 +438,6 @@ def solve_constant_F(
         integrate(chart, tri.eigenfunction, dens) / integrate(chart, np.ones(chart.sizes), dens)
     )
 
-    def solve_on(metric):
-        def solve(q, b, tol_inner):
-            return _shifted_solver(metric, a_n, q, cg_maxiter)(b, tol_inner)
-
-        return solve
-
     if init == "barriers":
         # conformal change by the eigenfunction: the transported coefficient
         # is lambda_1 u1^{1-p} up to the eigen-residual, hence negative
@@ -437,21 +450,22 @@ def solve_constant_F(
             )
         g1 = conformal_metric(g, u1)
         neg = -F1
-        lo = float(np.min(neg)) ** (1.0 / (p - 1.0))
         hi = float(np.max(neg)) ** (1.0 / (p - 1.0))
         shift = p * float(np.max(neg))
-        solve1 = solve_on(g1)
+        # q = F1 + shift is fixed for the stage: one solver serves every step
+        solve1 = _shifted_solver(g1, a_n, F1 + shift, cg_maxiter)
         u = np.full(chart.sizes, hi)
-        for it in range(1, 61):
-            rhs = shift * u - u**p
-            new = solve1(F1 + shift, rhs, 1e-10)
+        delta = hi
+        for _ in range(60):
+            inner = max(1e-10, min(_FORCING, _FORCING * delta / hi))
+            new = solve1(shift * u - u**p, inner)
             delta = float(np.max(np.abs(new - u)))
             u = new
             iterations += 1
             history.append(
                 float(np.max(np.abs(-a_n * flux_laplacian(g1, u) + F1 * u + u**p)))
             )
-            if delta <= 1e-10 * hi:
+            if delta <= _HANDOFF * hi:
                 break
         u_tot = u1 * u
     else:
@@ -462,7 +476,7 @@ def solve_constant_F(
 
     tol_abs = tol * max(1.0, float(np.max(np.abs(F))))
     u_tot, res, newton_iters = _newton_polish(
-        g, a_n, F, p, u_tot, solve_on(g), tol_abs, history
+        g, a_n, F, p, u_tot, tol_abs, history, cg_maxiter
     )
     iterations += newton_iters
 

@@ -20,6 +20,7 @@ from hypothesis import strategies as st
 from scalarweyl.curvature import curvature_bundle
 from scalarweyl.deformation import (
     BLOCK_COUNT,
+    _scalar_ingredients,
     deform,
     deformation_energy,
     deformed_inverse,
@@ -253,6 +254,27 @@ def test_only_the_error_tensor_contracts_riemann(monkeypatch):
     calls.clear()
     deformed_scalar_closed_form(b)
     assert len(calls) == 0
+
+
+def test_each_caller_forms_the_scalar_ingredients_once(monkeypatch):
+    calls = []
+
+    def counted(bundle):
+        calls.append(1)
+        return _scalar_ingredients(bundle)
+
+    b = bundle_for(4, 8)
+    monkeypatch.setattr("scalarweyl.deformation._scalar_ingredients", counted)
+    for run in (
+        lambda: weyl_error(b),
+        lambda: deformed_scalar_closed_form(b),
+        lambda: scalar_divergence_identity(b),
+        lambda: deformation_energy(b.base.g, b.f, 1.0, base=b.base),
+        lambda: deformation_energy(b.base.g, b.f, 1.0, base=b.base, include_weyl=False),
+    ):
+        calls.clear()
+        run()
+        assert len(calls) == 1
 
 
 # ---------------------------------------------------------------------------

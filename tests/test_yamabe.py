@@ -21,6 +21,10 @@ from scalarweyl.conformal import (
 from scalarweyl.grid import FieldError, flux_laplacian, integrate, make_chart
 from scalarweyl.presets import flat_metric, fourier_metric, fourier_scalar
 from scalarweyl.yamabe import (
+    _derivative_symbol,
+    _fourier_preconditioner,
+    _pcg,
+    _penalty_apply,
     conformal_energy,
     first_eigenvalue,
     operator_matrix,
@@ -38,6 +42,57 @@ def waves(chart):
     ones = np.ones(chart.sizes)
     mesh = chart.mesh()
     return mesh[0] * ones, mesh[1] * ones
+
+
+# ---------------------------------------------------------------------------
+# penalty and preconditioner
+
+
+def _roll_penalty(phi, dens, eta):
+    # reference: each axis's fourth difference as a second difference of a
+    # second difference, written with rolls
+    def second(arr, axis):
+        return np.roll(arr, -1, axis) - 2.0 * arr + np.roll(arr, 1, axis)
+
+    acc = np.zeros_like(phi)
+    for a in range(phi.ndim):
+        acc += second(second(phi, a), a)
+    return eta * acc / dens
+
+
+@pytest.mark.parametrize("sizes", [(8, 10, 12), (8, 8, 10, 8)])
+def test_penalty_matches_roll_reference(sizes):
+    rng = np.random.default_rng(5)
+    phi = rng.standard_normal(sizes)
+    dens = 1.0 + 0.5 * rng.random(sizes)
+    ref = _roll_penalty(phi, dens, 0.7)
+    got = _penalty_apply(dens, 0.7)(phi)
+    assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+
+def _complex_preconditioner(chart, a_n, c_lap, q_mean, pen_mean):
+    # reference: the full complex spectrum of the same symbol
+    denom = np.full(chart.sizes, q_mean)
+    for a in range(chart.n):
+        k = 2.0 * np.pi * np.fft.fftfreq(chart.sizes[a], d=chart.spacings[a])
+        shape = [1] * chart.n
+        shape[a] = chart.sizes[a]
+        pen = (2.0 * np.cos(k * chart.spacings[a]) - 2.0) ** 2
+        denom = denom + (a_n * c_lap * _derivative_symbol(chart, a) ** 2).reshape(shape)
+        denom = denom + (pen_mean * pen).reshape(shape)
+    return lambda r: np.real(np.fft.ifftn(np.fft.fftn(r) / denom))
+
+
+@pytest.mark.parametrize("scheme", ["fd4", "spectral"])
+@pytest.mark.parametrize("sizes", [(8, 10, 12), (8, 12, 8, 10)])
+def test_real_fft_preconditioner_matches_complex_form(sizes, scheme):
+    chart = make_chart(len(sizes), sizes, (2.0 * np.pi,) * len(sizes), scheme=scheme)
+    r = np.random.default_rng(3).standard_normal(sizes)
+    args = (ConformalParams(1.0, chart.n).a_n, 1.3, 0.4, 0.2)
+    ref = _complex_preconditioner(chart, *args)(r)
+    got = _fourier_preconditioner(chart, *args)(r)
+    assert got.shape == ref.shape
+    assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
 
 
 # ---------------------------------------------------------------------------
@@ -216,6 +271,23 @@ def test_solver_recovers_manufactured_solution(init):
     assert float(np.max(np.abs(report.u - u_star))) < 1e-10
     assert report.residual < 1e-9
     assert report.curvature_residual < 1e-9
+
+
+def test_barrier_solve_cg_work(monkeypatch):
+    # the barrier stage is an initializer for Newton: its inner solves are
+    # loose while the steps are large, and it hands over early
+    iterations = []
+
+    def counted(*args):
+        x, it = _pcg(*args)
+        iterations.append(it)
+        return x, it
+
+    monkeypatch.setattr("scalarweyl.yamabe._pcg", counted)
+    g, F, u_star = manufactured(torus(4, 12))
+    report = solve_constant_F(g, 1.0, coefficient=F, init="barriers")
+    assert float(np.max(np.abs(report.u - u_star))) < 1e-10
+    assert sum(iterations) <= 200
 
 
 def test_solver_fixed_point_at_constant_negative_coefficient():
