@@ -16,6 +16,11 @@ step asks (the inexact-Newton forcing term of Eisenstat and Walker);
 Newton's own inner solves and tolerance fix the accuracy.  Inner linear
 solves use conjugate gradient on the density-symmetrized operator,
 preconditioned by the constant-coefficient symbol inverted in Fourier space.
+
+The trichotomy eigensolve is a single-vector LOBPCG (locally optimal block
+preconditioned conjugate gradient; Knyazev, SIAM J. Sci. Comput. 23(2),
+2001) on the same symmetrized operator with the same Fourier preconditioner:
+one operator apply per iteration and no inner linear solves.
 """
 
 from __future__ import annotations
@@ -106,7 +111,7 @@ def _derivative_symbol(chart, axis):
     return (8.0 * np.sin(k * h) - np.sin(2.0 * k * h)) / (6.0 * h)
 
 
-def _fourier_preconditioner(chart, a_n, c_lap, q_mean, pen_mean=0.0):
+def _fourier_preconditioner(chart, a_n, c_lap, q_mean, pen_mean):
     sym = np.zeros(chart.sizes)
     pen_sym = np.zeros(chart.sizes)
     for a in range(chart.n):
@@ -160,26 +165,22 @@ def _pcg(apply_sym, b, precond, tol, maxiter):
     )
 
 
-def _shifted_solver(g, a_n, q, cg_maxiter, eta=0.0):
-    """Solve (-a_n Lap + q [+ penalty]) x = b to a per-call relative tolerance."""
-    dens = g.sqrt_det
-    sd = np.sqrt(dens)
+def _operator_preconditioner(g, a_n, q, pen_mean=0.0):
+    """Fourier inverse of the mean-coefficient symbol of -a_n Lap + q [+ penalty]."""
     c_lap = float(np.mean(np.einsum("...aa->...", g.inverse)) / g.chart.n)
-    precond = _fourier_preconditioner(
-        g.chart,
-        a_n,
-        c_lap,
-        float(np.mean(q * dens)),
-        pen_mean=eta * float(np.mean(1.0 / dens)),
+    return _fourier_preconditioner(
+        g.chart, a_n, c_lap, float(np.mean(q * g.sqrt_det)), pen_mean=pen_mean
     )
-    pen = _penalty_apply(dens, eta) if eta > 0.0 else None
+
+
+def _shifted_solver(g, a_n, q, cg_maxiter):
+    """Solve (-a_n Lap + q) x = b to a per-call relative tolerance."""
+    sd = np.sqrt(g.sqrt_det)
+    precond = _operator_preconditioner(g, a_n, q)
 
     def apply_sym(y):
         phi = y / sd
-        out = -a_n * flux_laplacian(g, phi) + q * phi
-        if pen is not None:
-            out = out + pen(phi)
-        return sd * out
+        return sd * (-a_n * flux_laplacian(g, phi) + q * phi)
 
     def solve(b, tol):
         y, _ = _pcg(apply_sym, sd * b, precond, tol, cg_maxiter)
@@ -192,6 +193,55 @@ def _shifted_solver(g, a_n, q, cg_maxiter, eta=0.0):
 # trichotomy
 
 
+# With unit columns, a Cholesky pivot of the Gram matrix is the sine of the
+# angle between its column and the span of the ones before it.  Exactly
+# dependent columns leave pivots up to about sqrt(eps) = 1.5e-8 after
+# rounding, and the Ritz coefficients are then noise; the iterates measure
+# 0.8 to 1.
+_MIN_PIVOT = 1e-6
+
+
+def _ritz_step(y, Ay, w, Aw, p, Ap):
+    """Lowest Ritz pair of span{y, w, p}: the new y, Ay, p and Ap.
+
+    The columns are normalized before the Gram matrix is factored; when p
+    has become numerically dependent on y and w the Cholesky factorization
+    fails or leaves a pivot below ``_MIN_PIVOT``, and the step is retried on
+    span{y, w}.
+    """
+    cols = [y, w] if p is None else [y, w, p]
+    imgs = [Ay, Aw] if p is None else [Ay, Aw, Ap]
+    S = np.stack([c.reshape(-1) for c in cols])
+    AS = np.stack([c.reshape(-1) for c in imgs])
+    d = 1.0 / np.linalg.norm(S, axis=1)
+    gram = d[:, None] * (S @ S.T) * d[None, :]
+    H = d[:, None] * (S @ AS.T) * d[None, :]
+    try:
+        chol = np.linalg.cholesky(gram)
+    except np.linalg.LinAlgError:
+        chol = None
+    if chol is None or float(np.min(np.diag(chol))) < _MIN_PIVOT:
+        if p is None:
+            raise RuntimeError(
+                "eigensolver breakdown: the preconditioned residual is "
+                "parallel to the iterate"
+            )
+        return _ritz_step(y, Ay, w, Aw, None, None)
+    # H c = theta G c becomes a standard problem in the Cholesky frame
+    M = np.linalg.solve(chol, np.linalg.solve(chol, 0.5 * (H + H.T)).T)
+    _, vecs = np.linalg.eigh(M)
+    c = np.linalg.solve(chol.T, vecs[:, 0]) * d
+    step = c[1] * w
+    Astep = c[1] * Aw
+    if p is not None:
+        step += c[2] * p
+        Astep += c[2] * Ap
+    y = c[0] * y + step
+    Ay = c[0] * Ay + Astep
+    nrm = float(np.linalg.norm(y))
+    return y / nrm, Ay / nrm, step, Astep
+
+
 def first_eigenvalue(
     g: MetricField,
     t: float,
@@ -199,63 +249,80 @@ def first_eigenvalue(
     bundle=None,
     tol: float = 1e-9,
     maxiter: int = 80,
-    cg_tol: float = 1e-10,
-    cg_maxiter: int = 5000,
 ) -> TrichotomyResult:
-    """Smallest eigenvalue of -a_n Lap + F by shifted inverse power iteration.
+    """Smallest eigenvalue of -a_n Lap + F by single-vector LOBPCG.
 
     ``coefficient`` overrides the zeroth-order term (the geometric F when
     omitted); tests use it to dial in spectra with a known answer.
 
-    The iterated operator carries the checkerboard regularization from the
-    module comment; ``operator_matrix`` assembles the identical operator, so
-    the dense oracle and this iteration see the same spectrum.
+    The locally optimal block preconditioned conjugate gradient method
+    (Knyazev, SIAM J. Sci. Comput. 23(2), 2001) runs with one vector on the
+    density-symmetrized operator y = sqrt(sqrt(g)) u, starting from u = 1.
+    Each iteration preconditions the residual r = A y - rho y with the
+    Fourier inverse of the shifted symbol, w = T r, and takes the lowest
+    Ritz pair on span{y, w, p}, where p is the last step: one operator
+    apply (A w) per iteration and no inner linear solves.  It stops once
+    the residual in the volume-weighted norm is below
+    ``tol * max(1, max|F|)``, confirmed on a fresh apply because the
+    recurrence for A y drifts; ``iterations`` counts the operator applies.
+
+    The operator carries the checkerboard regularization from the module
+    comment; ``operator_matrix`` assembles the identical operator, so the
+    dense oracle and this eigensolver see the same spectrum.
     """
     chart = g.chart
     params = ConformalParams(t, chart.n)
     F = coefficient if coefficient is not None else scalar_weyl(g, t, bundle=bundle)
     F = np.asarray(F, dtype=float)
     dens = g.sqrt_det
-    cell = chart.cell_volume
-
-    def wdot(a, b):
-        return float(np.sum(a * b * dens)) * cell
+    sd = np.sqrt(dens)
 
     # the Rayleigh quotient is bounded below by min F (the penalty is
-    # positive semidefinite), so this shift keeps the solved operator
-    # positive definite with a unit margin
+    # positive semidefinite), so the preconditioner of the operator shifted
+    # by sigma inverts a positive definite symbol with a unit margin
     sigma = float(np.min(F)) - 1.0
     eta = _penalty_strength(params.a_n, F)
-    solve = _shifted_solver(g, params.a_n, F - sigma, cg_maxiter, eta=eta)
     pen = _penalty_apply(dens, eta)
+    precond = _operator_preconditioner(
+        g, params.a_n, F - sigma, pen_mean=eta * float(np.mean(1.0 / dens))
+    )
 
-    def apply_op(phi):
-        return modified_laplacian_apply(g, t, phi, F=F) + pen(phi)
+    def apply_sym(y):
+        phi = y / sd
+        return sd * (modified_laplacian_apply(g, t, phi, F=F) + pen(phi))
 
-    u = np.ones(chart.sizes)
-    u /= np.sqrt(wdot(u, u))
-    lam = wdot(u, apply_op(u))
-    res = np.inf
+    # for unit y, |A y - rho y| is the residual of u = y / sqrt(sqrt(g)) in
+    # the volume-weighted norm, with u of unit L2(dV) norm
+    y = sd / float(np.linalg.norm(sd))
+    Ay = apply_sym(y)
+    fresh = True
+    p = Ap = None
     scale = max(1.0, float(np.max(np.abs(F))))
     for it in range(1, maxiter + 1):
-        inner = max(cg_tol, min(1e-2, 1e-2 * res / scale))
-        x = solve(u, inner)
-        u = x / np.sqrt(wdot(x, x))
-        Lu = apply_op(u)
-        lam = wdot(u, Lu)
-        res = np.sqrt(max(wdot(Lu - lam * u, Lu - lam * u), 0.0))
+        lam = float(np.vdot(y, Ay))
+        r = Ay - lam * y
+        res = float(np.linalg.norm(r))
         if res <= tol * scale:
-            break
+            if fresh:
+                break
+            Ay = apply_sym(y)
+            fresh = True
+            continue
+        w = precond(r)
+        y, Ay, p, Ap = _ritz_step(y, Ay, w, apply_sym(w), p, Ap)
+        fresh = False
     else:
         raise RuntimeError(
-            f"inverse iteration did not converge: residual {res:.3e} "
+            f"eigensolver did not converge: residual {res:.3e} "
             f"after {maxiter} iterations"
         )
-    if wdot(u, np.ones_like(u)) < 0.0:
+    u = y / sd
+    u /= np.sqrt(integrate(chart, u * u, dens))
+    if integrate(chart, u, dens) < 0.0:
         u = -u
     band = 1e-6 * scale
     verdict = "zero" if abs(lam) < band else ("negative" if lam < 0.0 else "positive")
-    return TrichotomyResult(float(lam), u, verdict, float(res), it)
+    return TrichotomyResult(lam, u, verdict, res, it)
 
 
 def operator_matrix(g: MetricField, t: float, coefficient=None, bundle=None) -> np.ndarray:
@@ -264,7 +331,8 @@ def operator_matrix(g: MetricField, t: float, coefficient=None, bundle=None) -> 
     Density-symmetrized so plain ``eigvalsh`` applies; intended as the
     brute-force eigenvalue oracle on tiny grids (the apply is assembled one
     basis vector at a time).  Carries the same checkerboard regularization
-    as ``first_eigenvalue``.
+    as ``first_eigenvalue``, so the oracle and the eigensolver see the same
+    spectrum.
     """
     chart = g.chart
     params = ConformalParams(t, chart.n)
@@ -422,7 +490,7 @@ def solve_constant_F(
     F = np.asarray(F, dtype=float)
     dens = g.sqrt_det
 
-    tri = first_eigenvalue(g, t, coefficient=F, cg_maxiter=cg_maxiter)
+    tri = first_eigenvalue(g, t, coefficient=F)
     if tri.verdict != "negative":
         raise ValueError(
             "constant F == -1 requires a negative first eigenvalue; the "

@@ -25,6 +25,7 @@ from scalarweyl.yamabe import (
     _fourier_preconditioner,
     _pcg,
     _penalty_apply,
+    _ritz_step,
     conformal_energy,
     first_eigenvalue,
     operator_matrix,
@@ -131,6 +132,65 @@ def test_eigenvalue_matches_dense_oracle():
     assert abs(tri.lam - evals[0]) < 1e-10
     # the regularized spectrum has an O(1) gap over the ground state
     assert evals[1] - evals[0] > 1.0
+
+
+def test_eigenfunction_matches_dense_oracle_on_noncubic_chart():
+    chart = make_chart(3, (8, 10, 12), (2.0 * np.pi,) * 3)
+    g = fourier_metric(chart, amplitude=0.1, seed=4)
+    x1, x2 = waves(chart)
+    F = -1.0 + 1.5 * np.sin(x1) * np.cos(x2)
+    assert float(np.max(F)) > 0.0 > float(np.min(F))
+    tri = first_eigenvalue(g, 1.0, coefficient=F)
+    evals, evecs = np.linalg.eigh(operator_matrix(g, 1.0, coefficient=F))
+    assert abs(tri.lam - evals[0]) < 1e-10
+    # the dense ground vector is density-symmetrized: undo the sqrt(sqrt(g))
+    # scaling, then fix the sign and the L2(dV) norm as the solver does
+    u = evecs[:, 0].reshape(chart.sizes) / np.sqrt(g.sqrt_det)
+    u /= np.sqrt(integrate(chart, u * u, g.sqrt_det))
+    u *= np.sign(integrate(chart, u, g.sqrt_det))
+    assert float(np.max(np.abs(tri.eigenfunction - u))) < 1e-8
+
+
+def test_eigensolver_failure_names_its_cause():
+    g = fourier_metric(torus(4, 8), amplitude=0.08, seed=9)
+    with pytest.raises(
+        RuntimeError, match=r"eigensolver did not converge: residual .* after 2 iterations"
+    ):
+        first_eigenvalue(g, 1.0, maxiter=2)
+
+
+def test_eigensolver_operator_applies(monkeypatch):
+    # one operator apply per iteration and no inner linear solves
+    chart = torus(4, 12)
+    g = fourier_metric(chart, amplitude=0.08, seed=11)
+    params = ConformalParams(1.0, chart.n)
+    u_star = 1.0 + 0.2 * np.sin(chart.mesh()[0]) * np.ones(chart.sizes)
+    F = (params.a_n * flux_laplacian(g, u_star) - u_star**params.p_n) / u_star
+    calls = []
+
+    def counted(*args):
+        calls.append(1)
+        return flux_laplacian(*args)
+
+    monkeypatch.setattr("scalarweyl.yamabe.flux_laplacian", counted)
+    monkeypatch.setattr("scalarweyl.conformal.flux_laplacian", counted)
+    tri = first_eigenvalue(g, 1.0, coefficient=F)
+    assert tri.verdict == "negative"
+    assert len(calls) <= 30
+
+
+def test_ritz_step_drops_a_dependent_direction():
+    # a last step that lies in span{y, w} makes the Gram matrix singular;
+    # the step must then be the Rayleigh-Ritz step on span{y, w} alone
+    rng = np.random.default_rng(0)
+    for _ in range(50):
+        A = rng.standard_normal((30, 30))
+        A = A + A.T
+        y, w = rng.standard_normal((2, 30))
+        for p in (3.0 * y, w - 2.0 * y):
+            got = _ritz_step(y, A @ y, w, A @ w, p, A @ p)[0]
+            want = _ritz_step(y, A @ y, w, A @ w, None, None)[0]
+            assert np.allclose(got, want * np.sign(np.dot(got, want)), atol=1e-12)
 
 
 def test_eigenvalue_converges_at_scheme_order():
