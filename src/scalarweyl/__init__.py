@@ -69,14 +69,12 @@ from .construct import (
     ConstructionResult,
     PinchingReport,
     RadialFields,
-    RadialSplitReport,
     SearchReport,
     certificate_pair,
     construct_constant_F,
     make_bump,
     phi_functional,
     pinching_report,
-    radial_error_components,
     radial_fields,
     search_parameters,
 )

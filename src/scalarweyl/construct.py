@@ -16,8 +16,7 @@ each ball, so coordinate distance is geodesic distance and every radial field
 has closed-form derivatives.  On such balls the shear's Weyl error tensor
 vanishes identically -- a rotationally symmetric metric is locally
 conformally flat -- so the curvature-norm blocks of the expansion sit at
-roundoff; they are evaluated anyway, and the frame-split report quantifies
-the cancellation block by block.
+roundoff; they are evaluated anyway.
 """
 
 from __future__ import annotations
@@ -32,13 +31,7 @@ from .curvature import CurvatureBundle, curvature_bundle
 from .deformation import deform, deformation_energy, deformed_norm, weyl_error
 from .grid import Chart, FieldError, MetricField, integrate, sym2_pack
 from .presets import smooth_bridge
-from .tensor import (
-    Riem4Field,
-    pair_contract,
-    pair_lift,
-    riemann_norm,
-    riemann_norm_squared,
-)
+from .tensor import Riem4Field, riemann_norm_squared
 from .yamabe import (
     SolveReport,
     TrichotomyResult,
@@ -660,120 +653,6 @@ def certificate_pair(
     profile = make_bump(config.floor, g.chart.n)
     fields = _config_fields(g, config, profile)
     return _certificate_pair_from_fields(g, t, config.k, fields)
-
-
-# ---------------------------------------------------------------------------
-# frame-split error report
-
-
-@dataclass(frozen=True)
-class RadialSplitReport:
-    """Radial-frame split of the shear's Weyl error tensor on one ball.
-
-    Component classes count radial indices (antisymmetry kills classes
-    three and four).  ``analytic`` uses exact closed-form derivatives of
-    the radial fields, so any residue is algebraic cancellation defect at
-    roundoff; ``stencil`` recomputes with grid derivatives and decays at
-    the scheme's order.  ``gauge`` is the largest single constituent block
-    of the error formula, the natural yardstick for what is cancelling.
-    ``split_defect`` checks the three classes recompose the full norm.
-    """
-
-    r: float
-    k: float
-    gauge: float
-    analytic: dict
-    stencil: dict
-    split_defect: float
-    outside: float
-
-
-def _frame_split_norms(E, inv, direction, mask) -> dict:
-    """Max pointwise norm over ``mask`` by radial-index count (0, 1, 2).
-
-    The pair lift of the inverse splits along the radial projector; rank-one
-    blocks annihilate antisymmetric pairs, so three classes recompose the
-    full squared norm (classes with three or four radial indices vanish
-    identically).
-    """
-    n = inv.shape[-1]
-    radial = direction[..., :, None] * direction[..., None, :]
-    tangential = inv - radial
-    lift_tt = pair_lift(tangential, tangential, n)
-    lift_tr = pair_lift(tangential, radial, n)
-    mat = E.pair
-    zero = pair_contract(mat, mat, lift_tt, lift_tt)
-    one = 2.0 * (
-        pair_contract(mat, mat, lift_tt, lift_tr)
-        + pair_contract(mat, mat, lift_tr, lift_tt)
-    )
-    two = 4.0 * pair_contract(mat, mat, lift_tr, lift_tr)
-    out = {}
-    for name, val in (("tangential", zero), ("one_radial", one), ("two_radial", two)):
-        out[name] = float(np.sqrt(max(float(np.max(np.where(mask, val, 0.0))), 0.0)))
-    total = riemann_norm_squared(mat, inv, n)
-    defect = np.abs(zero + one + two - total)
-    out["_defect"] = float(np.max(np.where(mask, defect, 0.0)))
-    return out
-
-
-def radial_error_components(
-    g: MetricField,
-    center,
-    r: float,
-    k: float,
-    profile: BumpProfile,
-    base: CurvatureBundle | None = None,
-) -> RadialSplitReport:
-    """Frame-split audit of the shear's Weyl error on one flat ball.
-
-    For a radial shear of a flat ball every component class must vanish:
-    the sheared metric is rotationally symmetric, hence locally conformally
-    flat, and the flat background contributes no curvature blocks.  The
-    analytic route confirms the block cancellation at roundoff against the
-    ``gauge`` scale; the stencil route must decay at the scheme's order,
-    which is the report's two-path content.
-    """
-    chart = g.chart
-    _flat_ball_check(g, center, 1.1 * r)
-    if base is None:
-        base = curvature_bundle(g)
-    fields = radial_fields(chart, center, r, profile, g=g)
-    rho = np.sqrt(np.sum(chart.min_image(chart.mesh(), center) ** 2, axis=-1))
-    mask = rho <= r
-    core = rho < 1e-12 * r
-    direction = chart.min_image(chart.mesh(), center) / np.where(core, 1.0, rho)[..., None]
-    direction = np.where(core[..., None], 0.0, direction)
-
-    root = np.sqrt(fields.psi)
-    eta = 2.0 * k * root
-    grad_eta = (k / root)[..., None] * fields.grad_psi
-    hess_eta = (k / root)[..., None, None] * fields.hess_psi - (0.5 * k / root**3)[
-        ..., None, None
-    ] * (fields.grad_psi[..., :, None] * fields.grad_psi[..., None, :])
-
-    exact = deform(g, eta, grad=grad_eta, hess=hess_eta, base=base)
-    err_exact = weyl_error(exact)
-    err_stencil = weyl_error(deform(g, eta, base=base))
-
-    gauge_field = riemann_norm(weyl_error(exact, include=(1,)), g)
-    gauge = float(np.max(np.where(mask, gauge_field, 0.0)))
-
-    analytic = _frame_split_norms(err_exact, g.inverse, direction, mask)
-    stencil = _frame_split_norms(err_stencil, g.inverse, direction, mask)
-    outside = float(
-        np.max(np.where(~mask, riemann_norm(err_exact, g), 0.0))
-    )
-    defect = max(analytic.pop("_defect"), stencil.pop("_defect"))
-    return RadialSplitReport(
-        r=r,
-        k=k,
-        gauge=gauge,
-        analytic=analytic,
-        stencil=stencil,
-        split_defect=defect,
-        outside=outside,
-    )
 
 
 # ---------------------------------------------------------------------------

@@ -8,15 +8,20 @@ lexicographic (i <= j) component list.
 
 Differentiation defaults to 4th-order centered stencils; second derivatives
 are compositions of first-derivative stencils, so mixed partials commute to
-roundoff.  A spectral scheme is available behind the chart's ``scheme``
-switch.  Integration is the plain point sum times the cell volume, which is
-spectrally accurate on periodic grids and makes the discrete divergence
-theorem hold to roundoff (the stencil telescopes over each periodic axis).
+roundoff.  Inputs of 2^20 elements or more (an 8 MB field) run the same
+stencil slab by slab, cut along axis 0 (axis 1 when differentiating along
+axis 0), so the ghost copy and the temporaries of one slab stay in L2 cache;
+the results are bit-identical to the one-shot stencil, which scalar fields
+of the usual grid sizes keep.  A spectral scheme is available behind the
+chart's ``scheme`` switch.  Integration is the plain point sum times the
+cell volume, which is spectrally accurate on periodic grids and makes the
+discrete divergence theorem hold to roundoff (the stencil telescopes over
+each periodic axis).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -137,13 +142,31 @@ def _ghost_shifts(arr: np.ndarray, axis: int):
     return shifted
 
 
-def _deriv_fd4(arr: np.ndarray, axis: int, spacing: float) -> np.ndarray:
+#: inputs of at least this many elements are differentiated slab by slab
+_SLAB_MIN = 1 << 20
+
+
+def _stencil_fd4(arr: np.ndarray, axis: int, spacing: float, out=None) -> np.ndarray:
     # 5-point centered stencil on the ghost-cell shifts
     shifted = _ghost_shifts(arr, axis)
-    out = np.subtract(shifted(1), shifted(-1))
+    out = np.subtract(shifted(1), shifted(-1), out=out)
     out *= 8.0
     out -= np.subtract(shifted(2), shifted(-2))
     out /= 12.0 * spacing
+    return out
+
+
+def _deriv_fd4(arr: np.ndarray, axis: int, spacing: float) -> np.ndarray:
+    """fd4 derivative; large inputs run the same stencil on one-index slabs
+    of a grid axis other than ``axis``, so results are bit-identical."""
+    if arr.size < _SLAB_MIN:
+        return _stencil_fd4(arr, axis, spacing)
+    cut = 1 if axis == 0 else 0
+    out = np.empty(arr.shape)
+    lead = (slice(None),) * cut
+    for i in range(arr.shape[cut]):
+        sl = lead + (slice(i, i + 1),)
+        _stencil_fd4(arr[sl], axis, spacing, out=out[sl])
     return out
 
 

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from scalarweyl import grid
 from scalarweyl.grid import (
     ChartError,
     CovectorField,
@@ -119,6 +120,44 @@ def test_fd4_stencil_matches_roll_reference():
     # degenerate leading axes broadcast to the full grid first
     sparse = rng.standard_normal((8, 1, 12, 2))
     check(sparse, np.broadcast_to(sparse, c.sizes + (2,)))
+
+
+def _one_shot_fd4(arr, axis, spacing):
+    # reference: the ghost-cell stencil on the whole array at once, in the
+    # operation order of the library stencil
+    size = arr.shape[axis]
+    ext = np.take(arr, np.arange(-2, size + 2) % size, axis=axis)
+    lead = (slice(None),) * axis
+
+    def shifted(s):
+        return ext[lead + (slice(2 + s, 2 + s + size),)]
+
+    out = np.subtract(shifted(1), shifted(-1))
+    out *= 8.0
+    out -= np.subtract(shifted(2), shifted(-2))
+    out /= 12.0 * spacing
+    return out
+
+
+def test_blocked_fd4_matches_one_shot_stencil():
+    rng = np.random.default_rng(5)
+    c = make_chart(4, (16,) * 4, (1.0, 2.0, 3.0, 4.0))
+    full = rng.standard_normal(c.sizes + (16,))
+    wide = rng.standard_normal(c.sizes + (4, 4, 4))
+    sparse = rng.standard_normal((1,) + c.sizes[1:] + (16,))
+    cases = [
+        (full, full),
+        # a strided slice, as riemann differentiates the symbols
+        (wide[..., 1, :, :], wide[..., 1, :, :]),
+        # a degenerate leading axis broadcasts to the grid first
+        (sparse, np.broadcast_to(sparse, c.sizes + (16,))),
+    ]
+    for arr, whole in cases:
+        # 16^4 points times 16 components: exactly the slab threshold
+        assert whole.size == grid._SLAB_MIN
+        for axis in range(c.n):
+            ref = _one_shot_fd4(whole, axis, c.spacings[axis])
+            assert np.array_equal(deriv(c, arr, axis), ref)
 
 
 def test_gradient_shape_and_values():
