@@ -70,10 +70,8 @@ from .construct import (
     PinchingReport,
     RadialFields,
     SearchReport,
-    certificate_pair,
     construct_constant_F,
     make_bump,
-    phi_functional,
     pinching_report,
     radial_fields,
     search_parameters,

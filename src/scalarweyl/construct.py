@@ -1,34 +1,39 @@
 """End-to-end production of metrics with constant negative scalar-Weyl curvature.
 
 The pipeline bends a background metric inside a few disjoint balls until the
-integral certificate of the conformal solver goes negative, then hands off to
-the solver.  The bending is radial: an even profile with a quantified slope
-band generates a conformal multiplier psi supported in each ball, the metric
-is rescaled by psi and sheared by d(k psi) (x) d(k psi), and the certifying
-integral is evaluated along two independent routes -- once through the
-deformation-energy functional on the rescaled metric, once as an expansion
-assembled directly on the background via the conformal transformation laws.
-Route agreement at discretization order is the module's central identity
-check; a parameter search trusts no cell the two routes cannot confirm.
+certifying integral of the conformal solver goes negative, then hands off to
+the solver.  The bending is radial, after Aubin's mechanism (T. Aubin,
+J. Differential Geom. 4, 1970): an even profile with a quantified slope band
+generates a conformal multiplier psi supported in each ball, and the metric
+is rescaled by psi and sheared by d(k psi) (x) d(k psi).
 
 Everything rests on flat-ball backgrounds: the metric is exactly Euclidean on
 each ball, so coordinate distance is geodesic distance and every radial field
-has closed-form derivatives.  On such balls the shear's Weyl error tensor
-vanishes identically -- a rotationally symmetric metric is locally
-conformally flat -- so the curvature-norm blocks of the expansion sit at
-roundoff; they are evaluated anyway.
+has closed-form derivatives.  On such a ball the background's curvature
+vanishes, and the deformed metric is rotationally symmetric, hence locally
+conformally flat, so its Weyl tensor and the shear's error tensor vanish too.
+Outside the balls psi = 1.  The certifying integral therefore splits exactly,
+
+    Phi = int_T F_0 dV + (#balls) |S^{n-1}| int_0^r I(rho) rho^{n-1} drho,
+
+with F_0 the background's F and I built from the profile alone.  The search
+evaluates every (radius, shear) cell by this one radial route, with the
+quadrature's own error estimate.  Before the solve, the winning config is
+confirmed on the grid: the test-energy bound of the sheared metric,
+assembled from its deformation bundle, must be negative too.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
 
-from .conformal import conformal_metric
+from .conformal import conformal_metric, scalar_weyl
 from .curvature import CurvatureBundle, curvature_bundle
-from .deformation import deform, deformation_energy, deformed_norm, weyl_error
+from .deformation import deform, deformed_norm, weyl_error
 from .grid import Chart, FieldError, MetricField, integrate, sym2_pack
 from .presets import smooth_bridge
 from .tensor import Riem4Field, riemann_norm_squared
@@ -47,10 +52,15 @@ SHEAR_GRID = (1.0, 2.0, 4.0, 8.0, 16.0)
 
 #: a ball whose radius spans fewer grid cells than this cannot carry the
 #: profile's slope band; the search records such cells instead of
-#: evaluating quadratures the grid cannot support.
+#: evaluating configs whose deformed metric the grid solve cannot resolve.
 MIN_CELLS_PER_RADIUS = 3.0
 
 _PROFILE_NODES = 8192
+
+#: trapezoid nodes of the radial certifying integral.  Its integrand is
+#: C-infinity and flat at both ends of [0, r], so the rule converges faster
+#: than any power: halving this count moves the value at roundoff.
+_RADIAL_NODES = 20_000
 
 
 # ---------------------------------------------------------------------------
@@ -453,206 +463,52 @@ def _config_fields(
 
 
 # ---------------------------------------------------------------------------
-# the certifying integral, two routes
+# the certifying integral on one flat ball
 
 
-def _phi_expansion(
-    g: MetricField,
-    t: float,
-    k: float,
-    fields: RadialFields,
-    base: CurvatureBundle,
-    include_weyl: bool = True,
-) -> float:
-    """Certifying integral assembled on the background metric.
+def _trapezoid(y: np.ndarray, h: float) -> float:
+    return h * float(np.sum(y) - 0.5 * (y[0] + y[-1]))
 
-    Every block comes from pushing the deformation-energy functional of the
-    rescaled-and-sheared metric through the conformal transformation laws of
-    scalar curvature, Ricci, Hessian, and the quartic error tensor.  The
-    curvature norms are taken against the background sheared by
-    d(2k sqrt(psi)): rescaling that shear by psi reproduces the deformed
-    metric, and the norm of a curvature-type tensor drops two powers of the
-    multiplier while the tensors themselves gain one, leaving single powers
-    of the volume weight f in front of both norm blocks.
 
-    ``include_weyl=False`` drops the two curvature-norm blocks, leaving the
-    scalar-curvature functional (the t -> 0 limit, an upper bound for any
-    t <= 0 since t |W| <= 0 only helps).
+def _phi_ball(profile: BumpProfile, n: int, r: float, k: float) -> tuple[float, float]:
+    """One ball's share of the certifying integral, and its quadrature error.
+
+    On a flat ball the background's curvature vanishes, and the rescaled and
+    sheared metric is rotationally symmetric, hence conformally flat: W' = 0
+    and the shear's error tensor E = 0, so the curvature-norm blocks drop
+    out.  What remains -- the Hessian block, the (n-1)/(2k^2) gradient block,
+    the Laplacian block and the two (n-1)/(n-2) blocks -- depends on the
+    radius alone, through the profile's value, slope and second derivative.
+    Their sum I is integrated as |S^{n-1}| int_0^r I rho^{n-1} drho by the
+    trapezoid rule in s = rho / r; the error estimate is the gap to the same
+    rule on every second node.
     """
-    chart = g.chart
-    n = chart.n
-    inv = g.inverse
-    dens = g.sqrt_det
-    psi, f = fields.psi, fields.f
-
-    psi_up = np.einsum("...ab,...b->...a", inv, fields.grad_psi)
-    s2 = np.einsum("...a,...a->...", fields.grad_psi, psi_up)
+    s = np.linspace(0.0, 1.0, _RADIAL_NODES + 1)
+    v, v1, v2 = profile.value(s), profile.slope(s), profile.second(s)
+    rho = r * s
+    q = 2.0 / (n - 2.0)
+    psi = v**q
+    # radial derivatives of the weight f = v and of the multiplier psi = v^q
+    f1, f2 = v1 / r, v2 / r**2
+    p1 = q * v ** (q - 1.0) * f1
+    p2 = q * (q - 1.0) * v ** (q - 2.0) * f1**2 + q * v ** (q - 1.0) * f2
+    # the profile is flat at the center, so f1 / rho -> 0 there
+    lap_f = f2 + (n - 1.0) * np.divide(f1, rho, out=np.zeros_like(rho), where=rho > 0.0)
+    s2 = p1**2
     dhat = psi / k**2 + s2
-
-    f_up = np.einsum("...ab,...b->...a", inv, fields.grad_f)
-    lap_f = np.einsum("...ab,...ab->...", inv, fields.hess_f)
-
-    ric_pp = np.einsum("...ab,...a,...b->...", base.ric, psi_up, psi_up)
-    scal_block = base.scal * f - ric_pp / dhat * f
-
-    if include_weyl:
-        root = np.sqrt(psi)
-        eta = 2.0 * k * root
-        grad_eta = (k / root)[..., None] * fields.grad_psi
-        hess_eta = (k / root)[..., None, None] * fields.hess_psi - (
-            0.5 * k / root**3
-        )[..., None, None] * (
-            fields.grad_psi[..., :, None] * fields.grad_psi[..., None, :]
-        )
-        sheared = deform(g, eta, grad=grad_eta, hess=hess_eta, base=base)
-        w_norm = deformed_norm(base.W, g, eta, grad=grad_eta)
-        e_norm = deformed_norm(weyl_error(sheared), g, eta, grad=grad_eta)
-        scal_block = scal_block + t * w_norm * f
-        error_term = t * integrate(chart, e_norm * f, dens)
-    else:
-        error_term = 0.0
-
-    hess_pp = np.einsum("...ab,...a,...b->...", fields.hess_f, psi_up, psi_up)
-    grad_fp = np.einsum("...a,...a->...", fields.grad_f, psi_up)
-
-    hp = np.einsum("...ab,...b->...a", fields.hess_psi, psi_up)
-    hp2 = np.einsum("...a,...ab,...b->...", hp, inv, hp)
-    beta = np.einsum("...a,...a->...", hp, psi_up)
-
+    beta = p2 * s2
     cnn = (n - 1.0) / (n - 2.0)
-    total = (
-        integrate(chart, scal_block, dens)
-        + error_term
-        + integrate(chart, hess_pp / dhat, dens)
-        + (0.5 * (n - 1.0) / k**2) * integrate(chart, grad_fp / dhat, dens)
-        - (1.0 / (k**2 * (n - 2.0))) * integrate(chart, psi * lap_f / dhat, dens)
-        + cnn * integrate(chart, (hp2 / dhat**2 - beta**2 / dhat**3) * f, dens)
-        + (cnn / k**2)
-        * integrate(chart, (0.25 * s2**3 / psi - s2 * beta) / dhat**3 * f, dens)
-    )
-    return float(total)
-
-
-def _phi_deformation(
-    g: MetricField,
-    t: float,
-    k: float,
-    fields: RadialFields,
-    include_weyl: bool = True,
-) -> float:
-    """Certifying integral through the deformation-energy route.
-
-    Works on the rescaled metric psi g directly: its curvature comes from
-    the stencil pipeline, independent of the transformation laws the
-    expansion route uses.  The deforming function's gradient is analytic;
-    its covariant Hessian comes from the rescaled metric's own stencil
-    Christoffel symbols.
-    """
-    chart = g.chart
-    scaled = MetricField(chart, fields.psi[..., None] * g.packed)
-    return deformation_energy(
-        scaled,
-        k * fields.psi,
-        t,
-        grad=k * fields.grad_psi,
-        include_weyl=include_weyl,
-    )
-
-
-def phi_functional(
-    g: MetricField,
-    t: float,
-    config: ConstructionConfig,
-    base: CurvatureBundle | None = None,
-    cross_check: bool = True,
-) -> tuple[float, float]:
-    """Certifying integral of a config, with the two-route residual.
-
-    Returns ``(value, residual)`` where ``value`` is the background-side
-    expansion and ``residual`` the absolute gap to the deformation-energy
-    route (NaN when ``cross_check`` is off).  Negative value certifies that
-    the conformal class of the rescaled-and-sheared metric contains one
-    with constant negative curvature functional.
-    """
-    if t <= 0.0:
-        raise ValueError("the certifying integral is defined for t > 0")
-    if config.chart is not g.chart:
-        raise ValueError("config and metric live on different charts")
-    if base is None:
-        base = curvature_bundle(g)
-    profile = make_bump(config.floor, g.chart.n)
-    fields = _config_fields(g, config, profile)
-    if np.min(fields.psi) <= 0.0:
-        raise FieldError("conformal multiplier must stay positive")
-    value = _phi_expansion(g, t, config.k, fields, base)
-    if not cross_check:
-        return value, float("nan")
-    other = _phi_deformation(g, t, config.k, fields)
-    return value, abs(other - value)
-
-
-def _certificate_pair_from_fields(
-    g: MetricField,
-    t: float,
-    k: float,
-    fields: RadialFields,
-) -> tuple[float, float]:
-    chart = g.chart
-    n = chart.n
-    scaled = MetricField(chart, fields.psi[..., None] * g.packed)
-    phi = k * fields.psi
-    grad = k * fields.grad_psi
-    bundle = deform(scaled, phi, grad=grad)
-    dens = scaled.sqrt_det
-    w = bundle.w
-
-    err = weyl_error(bundle)
-    wnorm = deformed_norm(bundle.base.W, scaled, phi, grad=bundle.grad)
-    enorm = deformed_norm(err, scaled, phi, grad=bundle.grad)
-    snorm = deformed_norm(
-        Riem4Field(chart, bundle.base.W.pair + err.pair),
-        scaled,
-        phi,
-        grad=bundle.grad,
-    )
-
-    fup = np.einsum("...ab,...b->...a", scaled.inverse, bundle.grad)
-    uvec = np.einsum("...ab,...b->...a", bundle.hess, fup)
-    beta = np.einsum("...a,...a->...", uvec, fup)
-    u2 = np.einsum("...a,...ab,...b->...", uvec, scaled.inverse, uvec)
-    rvv = np.einsum("...ab,...a,...b->...", bundle.base.ric, fup, fup)
-    tail = -integrate(chart, rvv / w, dens) + (
-        (n - 1.0) / (n - 2.0)
-    ) * integrate(chart, u2 / w**2 - beta**2 / w**3, dens)
-
-    scal = integrate(chart, bundle.base.scal, dens)
-    value = scal + t * integrate(chart, wnorm + enorm, dens) + tail
-    bound = scal + t * integrate(chart, snorm, dens) + tail
-    return float(value), float(bound)
-
-
-def certificate_pair(
-    g: MetricField,
-    t: float,
-    config: ConstructionConfig,
-) -> tuple[float, float]:
-    """Certifying integral and the test-energy lower bound it dominates.
-
-    Both numbers are assembled from one deformation bundle of the rescaled
-    metric through the closed-form routes, so they differ exactly by the
-    integrated triangle gap t * int(|W'| + |E| - |W' + E|) dV', which is
-    pointwise nonnegative: the first return is >= the second at any
-    resolution, up to roundoff.  The second is the conformal test-function
-    energy of the sheared metric evaluated along the same algebra; its
-    negativity is what licenses the constant-curvature solve.
-    """
-    if t <= 0.0:
-        raise ValueError("the certifying integral is defined for t > 0")
-    if config.chart is not g.chart:
-        raise ValueError("config and metric live on different charts")
-    profile = make_bump(config.floor, g.chart.n)
-    fields = _config_fields(g, config, profile)
-    return _certificate_pair_from_fields(g, t, config.k, fields)
+    integrand = (
+        f2 * s2 / dhat
+        + (0.5 * (n - 1.0) / k**2) * f1 * p1 / dhat
+        - psi * lap_f / (k**2 * (n - 2.0) * dhat)
+        + cnn * ((p2 * p1) ** 2 / dhat**2 - beta**2 / dhat**3) * v
+        + (cnn / k**2) * (0.25 * s2**3 / psi - s2 * beta) / dhat**3 * v
+    ) * rho ** (n - 1)
+    sphere = 2.0 * np.pi ** (n / 2.0) / math.gamma(n / 2.0)
+    fine = _trapezoid(integrand, r / _RADIAL_NODES)
+    coarse = _trapezoid(integrand[::2], 2.0 * r / _RADIAL_NODES)
+    return sphere * fine, sphere * abs(fine - coarse)
 
 
 # ---------------------------------------------------------------------------
@@ -661,7 +517,11 @@ def certificate_pair(
 
 @dataclass(frozen=True)
 class SearchCell:
-    """One evaluated (radius, shear) cell of the landscape."""
+    """One evaluated (radius, shear) cell of the landscape.
+
+    ``residual`` is the radial quadrature's error estimate of ``value``; the
+    cell is accepted when ``value + residual`` is negative.
+    """
 
     r: float
     k: float
@@ -687,22 +547,26 @@ def search_parameters(
     r_grid=None,
     k_grid=None,
     floor: float = 0.1,
-    base: CurvatureBundle | None = None,
+    coefficient: np.ndarray | None = None,
 ) -> SearchReport:
     """Grid search for a config with a negative certifying integral.
 
-    Radii ascend from the smallest (the profile term of the integral deepens
-    as the radius shrinks) and shears descend from the largest (the 1/k^2
-    remainders fade); each radius keeps the largest prefix of centers whose
-    balls stay disjoint.  A cell wins only when both routes agree: the
-    expansion value is negative, the deformation-energy route is negative,
-    and their gap is below a quarter of the magnitude.  Cells whose radius
-    spans fewer than MIN_CELLS_PER_RADIUS grid cells are recorded but not
-    evaluated; the grid cannot carry the profile there.  Failure is data:
-    the report carries the whole landscape.
+    Each cell is evaluated by the exact split of the certifying integral on
+    flat balls: the background term int ``coefficient`` dV, formed once,
+    plus the ball count times the radial integral of :func:`_phi_ball`.
+    ``coefficient`` is the background's F (its scalar curvature R for
+    t <= 0, where dropping t |W| <= 0 only weakens the certificate); it is
+    formed from ``g`` when omitted.  Before a radius is evaluated, the
+    metric must be flat on 1.1 r around every kept center, or FieldError
+    names the ball.
 
-    Cells are independent (a parallel map would merge to the same report);
-    they are evaluated sequentially here, cheapest-first.
+    Radii ascend from the smallest and shears descend from the largest;
+    each radius keeps the largest prefix of centers whose balls stay
+    disjoint.  A cell wins when its value plus its quadrature error is
+    negative.  Cells whose radius spans fewer than MIN_CELLS_PER_RADIUS grid
+    cells are recorded but not evaluated: the deformed metric built from a
+    winning cell is solved on the grid, which cannot carry the profile
+    there.  Failure is data: the report carries the whole landscape.
     """
     chart = g.chart
     if centers is None:
@@ -712,9 +576,10 @@ def search_parameters(
         r_grid = tuple(length / d for d in RADIUS_DIVISORS)
     if k_grid is None:
         k_grid = SHEAR_GRID
-    if base is None:
-        base = curvature_bundle(g)
-    include_weyl = t > 0.0
+    if coefficient is None:
+        bundle = curvature_bundle(g)
+        coefficient = scalar_weyl(g, t, bundle=bundle) if t > 0.0 else bundle.scal
+    background = integrate(chart, coefficient, g.sqrt_det)
     profile = make_bump(floor, chart.n)
     spacing = float(max(chart.spacings))
 
@@ -734,35 +599,29 @@ def search_parameters(
                                note="radius below three grid cells; profile unresolvable")
                 )
             continue
-        config = None
-        fields = None
+        for center in kept:
+            _flat_ball_check(g, center, 1.1 * r)
         for k in sorted(k_grid, reverse=True):
             config = ConstructionConfig(
                 chart=chart, centers=kept, r=r, k=k, t=t, floor=floor,
                 r_grid=tuple(r_grid), k_grid=tuple(k_grid),
             )
-            if fields is None:
-                fields = _config_fields(g, config, profile)
-            value = _phi_expansion(g, t, k, fields, base, include_weyl=include_weyl)
-            if not value < 0.0:
-                landscape.append(SearchCell(r=r, k=k, balls=len(kept), value=value))
-                continue
-            other = _phi_deformation(g, t, k, fields, include_weyl=include_weyl)
-            residual = abs(other - value)
-            agreed = other < 0.0 and residual <= 0.25 * abs(value)
-            note = "" if agreed else "routes disagree; cell not trusted"
+            ball, error = _phi_ball(profile, chart.n, r, k)
+            value = background + len(kept) * ball
+            residual = len(kept) * error
+            accepted = value + residual < 0.0
             landscape.append(
                 SearchCell(r=r, k=k, balls=len(kept), value=value,
-                           residual=residual, accepted=agreed, note=note)
+                           residual=residual, accepted=accepted)
             )
-            if agreed:
+            if accepted:
                 return SearchReport(
                     succeeded=True,
                     config=config,
                     landscape=landscape,
                     message=(
                         f"negative certificate {value:.4f} at r={r:.4f}, k={k}, "
-                        f"{len(kept)} balls; route gap {residual:.2e}"
+                        f"{len(kept)} balls; quadrature error {residual:.2e}"
                     ),
                 )
     evaluated = [c for c in landscape if np.isfinite(c.value)]
@@ -793,19 +652,42 @@ def _sheared_metric(g: MetricField, fields: RadialFields, k: float) -> MetricFie
     return MetricField(chart, packed)
 
 
-def _certificate_factor(
-    g: MetricField, fields: RadialFields, k: float
-) -> np.ndarray:
-    """Conformal factor whose energy the sheared metric's certificate uses.
+def _test_energy_bound(g: MetricField, t: float, k: float, fields: RadialFields) -> float:
+    """Grid test-energy bound of the certifying integral of a config.
 
-    (1 + |grad(k psi)|^2 of the rescaled metric) to the power -(n-2)/8: the
-    conformal weight that undoes the volume stretch of the shear, so the
-    energy of this factor on the sheared metric is bounded by the
-    certifying integral (the norm blocks only gain from the shear).
+    The conformal test-function energy of the sheared metric, assembled from
+    one deformation bundle of the rescaled metric through the closed-form
+    routes.  It sits below the certifying integral by the integrated
+    triangle gap t * int(|W'| + |E| - |W' + E|) dV', which is pointwise
+    nonnegative; its negativity is what licenses the constant-curvature
+    solve.
     """
-    psi_up = np.einsum("...ab,...b->...a", g.inverse, fields.grad_psi)
-    s2 = np.einsum("...a,...a->...", fields.grad_psi, psi_up)
-    return (1.0 + k**2 * s2 / fields.psi) ** (-(g.chart.n - 2.0) / 8.0)
+    chart = g.chart
+    n = chart.n
+    scaled = MetricField(chart, fields.psi[..., None] * g.packed)
+    phi = k * fields.psi
+    bundle = deform(scaled, phi, grad=k * fields.grad_psi)
+    dens = scaled.sqrt_det
+    w = bundle.w
+
+    err = weyl_error(bundle)
+    snorm = deformed_norm(
+        Riem4Field(chart, bundle.base.W.pair + err.pair),
+        scaled,
+        phi,
+        grad=bundle.grad,
+    )
+
+    fup = np.einsum("...ab,...b->...a", scaled.inverse, bundle.grad)
+    uvec = np.einsum("...ab,...b->...a", bundle.hess, fup)
+    beta = np.einsum("...a,...a->...", uvec, fup)
+    u2 = np.einsum("...a,...ab,...b->...", uvec, scaled.inverse, uvec)
+    rvv = np.einsum("...ab,...a,...b->...", bundle.base.ric, fup, fup)
+    tail = -integrate(chart, rvv / w, dens) + (
+        (n - 1.0) / (n - 2.0)
+    ) * integrate(chart, u2 / w**2 - beta**2 / w**3, dens)
+    scal = integrate(chart, bundle.base.scal, dens)
+    return float(scal + t * integrate(chart, snorm, dens) + tail)
 
 
 @dataclass
@@ -844,17 +726,19 @@ def construct_constant_F(
 ) -> ConstructionResult:
     """Produce a metric with F = R + t |W| identically -1 from a background.
 
-    Trichotomy first: a class that is already negative goes straight to the
-    solver, and any t <= 0 rides the scalar-curvature-only search (dropping
+    The background's F is formed once and feeds both the trichotomy and the
+    search.  A class that is already negative goes straight to the solver,
+    and any t <= 0 rides the scalar-curvature-only search (dropping
     t |W| <= 0 only weakens the certificate, never cheats it).  Otherwise
-    the search supplies a config, the rescaled-and-sheared metric is built,
-    its certificate is confirmed against the test-energy side of
-    :func:`certificate_pair`, and the solver finishes inside that class.  The
-    residual is the solver's independent curvature recomputation on the
-    final metric; ``final_tol`` only grades it, the result always returns.
+    the radial search supplies a config, the rescaled-and-sheared metric is
+    built, its grid test-energy bound must confirm the negative certificate,
+    and the solver finishes inside that class.  The residual is the
+    solver's independent curvature recomputation on the final metric;
+    ``final_tol`` only grades it, the result always returns.
     """
     bundle0 = curvature_bundle(g0)
-    tri = first_eigenvalue(g0, t, bundle=bundle0)
+    F0 = scalar_weyl(g0, t, bundle=bundle0)
+    tri = first_eigenvalue(g0, t, coefficient=F0)
     if tri.verdict == "negative":
         try:
             report = solve_constant_F(
@@ -885,7 +769,7 @@ def construct_constant_F(
 
     search = search_parameters(
         g0, t, centers=centers, r_grid=r_grid, k_grid=k_grid,
-        floor=floor, base=bundle0,
+        floor=floor, coefficient=F0 if t > 0.0 else bundle0.scal,
     )
     if not search.succeeded:
         return ConstructionResult(
@@ -902,7 +786,7 @@ def construct_constant_F(
     profile = make_bump(config.floor, g0.chart.n)
     fields = _config_fields(g0, config, profile)
     sheared = _sheared_metric(g0, fields, config.k)
-    cert = _certificate_pair_from_fields(g0, t, config.k, fields)[1]
+    cert = _test_energy_bound(g0, t, config.k, fields)
     if not cert < 0.0:
         return ConstructionResult(
             succeeded=False,

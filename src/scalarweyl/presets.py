@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .grid import Chart, MetricField
+from .grid import Chart, MetricField, sym2_pack, sym2_pack_indices
 
 __all__ = [
     "flat_metric",
@@ -84,17 +84,14 @@ def fourier_metric(
         raise ValueError(f"amplitude must be in [0, 1), got {amplitude}")
     n = chart.n
     rng = np.random.default_rng(seed)
-    dense = np.tile(np.eye(n), chart.shape + (1, 1))
     per_entry = amplitude / n
-    for i in range(n):
-        for j in range(i, n):
-            modes, coeffs, phases = _mode_table(rng, n, terms, max_mode)
-            coeffs *= per_entry / np.sum(np.abs(coeffs))
-            bump = _sample_modes(chart, modes, coeffs, phases)
-            dense[..., i, j] += bump
-            if j != i:
-                dense[..., j, i] += bump
-    return MetricField.from_dense(chart, dense)
+    packed = np.empty(chart.shape + (n * (n + 1) // 2,))
+    # the draws follow the packed (i <= j) order
+    for c, (i, j) in enumerate(sym2_pack_indices(n)):
+        modes, coeffs, phases = _mode_table(rng, n, terms, max_mode)
+        coeffs *= per_entry / np.sum(np.abs(coeffs))
+        packed[..., c] = float(i == j) + _sample_modes(chart, modes, coeffs, phases)
+    return MetricField(chart, packed)
 
 
 def conformally_flat_metric(chart: Chart, phi: np.ndarray) -> MetricField:
@@ -142,6 +139,5 @@ def ball_flat_metric(
         d = chart.min_image(mesh, center)
         rho = np.sqrt(np.sum(d * d, axis=-1))
         window = window * (1.0 - radial_cutoff(rho, r_flat, r_flat + r_rise))
-    dense = pert.dense - np.eye(chart.n)
-    dense = np.eye(chart.n) + window[..., None, None] * dense
-    return MetricField.from_dense(chart, dense)
+    eye = sym2_pack(np.eye(chart.n), chart.n)
+    return MetricField(chart, eye + window[..., None] * (pert.packed - eye))
