@@ -13,13 +13,7 @@ from .grid import (
     integrate,
     make_chart,
 )
-from .tensor import (
-    PointMetric,
-    Riem4Field,
-    kulkarni_nomizu,
-    riemann_norm,
-    validate_riemann_symmetries,
-)
+from .tensor import Riem4Field, kulkarni_nomizu, riemann_norm
 from .curvature import (
     CurvatureBundle,
     christoffel,
@@ -32,7 +26,6 @@ from .curvature import (
 from .conformal import (
     ConformalParams,
     conformal_metric,
-    covariance_residual,
     modified_laplacian_apply,
     scalar_weyl,
 )
@@ -43,18 +36,14 @@ from .deformation import (
     deformed_inverse,
     deformed_norm,
     deformed_scalar_closed_form,
-    scalar_divergence_identity,
     weyl_error,
-    weyl_error_conformal_residual,
 )
 from .yamabe import (
     SolveReport,
     TrichotomyResult,
     conformal_energy,
     first_eigenvalue,
-    operator_matrix,
     solve_constant_F,
-    yhat,
 )
 from .presets import (
     ball_flat_metric,

@@ -1,17 +1,12 @@
-"""Conformal machinery: the curvature functional F, its modified Laplacian,
-and the transformation laws under conformal rescaling.
+"""Conformal machinery: the curvature functional F = R + t |W| and the
+modified Laplacian L phi = -a_n Lap phi + F phi.
 
-Two equivalent parametrizations of a conformal factor are first-class:
-``power``  g2 = u^{4/(n-2)} g   (solver-friendly exponent), and
-``multiplier``  g2 = psi g      (geometric rescaling),
-with converters psi = u^{4/(n-2)} and the auxiliary power f = psi^{(n-2)/2}.
-
-The central identity is the covariance of the modified Laplacian
-``L phi = -a_n Lap phi + F phi`` under the power convention:
-applying L of the rescaled metric equals conjugation by u up to the critical
-exponent p_n = (n+2)/(n-2).  ``covariance_residual`` measures it with the
-rescaled-metric curvature recomputed from scratch, so nothing cancels by
-construction.
+A conformal factor u > 0 rescales the metric to u^{4/(n-2)} g (the power
+convention, with multiplier psi = u^{4/(n-2)}).  Under that rescaling L is
+covariant: L of the rescaled metric equals conjugation by u up to the
+critical exponent p_n = (n+2)/(n-2), so F of the rescaled metric is
+u^{-p_n} L u.  The tests check this law and the pointwise transformation
+laws of the curvature against a direct recomputation on the rescaled metric.
 """
 
 from __future__ import annotations
@@ -20,20 +15,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .curvature import christoffel, curvature_bundle, hessian
-from .grid import FieldError, MetricField, deriv, flux_laplacian, gradient
+from .curvature import curvature_bundle
+from .grid import FieldError, MetricField, flux_laplacian
 from .tensor import riemann_norm
 
 __all__ = [
     "ConformalParams",
     "u_to_psi",
-    "psi_to_u",
-    "psi_to_f",
     "scalar_weyl",
     "conformal_metric",
     "modified_laplacian_apply",
-    "covariance_residual",
-    "conformal_formula_check",
 ]
 
 
@@ -43,13 +34,10 @@ class ConformalParams:
 
     t: float
     n: int
-    convention: str = "power"  # "power": u^{4/(n-2)}; "multiplier": psi
 
     def __post_init__(self):
         if self.n < 3:
             raise ValueError(f"dimension must be >= 3, got {self.n}")
-        if self.convention not in ("power", "multiplier"):
-            raise ValueError(f"unknown convention {self.convention!r}")
 
     @property
     def a_n(self) -> float:
@@ -64,14 +52,6 @@ def u_to_psi(u: np.ndarray, n: int) -> np.ndarray:
     return np.asarray(u, dtype=float) ** (4.0 / (n - 2))
 
 
-def psi_to_u(psi: np.ndarray, n: int) -> np.ndarray:
-    return np.asarray(psi, dtype=float) ** ((n - 2) / 4.0)
-
-
-def psi_to_f(psi: np.ndarray, n: int) -> np.ndarray:
-    return np.asarray(psi, dtype=float) ** ((n - 2) / 2.0)
-
-
 def _as_positive(name: str, arr) -> np.ndarray:
     arr = np.asarray(arr, dtype=float)
     if np.min(arr) <= 0:
@@ -83,26 +63,12 @@ def _as_positive(name: str, arr) -> np.ndarray:
     return arr
 
 
-def scalar_weyl(
-    g: MetricField,
-    t: float,
-    bundle=None,
-    smoothing: float = 0.0,
-) -> np.ndarray:
-    """Pointwise F = R + t |W|_g.
-
-    The Weyl norm is exact (Lipschitz at W = 0) by default; a positive
-    ``smoothing`` eps substitutes sqrt(|W|^2 + eps^2) - eps for callers that
-    need a differentiable coefficient.
-    """
+def scalar_weyl(g: MetricField, t: float, bundle=None) -> np.ndarray:
+    """Pointwise F = R + t |W|_g; pass ``bundle`` to reuse the curvature
+    stack of ``g``."""
     if bundle is None:
         bundle = curvature_bundle(g)
-    wn2 = riemann_norm(bundle.W, g) ** 2
-    if smoothing > 0.0:
-        wn = np.sqrt(wn2 + smoothing**2) - smoothing
-    else:
-        wn = np.sqrt(wn2)
-    return bundle.scal + t * wn
+    return bundle.scal + t * riemann_norm(bundle.W, g.inverse)
 
 
 def conformal_metric(g: MetricField, u: np.ndarray) -> MetricField:
@@ -117,7 +83,6 @@ def modified_laplacian_apply(
     t: float,
     phi: np.ndarray,
     F: np.ndarray | None = None,
-    bundle=None,
 ) -> np.ndarray:
     """Apply L phi = -a_n Lap_g phi + F phi.
 
@@ -126,105 +91,6 @@ def modified_laplacian_apply(
     """
     params = ConformalParams(t, g.chart.n)
     if F is None:
-        F = scalar_weyl(g, t, bundle=bundle)
+        F = scalar_weyl(g, t)
     phi = np.asarray(phi, dtype=float)
     return -params.a_n * flux_laplacian(g, phi) + F * phi
-
-
-def covariance_residual(g: MetricField, u: np.ndarray, phi: np.ndarray, t: float) -> float:
-    """Max-norm defect of the conjugation law for L under rescaling by u.
-
-    The left side assembles L of the rescaled metric from independently
-    recomputed curvature; the right side conjugates the base-metric operator.
-    Converges to zero at the discretization order.
-    """
-    params = ConformalParams(t, g.chart.n)
-    u = _as_positive("conformal factor u", u)
-    g2 = conformal_metric(g, u)
-    lhs = modified_laplacian_apply(g2, t, phi)
-    rhs = u ** (-params.p_n) * modified_laplacian_apply(g, t, phi * u)
-    return float(np.max(np.abs(lhs - rhs)))
-
-
-def conformal_formula_check(g: MetricField, psi: np.ndarray) -> dict:
-    """Residuals of the closed-form transformation laws for g2 = psi g.
-
-    Each law is evaluated from base-metric quantities and compared against a
-    direct recomputation on the rescaled metric: scalar curvature and Ricci
-    via the auxiliary power f = psi^{(n-2)/2}, the volume element, the
-    Hessian law, and both candidate scalings of the (0,4) Weyl tensor.  The
-    report names which Weyl scaling ({psi, 1/psi}) the data supports; the
-    direct-recomputation oracle consistently selects multiplication by psi,
-    equivalently |W_{g2}|_{g2} = |W_g|_g / psi.
-    """
-    chart = g.chart
-    n = chart.n
-    psi = _as_positive("conformal factor psi", psi)
-
-    base = curvature_bundle(g)
-    g2 = MetricField(chart, psi[..., None] * g.packed)
-    direct = curvature_bundle(g2)
-
-    f = psi_to_f(psi, n)
-    grad_f = gradient(chart, f)
-    hess_f = hessian(chart, base.gamma, f, grad=grad_f)
-    lap_f = np.einsum("...ij,...ij->...", g.inverse, hess_f)
-    grad2_f = np.einsum("...ij,...i,...j->...", g.inverse, grad_f, grad_f)
-
-    report: dict = {}
-
-    # scalar curvature law
-    scal_formula = (
-        base.scal
-        - (2.0 * (n - 1) / (n - 2)) * lap_f / f
-        + ((n - 1) / (n - 2)) * grad2_f / f**2
-    ) / psi
-    report["scalar"] = float(np.max(np.abs(scal_formula - direct.scal)))
-
-    # Ricci law
-    ric_formula = (
-        base.ric
-        - hess_f[..., :, :] / f[..., None, None]
-        + ((n - 1) / (n - 2))
-        * np.einsum("...i,...j->...ij", grad_f, grad_f)
-        / f[..., None, None] ** 2
-        - (lap_f / f / (n - 2))[..., None, None] * g.dense
-    )
-    report["ricci"] = float(np.max(np.abs(ric_formula - direct.ric)))
-
-    # volume element: exact scaling of the determinant
-    report["volume"] = float(
-        np.max(np.abs(f * psi * g.sqrt_det - g2.sqrt_det))
-    )
-
-    # Hessian law, applied to psi itself
-    grad_psi = gradient(chart, psi)
-    hess_base = hessian(chart, base.gamma, psi, grad=grad_psi)
-    hess_direct = hessian(chart, christoffel(g2), psi, grad=grad_psi)
-    grad2_psi = np.einsum("...ij,...i,...j->...", g.inverse, grad_psi, grad_psi)
-    hess_formula = hess_base - (
-        np.einsum("...i,...j->...ij", grad_psi, grad_psi)
-        - 0.5 * grad2_psi[..., None, None] * g.dense
-    ) / psi[..., None, None]
-    report["hessian"] = float(np.max(np.abs(hess_formula - hess_direct)))
-
-    # Weyl scaling: try both candidate conventions for the (0,4) components
-    scale_w = float(np.max(np.abs(direct.W.pair)))
-    res_psi = float(
-        np.max(np.abs(psi[..., None, None] * base.W.pair - direct.W.pair))
-    )
-    res_inv = float(
-        np.max(np.abs(base.W.pair / psi[..., None, None] - direct.W.pair))
-    )
-    report["weyl_times_psi"] = res_psi
-    report["weyl_times_inv_psi"] = res_inv
-    if scale_w > 0 and min(res_psi, res_inv) < 0.1 * scale_w:
-        report["weyl_convention"] = "psi" if res_psi < res_inv else "inv_psi"
-    else:
-        report["weyl_convention"] = "undetermined"
-
-    # norm covariance |W_{g2}|_{g2} = |W_g|_g / psi, forced either way
-    report["weyl_norm"] = float(
-        np.max(np.abs(riemann_norm(direct.W, g2) - riemann_norm(base.W, g) / psi))
-    )
-    return report

@@ -33,8 +33,14 @@ import numpy as np
 
 from .conformal import conformal_metric, scalar_weyl
 from .curvature import CurvatureBundle, curvature_bundle
-from .deformation import deform, deformed_norm, weyl_error
-from .grid import Chart, FieldError, MetricField, integrate, sym2_pack
+from .deformation import (
+    _ricci_hessian_blocks,
+    _scalar_ingredients,
+    _weyl_error,
+    deform,
+    deformed_norm,
+)
+from .grid import Chart, FieldError, MetricField, integrate
 from .presets import smooth_bridge
 from .tensor import Riem4Field, riemann_norm_squared
 from .yamabe import (
@@ -243,6 +249,14 @@ class RadialFields:
     hess_f: np.ndarray
 
 
+def _check_radius_fits(chart: Chart, r: float) -> None:
+    length = float(min(chart.lengths))
+    if not 0.0 < 2.2 * r <= length:
+        raise ValueError(
+            f"ball radius {r} does not fit the chart; need 0 < 2.2 r <= {length:.4f}"
+        )
+
+
 def _flat_ball_check(g: MetricField, center, limit: float) -> None:
     chart = g.chart
     rho = np.sqrt(np.sum(chart.min_image(chart.mesh(), center) ** 2, axis=-1))
@@ -299,11 +313,7 @@ def radial_fields(
     """
     if len(center) != chart.n:
         raise ValueError(f"center must have {chart.n} coordinates, got {len(center)}")
-    if not 0.0 < 2.2 * r <= float(min(chart.lengths)):
-        raise ValueError(
-            f"ball radius {r} does not fit the chart; need 0 < 2.2 r <= "
-            f"{float(min(chart.lengths)):.4f}"
-        )
+    _check_radius_fits(chart, r)
     if g is not None:
         if g.chart is not chart:
             raise ValueError("metric lives on a different chart")
@@ -379,11 +389,7 @@ class ConstructionConfig:
                 raise ValueError(
                     f"center {p} must have {self.chart.n} coordinates"
                 )
-        if not 0.0 < 2.2 * self.r <= float(min(self.chart.lengths)):
-            raise ValueError(
-                f"ball radius {self.r} does not fit the chart; need "
-                f"0 < 2.2 r <= {float(min(self.chart.lengths)):.4f}"
-            )
+        _check_radius_fits(self.chart, self.r)
         if self.k <= 0.0:
             raise ValueError(f"shear strength must be positive, got {self.k}")
         if not 0.0 < self.floor < 1.0:
@@ -401,12 +407,7 @@ class ConstructionConfig:
 
 
 def _pair_distance(chart: Chart, a, b) -> float:
-    d = 0.0
-    for x, y, length in zip(a, b, chart.lengths):
-        w = abs(x - y) % length
-        w = min(w, length - w)
-        d += w * w
-    return float(np.sqrt(d))
+    return float(np.linalg.norm(chart.min_image(np.asarray(a, dtype=float), b)))
 
 
 def _closest_pair(chart: Chart, centers) -> float | None:
@@ -643,51 +644,34 @@ def search_parameters(
 # end-to-end pipeline
 
 
-def _sheared_metric(g: MetricField, fields: RadialFields, k: float) -> MetricField:
-    """psi g + d(k psi) (x) d(k psi), the metric the certificate speaks about."""
-    chart = g.chart
-    packed = fields.psi[..., None] * g.packed + sym2_pack(
-        k**2 * fields.grad_psi[..., :, None] * fields.grad_psi[..., None, :], chart.n
-    )
-    return MetricField(chart, packed)
+def _test_energy_bound(
+    g: MetricField, t: float, k: float, fields: RadialFields
+) -> tuple[float, MetricField]:
+    """Grid test-energy bound of the certifying integral of a config, and the
+    metric it speaks about, psi g + d(k psi) (x) d(k psi).
 
-
-def _test_energy_bound(g: MetricField, t: float, k: float, fields: RadialFields) -> float:
-    """Grid test-energy bound of the certifying integral of a config.
-
-    The conformal test-function energy of the sheared metric, assembled from
-    one deformation bundle of the rescaled metric through the closed-form
-    routes.  It sits below the certifying integral by the integrated
-    triangle gap t * int(|W'| + |E| - |W' + E|) dV', which is pointwise
-    nonnegative; its negativity is what licenses the constant-curvature
-    solve.
+    The bound is the conformal test-function energy of the sheared metric,
+    assembled from one deformation bundle of the rescaled metric through the
+    closed-form routes.  It sits below the certifying integral by the
+    integrated triangle gap t * int(|W'| + |E| - |W' + E|) dV', which is
+    pointwise nonnegative; its negativity is what licenses the
+    constant-curvature solve.
     """
     chart = g.chart
-    n = chart.n
     scaled = MetricField(chart, fields.psi[..., None] * g.packed)
     phi = k * fields.psi
     bundle = deform(scaled, phi, grad=k * fields.grad_psi)
     dens = scaled.sqrt_det
-    w = bundle.w
-
-    err = weyl_error(bundle)
+    ing = _scalar_ingredients(bundle)
     snorm = deformed_norm(
-        Riem4Field(chart, bundle.base.W.pair + err.pair),
+        Riem4Field(chart, bundle.base.W.pair + _weyl_error(bundle, ing).pair),
         scaled,
         phi,
         grad=bundle.grad,
     )
-
-    fup = np.einsum("...ab,...b->...a", scaled.inverse, bundle.grad)
-    uvec = np.einsum("...ab,...b->...a", bundle.hess, fup)
-    beta = np.einsum("...a,...a->...", uvec, fup)
-    u2 = np.einsum("...a,...ab,...b->...", uvec, scaled.inverse, uvec)
-    rvv = np.einsum("...ab,...a,...b->...", bundle.base.ric, fup, fup)
-    tail = -integrate(chart, rvv / w, dens) + (
-        (n - 1.0) / (n - 2.0)
-    ) * integrate(chart, u2 / w**2 - beta**2 / w**3, dens)
+    ricci, hess = _ricci_hessian_blocks(bundle, ing)
     scal = integrate(chart, bundle.base.scal, dens)
-    return float(scal + t * integrate(chart, snorm, dens) + tail)
+    return float(scal + t * integrate(chart, snorm, dens) + (ricci + hess)), bundle.g_prime
 
 
 @dataclass
@@ -785,8 +769,7 @@ def construct_constant_F(
     config = search.config
     profile = make_bump(config.floor, g0.chart.n)
     fields = _config_fields(g0, config, profile)
-    sheared = _sheared_metric(g0, fields, config.k)
-    cert = _test_energy_bound(g0, t, config.k, fields)
+    cert, sheared = _test_energy_bound(g0, t, config.k, fields)
     if not cert < 0.0:
         return ConstructionResult(
             succeeded=False,
@@ -804,7 +787,9 @@ def construct_constant_F(
         )
     try:
         report = solve_constant_F(sheared, t, tol=tol, cg_maxiter=cg_maxiter)
-    except RuntimeError as exc:
+    except (RuntimeError, ValueError) as exc:
+        # ValueError: the sheared metric's own trichotomy verdict is not
+        # negative, so the solver refuses the class
         return ConstructionResult(
             succeeded=False,
             path="deformation",
@@ -863,7 +848,7 @@ def pinching_report(
         raise ValueError(f"pinching threshold must be positive, got {eps}")
     if bundle is None:
         bundle = curvature_bundle(g)
-    wn2 = riemann_norm_squared(bundle.W, g)
+    wn2 = riemann_norm_squared(bundle.W, g.inverse)
     margin = wn2 - eps * bundle.scal**2
     worst_scal = float(np.max(bundle.scal))
     worst_margin = float(np.max(margin))

@@ -38,7 +38,6 @@ from .tensor import (
     bianchi_project,
     kulkarni_nomizu,
     pair_indices,
-    riemann_norm,
     trace_13,
 )
 
@@ -48,7 +47,6 @@ __all__ = [
     "riemann",
     "ricci_scalar",
     "weyl",
-    "decomposition_residual",
     "curvature_bundle",
     "hessian",
 ]
@@ -190,19 +188,6 @@ def curvature_bundle(g: MetricField) -> CurvatureBundle:
     riem_ = riemann(g, gamma)
     ric, scal = ricci_scalar(riem_, g)
     return CurvatureBundle(g, gamma, riem_, ric, scal, weyl(riem_, ric, scal, g))
-
-
-def decomposition_residual(g: MetricField) -> float:
-    """Max relative deviation of Riem from its recomposition via (W, Ric, R).
-
-    Zero to roundoff by construction; a wiring check for the trace and
-    product plumbing.
-    """
-    bundle = curvature_bundle(g)
-    recomposed = bundle.W.pair + kulkarni_nomizu(_schouten(bundle.ric, bundle.scal, g), g.dense)
-    diff = riemann_norm(Riem4Field(g.chart, recomposed - bundle.riem.pair), g)
-    scale = max(float(np.max(riemann_norm(bundle.riem, g))), 1e-300)
-    return float(np.max(diff)) / scale
 
 
 def hessian(

@@ -31,24 +31,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .curvature import CurvatureBundle, curvature_bundle, hessian
-from .grid import (
-    Chart,
-    CovectorField,
-    FieldError,
-    MetricField,
-    divergence_total,
-    gradient,
-    integrate,
-    sym2_pack,
-)
-from .tensor import (
-    Riem4Field,
-    kulkarni_nomizu,
-    pair_contract,
-    pair_lift,
-    riemann_norm,
-    vv_contract,
-)
+from .grid import Chart, MetricField, gradient, integrate, sym2_pack
+from .tensor import Riem4Field, kulkarni_nomizu, riemann_norm, vv_contract
 
 BLOCK_COUNT = 15
 
@@ -248,106 +232,26 @@ def _scalar_closed_form(bundle: DeformationBundle, ing: dict) -> np.ndarray:
     )
 
 
-def scalar_divergence_identity(bundle: DeformationBundle) -> tuple[float, float]:
-    """Residuals of the divergence form of the deformed scalar curvature.
-
-    Returns ``(pointwise, integral)``: the pointwise gap between the closed
-    form and the divergence form R - R_ab f^a f^b / w + div(V), and the
-    defect of the global identity int R' dV = int R dV - int R_ab f^a f^b / w dV,
-    evaluated with the flux-form divergence so it vanishes to roundoff.
-    """
-    chart = bundle.chart
-    g = bundle.base.g
-    ing = _scalar_ingredients(bundle)
-    w = bundle.w
-    v = (ing["lap"][..., None] * bundle.grad - ing["u"]) / w[..., None]
-
-    closed = _scalar_closed_form(bundle, ing)
-
-    vup = np.einsum("...ab,...b->...a", g.inverse, v)
-    from .grid import deriv
-
-    div_pt = 0.0
-    for a in range(chart.n):
-        div_pt = div_pt + deriv(chart, g.sqrt_det * vup[..., a], a)
-    div_pt = div_pt / g.sqrt_det
-    div_form = bundle.base.scal - ing["rvv"] / w + div_pt
-    pointwise = float(np.max(np.abs(closed - div_form)))
-
-    integral = abs(divergence_total(CovectorField(chart, v), g))
-    return pointwise, integral
-
-
-def _frame_lifts(inv: np.ndarray, v_cov: np.ndarray):
-    """Split pair lifts along the direction of a covector: tangential
-    projector block, mixed block, and the stretch factor D = 1 + |v|^2."""
-    vup = np.einsum("...ab,...b->...a", inv, v_cov)
-    s2 = np.einsum("...a,...a->...", v_cov, vup)
-    big = s2 > 0
-    unit = np.zeros_like(vup)
-    np.divide(vup, np.sqrt(s2)[..., None], out=unit, where=big[..., None])
-    what = unit[..., :, None] * unit[..., None, :]
-    p = inv - what
-    n = inv.shape[-1]
-    return pair_lift(p, p, n), pair_lift(p, what, n), 1.0 + s2
-
-
-def deformed_norm(
-    T,
-    g: MetricField,
-    phi,
-    k: float = 1.0,
-    method: str = "closed_inverse",
-    grad: np.ndarray | None = None,
-) -> np.ndarray:
-    """Pointwise norm of a curvature-type tensor under g + d(k phi) (x) d(k phi).
-
-    ``closed_inverse`` contracts with the rank-one-downdated inverse;
-    ``frame_split`` decomposes along the gradient direction into tangential,
-    once-contracted and twice-contracted blocks weighted 1, 4/D, 4/D^2 with
-    D = 1 + k^2 |grad phi|^2.  The two agree identically; both are kept as
-    independent paths for the oracle tests.
-    """
-    chart = g.chart
+def deformed_norm(T, g: MetricField, phi, grad: np.ndarray | None = None) -> np.ndarray:
+    """Pointwise norm of a curvature-type tensor under g + d(phi) (x) d(phi),
+    contracted with the closed-form inverse of :func:`deformed_inverse`.
+    ``grad`` substitutes analytic first derivatives of ``phi``."""
     if grad is None:
-        grad = gradient(chart, np.asarray(phi, dtype=float))
-    v = k * grad
-    mat = T.pair if isinstance(T, Riem4Field) else np.asarray(T)
-    if method == "closed_inverse":
-        vup = np.einsum("...ab,...b->...a", g.inverse, v)
-        d = 1.0 + np.einsum("...a,...a->...", v, vup)
-        binv = g.inverse - vup[..., :, None] * vup[..., None, :] / d[..., None, None]
-        kk = pair_lift(binv, binv, chart.n)
-        val = pair_contract(mat, mat, kk, kk)
-    elif method == "frame_split":
-        lpp, lpw, d = _frame_lifts(g.inverse, v)
-        dd = d[..., None, None]
-        tang = pair_contract(mat, mat, lpp, lpp)
-        mix = pair_contract(mat, mat, lpp, lpw) + pair_contract(mat, mat, lpw, lpp)
-        radrad = pair_contract(mat, mat, lpw, lpw)
-        val = tang + 2.0 * mix / d + 4.0 * radrad / d**2
-    else:
-        raise ValueError("method must be 'closed_inverse' or 'frame_split'")
-    return np.sqrt(np.maximum(val, 0.0))
+        grad = gradient(g.chart, np.asarray(phi, dtype=float))
+    return riemann_norm(T, deformed_inverse(g, grad))
 
 
-def weyl_error_conformal_residual(g: MetricField, psi, k: float) -> float:
-    """Residual of the scaling law tying the error tensors of a conformal
-    pair: E of (psi g, k psi) against psi * E of (g, 2k sqrt(psi))."""
-    psi = np.asarray(psi, dtype=float)
-    if np.min(psi) <= 0:
-        bad = tuple(int(i) for i in np.unravel_index(int(np.argmin(psi)), psi.shape))
-        raise FieldError(
-            f"conformal factor must be positive everywhere, min "
-            f"{float(np.min(psi)):.3e} at grid point {bad}"
-        )
-    chart = g.chart
-    scaled = MetricField(chart, psi[..., None] * g.packed)
-    lhs = weyl_error(deform(scaled, k * psi)).pair
-    # the (0,4) tensor picks up one power of the factor, same direction as
-    # the Weyl scaling checked in conformal.formula_check
-    rhs = psi[..., None, None] * weyl_error(deform(g, 2.0 * k * np.sqrt(psi))).pair
-    return float(np.max(np.abs(lhs - rhs)))
+def _ricci_hessian_blocks(bundle: DeformationBundle, ing: dict) -> tuple[float, float]:
+    """The Ricci block -int Ric(f^, f^) / w dV and the Hessian block
+    (n-1)/(n-2) int (|u|^2 / w^2 - beta^2 / w^3) dV, over the undeformed
+    volume, of the deformation functionals."""
+    chart, w = bundle.chart, bundle.w
+    dens = bundle.base.g.sqrt_det
+    ricci = -integrate(chart, ing["rvv"] / w, dens)
+    hess = ((bundle.n - 1.0) / (bundle.n - 2.0)) * integrate(
+        chart, ing["u2"] / w**2 - ing["beta"] ** 2 / w**3, dens
+    )
+    return ricci, hess
 
 
 def deformation_energy(
@@ -357,7 +261,6 @@ def deformation_energy(
     base: CurvatureBundle | None = None,
     grad: np.ndarray | None = None,
     hess: np.ndarray | None = None,
-    include_weyl: bool = True,
 ) -> float:
     """Integral functional whose negativity certifies that the conformal
     class of g + d(phi) (x) d(phi) contains a constant-curvature
@@ -366,31 +269,19 @@ def deformation_energy(
     Hessian correction from the conformal factor (1+|grad phi|^2)^{-1/4}.
 
     Closed-form ``grad``/``hess`` substitute for the stencils as in
-    :func:`deform`.  ``include_weyl=False`` drops both curvature-norm terms,
-    leaving the scalar-curvature functional; t is then ignored (for t <= 0
-    the dropped terms are nonpositive, so the scalar value is an upper
-    bound).
+    :func:`deform`.
     """
-    if include_weyl and t <= 0:
+    if t <= 0:
         raise ValueError("the deformation functional is only defined for t > 0")
     chart = g.chart
     phi = np.asarray(phi, dtype=float)
     bundle = deform(g, phi, grad=grad, hess=hess, base=base)
-    n, w = chart.n, bundle.w
     dens = bundle.base.g.sqrt_det
     ing = _scalar_ingredients(bundle)
 
-    if include_weyl:
-        wnorm = deformed_norm(bundle.base.W, g, phi, grad=bundle.grad)
-        enorm = deformed_norm(_weyl_error(bundle, ing), g, phi, grad=bundle.grad)
-        i1 = integrate(chart, bundle.base.scal + t * wnorm, dens)
-        i2 = t * integrate(chart, enorm, dens)
-    else:
-        i1 = integrate(chart, bundle.base.scal, dens)
-        i2 = 0.0
-
-    i3 = -integrate(chart, ing["rvv"] / w, dens)
-    i4 = ((n - 1.0) / (n - 2.0)) * integrate(
-        chart, ing["u2"] / w**2 - ing["beta"] ** 2 / w**3, dens
-    )
+    wnorm = deformed_norm(bundle.base.W, g, phi, grad=bundle.grad)
+    enorm = deformed_norm(_weyl_error(bundle, ing), g, phi, grad=bundle.grad)
+    i1 = integrate(chart, bundle.base.scal + t * wnorm, dens)
+    i2 = t * integrate(chart, enorm, dens)
+    i3, i4 = _ricci_hessian_blocks(bundle, ing)
     return i1 + i2 + i3 + i4

@@ -26,7 +26,6 @@ import numpy as np
 from .grid import Chart, FieldError, _check_grid_shape
 
 __all__ = [
-    "PointMetric",
     "Riem4Field",
     "pair_indices",
     "pair_from_dense",
@@ -41,7 +40,6 @@ __all__ = [
     "symmetrize_exchange",
     "bianchi_project",
     "bianchi_residual",
-    "validate_riemann_symmetries",
     "riemann_symmetry_report",
 ]
 
@@ -97,25 +95,6 @@ def dense_from_pair(mat: np.ndarray, n: int) -> np.ndarray:
 
 
 @dataclass
-class PointMetric:
-    """A single SPD matrix with cached inverse, for pointwise algebra."""
-
-    g: np.ndarray
-
-    def __post_init__(self):
-        self.g = np.asarray(self.g, dtype=float)
-        if self.g.ndim != 2 or self.g.shape[0] != self.g.shape[1]:
-            raise FieldError(f"PointMetric expects a square matrix, got {self.g.shape}")
-        if np.max(np.abs(self.g - self.g.T)) > 1e-12 * max(1.0, np.abs(self.g).max()):
-            raise FieldError("PointMetric matrix is not symmetric")
-        if np.min(np.linalg.eigvalsh(self.g)) <= 0:
-            raise FieldError("PointMetric matrix is not positive definite")
-        self.n = self.g.shape[0]
-        self.inverse = np.linalg.inv(self.g)
-        self.det = float(np.linalg.det(self.g))
-
-
-@dataclass
 class Riem4Field:
     """Curvature-type (0,4) tensor field in deduplicated pair storage."""
 
@@ -131,12 +110,9 @@ class Riem4Field:
         return dense_from_pair(self.pair, self.chart.n)
 
     @classmethod
-    def from_dense(cls, chart: Chart, dense: np.ndarray, project=False):
+    def from_dense(cls, chart: Chart, dense: np.ndarray):
         mat = pair_from_dense(np.asarray(dense, dtype=float), chart.n)
-        mat = symmetrize_exchange(mat)
-        if project:
-            mat = bianchi_project(mat, chart.n)
-        return cls(chart, mat)
+        return cls(chart, symmetrize_exchange(mat))
 
 
 # ---------------------------------------------------------------------------
@@ -228,16 +204,6 @@ def pair_contract(t1: np.ndarray, t2: np.ndarray, k12: np.ndarray, k34: np.ndarr
     return np.sum(t1 * mid, axis=(-2, -1))
 
 
-def _inverse_of(metric) -> np.ndarray:
-    from .grid import MetricField
-
-    if isinstance(metric, PointMetric):
-        return metric.inverse
-    if isinstance(metric, MetricField):
-        return metric.inverse
-    return np.asarray(metric, dtype=float)
-
-
 def _pair_of(T, n: int | None = None) -> tuple[np.ndarray, int]:
     if isinstance(T, Riem4Field):
         return T.pair, T.chart.n
@@ -255,18 +221,20 @@ def _pair_of(T, n: int | None = None) -> tuple[np.ndarray, int]:
     return pair_from_dense(T, n), n
 
 
-def riemann_norm_squared(T, metric, n: int | None = None) -> np.ndarray:
-    """Squared norm ``T_{ijkt} T^{ijkt}`` with all indices raised by the metric."""
-    inv = _inverse_of(metric)
+def riemann_norm_squared(T, inv: np.ndarray, n: int | None = None) -> np.ndarray:
+    """Squared norm ``T_{ijkt} T^{ijkt}`` with all indices raised by the
+    inverse metric ``inv``."""
+    inv = np.asarray(inv, dtype=float)
     mat, n = _pair_of(T, n if n is not None else inv.shape[-1])
     k = pair_lift(inv, inv, n)
     val = pair_contract(mat, mat, k, k)
     return np.maximum(val, 0.0)
 
 
-def riemann_norm(T, metric, n: int | None = None):
-    """Norm of a curvature-type tensor; nonnegative scalar per point."""
-    return np.sqrt(riemann_norm_squared(T, metric, n))
+def riemann_norm(T, inv: np.ndarray, n: int | None = None):
+    """Norm of a curvature-type tensor under the inverse metric ``inv``;
+    nonnegative scalar per point."""
+    return np.sqrt(riemann_norm_squared(T, inv, n))
 
 
 @lru_cache(maxsize=None)
@@ -370,11 +338,6 @@ def bianchi_project(mat: np.ndarray, n: int) -> np.ndarray:
             if p != q:
                 out[..., q, p] -= sign * omega
     return out
-
-
-def validate_riemann_symmetries(T, n: int | None = None, scale: float | None = None) -> float:
-    """Max violation of the curvature-tensor symmetries and first Bianchi."""
-    return riemann_symmetry_report(T, n=n, scale=scale)["max_violation"]
 
 
 def riemann_symmetry_report(T, n: int | None = None, scale: float | None = None) -> dict:

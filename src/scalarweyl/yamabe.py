@@ -246,7 +246,6 @@ def first_eigenvalue(
     g: MetricField,
     t: float,
     coefficient: np.ndarray | None = None,
-    bundle=None,
     tol: float = 1e-9,
     maxiter: int = 80,
 ) -> TrichotomyResult:
@@ -267,12 +266,11 @@ def first_eigenvalue(
     recurrence for A y drifts; ``iterations`` counts the operator applies.
 
     The operator carries the checkerboard regularization from the module
-    comment; ``operator_matrix`` assembles the identical operator, so the
-    dense oracle and this eigensolver see the same spectrum.
+    comment.
     """
     chart = g.chart
     params = ConformalParams(t, chart.n)
-    F = coefficient if coefficient is not None else scalar_weyl(g, t, bundle=bundle)
+    F = coefficient if coefficient is not None else scalar_weyl(g, t)
     F = np.asarray(F, dtype=float)
     dens = g.sqrt_det
     sd = np.sqrt(dens)
@@ -325,73 +323,11 @@ def first_eigenvalue(
     return TrichotomyResult(lam, u, verdict, res, it)
 
 
-def operator_matrix(g: MetricField, t: float, coefficient=None, bundle=None) -> np.ndarray:
-    """Dense symmetric matrix of the shifted operator on the point basis.
-
-    Density-symmetrized so plain ``eigvalsh`` applies; intended as the
-    brute-force eigenvalue oracle on tiny grids (the apply is assembled one
-    basis vector at a time).  Carries the same checkerboard regularization
-    as ``first_eigenvalue``, so the oracle and the eigensolver see the same
-    spectrum.
-    """
-    chart = g.chart
-    params = ConformalParams(t, chart.n)
-    F = coefficient if coefficient is not None else scalar_weyl(g, t, bundle=bundle)
-    F = np.asarray(F, dtype=float)
-    pen = _penalty_apply(g.sqrt_det, _penalty_strength(params.a_n, F))
-    npts = chart.npoints
-    basis = np.zeros(chart.sizes)
-    flat = basis.reshape(-1)
-    A = np.empty((npts, npts))
-    for j in range(npts):
-        flat[j] = 1.0
-        A[:, j] = (modified_laplacian_apply(g, t, basis, F=F) + pen(basis)).reshape(-1)
-        flat[j] = 0.0
-    s = np.sqrt(g.sqrt_det.reshape(-1))
-    sym = (s[:, None] * A) / s[None, :]
-    return 0.5 * (sym + sym.T)
-
-
-# ---------------------------------------------------------------------------
-# the quotient functional and the integral certificate
-
-
-def yhat(
-    g: MetricField,
-    t: float,
-    u: np.ndarray,
-    scale_invariant: bool = True,
-    coefficient=None,
-    bundle=None,
-) -> float:
-    """Quotient of the operator energy by a power of the critical-exponent
-    volume integral.
-
-    The scale-invariant denominator exponent (n-2)/n makes the quotient
-    blind to u -> cu; ``scale_invariant=False`` switches to the exponent
-    (n-2)/2, under which the value scales by c^{2-n}.
-    """
-    chart = g.chart
-    params = ConformalParams(t, chart.n)
-    u = np.asarray(u, dtype=float)
-    num = integrate(
-        chart,
-        u * modified_laplacian_apply(g, t, u, F=coefficient, bundle=bundle),
-        g.sqrt_det,
-    )
-    den = integrate(chart, np.abs(u) ** (2.0 * chart.n / (chart.n - 2.0)), g.sqrt_det)
-    if den == 0.0:
-        raise FieldError("quotient undefined: u vanishes identically")
-    s = (chart.n - 2.0) / chart.n if scale_invariant else (chart.n - 2.0) / 2.0
-    return num / den**s
-
-
 def conformal_energy(
     g: MetricField,
     t: float,
     u: np.ndarray,
     coefficient=None,
-    bundle=None,
 ) -> float:
     """Integral certificate int F u^2 dV + a_n int |grad u|^2 dV.
 
@@ -407,7 +343,7 @@ def conformal_energy(
         raise FieldError(
             f"certificate requires u > 0, min {float(np.min(u)):.3e}"
         )
-    F = coefficient if coefficient is not None else scalar_weyl(g, t, bundle=bundle)
+    F = coefficient if coefficient is not None else scalar_weyl(g, t)
     du = gradient(chart, u)
     grad2 = np.einsum("...ab,...a,...b->...", g.inverse, du, du)
     return integrate(chart, F * u * u + params.a_n * grad2, g.sqrt_det)

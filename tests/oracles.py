@@ -1,10 +1,10 @@
-"""Grid routes for the certifying integral, kept as oracles of the radial route.
+"""Grid route for the certifying integral, kept as an oracle of the radial route.
 
 ``construct.search_parameters`` evaluates the certifying integral of a config
 by the exact split on flat balls: a background term plus one 1-D radial
-quadrature per ball.  The two routes here assemble the same integral on the
-whole grid instead, so they converge to the radial value as the grid is
-refined and check it independently of the split.
+quadrature per ball.  The expansion here assembles the same integral on the
+whole grid instead, so it converges to the radial value as the grid is
+refined and checks it independently of the split.
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ import numpy as np
 
 from scalarweyl.construct import RadialFields
 from scalarweyl.curvature import CurvatureBundle
-from scalarweyl.deformation import deform, deformation_energy, deformed_norm, weyl_error
+from scalarweyl.deformation import deform, deformed_norm, weyl_error
 from scalarweyl.grid import MetricField, integrate
 
 
@@ -92,27 +92,3 @@ def phi_expansion(
     )
     return float(total)
 
-
-def phi_deformation(
-    g: MetricField,
-    t: float,
-    k: float,
-    fields: RadialFields,
-    include_weyl: bool = True,
-) -> float:
-    """Certifying integral through the deformation-energy route.
-
-    Works on the rescaled metric psi g directly: its curvature comes from
-    the stencil pipeline, independent of the transformation laws the
-    expansion route uses.  The deforming function's gradient is analytic;
-    its covariant Hessian comes from the rescaled metric's own stencil
-    Christoffel symbols.
-    """
-    scaled = MetricField(g.chart, fields.psi[..., None] * g.packed)
-    return deformation_energy(
-        scaled,
-        k * fields.psi,
-        t,
-        grad=k * fields.grad_psi,
-        include_weyl=include_weyl,
-    )

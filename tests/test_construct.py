@@ -1,14 +1,22 @@
 """End-to-end production of constant scalar-Weyl curvature metrics."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 from oracles import phi_expansion
+from scalarweyl import construct
+from scalarweyl.conformal import scalar_weyl
 from scalarweyl.construct import (
+    ConstructionConfig,
+    SearchReport,
     _default_centers,
+    _disjoint_prefix,
     _phi_ball,
     construct_constant_F,
     make_bump,
+    pinching_report,
     radial_fields,
     search_parameters,
 )
@@ -86,3 +94,75 @@ def test_search_rejects_background_curved_on_a_ball():
     chart = make_chart(4, (16,) * 4, (L,) * 4)
     with pytest.raises(FieldError, match="not flat on the ball"):
         search_parameters(fourier_metric(chart, seed=0), 1.0, r_grid=(L / 4,))
+
+
+def forced_deformation_case(monkeypatch):
+    """A positive class on 12^4, flat on 1.8 around the quarter centers, with
+    the search forced to hand over the cell r = L/8, k = 4."""
+    chart = make_chart(4, (12,) * 4, (L,) * 4)
+    centers = _default_centers(chart)
+    g0 = ball_flat_metric(chart, centers, r_flat=1.8, r_rise=0.3, seed=0)
+
+    def forced(g, t, centers=None, **_):
+        config = ConstructionConfig(
+            chart=g.chart, centers=_disjoint_prefix(g.chart, centers, L / 8), r=L / 8,
+            k=4.0, t=t,
+        )
+        return SearchReport(succeeded=True, config=config, message="forced cell")
+
+    monkeypatch.setattr(construct, "search_parameters", forced)
+    return g0, centers
+
+
+def test_deformation_path_refuses_a_positive_certificate(monkeypatch):
+    # the grid test-energy bound of the sheared metric measured
+    # 1160.141424252396 before its ingredients were shared with
+    # deformation_energy
+    g0, centers = forced_deformation_case(monkeypatch)
+    res = construct_constant_F(g0, 1.0, centers)
+    assert res.path == "deformation"
+    assert not res.succeeded
+    assert "refusing to solve" in res.message
+    assert res.certificate == pytest.approx(1160.141424252396, rel=1e-12)
+
+
+def test_deformation_path_reports_a_solver_verdict_error(monkeypatch):
+    # with the certificate forced negative, the sheared metric's own
+    # trichotomy is still positive and the solver refuses the class
+    g0, centers = forced_deformation_case(monkeypatch)
+    bound = construct._test_energy_bound
+    monkeypatch.setattr(
+        construct, "_test_energy_bound", lambda *args: (-1.0, bound(*args)[1])
+    )
+    res = construct_constant_F(g0, 1.0, centers)
+    assert res.path == "deformation"
+    assert not res.succeeded and res.solve is None
+    assert res.certificate == -1.0
+    assert "requires a negative first eigenvalue" in res.message
+    assert "'positive'" in res.message
+
+
+def test_pinching_report_reads_the_curvature_stack():
+    chart = make_chart(4, (8,) * 4, (L,) * 4)
+    g = fourier_metric(chart, amplitude=0.25, seed=2)
+    for eps in (0.0, -1.0):
+        with pytest.raises(ValueError, match="must be positive"):
+            pinching_report(g, eps)
+    bundle = curvature_bundle(g)
+    scal = scalar_weyl(g, 0.0, bundle=bundle)
+    wnorm = scalar_weyl(g, 1.0, bundle=bundle) - scal
+    # shifting R below zero everywhere reaches the passing branch
+    negative = dataclasses.replace(bundle, scal=bundle.scal - (np.max(bundle.scal) + 1.0))
+    for b, R in ((bundle, scal), (negative, negative.scal)):
+        for eps in (1e-3, 1.0, 1e3):
+            rep = pinching_report(g, eps, bundle=b)
+            margin = wnorm**2 - eps * R**2
+            assert rep.worst_scal == np.max(R)
+            assert rep.worst_margin == pytest.approx(
+                np.max(margin), rel=1e-12, abs=1e-12 * np.max(np.abs(margin))
+            )
+            assert rep.scalar_negative == (np.max(R) < 0.0)
+            assert rep.pinched == (rep.worst_margin < 0.0)
+            assert rep.passed == (rep.scalar_negative and rep.pinched)
+    assert pinching_report(g, 1e3, bundle=negative).passed
+    assert not pinching_report(g, 1e-3, bundle=bundle).passed

@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 
 from scalarweyl.curvature import (
+    _schouten,
     christoffel,
     curvature_bundle,
-    decomposition_residual,
     hessian,
     ricci_scalar,
     riemann,
@@ -25,8 +25,8 @@ from scalarweyl.tensor import (
     kulkarni_nomizu,
     pair_indices,
     riemann_norm,
+    riemann_symmetry_report,
     trace_13,
-    validate_riemann_symmetries,
 )
 
 
@@ -249,8 +249,8 @@ def test_cap_weyl_vanishes_4d():
     g, rho = cap_metric(c)
     b = curvature_bundle(g)
     mask = rho <= 0.4
-    wn = np.max(riemann_norm(b.W, g)[mask])
-    rn = np.max(riemann_norm(b.riem, g)[mask])
+    wn = np.max(riemann_norm(b.W, g.inverse)[mask])
+    rn = np.max(riemann_norm(b.riem, g.inverse)[mask])
     assert rn > 1.0  # the cap really is curved
     assert wn < 1e-8 * rn
 
@@ -298,7 +298,7 @@ def test_weyl_vanishes_in_3d():
     c = chart3(12)
     g = fourier_metric(c, amplitude=0.25, seed=2)
     b = curvature_bundle(g)
-    assert np.max(riemann_norm(b.W, g)) < 1e-8 * np.max(riemann_norm(b.riem, g))
+    assert np.max(riemann_norm(b.W, g.inverse)) < 1e-8 * np.max(riemann_norm(b.riem, g.inverse))
 
 
 def test_weyl_trace_free_4d():
@@ -309,7 +309,7 @@ def test_weyl_trace_free_4d():
     assert np.max(np.abs(tr)) < 1e-8 * np.max(np.abs(b.W.pair))
     # end-to-end symmetry of the assembled curvature tensor
     scale = float(np.max(np.abs(b.riem.pair)))
-    assert validate_riemann_symmetries(b.riem) < 1e-9 * scale
+    assert riemann_symmetry_report(b.riem)["max_violation"] < 1e-9 * scale
 
 
 def test_weyl_forms_one_product(monkeypatch):
@@ -323,6 +323,19 @@ def test_weyl_forms_one_product(monkeypatch):
     c = make_chart(4, (8,) * 4, (2 * np.pi,) * 4)
     curvature_bundle(fourier_metric(c, amplitude=0.25, seed=2))
     assert len(calls) == 1
+
+
+def decomposition_residual(g):
+    """Max relative deviation of Riem from its recomposition via (W, Ric, R).
+
+    Zero to roundoff by construction; a wiring check for the trace and
+    product plumbing.
+    """
+    bundle = curvature_bundle(g)
+    recomposed = bundle.W.pair + kulkarni_nomizu(_schouten(bundle.ric, bundle.scal, g), g.dense)
+    diff = riemann_norm(Riem4Field(g.chart, recomposed - bundle.riem.pair), g.inverse)
+    scale = max(float(np.max(riemann_norm(bundle.riem, g.inverse))), 1e-300)
+    return float(np.max(diff)) / scale
 
 
 def test_decomposition_residual_and_corruption():
@@ -339,7 +352,7 @@ def test_decomposition_residual_and_corruption():
     recomposed -= (
         b.scal[..., None, None] / (2.0 * (n - 1) * (n - 2))
     ) * kulkarni_nomizu(g.dense, g.dense)
-    diff = np.max(riemann_norm(Riem4Field(c, recomposed - b.riem.pair), g))
+    diff = np.max(riemann_norm(Riem4Field(c, recomposed - b.riem.pair), g.inverse))
     assert diff > 0.05
 
 

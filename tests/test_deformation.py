@@ -17,6 +17,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from scalarweyl import deformation
+from scalarweyl.conformal import _as_positive
 from scalarweyl.curvature import curvature_bundle
 from scalarweyl.deformation import (
     BLOCK_COUNT,
@@ -26,13 +28,26 @@ from scalarweyl.deformation import (
     deformed_inverse,
     deformed_norm,
     deformed_scalar_closed_form,
-    scalar_divergence_identity,
     weyl_error,
-    weyl_error_conformal_residual,
 )
-from scalarweyl.grid import FieldError, integrate, make_chart
+from scalarweyl.grid import (
+    CovectorField,
+    FieldError,
+    MetricField,
+    deriv,
+    divergence_total,
+    gradient,
+    integrate,
+    make_chart,
+)
 from scalarweyl.presets import flat_metric, fourier_metric, fourier_scalar
-from scalarweyl.tensor import kulkarni_nomizu, riemann_norm, vv_contract
+from scalarweyl.tensor import (
+    kulkarni_nomizu,
+    pair_contract,
+    pair_lift,
+    riemann_norm,
+    vv_contract,
+)
 
 
 def torus(n, size, scheme="fd4"):
@@ -133,6 +148,71 @@ def reference_error_lines(bundle):
     lines[8] = co(cn2 / w**2) * _quad(V, gp)
     lines[9] = co(-2.0 * cnn * (lap * beta - u2) / w**2) * (_gg(g) + _quad(g, F2))
     return lines
+
+
+# ---------------------------------------------------------------------------
+# independent routes to the deformed norm, the divergence form of the
+# deformed scalar curvature, and the conformal scaling of the error tensor
+
+
+def frame_split_norm(T, g, grad):
+    """Norm of ``T`` under g + df (x) df, split along the gradient direction
+    into tangential, once-contracted and twice-contracted blocks weighted 1,
+    4/D and 4/D^2 with D = 1 + |grad f|^2."""
+    inv = g.inverse
+    vup = np.einsum("...ab,...b->...a", inv, grad)
+    s2 = np.einsum("...a,...a->...", grad, vup)
+    unit = np.zeros_like(vup)
+    np.divide(vup, np.sqrt(s2)[..., None], out=unit, where=(s2 > 0)[..., None])
+    what = unit[..., :, None] * unit[..., None, :]
+    p = inv - what
+    n = g.chart.n
+    lpp, lpw, d = pair_lift(p, p, n), pair_lift(p, what, n), 1.0 + s2
+    mat = T.pair
+    tang = pair_contract(mat, mat, lpp, lpp)
+    mix = pair_contract(mat, mat, lpp, lpw) + pair_contract(mat, mat, lpw, lpp)
+    radrad = pair_contract(mat, mat, lpw, lpw)
+    return np.sqrt(np.maximum(tang + 2.0 * mix / d + 4.0 * radrad / d**2, 0.0))
+
+
+def scalar_divergence_identity(bundle):
+    """Residuals of the divergence form of the deformed scalar curvature.
+
+    Returns ``(pointwise, integral)``: the pointwise gap between the closed
+    form and the divergence form R - R_ab f^a f^b / w + div(V), and the
+    defect of the global identity int R' dV = int R dV - int R_ab f^a f^b / w dV,
+    evaluated with the flux-form divergence so it vanishes to roundoff.
+    """
+    chart = bundle.chart
+    g = bundle.base.g
+    ing = deformation._scalar_ingredients(bundle)
+    w = bundle.w
+    v = (ing["lap"][..., None] * bundle.grad - ing["u"]) / w[..., None]
+
+    closed = deformation._scalar_closed_form(bundle, ing)
+
+    vup = np.einsum("...ab,...b->...a", g.inverse, v)
+    div_pt = 0.0
+    for a in range(chart.n):
+        div_pt = div_pt + deriv(chart, g.sqrt_det * vup[..., a], a)
+    div_pt = div_pt / g.sqrt_det
+    div_form = bundle.base.scal - ing["rvv"] / w + div_pt
+    pointwise = float(np.max(np.abs(closed - div_form)))
+
+    integral = abs(divergence_total(CovectorField(chart, v), g))
+    return pointwise, integral
+
+
+def weyl_error_conformal_residual(g, psi, k):
+    """Residual of the scaling law tying the error tensors of a conformal
+    pair: E of (psi g, k psi) against psi * E of (g, 2k sqrt(psi))."""
+    psi = _as_positive("conformal factor", psi)
+    scaled = MetricField(g.chart, psi[..., None] * g.packed)
+    lhs = weyl_error(deform(scaled, k * psi)).pair
+    # the (0,4) tensor picks up one power of the factor, same direction as
+    # the Weyl scaling checked in test_conformal
+    rhs = psi[..., None, None] * weyl_error(deform(g, 2.0 * k * np.sqrt(psi))).pair
+    return float(np.max(np.abs(lhs - rhs)))
 
 
 # ---------------------------------------------------------------------------
@@ -270,7 +350,6 @@ def test_each_caller_forms_the_scalar_ingredients_once(monkeypatch):
         lambda: deformed_scalar_closed_form(b),
         lambda: scalar_divergence_identity(b),
         lambda: deformation_energy(b.base.g, b.f, 1.0, base=b.base),
-        lambda: deformation_energy(b.base.g, b.f, 1.0, base=b.base, include_weyl=False),
     ):
         calls.clear()
         run()
@@ -375,7 +454,7 @@ def test_deformed_norm_zero_deformation_matches_riemann_norm():
     bun = curvature_bundle(g)
     phi = fourier_scalar(c, amplitude=0.5, seed=42)
     assert np.array_equal(
-        deformed_norm(bun.W, g, phi, k=0.0), riemann_norm(bun.W, g)
+        deformed_norm(bun.W, g, 0.0 * phi), riemann_norm(bun.W, g.inverse)
     )
 
 
@@ -386,9 +465,9 @@ def test_deformed_norm_monotone_in_deformation_size():
     g = fourier_metric(c, amplitude=0.1, seed=3)
     bun = curvature_bundle(g)
     phi = fourier_scalar(c, amplitude=0.5, seed=42)
-    prev = deformed_norm(bun.W, g, phi, k=0.0)
+    prev = deformed_norm(bun.W, g, 0.0 * phi)
     for k in (0.5, 1.0, 2.0):
-        cur = deformed_norm(bun.W, g, phi, k=k)
+        cur = deformed_norm(bun.W, g, k * phi)
         assert np.all(cur <= prev + 1e-12)
         prev = cur
 
@@ -399,11 +478,9 @@ def test_deformed_norm_paths_agree():
     g = fourier_metric(c, amplitude=0.15, seed=5)
     bun = curvature_bundle(g)
     phi = fourier_scalar(c, amplitude=0.6, seed=11)
-    a = deformed_norm(bun.W, g, phi, k=1.5, method="closed_inverse")
-    b = deformed_norm(bun.W, g, phi, k=1.5, method="frame_split")
+    a = deformed_norm(bun.W, g, 1.5 * phi)
+    b = frame_split_norm(bun.W, g, gradient(c, 1.5 * phi))
     assert np.max(np.abs(a - b)) < 1e-10 * max(float(np.max(a)), 1.0)
-    with pytest.raises(ValueError):
-        deformed_norm(bun.W, g, phi, method="bogus")
 
 
 # ---------------------------------------------------------------------------
@@ -471,7 +548,7 @@ def test_deformation_energy_flat_termwise_quadrature():
     phi = fourier_scalar(c, amplitude=0.25, seed=17)
     t = 2.0
     b = deform(g, phi)
-    norm_e = deformed_norm(weyl_error(b), g, phi, grad=b.grad, method="frame_split")
+    norm_e = frame_split_norm(weyl_error(b), g, b.grad)
     ginv = g.inverse
     gup = np.einsum("...ab,...b->...a", ginv, b.grad)
     w = 1.0 + np.einsum("...a,...a->...", b.grad, gup)

@@ -1,7 +1,8 @@
-"""The benchmark's tracer names functions that must exist in the package."""
+"""Names that the benchmark's tracer and the modules' __all__ lists promise must exist."""
 
 import importlib
 import importlib.util
+import pkgutil
 from pathlib import Path
 
 SPANS = Path(__file__).resolve().parent.parent / "perfbench" / "spans.py"
@@ -20,3 +21,18 @@ def test_traced_functions_exist():
         if not callable(getattr(importlib.import_module(f"scalarweyl.{module}"), name, None))
     ]
     assert not missing, missing
+
+
+def test_every_exported_name_exists():
+    # a name left in a module's __all__ after its code moved fails here
+    import scalarweyl
+
+    stale = []
+    for info in pkgutil.iter_modules(scalarweyl.__path__):
+        module = importlib.import_module(f"scalarweyl.{info.name}")
+        stale += [
+            f"{info.name}.{name}"
+            for name in getattr(module, "__all__", ())
+            if not hasattr(module, name)
+        ]
+    assert not stale, stale

@@ -25,12 +25,11 @@ from scalarweyl.yamabe import (
     _fourier_preconditioner,
     _pcg,
     _penalty_apply,
+    _penalty_strength,
     _ritz_step,
     conformal_energy,
     first_eigenvalue,
-    operator_matrix,
     solve_constant_F,
-    yhat,
 )
 
 
@@ -98,6 +97,34 @@ def test_real_fft_preconditioner_matches_complex_form(sizes, scheme):
 
 # ---------------------------------------------------------------------------
 # trichotomy
+
+
+def operator_matrix(g, t, coefficient=None):
+    """Dense symmetric matrix of the shifted operator on the point basis.
+
+    Density-symmetrized so plain ``eigvalsh`` applies; the brute-force
+    eigenvalue oracle on tiny grids (the apply is assembled one basis vector
+    at a time).  Carries the same checkerboard regularization as
+    ``first_eigenvalue``, so the oracle and the eigensolver see the same
+    spectrum.
+    """
+    chart = g.chart
+    params = ConformalParams(t, chart.n)
+    F = coefficient if coefficient is not None else scalar_weyl(g, t)
+    F = np.asarray(F, dtype=float)
+    pen = _penalty_apply(g.sqrt_det, _penalty_strength(params.a_n, F))
+    npts = chart.npoints
+    basis = np.zeros(chart.sizes)
+    flat = basis.reshape(-1)
+    A = np.empty((npts, npts))
+    for j in range(npts):
+        flat[j] = 1.0
+        A[:, j] = (modified_laplacian_apply(g, t, basis, F=F) + pen(basis)).reshape(-1)
+        flat[j] = 0.0
+    s = np.sqrt(g.sqrt_det.reshape(-1))
+    sym = (s[:, None] * A) / s[None, :]
+    return 0.5 * (sym + sym.T)
+
 
 
 def test_flat_torus_is_zero_class():
@@ -241,6 +268,25 @@ def test_negative_class_certificate_at_the_eigenfunction():
 
 # ---------------------------------------------------------------------------
 # quotient and certificate
+
+
+def yhat(g, t, u, scale_invariant=True):
+    """Quotient of the operator energy by a power of the critical-exponent
+    volume integral.
+
+    The scale-invariant denominator exponent (n-2)/n makes the quotient
+    blind to u -> cu; ``scale_invariant=False`` switches to the exponent
+    (n-2)/2, under which the value scales by c^{2-n}.
+    """
+    chart = g.chart
+    u = np.asarray(u, dtype=float)
+    num = integrate(chart, u * modified_laplacian_apply(g, t, u), g.sqrt_det)
+    den = integrate(chart, np.abs(u) ** (2.0 * chart.n / (chart.n - 2.0)), g.sqrt_det)
+    if den == 0.0:
+        raise FieldError("quotient undefined: u vanishes identically")
+    s = (chart.n - 2.0) / chart.n if scale_invariant else (chart.n - 2.0) / 2.0
+    return num / den**s
+
 
 
 def test_quotient_vanishes_on_flat_constants():
