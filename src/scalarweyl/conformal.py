@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .curvature import curvature_bundle
-from .grid import FieldError, MetricField, flux_laplacian
+from .grid import FieldError, FluxForm, MetricField, flux_laplacian
 from .tensor import riemann_norm
 
 __all__ = [
@@ -72,14 +72,22 @@ def scalar_weyl(g: MetricField, t: float, bundle=None) -> np.ndarray:
 
 
 def conformal_metric(g: MetricField, u: np.ndarray) -> MetricField:
-    """Rescaled metric u^{4/(n-2)} g for positive u."""
+    """Rescaled metric psi g, psi = u^{4/(n-2)}, for positive u.
+
+    Its inverse g^{-1} / psi and volume factor psi^{n/2} sqrt(det g) come in
+    closed form from those of ``g``.
+    """
     u = _as_positive("conformal factor u", u)
-    psi = u_to_psi(u, g.chart.n)
-    return MetricField(g.chart, psi[..., None] * g.packed)
+    n = g.chart.n
+    psi = u_to_psi(u, n)
+    out = MetricField(g.chart, psi[..., None] * g.packed)
+    out.inverse = g.inverse / psi[..., None, None]
+    out.sqrt_det = psi ** (0.5 * n) * g.sqrt_det
+    return out
 
 
 def modified_laplacian_apply(
-    g: MetricField,
+    g: MetricField | FluxForm,
     t: float,
     phi: np.ndarray,
     F: np.ndarray | None = None,
@@ -87,10 +95,13 @@ def modified_laplacian_apply(
     """Apply L phi = -a_n Lap_g phi + F phi.
 
     Pass ``F`` to reuse a precomputed curvature functional (the solver does,
-    many thousands of times); otherwise it is computed from ``g``.
+    many thousands of times); otherwise it is computed from ``g``.  A
+    ``FluxForm`` of g serves for g once ``F`` is given.
     """
     params = ConformalParams(t, g.chart.n)
     if F is None:
+        if isinstance(g, FluxForm):
+            raise ValueError("a FluxForm carries no curvature; pass F")
         F = scalar_weyl(g, t)
     phi = np.asarray(phi, dtype=float)
     return -params.a_n * flux_laplacian(g, phi) + F * phi

@@ -712,7 +712,7 @@ def construct_constant_F(
 
     The background's F is formed once and feeds both the trichotomy and the
     search.  A class that is already negative goes straight to the solver,
-    and any t <= 0 rides the scalar-curvature-only search (dropping
+    which reuses that F and the trichotomy's verdict, and any t <= 0 rides the scalar-curvature-only search (dropping
     t |W| <= 0 only weakens the certificate, never cheats it).  Otherwise
     the radial search supplies a config, the rescaled-and-sheared metric is
     built, its grid test-energy bound must confirm the negative certificate,
@@ -726,7 +726,7 @@ def construct_constant_F(
     if tri.verdict == "negative":
         try:
             report = solve_constant_F(
-                g0, t, bundle=bundle0, tol=tol, cg_maxiter=cg_maxiter
+                g0, t, trichotomy=tri, tol=tol, cg_maxiter=cg_maxiter
             )
         except RuntimeError as exc:
             return ConstructionResult(

@@ -17,6 +17,13 @@ chart's ``scheme`` switch.  Integration is the plain point sum times the
 cell volume, which is spectrally accurate on periodic grids and makes the
 discrete divergence theorem hold to roundoff (the stencil telescopes over
 each periodic axis).
+
+The Laplace-Beltrami operator is applied in flux form,
+(1/sqrt(det g)) sum_a D_a(sqrt(det g) g^{ab} D_b u).  Its coefficient
+sqrt(det g) g^{ab} is formed once per metric as a ``FluxForm``: the packed
+(a <= b) components, each a contiguous grid array.  An apply is then n
+derivatives of u, contiguous multiply-adds for each flux component, n
+derivatives back and one division by sqrt(det g).
 """
 
 from __future__ import annotations
@@ -32,12 +39,14 @@ __all__ = [
     "CovectorField",
     "Sym2Field",
     "MetricField",
+    "FluxForm",
     "make_chart",
     "differentiate",
     "deriv",
     "gradient",
     "integrate",
     "divergence_total",
+    "flux_laplacian",
     "sym2_pack_indices",
     "sym2_pack",
     "sym2_unpack",
@@ -397,21 +406,68 @@ def divergence_total(X: CovectorField, g: MetricField) -> float:
     the grid; by periodic telescoping of the stencil the result is zero to
     roundoff for any field.  Returned so callers can assert it.
     """
-    chart = X.chart
-    vec = np.einsum("...ab,...b->...a", g.inverse, X.data)
-    weighted = g.sqrt_det[..., None] * vec
-    total = 0.0
+    components = [X.data[..., b] for b in range(X.chart.n)]
+    return float(np.sum(_flux_divergence(FluxForm.of(g), components))) * X.chart.cell_volume
+
+
+# ---------------------------------------------------------------------------
+# the flux-form Laplacian
+
+
+@dataclass(frozen=True, eq=False)
+class FluxForm:
+    """Coefficient sqrt(det g) g^{ab} of the flux-form Laplacian of a metric.
+
+    ``coefficient[c]`` is the c-th packed (a <= b) component, each a
+    contiguous grid array, so an apply is whole-array multiply-adds.  Form
+    it once per metric and hand it to every apply; ``flux_laplacian`` forms
+    one itself when given the metric.
+    """
+
+    chart: Chart
+    sqrt_det: np.ndarray
+    coefficient: np.ndarray  # (n*(n+1)//2, *sizes)
+
+    @classmethod
+    def of(cls, g: MetricField) -> FluxForm:
+        inv = g.inverse
+        pairs = sym2_pack_indices(g.chart.n)
+        coef = np.empty((len(pairs),) + g.chart.sizes)
+        # one axis-0 slab at a time, so the strided reads of g^{-1} stay in cache
+        for i in range(g.chart.sizes[0]):
+            for c, (a, b) in enumerate(pairs):
+                np.multiply(g.sqrt_det[i], inv[i, ..., a, b], out=coef[c, i])
+        return cls(g.chart, g.sqrt_det, coef)
+
+    def component(self, a: int, b: int) -> np.ndarray:
+        """sqrt(det g) g^{ab} for any index order."""
+        a, b = min(a, b), max(a, b)
+        # rows 0..a-1 of the packed order hold n + (n-1) + ... + (n-a+1) slots
+        return self.coefficient[a * self.chart.n - a * (a - 1) // 2 + b - a]
+
+
+def _flux_divergence(form: FluxForm, vec: list[np.ndarray]) -> np.ndarray:
+    """sum_a D_a(sum_b sqrt(det g) g^{ab} vec_b), one flux component at a time."""
+    chart = form.chart
+    flux = np.empty(chart.sizes)
+    term = np.empty(chart.sizes)
+    out = np.zeros(chart.sizes)
     for a in range(chart.n):
-        total += float(np.sum(deriv(chart, weighted[..., a], a)))
-    return total * chart.cell_volume
+        np.multiply(form.component(a, 0), vec[0], out=flux)
+        for b in range(1, chart.n):
+            flux += np.multiply(form.component(a, b), vec[b], out=term)
+        out += deriv(chart, flux, a)
+    return out
 
 
-def flux_laplacian(g: MetricField, u: np.ndarray) -> np.ndarray:
-    """Laplace-Beltrami operator in flux form on raw scalar data."""
-    chart = g.chart
-    du = gradient(chart, u)
-    flux = g.sqrt_det[..., None] * np.einsum("...ab,...b->...a", g.inverse, du)
-    out = deriv(chart, flux[..., 0], 0)
-    for a in range(1, chart.n):
-        out += deriv(chart, flux[..., a], a)
-    return out / g.sqrt_det
+def flux_laplacian(g: MetricField | FluxForm, u: np.ndarray) -> np.ndarray:
+    """Laplace-Beltrami operator in flux form on raw scalar data.
+
+    (1/sqrt(det g)) sum_a D_a(sqrt(det g) g^{ab} D_b u); pass a ``FluxForm``
+    to reuse its coefficient across applies.
+    """
+    form = g if isinstance(g, FluxForm) else FluxForm.of(g)
+    du = [deriv(form.chart, u, b) for b in range(form.chart.n)]
+    out = _flux_divergence(form, du)
+    out /= form.sqrt_det
+    return out

@@ -16,6 +16,10 @@ step asks (the inexact-Newton forcing term of Eisenstat and Walker);
 Newton's own inner solves and tolerance fix the accuracy.  Inner linear
 solves use conjugate gradient on the density-symmetrized operator,
 preconditioned by the constant-coefficient symbol inverted in Fourier space.
+Each stage forms the operator's coefficient once, as a ``grid.FluxForm`` of
+its metric (the trichotomy and Newton on g, the barrier stage on the
+rescaled metric), and every apply goes through ``grid.flux_laplacian`` on
+that form.
 
 The trichotomy eigensolve is a single-vector LOBPCG (locally optimal block
 preconditioned conjugate gradient; Knyazev, SIAM J. Sci. Comput. 23(2),
@@ -31,8 +35,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .conformal import ConformalParams, conformal_metric, modified_laplacian_apply, scalar_weyl
-from .curvature import curvature_bundle
-from .grid import FieldError, MetricField, _ghost_shifts, flux_laplacian, gradient, integrate
+from .grid import FieldError, FluxForm, MetricField, _ghost_shifts, flux_laplacian, gradient, integrate
 
 
 @dataclass(frozen=True)
@@ -44,6 +47,7 @@ class TrichotomyResult:
     verdict: str  # "negative" | "zero" | "positive"
     residual: float
     iterations: int
+    coefficient: np.ndarray  # the zeroth-order term F the verdict is for
 
 
 @dataclass
@@ -165,22 +169,24 @@ def _pcg(apply_sym, b, precond, tol, maxiter):
     )
 
 
-def _operator_preconditioner(g, a_n, q, pen_mean=0.0):
+def _operator_preconditioner(form, a_n, q, pen_mean=0.0):
     """Fourier inverse of the mean-coefficient symbol of -a_n Lap + q [+ penalty]."""
-    c_lap = float(np.mean(np.einsum("...aa->...", g.inverse)) / g.chart.n)
+    n = form.chart.n
+    trace = sum(form.component(a, a) for a in range(n)) / form.sqrt_det
+    c_lap = float(np.mean(trace)) / n
     return _fourier_preconditioner(
-        g.chart, a_n, c_lap, float(np.mean(q * g.sqrt_det)), pen_mean=pen_mean
+        form.chart, a_n, c_lap, float(np.mean(q * form.sqrt_det)), pen_mean=pen_mean
     )
 
 
-def _shifted_solver(g, a_n, q, cg_maxiter):
+def _shifted_solver(form, a_n, q, cg_maxiter):
     """Solve (-a_n Lap + q) x = b to a per-call relative tolerance."""
-    sd = np.sqrt(g.sqrt_det)
-    precond = _operator_preconditioner(g, a_n, q)
+    sd = np.sqrt(form.sqrt_det)
+    precond = _operator_preconditioner(form, a_n, q)
 
     def apply_sym(y):
         phi = y / sd
-        return sd * (-a_n * flux_laplacian(g, phi) + q * phi)
+        return sd * (-a_n * flux_laplacian(form, phi) + q * phi)
 
     def solve(b, tol):
         y, _ = _pcg(apply_sym, sd * b, precond, tol, cg_maxiter)
@@ -266,13 +272,14 @@ def first_eigenvalue(
     recurrence for A y drifts; ``iterations`` counts the operator applies.
 
     The operator carries the checkerboard regularization from the module
-    comment.
+    comment; its coefficient is formed once, as a ``FluxForm`` of g.
     """
     chart = g.chart
     params = ConformalParams(t, chart.n)
     F = coefficient if coefficient is not None else scalar_weyl(g, t)
     F = np.asarray(F, dtype=float)
-    dens = g.sqrt_det
+    form = FluxForm.of(g)
+    dens = form.sqrt_det
     sd = np.sqrt(dens)
 
     # the Rayleigh quotient is bounded below by min F (the penalty is
@@ -282,12 +289,12 @@ def first_eigenvalue(
     eta = _penalty_strength(params.a_n, F)
     pen = _penalty_apply(dens, eta)
     precond = _operator_preconditioner(
-        g, params.a_n, F - sigma, pen_mean=eta * float(np.mean(1.0 / dens))
+        form, params.a_n, F - sigma, pen_mean=eta * float(np.mean(1.0 / dens))
     )
 
     def apply_sym(y):
         phi = y / sd
-        return sd * (modified_laplacian_apply(g, t, phi, F=F) + pen(phi))
+        return sd * (modified_laplacian_apply(form, t, phi, F=F) + pen(phi))
 
     # for unit y, |A y - rho y| is the residual of u = y / sqrt(sqrt(g)) in
     # the volume-weighted norm, with u of unit L2(dV) norm
@@ -320,7 +327,7 @@ def first_eigenvalue(
         u = -u
     band = 1e-6 * scale
     verdict = "zero" if abs(lam) < band else ("negative" if lam < 0.0 else "positive")
-    return TrichotomyResult(lam, u, verdict, res, it)
+    return TrichotomyResult(lam, u, verdict, res, it, F)
 
 
 def conformal_energy(
@@ -359,8 +366,8 @@ _HANDOFF = 1e-3
 _FORCING = 1e-2
 
 
-def _newton_polish(g, a_n, F, p, u, tol_abs, history, cg_maxiter, maxiter=40, cg_tol=1e-10):
-    res_of = lambda v: -a_n * flux_laplacian(g, v) + F * v + v**p
+def _newton_polish(form, a_n, F, p, u, tol_abs, history, cg_maxiter, maxiter=40, cg_tol=1e-10):
+    res_of = lambda v: -a_n * flux_laplacian(form, v) + F * v + v**p
     r = res_of(u)
     res = float(np.max(np.abs(r)))
     for it in range(1, maxiter + 1):
@@ -368,7 +375,7 @@ def _newton_polish(g, a_n, F, p, u, tol_abs, history, cg_maxiter, maxiter=40, cg
         if res <= tol_abs:
             return u, res, it - 1
         q = F + p * u ** (p - 1.0)
-        delta = _shifted_solver(g, a_n, q, cg_maxiter)(-r, cg_tol)
+        delta = _shifted_solver(form, a_n, q, cg_maxiter)(-r, cg_tol)
         step = 1.0
         while step > 1e-4:
             cand = u + step * delta
@@ -393,7 +400,7 @@ def solve_constant_F(
     g: MetricField,
     t: float,
     coefficient: np.ndarray | None = None,
-    bundle=None,
+    trichotomy: TrichotomyResult | None = None,
     init: str = "barriers",
     tol: float = 1e-9,
     cg_maxiter: int = 5000,
@@ -407,7 +414,12 @@ def solve_constant_F(
     1e-3 of the upper barrier, with inner solves whose tolerance follows the
     last step; "eigen" starts Newton directly from a scaled eigenfunction.
     Both finish on the original metric and must agree (the solution in the
-    negative regime is unique).
+    negative regime is unique).  Each stage forms the operator's
+    coefficient once, as a ``FluxForm`` of its metric.
+
+    ``trichotomy`` reuses a verdict that ``first_eigenvalue`` reached on the
+    geometric F of ``g``; the solve then takes F from it instead of forming
+    the curvature functional and the eigenpair again.
 
     The report carries two residuals: the discrete equation's own, and an
     independent one from rerunning the full curvature pipeline on the
@@ -416,23 +428,25 @@ def solve_constant_F(
     """
     if init not in ("barriers", "eigen"):
         raise ValueError(f"init must be 'barriers' or 'eigen', got {init!r}")
+    if coefficient is not None and trichotomy is not None:
+        raise ValueError("pass either coefficient or trichotomy, not both")
     started = time.perf_counter()
     chart = g.chart
     params = ConformalParams(t, chart.n)
     a_n, p = params.a_n, params.p_n
-    if coefficient is None and bundle is None:
-        bundle = curvature_bundle(g)
-    F = coefficient if coefficient is not None else scalar_weyl(g, t, bundle=bundle)
-    F = np.asarray(F, dtype=float)
-    dens = g.sqrt_det
-
-    tri = first_eigenvalue(g, t, coefficient=F)
+    tri = trichotomy
+    if tri is None:
+        F = scalar_weyl(g, t) if coefficient is None else coefficient
+        tri = first_eigenvalue(g, t, coefficient=F)
     if tri.verdict != "negative":
         raise ValueError(
             "constant F == -1 requires a negative first eigenvalue; the "
             f"trichotomy verdict here is {tri.verdict!r} "
             f"(lambda_1 = {tri.lam:.3e})"
         )
+    F = tri.coefficient
+    form = FluxForm.of(g)
+    dens = form.sqrt_det
 
     history: list[float] = []
     iterations = 0
@@ -445,19 +459,19 @@ def solve_constant_F(
     if init == "barriers":
         # conformal change by the eigenfunction: the transported coefficient
         # is lambda_1 u1^{1-p} up to the eigen-residual, hence negative
-        F1 = u1 ** (-p) * modified_laplacian_apply(g, t, u1, F=F)
+        F1 = u1 ** (-p) * modified_laplacian_apply(form, t, u1, F=F)
         if float(np.max(F1)) >= 0.0:
             raise RuntimeError(
                 "eigenfunction rescale left the coefficient sign-indefinite "
                 f"(max {float(np.max(F1)):.3e}); spectral gap too small at "
                 "this resolution"
             )
-        g1 = conformal_metric(g, u1)
+        form1 = FluxForm.of(conformal_metric(g, u1))
         neg = -F1
         hi = float(np.max(neg)) ** (1.0 / (p - 1.0))
         shift = p * float(np.max(neg))
         # q = F1 + shift is fixed for the stage: one solver serves every step
-        solve1 = _shifted_solver(g1, a_n, F1 + shift, cg_maxiter)
+        solve1 = _shifted_solver(form1, a_n, F1 + shift, cg_maxiter)
         u = np.full(chart.sizes, hi)
         delta = hi
         for _ in range(60):
@@ -467,7 +481,7 @@ def solve_constant_F(
             u = new
             iterations += 1
             history.append(
-                float(np.max(np.abs(-a_n * flux_laplacian(g1, u) + F1 * u + u**p)))
+                float(np.max(np.abs(-a_n * flux_laplacian(form1, u) + F1 * u + u**p)))
             )
             if delta <= _HANDOFF * hi:
                 break
@@ -480,14 +494,14 @@ def solve_constant_F(
 
     tol_abs = tol * max(1.0, float(np.max(np.abs(F))))
     u_tot, res, newton_iters = _newton_polish(
-        g, a_n, F, p, u_tot, tol_abs, history, cg_maxiter
+        form, a_n, F, p, u_tot, tol_abs, history, cg_maxiter
     )
     iterations += newton_iters
 
     if coefficient is None:
         recomputed = scalar_weyl(conformal_metric(g, u_tot), t)
     else:
-        recomputed = u_tot ** (-p) * modified_laplacian_apply(g, t, u_tot, F=F)
+        recomputed = u_tot ** (-p) * modified_laplacian_apply(form, t, u_tot, F=F)
     curvature_residual = float(np.max(np.abs(recomputed + 1.0)))
 
     return SolveReport(

@@ -1,10 +1,15 @@
-"""Grid route for the certifying integral, kept as an oracle of the radial route.
+"""Independent routes kept in the tests as oracles of the ones in ``src/``.
 
+``phi_expansion`` is the grid route for the certifying integral.
 ``construct.search_parameters`` evaluates the certifying integral of a config
 by the exact split on flat balls: a background term plus one 1-D radial
 quadrature per ball.  The expansion here assembles the same integral on the
 whole grid instead, so it converges to the radial value as the grid is
 refined and checks it independently of the split.
+
+``einsum_flux_laplacian`` is the flux-form Laplacian with the flux raised
+point by point through g^{-1}; ``grid.flux_laplacian``, which forms the
+coefficient sqrt(det g) g^{ab} once, must agree with it to roundoff.
 """
 
 from __future__ import annotations
@@ -14,7 +19,7 @@ import numpy as np
 from scalarweyl.construct import RadialFields
 from scalarweyl.curvature import CurvatureBundle
 from scalarweyl.deformation import deform, deformed_norm, weyl_error
-from scalarweyl.grid import MetricField, integrate
+from scalarweyl.grid import MetricField, deriv, gradient, integrate
 
 
 def phi_expansion(
@@ -92,3 +97,14 @@ def phi_expansion(
     )
     return float(total)
 
+
+
+def einsum_flux_laplacian(g: MetricField, u: np.ndarray) -> np.ndarray:
+    """(1/sqrt(det g)) sum_a D_a(sqrt(det g) g^{ab} D_b u), raised per point."""
+    chart = g.chart
+    du = gradient(chart, u)
+    flux = g.sqrt_det[..., None] * np.einsum("...ab,...b->...a", g.inverse, du)
+    out = deriv(chart, flux[..., 0], 0)
+    for a in range(1, chart.n):
+        out += deriv(chart, flux[..., a], a)
+    return out / g.sqrt_det

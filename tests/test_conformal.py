@@ -205,6 +205,22 @@ def test_conformal_metric_determinant_identity():
     assert np.max(np.abs(gt.det - expected)) < 1e-12 * np.max(expected)
 
 
+@pytest.mark.parametrize("scheme", ["fd4", "spectral"])
+@pytest.mark.parametrize("size", [8, 12])
+@pytest.mark.parametrize("n", [3, 4])
+def test_conformal_metric_closed_forms_match_lapack(n, size, scheme):
+    # the rescaled metric's inverse and volume factor come in closed form
+    # from the background's; LAPACK on the rescaled dense metric agrees
+    c = torus(n, size, scheme)
+    g = fourier_metric(c, amplitude=0.25, seed=n + size)
+    u = fourier_scalar(c, amplitude=0.5, seed=size, terms=6, mean=1.0)
+    gt = conformal_metric(g, u)
+    inv = np.linalg.inv(gt.dense)
+    vol = np.sqrt(np.linalg.det(gt.dense))
+    assert np.max(np.abs(gt.inverse - inv)) <= 1e-13 * np.max(np.abs(inv))
+    assert np.max(np.abs(gt.sqrt_det - vol)) <= 1e-13 * np.max(vol)
+
+
 def test_conformal_metric_rejects_nonpositive_factor():
     c = torus(3, 8)
     g = flat_metric(c)

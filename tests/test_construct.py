@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from oracles import phi_expansion
-from scalarweyl import construct
+from scalarweyl import conformal, construct, yamabe
 from scalarweyl.conformal import scalar_weyl
 from scalarweyl.construct import (
     ConstructionConfig,
@@ -41,6 +41,30 @@ def test_direct_path_reaches_constant_F_at_scheme_order():
     assert results[16].succeeded, results[16].residual
     order = np.log(results[12].residual / results[16].residual) / np.log(16 / 12)
     assert order >= 2.5
+
+
+def test_direct_path_forms_one_verdict_and_one_background(monkeypatch):
+    # the solve reuses the background F and the verdict of the trichotomy;
+    # the second F is the independent recompute on the rescaled metric
+    counts = {"scalar_weyl": 0, "first_eigenvalue": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    for module in (construct, yamabe, conformal):
+        for name in counts:
+            if hasattr(module, name):
+                fn = getattr(module, name)
+                monkeypatch.setattr(module, name, counted(name, fn))
+    chart = make_chart(4, (12,) * 4, (L,) * 4)
+    res = construct_constant_F(fourier_metric(chart, amplitude=0.2, seed=3), -4.0)
+    assert res.path == "direct", res.message
+    assert res.solve.trichotomy is res.trichotomy
+    assert counts == {"scalar_weyl": 2, "first_eigenvalue": 1}
 
 
 @pytest.mark.parametrize("n", [3, 4, 5])

@@ -12,6 +12,8 @@ here; asserted above 3.5.  Machine-level identities (determinant, closed-form
 inverse, the 3d collapse of the error tensor) are asserted near eps.
 """
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -19,6 +21,7 @@ from hypothesis import strategies as st
 
 from scalarweyl import deformation
 from scalarweyl.conformal import _as_positive
+from scalarweyl.construct import make_bump, radial_fields
 from scalarweyl.curvature import curvature_bundle
 from scalarweyl.deformation import (
     BLOCK_COUNT,
@@ -560,3 +563,56 @@ def test_deformation_energy_flat_termwise_quadrature():
     )
     got = deformation_energy(g, phi, t)
     assert got == pytest.approx(expected, rel=1e-10)
+
+
+# ---------------------------------------------------------------------------
+# E on a sheared flat ball
+
+
+def _cos4_profile(depth):
+    """Radial profile 1 - depth cos^4(pi s / 2) on s < 1, 1 beyond: it dips
+    across the whole ball, and its fourth derivative jumps only at s = 1.
+    ``radial_fields`` reads nothing but the three callables."""
+
+    def trig(s):
+        y = 0.5 * np.pi * np.minimum(s, 1.0)
+        return np.cos(y), np.sin(y)
+
+    def value(s):
+        c, _ = trig(s)
+        return 1.0 - depth * c**4
+
+    def slope(s):
+        c, sn = trig(s)
+        return 2.0 * np.pi * depth * c**3 * sn
+
+    def second(s):
+        c, sn = trig(s)
+        return np.pi**2 * depth * (c**4 - 3.0 * c**2 * sn**2)
+
+    return SimpleNamespace(value=value, slope=slope, second=second)
+
+
+def test_weyl_error_vanishes_on_a_sheared_flat_ball():
+    # the graph of a radial function over flat space is rotationally
+    # symmetric, hence conformally flat, so W(g') = W(g) = 0 and E == 0: the
+    # assumption behind the radial split of the search.  The analytic route
+    # measures max|E| <= 1.4e-15, where negating any block free of background
+    # curvature gives 1e-3 to 1.5 at 12^4.  make_bump's fall band is 0.09 r wide, under
+    # one cell at 20^4 (the stencil route's max|E| grew 0.041 -> 0.086 from
+    # 12^4 to 20^4 at r = 2.5), so the stencil order is measured on a dip
+    # across the whole ball: 3.5e-3 at 12^4, 1.2e-3 at 16^4 (order 3.66) and
+    # 5.5e-4 at 20^4 (order 3.65)
+    k, r = 1.0, 2.8
+    center = (np.pi,) * 4
+    stencil = {}
+    for size in (12, 16):
+        chart = torus(4, size)
+        g = flat_metric(chart)
+        for profile in (make_bump(0.1, 4), _cos4_profile(0.5)):
+            fields = radial_fields(chart, center, r, profile, g=g)
+            f = k * fields.psi
+            exact = deform(g, f, grad=k * fields.grad_psi, hess=k * fields.hess_psi)
+            assert np.max(np.abs(weyl_error(exact).pair)) <= 1e-13
+        stencil[size] = np.max(np.abs(weyl_error(deform(g, f)).pair))
+    assert np.log(stencil[12] / stencil[16]) / np.log(16 / 12) >= 3.5

@@ -6,7 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from scalarweyl import tensor
+from scalarweyl.grid import make_chart
 from scalarweyl.tensor import (
+    Riem4Field,
     bianchi_project,
     bianchi_residual,
     dense_from_pair,
@@ -51,6 +53,26 @@ def test_pair_roundtrip_preserves_curvature_type():
         t = random_curvature_type(n, seed=n)
         back = dense_from_pair(pair_from_dense(t, n), n)
         assert np.allclose(back, t, atol=1e-13)
+
+
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_riem4_from_dense_recovers_the_pair_matrix(n):
+    # pair matrices that vary along axis 0 and broadcast over the rest keep
+    # the n = 5 dense input a view of 8 points
+    chart = make_chart(n, (8,) * n, (2 * np.pi,) * n)
+    m = len(pair_indices(n))
+    rng = np.random.default_rng(n)
+    b = rng.standard_normal((8,) + (1,) * (n - 1) + (m, m))
+    P = bianchi_project(b + np.swapaxes(b, -1, -2), n)
+    A = b - np.swapaxes(b, -1, -2)
+    full = chart.sizes + (n,) * 4
+    scale = 4.0 * np.finfo(float).eps * np.max(np.abs(P))
+    pair = Riem4Field.from_dense(chart, np.broadcast_to(dense_from_pair(P, n), full)).pair
+    assert np.max(np.abs(pair - P)) <= scale
+    # an exchange-antisymmetric part is dropped: the result is symmetric
+    pair = Riem4Field.from_dense(chart, np.broadcast_to(dense_from_pair(P + A, n), full)).pair
+    assert np.array_equal(pair, np.swapaxes(pair, -1, -2))
+    assert np.max(np.abs(pair - P)) <= scale
 
 
 def test_kn_identity_component():

@@ -18,7 +18,7 @@ from scalarweyl.conformal import (
     modified_laplacian_apply,
     scalar_weyl,
 )
-from scalarweyl.grid import FieldError, flux_laplacian, integrate, make_chart
+from scalarweyl.grid import FieldError, FluxForm, flux_laplacian, integrate, make_chart
 from scalarweyl.presets import flat_metric, fourier_metric, fourier_scalar
 from scalarweyl.yamabe import (
     _derivative_symbol,
@@ -27,6 +27,7 @@ from scalarweyl.yamabe import (
     _penalty_apply,
     _penalty_strength,
     _ritz_step,
+    _shifted_solver,
     conformal_energy,
     first_eigenvalue,
     solve_constant_F,
@@ -203,7 +204,8 @@ def test_eigensolver_operator_applies(monkeypatch):
     monkeypatch.setattr("scalarweyl.conformal.flux_laplacian", counted)
     tri = first_eigenvalue(g, 1.0, coefficient=F)
     assert tri.verdict == "negative"
-    assert len(calls) <= 30
+    # every iteration applies the operator through flux_laplacian
+    assert tri.iterations <= len(calls) <= 30
 
 
 def test_ritz_step_drops_a_dependent_direction():
@@ -396,6 +398,38 @@ def test_barrier_solve_cg_work(monkeypatch):
     assert sum(iterations) <= 200
 
 
+def test_solve_forms_one_operator_per_stage(monkeypatch):
+    # the trichotomy, Newton (both on g) and the barrier stage (on the
+    # rescaled metric) each form the coefficient once and reuse it for every
+    # apply, however many Newton steps run
+    metrics, solvers = [], []
+    of = FluxForm.of.__func__
+
+    def counted_form(cls, g):
+        metrics.append(g)
+        return of(cls, g)
+
+    def counted_solver(*args):
+        solvers.append(args[0])
+        return _shifted_solver(*args)
+
+    monkeypatch.setattr(FluxForm, "of", classmethod(counted_form))
+    monkeypatch.setattr("scalarweyl.yamabe._shifted_solver", counted_solver)
+    g, F, _ = manufactured(torus(4, 12))
+    newton_steps = []
+    for tol in (1e-4, 1e-12):
+        metrics.clear()
+        solvers.clear()
+        solve_constant_F(g, 1.0, coefficient=F, init="barriers", tol=tol)
+        assert len(metrics) == 3
+        assert metrics[0] is g and metrics[1] is g and metrics[2] is not g
+        # one solver for the barrier stage, then one per Newton step, all on
+        # the two forms of the stages
+        assert len({id(form) for form in solvers}) == 2
+        newton_steps.append(len(solvers) - 1)
+    assert newton_steps[0] < newton_steps[1]
+
+
 def test_solver_fixed_point_at_constant_negative_coefficient():
     chart = torus(4, 8)
     report = solve_constant_F(
@@ -440,6 +474,15 @@ def test_solver_rejects_unknown_initialization():
             coefficient=np.full(chart.sizes, -1.0),
             init="bogus",
         )
+
+
+def test_solver_takes_coefficient_or_trichotomy_not_both():
+    chart = torus(4, 8)
+    g, F = flat_metric(chart), np.full(chart.sizes, -1.0)
+    tri = first_eigenvalue(g, 1.0, coefficient=F)
+    assert tri.coefficient is F
+    with pytest.raises(ValueError, match="not both"):
+        solve_constant_F(g, 1.0, coefficient=F, trichotomy=tri)
 
 
 def test_eigenfunction_rescale_makes_coefficient_negative():
