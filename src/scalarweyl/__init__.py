@@ -3,13 +3,8 @@
 from .grid import (
     Chart,
     ChartError,
-    CovectorField,
     FieldError,
     MetricField,
-    ScalarField,
-    Sym2Field,
-    differentiate,
-    divergence_total,
     integrate,
     make_chart,
 )

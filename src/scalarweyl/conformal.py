@@ -68,7 +68,7 @@ def scalar_weyl(g: MetricField, t: float, bundle=None) -> np.ndarray:
     stack of ``g``."""
     if bundle is None:
         bundle = curvature_bundle(g)
-    return bundle.scal + t * riemann_norm(bundle.W, g.inverse)
+    return bundle.scal + t * riemann_norm(bundle.W.pair, g.inverse)
 
 
 def conformal_metric(g: MetricField, u: np.ndarray) -> MetricField:

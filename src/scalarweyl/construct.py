@@ -42,7 +42,7 @@ from .deformation import (
 )
 from .grid import Chart, FieldError, MetricField, integrate
 from .presets import smooth_bridge
-from .tensor import Riem4Field, riemann_norm_squared
+from .tensor import riemann_norm_squared
 from .yamabe import (
     SolveReport,
     TrichotomyResult,
@@ -89,14 +89,14 @@ class BumpProfile:
       5. slope >= 1 on ``band`` = [(1/4)^{1/(dim-1)}, (3/4)^{1/(dim-1)}].
 
     The band is placed so the annulus where the profile climbs steeply
-    carries at least half the volume of the unit ball in ``dim`` dimensions.
+    carries at least half the volume of the unit ball in the ``dim``
+    dimensions given to :func:`make_bump`.
     """
 
     value: Callable[[np.ndarray], np.ndarray]
     slope: Callable[[np.ndarray], np.ndarray]
     second: Callable[[np.ndarray], np.ndarray]
     floor: float
-    dim: int
     band: tuple[float, float]
 
 
@@ -113,7 +113,7 @@ def _bridge_slope(t: np.ndarray) -> np.ndarray:
     return np.where(inside, val, 0.0)
 
 
-def make_bump(floor: float, dim: int, nodes: int = _PROFILE_NODES) -> BumpProfile:
+def make_bump(floor: float, dim: int) -> BumpProfile:
     """Profile passing the five :class:`BumpProfile` conditions.
 
     The slope is a plateau window: C-infinity bridges rise from 0 at the
@@ -147,6 +147,7 @@ def make_bump(floor: float, dim: int, nodes: int = _PROFILE_NODES) -> BumpProfil
 
     # running integral of the window on a fine grid, O(h^4) via the closed
     # three-point rule, then cubic Hermite between nodes (slopes are exact)
+    nodes = _PROFILE_NODES
     xs = np.linspace(0.0, 1.0, nodes + 1)
     h = 1.0 / nodes
     ws = window(xs)
@@ -195,7 +196,6 @@ def make_bump(floor: float, dim: int, nodes: int = _PROFILE_NODES) -> BumpProfil
         slope=slope,
         second=second,
         floor=floor,
-        dim=dim,
         band=(lo_edge, hi_edge),
     )
     _check_profile(profile)
@@ -297,27 +297,20 @@ def _assemble(chart, r, rho, core, direction, slo, sec):
     return grad, hess
 
 
-def radial_fields(
-    chart: Chart,
-    center,
-    r: float,
-    profile: BumpProfile,
-    g: MetricField | None = None,
-) -> RadialFields:
-    """Single-ball radial fields; pass ``g`` to enforce the flat-ball floor.
+def radial_fields(g: MetricField, center, r: float, profile: BumpProfile) -> RadialFields:
+    """Single-ball radial fields on the chart of ``g``, which must be flat on
+    the ball.
 
     The multiplier is the profile raised to 2/(n-2); the weight f equals the
     profile itself, the power that turns dV of the rescaled metric into
     f psi dV.  Flatness of ``g`` on a slightly larger ball guarantees the
     coordinate distance is geodesic and the coordinate Hessian is covariant.
     """
+    chart = g.chart
     if len(center) != chart.n:
         raise ValueError(f"center must have {chart.n} coordinates, got {len(center)}")
     _check_radius_fits(chart, r)
-    if g is not None:
-        if g.chart is not chart:
-            raise ValueError("metric lives on a different chart")
-        _flat_ball_check(g, center, 1.1 * r)
+    _flat_ball_check(g, center, 1.1 * r)
 
     rho, core, direction, val, slo, sec = _radial_pieces(chart, center, r, profile)
     q = 2.0 / (chart.n - 2.0)
@@ -362,19 +355,14 @@ class ConstructionConfig:
 
     ``centers`` are ball centers (ideally grid points so the flat plateau of
     the background contains the exact center), ``r`` the common ball radius,
-    ``k`` the shear strength, ``t`` the coupling of the curvature functional,
-    ``floor`` the profile parameter.  The search grids that produced the
-    config ride along for the record.
+    ``k`` the shear strength, ``floor`` the profile parameter.
     """
 
     chart: Chart
     centers: tuple
     r: float
     k: float
-    t: float
     floor: float = 0.1
-    r_grid: tuple = ()
-    k_grid: tuple = ()
 
     def __post_init__(self):
         object.__setattr__(
@@ -400,10 +388,6 @@ class ConstructionConfig:
                 f"balls of radius {self.r} overlap: closest centers are "
                 f"{worst:.4f} apart, need more than {2.0 * self.r:.4f}"
             )
-
-    @property
-    def balls(self) -> int:
-        return len(self.centers)
 
 
 def _pair_distance(chart: Chart, a, b) -> float:
@@ -457,7 +441,7 @@ def _config_fields(
     g: MetricField, config: ConstructionConfig, profile: BumpProfile
 ) -> RadialFields:
     parts = [
-        radial_fields(g.chart, center, config.r, profile, g=g)
+        radial_fields(g, center, config.r, profile)
         for center in config.centers
     ]
     return _merge(parts, g.chart)
@@ -603,10 +587,7 @@ def search_parameters(
         for center in kept:
             _flat_ball_check(g, center, 1.1 * r)
         for k in sorted(k_grid, reverse=True):
-            config = ConstructionConfig(
-                chart=chart, centers=kept, r=r, k=k, t=t, floor=floor,
-                r_grid=tuple(r_grid), k_grid=tuple(k_grid),
-            )
+            config = ConstructionConfig(chart=chart, centers=kept, r=r, k=k, floor=floor)
             ball, error = _phi_ball(profile, chart.n, r, k)
             value = background + len(kept) * ball
             residual = len(kept) * error
@@ -664,10 +645,7 @@ def _test_energy_bound(
     dens = scaled.sqrt_det
     ing = _scalar_ingredients(bundle)
     snorm = deformed_norm(
-        Riem4Field(chart, bundle.base.W.pair + _weyl_error(bundle, ing).pair),
-        scaled,
-        phi,
-        grad=bundle.grad,
+        bundle.base.W.pair + _weyl_error(bundle, ing).pair, scaled, phi, grad=bundle.grad
     )
     ricci, hess = _ricci_hessian_blocks(bundle, ing)
     scal = integrate(chart, bundle.base.scal, dens)
@@ -704,8 +682,6 @@ def construct_constant_F(
     r_grid=None,
     k_grid=None,
     floor: float = 0.1,
-    tol: float = 1e-9,
-    cg_maxiter: int = 5000,
     final_tol: float = 5e-3,
 ) -> ConstructionResult:
     """Produce a metric with F = R + t |W| identically -1 from a background.
@@ -725,9 +701,7 @@ def construct_constant_F(
     tri = first_eigenvalue(g0, t, coefficient=F0)
     if tri.verdict == "negative":
         try:
-            report = solve_constant_F(
-                g0, t, trichotomy=tri, tol=tol, cg_maxiter=cg_maxiter
-            )
+            report = solve_constant_F(g0, t, trichotomy=tri)
         except RuntimeError as exc:
             return ConstructionResult(
                 succeeded=False,
@@ -786,7 +760,7 @@ def construct_constant_F(
             ),
         )
     try:
-        report = solve_constant_F(sheared, t, tol=tol, cg_maxiter=cg_maxiter)
+        report = solve_constant_F(sheared, t)
     except (RuntimeError, ValueError) as exc:
         # ValueError: the sheared metric's own trichotomy verdict is not
         # negative, so the solver refuses the class
@@ -848,7 +822,7 @@ def pinching_report(
         raise ValueError(f"pinching threshold must be positive, got {eps}")
     if bundle is None:
         bundle = curvature_bundle(g)
-    wn2 = riemann_norm_squared(bundle.W, g.inverse)
+    wn2 = riemann_norm_squared(bundle.W.pair, g.inverse)
     margin = wn2 - eps * bundle.scal**2
     worst_scal = float(np.max(bundle.scal))
     worst_margin = float(np.max(margin))

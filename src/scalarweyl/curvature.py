@@ -150,7 +150,7 @@ def riemann(g: MetricField, gamma: np.ndarray | None = None) -> Riem4Field:
 def ricci_scalar(riem: Riem4Field, g: MetricField) -> tuple[np.ndarray, np.ndarray]:
     """Ricci tensor (dense symmetric) and scalar curvature field."""
     inv = g.inverse
-    ric = trace_13(riem.pair, inv, n=g.chart.n)
+    ric = trace_13(riem.pair, inv)
     scal = np.einsum("...jt,...jt->...", inv, ric)
     return ric, scal
 

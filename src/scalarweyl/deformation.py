@@ -131,7 +131,7 @@ def _kn_factors(bundle: DeformationBundle, ing: dict) -> dict:
         "gdense": g.dense,
         "F2": grad[..., :, None] * grad[..., None, :],
         "h": h,
-        "S": vv_contract(bundle.base.riem, ing["fup"]),
+        "S": vv_contract(bundle.base.riem.pair, ing["fup"]),
         "Q": ing["lap"][..., None, None] * h - hh,
         "V": ing["beta"][..., None, None] * h - u[..., :, None] * u[..., None, :],
         "ric": bundle.base.ric,
@@ -211,9 +211,9 @@ def _weyl_error(bundle, ing, include=None, flip_block=None) -> Riem4Field:
     seconds = {b: factors[b] for b in firsts}
     del factors
     first, *rest = seconds
-    mat = kulkarni_nomizu(firsts.pop(first), seconds[first], n)
+    mat = kulkarni_nomizu(firsts.pop(first), seconds[first])
     for b in rest:
-        mat += kulkarni_nomizu(firsts.pop(b), seconds[b], n)
+        mat += kulkarni_nomizu(firsts.pop(b), seconds[b])
     return Riem4Field(bundle.chart, mat)
 
 
@@ -232,13 +232,16 @@ def _scalar_closed_form(bundle: DeformationBundle, ing: dict) -> np.ndarray:
     )
 
 
-def deformed_norm(T, g: MetricField, phi, grad: np.ndarray | None = None) -> np.ndarray:
-    """Pointwise norm of a curvature-type tensor under g + d(phi) (x) d(phi),
-    contracted with the closed-form inverse of :func:`deformed_inverse`.
-    ``grad`` substitutes analytic first derivatives of ``phi``."""
+def deformed_norm(
+    mat: np.ndarray, g: MetricField, phi, grad: np.ndarray | None = None
+) -> np.ndarray:
+    """Pointwise norm of curvature-type pair matrices under
+    g + d(phi) (x) d(phi), contracted with the closed-form inverse of
+    :func:`deformed_inverse`.  ``grad`` substitutes analytic first
+    derivatives of ``phi``."""
     if grad is None:
         grad = gradient(g.chart, np.asarray(phi, dtype=float))
-    return riemann_norm(T, deformed_inverse(g, grad))
+    return riemann_norm(mat, deformed_inverse(g, grad))
 
 
 def _ricci_hessian_blocks(bundle: DeformationBundle, ing: dict) -> tuple[float, float]:
@@ -279,8 +282,8 @@ def deformation_energy(
     dens = bundle.base.g.sqrt_det
     ing = _scalar_ingredients(bundle)
 
-    wnorm = deformed_norm(bundle.base.W, g, phi, grad=bundle.grad)
-    enorm = deformed_norm(_weyl_error(bundle, ing), g, phi, grad=bundle.grad)
+    wnorm = deformed_norm(bundle.base.W.pair, g, phi, grad=bundle.grad)
+    enorm = deformed_norm(_weyl_error(bundle, ing).pair, g, phi, grad=bundle.grad)
     i1 = integrate(chart, bundle.base.scal + t * wnorm, dens)
     i2 = t * integrate(chart, enorm, dens)
     i3, i4 = _ricci_hessian_blocks(bundle, ing)

@@ -1,10 +1,14 @@
 """Periodic structured charts and the discrete calculus on them.
 
 A chart is a uniform grid on the n-torus: axis ``a`` has ``sizes[a]`` points
-spanning ``[0, lengths[a])`` with periodic wraparound.  Fields store their
-components in trailing axes (point-major layout, components contiguous per
-point); symmetric 2-tensors are deduplicated to the ``n*(n+1)//2``
-lexicographic (i <= j) component list.
+spanning ``[0, lengths[a])`` with periodic wraparound.
+
+Each argument takes one representation.  A field is a raw array: a scalar
+field has the grid shape ``sizes``, and a field with components stores them
+in trailing axes after the grid axes (point-major layout, components
+contiguous per point).  The metric is the one wrapped field: a
+``MetricField`` holds the ``n*(n+1)//2`` lexicographic (i <= j) packed
+components and caches its dense (n, n) form, inverse and volume factor.
 
 Differentiation defaults to 4th-order centered stencils; second derivatives
 are compositions of first-derivative stencils, so mixed partials commute to
@@ -35,17 +39,12 @@ import numpy as np
 
 __all__ = [
     "Chart",
-    "ScalarField",
-    "CovectorField",
-    "Sym2Field",
     "MetricField",
     "FluxForm",
     "make_chart",
-    "differentiate",
     "deriv",
     "gradient",
     "integrate",
-    "divergence_total",
     "flux_laplacian",
     "sym2_pack_indices",
     "sym2_pack",
@@ -252,26 +251,6 @@ def _coerce_grid_shape(chart: Chart, data, extra: tuple[int, ...], kind: str):
     raise FieldError(f"{kind}: expected shape {expected}, got {data.shape}")
 
 
-@dataclass
-class ScalarField:
-    chart: Chart
-    data: np.ndarray
-
-    def __post_init__(self):
-        self.data = _coerce_grid_shape(self.chart, self.data, (), "ScalarField")
-
-
-@dataclass
-class CovectorField:
-    chart: Chart
-    data: np.ndarray  # (*sizes, n)
-
-    def __post_init__(self):
-        self.data = _coerce_grid_shape(
-            self.chart, self.data, (self.chart.n,), "CovectorField"
-        )
-
-
 def sym2_pack_indices(n: int) -> list[tuple[int, int]]:
     """Lexicographic (i <= j) component order for symmetric 2-tensors."""
     return [(i, j) for i in range(n) for j in range(i, n)]
@@ -291,8 +270,9 @@ def sym2_unpack(packed: np.ndarray, n: int) -> np.ndarray:
 
 
 @dataclass
-class Sym2Field:
-    """Symmetric 2-tensor field, stored deduplicated (i <= j components)."""
+class MetricField:
+    """SPD metric field, stored deduplicated (i <= j components), with cached
+    dense form, inverse and volume factors."""
 
     chart: Chart
     packed: np.ndarray  # (*sizes, n*(n+1)//2)
@@ -300,34 +280,27 @@ class Sym2Field:
     def __post_init__(self):
         n = self.chart.n
         self.packed = _coerce_grid_shape(
-            self.chart, self.packed, (n * (n + 1) // 2,), "Sym2Field"
+            self.chart, self.packed, (n * (n + 1) // 2,), "MetricField"
         )
+        self._check_spd()
 
     @classmethod
-    def from_dense(cls, chart: Chart, dense: np.ndarray, check=True, tol=1e-12):
+    def from_dense(cls, chart: Chart, dense: np.ndarray):
+        """Metric from dense (*sizes, n, n) components, symmetric to 1e-12."""
         dense = _coerce_grid_shape(
-            chart, dense, (chart.n, chart.n), "Sym2Field dense input"
+            chart, dense, (chart.n, chart.n), "MetricField dense input"
         )
-        if check:
-            skew = np.max(np.abs(dense - np.swapaxes(dense, -1, -2)))
-            scale = max(np.max(np.abs(dense)), 1e-300)
-            if skew > tol * scale:
-                raise FieldError(
-                    f"dense input is not symmetric: max skew {skew:.3e} vs scale {scale:.3e}"
-                )
+        skew = np.max(np.abs(dense - np.swapaxes(dense, -1, -2)))
+        scale = max(np.max(np.abs(dense)), 1e-300)
+        if skew > 1e-12 * scale:
+            raise FieldError(
+                f"dense input is not symmetric: max skew {skew:.3e} vs scale {scale:.3e}"
+            )
         return cls(chart, sym2_pack(dense, chart.n))
 
     @cached_property
     def dense(self) -> np.ndarray:
         return sym2_unpack(self.packed, self.chart.n)
-
-
-class MetricField(Sym2Field):
-    """SPD symmetric 2-tensor field with cached inverse and volume factors."""
-
-    def __post_init__(self):
-        super().__post_init__()
-        self._check_spd()
 
     def _check_spd(self):
         g = self.dense
@@ -363,17 +336,13 @@ class MetricField(Sym2Field):
 # ---------------------------------------------------------------------------
 
 
-def _scalar_data(f) -> np.ndarray:
-    return f.data if isinstance(f, ScalarField) else np.asarray(f, dtype=float)
-
-
 def integrate(chart: Chart, f, density) -> float:
     """Point-sum quadrature of ``f`` against a positive density.
 
     The density is the discrete volume element (for a metric, its
     ``sqrt_det``); pass 1.0 for the coordinate measure.
     """
-    fd = _scalar_data(f)
+    fd = np.asarray(f, dtype=float)
     dens = np.asarray(density, dtype=float)
     if dens.ndim == 0:
         if dens <= 0:
@@ -386,28 +355,6 @@ def integrate(chart: Chart, f, density) -> float:
                 f"{tuple(int(i) for i in bad)}"
             )
     return float(np.sum(fd * dens) * chart.cell_volume)
-
-
-def differentiate(f, axis: int):
-    """Partial derivative of a field along a grid axis, same field type."""
-    if isinstance(f, ScalarField):
-        return ScalarField(f.chart, deriv(f.chart, f.data, axis))
-    if isinstance(f, CovectorField):
-        return CovectorField(f.chart, deriv(f.chart, f.data, axis))
-    if isinstance(f, Sym2Field):
-        return type(f)(f.chart, deriv(f.chart, f.packed, axis))
-    raise FieldError(f"cannot differentiate object of type {type(f).__name__}")
-
-
-def divergence_total(X: CovectorField, g: MetricField) -> float:
-    """Integral of the metric divergence of the raised field.
-
-    Computed in flux form, ``sum_a D_a(sqrt(det g) * g^{ab} X_b)`` summed over
-    the grid; by periodic telescoping of the stencil the result is zero to
-    roundoff for any field.  Returned so callers can assert it.
-    """
-    components = [X.data[..., b] for b in range(X.chart.n)]
-    return float(np.sum(_flux_divergence(FluxForm.of(g), components))) * X.chart.cell_volume
 
 
 # ---------------------------------------------------------------------------

@@ -6,6 +6,14 @@ matrix over the antisymmetric-pair basis: pairs ``(a < b)`` in lexicographic
 order index rows and columns, so ``n = 4`` needs a 6x6 matrix per point
 instead of 256 dense components.
 
+Each argument takes one representation: curvature-type tensors are
+(..., m, m) pair matrices with m = n (n - 1) / 2, and symmetric 2-tensors
+(metrics, inverse metrics, Ricci-type tensors) are dense (..., n, n)
+arrays.  The dimension n is the last axis of the (n, n) operand; only
+``bianchi_project``, which has none, takes it as an argument.  A
+``Riem4Field`` is the grid record of a pair-matrix field: callers pass its
+``pair`` array.
+
 All operations broadcast over arbitrary leading (grid) axes, so the same
 code serves single points and whole fields.  Fields are point-major (the
 components of one point are adjacent), so a single component of a field is
@@ -28,8 +36,6 @@ from .grid import Chart, FieldError, _check_grid_shape
 __all__ = [
     "Riem4Field",
     "pair_indices",
-    "pair_from_dense",
-    "dense_from_pair",
     "pair_lift",
     "pair_contract",
     "kulkarni_nomizu",
@@ -37,10 +43,7 @@ __all__ = [
     "riemann_norm_squared",
     "trace_13",
     "vv_contract",
-    "symmetrize_exchange",
     "bianchi_project",
-    "bianchi_residual",
-    "riemann_symmetry_report",
 ]
 
 
@@ -53,7 +56,6 @@ def pair_indices(n: int) -> tuple[tuple[int, int], ...]:
 @lru_cache(maxsize=None)
 def _pair_lookup(n: int):
     """(index, sign) tables: PIDX[a, b] is the pair slot, SGN[a, b] its sign."""
-    m = len(pair_indices(n))
     pidx = np.zeros((n, n), dtype=int)
     sgn = np.zeros((n, n))
     for p, (a, b) in enumerate(pair_indices(n)):
@@ -61,37 +63,7 @@ def _pair_lookup(n: int):
         pidx[b, a] = p
         sgn[a, b] = 1.0
         sgn[b, a] = -1.0
-    return m, pidx, sgn
-
-
-def pair_from_dense(dense: np.ndarray, n: int) -> np.ndarray:
-    """Project dense (..., n, n, n, n) onto pair-matrix storage.
-
-    Exact for tensors with both pair antisymmetries; combined with
-    ``symmetrize_exchange`` and ``bianchi_project`` this realizes the
-    orthogonal projection onto curvature-type tensors.
-    """
-    pairs = pair_indices(n)
-    m = len(pairs)
-    out = np.empty(dense.shape[:-4] + (m, m), dtype=dense.dtype)
-    for p, (a, b) in enumerate(pairs):
-        for q, (c, d) in enumerate(pairs):
-            out[..., p, q] = 0.25 * (
-                dense[..., a, b, c, d]
-                - dense[..., b, a, c, d]
-                - dense[..., a, b, d, c]
-                + dense[..., b, a, d, c]
-            )
-    return out
-
-
-def dense_from_pair(mat: np.ndarray, n: int) -> np.ndarray:
-    """Expand pair-matrix storage to the dense (..., n, n, n, n) tensor."""
-    _, pidx, sgn = _pair_lookup(n)
-    # sgn vanishes on the diagonal, which zeroes the entries with a == b or c == d
-    return (sgn[:, :, None, None] * sgn[None, None]) * mat[
-        ..., pidx[:, :, None, None], pidx[None, None]
-    ]
+    return pidx, sgn
 
 
 @dataclass
@@ -106,26 +78,10 @@ class Riem4Field:
         m = len(pair_indices(self.chart.n))
         _check_grid_shape(self.chart, self.pair, (m, m), "Riem4Field")
 
-    def dense(self) -> np.ndarray:
-        return dense_from_pair(self.pair, self.chart.n)
-
-    @classmethod
-    def from_dense(cls, chart: Chart, dense: np.ndarray):
-        mat = pair_from_dense(np.asarray(dense, dtype=float), chart.n)
-        return cls(chart, symmetrize_exchange(mat))
-
 
 # ---------------------------------------------------------------------------
 # products and contractions
 # ---------------------------------------------------------------------------
-
-
-def _dense_sym2(x) -> np.ndarray:
-    from .grid import Sym2Field
-
-    if isinstance(x, Sym2Field):
-        return x.dense
-    return np.asarray(x, dtype=float)
 
 
 # Points per block of the per-entry kernels.  For n = 4 a block of both
@@ -147,16 +103,15 @@ def _components(block: np.ndarray) -> list[list[np.ndarray]]:
     return [[block[:, i, k] for k in range(block.shape[2])] for i in range(block.shape[1])]
 
 
-def kulkarni_nomizu(a, b, n: int | None = None) -> np.ndarray:
-    """Kulkarni-Nomizu product of two symmetric 2-tensors, pair storage.
+def kulkarni_nomizu(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Kulkarni-Nomizu product of two symmetric (..., n, n) 2-tensors.
 
     ``(a ? b)_{ijkt} = a_ik b_jt + a_jt b_ik - a_it b_jk - a_jk b_it``,
     returned as the (..., m, m) pair matrix; leading axes broadcast.
     """
-    A = _dense_sym2(a)
-    B = _dense_sym2(b)
-    if n is None:
-        n = A.shape[-1]
+    A = np.asarray(a, dtype=float)
+    B = np.asarray(b, dtype=float)
+    n = A.shape[-1]
     pairs = pair_indices(n)
     m = len(pairs)
     lead = np.broadcast_shapes(A.shape[:-2], B.shape[:-2])
@@ -183,7 +138,7 @@ def kulkarni_nomizu(a, b, n: int | None = None) -> np.ndarray:
     return out
 
 
-def pair_lift(m1: np.ndarray, m2: np.ndarray, n: int | None = None) -> np.ndarray:
+def pair_lift(m1: np.ndarray, m2: np.ndarray) -> np.ndarray:
     """Lift two (inverse-)metrics to the pair basis for contractions.
 
     For antisymmetric pairs P=(a,b), Q=(e,f) the ordered-index double sum of
@@ -192,7 +147,7 @@ def pair_lift(m1: np.ndarray, m2: np.ndarray, n: int | None = None) -> np.ndarra
     algebra over pair space.  For symmetric inputs that matrix is the
     Kulkarni-Nomizu product of the two.
     """
-    return kulkarni_nomizu(m1, m2, n)
+    return kulkarni_nomizu(m1, m2)
 
 
 def pair_contract(t1: np.ndarray, t2: np.ndarray, k12: np.ndarray, k34: np.ndarray):
@@ -204,37 +159,18 @@ def pair_contract(t1: np.ndarray, t2: np.ndarray, k12: np.ndarray, k34: np.ndarr
     return np.sum(t1 * mid, axis=(-2, -1))
 
 
-def _pair_of(T, n: int | None = None) -> tuple[np.ndarray, int]:
-    if isinstance(T, Riem4Field):
-        return T.pair, T.chart.n
-    T = np.asarray(T, dtype=float)
-    if n is None:
-        # dense input has four trailing equal axes; pair input two equal axes
-        if T.ndim >= 4 and T.shape[-1] == T.shape[-4]:
-            n = T.shape[-1]
-            return pair_from_dense(T, n), n
-        raise FieldError("cannot infer dimension; pass n explicitly")
-    m = len(pair_indices(n))
-    # for n = 3 a dense tensor also ends in (m, m) axes
-    if T.shape[-2:] == (m, m) and T.shape[-4:] != (n,) * 4:
-        return T, n
-    return pair_from_dense(T, n), n
-
-
-def riemann_norm_squared(T, inv: np.ndarray, n: int | None = None) -> np.ndarray:
-    """Squared norm ``T_{ijkt} T^{ijkt}`` with all indices raised by the
-    inverse metric ``inv``."""
-    inv = np.asarray(inv, dtype=float)
-    mat, n = _pair_of(T, n if n is not None else inv.shape[-1])
-    k = pair_lift(inv, inv, n)
+def riemann_norm_squared(mat: np.ndarray, inv: np.ndarray) -> np.ndarray:
+    """Squared norm ``T_{ijkt} T^{ijkt}`` of the pair matrices ``mat``, with
+    all indices raised by the (..., n, n) inverse metric ``inv``."""
+    k = pair_lift(inv, inv)
     val = pair_contract(mat, mat, k, k)
     return np.maximum(val, 0.0)
 
 
-def riemann_norm(T, inv: np.ndarray, n: int | None = None):
-    """Norm of a curvature-type tensor under the inverse metric ``inv``;
+def riemann_norm(mat: np.ndarray, inv: np.ndarray) -> np.ndarray:
+    """Norm of curvature-type pair matrices under the inverse metric ``inv``;
     nonnegative scalar per point."""
-    return np.sqrt(riemann_norm_squared(T, inv, n))
+    return np.sqrt(riemann_norm_squared(mat, inv))
 
 
 @lru_cache(maxsize=None)
@@ -242,7 +178,7 @@ def _trace_terms(n: int) -> dict[tuple[int, int], list[tuple[int, int, int, int,
     """For each entry (j, t >= j) of the 1-3 trace, its terms
     ``(i, k, P, Q, positive)``: ``g^{ik}`` times pair entry (P, Q), added when
     the product of the two pair signs is positive and subtracted otherwise."""
-    _, pidx, sgn = _pair_lookup(n)
+    pidx, sgn = _pair_lookup(n)
     return {
         (j, t): [
             (i, k, int(pidx[i, j]), int(pidx[k, t]), bool(sgn[i, j] * sgn[k, t] > 0))
@@ -256,10 +192,16 @@ def _trace_terms(n: int) -> dict[tuple[int, int], list[tuple[int, int, int, int,
     }
 
 
-def trace_13(T, inv: np.ndarray, n: int | None = None) -> np.ndarray:
-    """Ricci-type trace ``S_jt = g^{ik} T_{ijkt}`` from pair storage."""
-    mat, n = _pair_of(T, n if n is not None else inv.shape[-1])
+def trace_13(mat: np.ndarray, inv: np.ndarray) -> np.ndarray:
+    """Ricci-type trace ``S_jt = g^{ik} T_{ijkt}`` of the pair matrices
+    ``mat`` against the (..., n, n) matrix ``inv``."""
     inv = np.asarray(inv, dtype=float)
+    n = inv.shape[-1]
+    m = len(pair_indices(n))
+    if mat.shape[-2:] != (m, m):
+        raise FieldError(
+            f"expected (..., {m}, {m}) pair matrices for n = {n}, got {mat.shape}"
+        )
     lead = np.broadcast_shapes(mat.shape[:-2], inv.shape[:-2])
     M = _point_rows(mat, lead)
     G = _point_rows(inv, lead)
@@ -285,10 +227,10 @@ def trace_13(T, inv: np.ndarray, n: int | None = None) -> np.ndarray:
     return out
 
 
-def vv_contract(T, v: np.ndarray, n: int | None = None) -> np.ndarray:
-    """Contraction ``S_ik = T_{ipkq} v^p v^q`` for a raised vector ``v``:
-    the 1-3 trace of ``T`` against ``v (x) v``."""
-    return trace_13(T, v[..., :, None] * v[..., None, :], n)
+def vv_contract(mat: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Contraction ``S_ik = T_{ipkq} v^p v^q`` of the pair matrices ``mat``
+    for a raised (..., n) vector ``v``: the 1-3 trace against ``v (x) v``."""
+    return trace_13(mat, v[..., :, None] * v[..., None, :])
 
 
 # ---------------------------------------------------------------------------
@@ -296,13 +238,8 @@ def vv_contract(T, v: np.ndarray, n: int | None = None) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def symmetrize_exchange(mat: np.ndarray) -> np.ndarray:
-    """Average over the pair-exchange symmetry."""
-    return 0.5 * (mat + np.swapaxes(mat, -1, -2))
-
-
 def _quad_entries(n: int):
-    _, pidx, _ = _pair_lookup(n)
+    pidx, _ = _pair_lookup(n)
     ents = []
     for a, b, c, d in combinations(range(n), 4):
         # cyclic sum omega = T_abcd - T_acbd + T_adbc in pair entries
@@ -314,16 +251,6 @@ def _quad_entries(n: int):
             )
         )
     return ents
-
-
-def bianchi_residual(T, n: int | None = None) -> np.ndarray:
-    """Max first-Bianchi violation over the independent quadruples."""
-    mat, n = _pair_of(T, n)
-    worst = np.zeros(mat.shape[:-2])
-    for (pq1, pq2, pq3) in _quad_entries(n):
-        omega = mat[..., pq1[0], pq1[1]] - mat[..., pq2[0], pq2[1]] + mat[..., pq3[0], pq3[1]]
-        worst = np.maximum(worst, np.abs(omega))
-    return worst
 
 
 def bianchi_project(mat: np.ndarray, n: int) -> np.ndarray:
@@ -338,63 +265,3 @@ def bianchi_project(mat: np.ndarray, n: int) -> np.ndarray:
             if p != q:
                 out[..., q, p] -= sign * omega
     return out
-
-
-def riemann_symmetry_report(T, n: int | None = None, scale: float | None = None) -> dict:
-    """Report violation magnitudes of the four curvature-tensor symmetries.
-
-    Accepts dense (..., n, n, n, n) input (all four properties checked) or
-    pair storage (antisymmetries are structural there, so only exchange and
-    first Bianchi can be violated).  Returns absolute violations plus the
-    scale used for the relative verdict.
-    """
-    report: dict = {}
-    if isinstance(T, Riem4Field):
-        dense = None
-        mat, n = T.pair, T.chart.n
-    else:
-        T = np.asarray(T, dtype=float)
-        if T.ndim >= 4 and T.shape[-1] == T.shape[-4]:
-            dense = T
-            n = T.shape[-1]
-            mat = None
-        else:
-            dense = None
-            mat, n = _pair_of(T, n)
-    if dense is not None:
-        scale = scale or max(float(np.max(np.abs(dense))), 1e-300)
-        report["antisym_first_pair"] = float(
-            np.max(np.abs(dense + np.swapaxes(dense, -4, -3)))
-        )
-        report["antisym_second_pair"] = float(
-            np.max(np.abs(dense + np.swapaxes(dense, -2, -1)))
-        )
-        report["pair_exchange"] = float(
-            np.max(np.abs(dense - np.transpose(dense, tuple(range(dense.ndim - 4)) + (-2, -1, -4, -3))))
-        )
-        report["first_bianchi"] = float(
-            np.max(
-                np.abs(
-                    dense
-                    + np.transpose(dense, tuple(range(dense.ndim - 4)) + (-4, -2, -1, -3))
-                    + np.transpose(dense, tuple(range(dense.ndim - 4)) + (-4, -1, -3, -2))
-                )
-            )
-        )
-    else:
-        scale = scale or max(float(np.max(np.abs(mat))), 1e-300)
-        report["antisym_first_pair"] = 0.0
-        report["antisym_second_pair"] = 0.0
-        report["pair_exchange"] = float(np.max(np.abs(mat - np.swapaxes(mat, -1, -2))))
-        report["first_bianchi"] = float(np.max(bianchi_residual(mat, n)))
-    report["scale"] = float(scale)
-    report["max_violation"] = max(
-        report[k] for k in (
-            "antisym_first_pair",
-            "antisym_second_pair",
-            "pair_exchange",
-            "first_bianchi",
-        )
-    )
-    report["ok"] = report["max_violation"] <= 1e-9 * report["scale"]
-    return report

@@ -143,7 +143,11 @@ def _fourier_preconditioner(chart, a_n, c_lap, q_mean, pen_mean):
     return precond
 
 
-def _pcg(apply_sym, b, precond, tol, maxiter):
+#: iteration cap of one conjugate-gradient solve
+_CG_MAXITER = 5000
+
+
+def _pcg(apply_sym, b, precond, tol):
     x = np.zeros_like(b)
     r = b.copy()
     z = precond(r)
@@ -152,7 +156,7 @@ def _pcg(apply_sym, b, precond, tol, maxiter):
     b2 = float(np.vdot(b, b))
     if b2 == 0.0:
         return x, 0
-    for it in range(1, maxiter + 1):
+    for it in range(1, _CG_MAXITER + 1):
         Ap = apply_sym(p)
         alpha = rz / float(np.vdot(p, Ap))
         x += alpha * p
@@ -165,7 +169,7 @@ def _pcg(apply_sym, b, precond, tol, maxiter):
         rz = rz_next
     raise RuntimeError(
         f"conjugate gradient stalled above relative tolerance {tol:.1e} "
-        f"after {maxiter} iterations"
+        f"after {_CG_MAXITER} iterations"
     )
 
 
@@ -179,7 +183,7 @@ def _operator_preconditioner(form, a_n, q, pen_mean=0.0):
     )
 
 
-def _shifted_solver(form, a_n, q, cg_maxiter):
+def _shifted_solver(form, a_n, q):
     """Solve (-a_n Lap + q) x = b to a per-call relative tolerance."""
     sd = np.sqrt(form.sqrt_det)
     precond = _operator_preconditioner(form, a_n, q)
@@ -189,7 +193,7 @@ def _shifted_solver(form, a_n, q, cg_maxiter):
         return sd * (-a_n * flux_laplacian(form, phi) + q * phi)
 
     def solve(b, tol):
-        y, _ = _pcg(apply_sym, sd * b, precond, tol, cg_maxiter)
+        y, _ = _pcg(apply_sym, sd * b, precond, tol)
         return y / sd
 
     return solve
@@ -366,7 +370,7 @@ _HANDOFF = 1e-3
 _FORCING = 1e-2
 
 
-def _newton_polish(form, a_n, F, p, u, tol_abs, history, cg_maxiter, maxiter=40, cg_tol=1e-10):
+def _newton_polish(form, a_n, F, p, u, tol_abs, history, maxiter=40, cg_tol=1e-10):
     res_of = lambda v: -a_n * flux_laplacian(form, v) + F * v + v**p
     r = res_of(u)
     res = float(np.max(np.abs(r)))
@@ -375,7 +379,7 @@ def _newton_polish(form, a_n, F, p, u, tol_abs, history, cg_maxiter, maxiter=40,
         if res <= tol_abs:
             return u, res, it - 1
         q = F + p * u ** (p - 1.0)
-        delta = _shifted_solver(form, a_n, q, cg_maxiter)(-r, cg_tol)
+        delta = _shifted_solver(form, a_n, q)(-r, cg_tol)
         step = 1.0
         while step > 1e-4:
             cand = u + step * delta
@@ -403,7 +407,6 @@ def solve_constant_F(
     trichotomy: TrichotomyResult | None = None,
     init: str = "barriers",
     tol: float = 1e-9,
-    cg_maxiter: int = 5000,
 ) -> SolveReport:
     """Positive u with -a_n Lap u + F u = -u^{p_n}, i.e. F == -1 after
     rescaling the metric by u^{4/(n-2)}.
@@ -471,7 +474,7 @@ def solve_constant_F(
         hi = float(np.max(neg)) ** (1.0 / (p - 1.0))
         shift = p * float(np.max(neg))
         # q = F1 + shift is fixed for the stage: one solver serves every step
-        solve1 = _shifted_solver(form1, a_n, F1 + shift, cg_maxiter)
+        solve1 = _shifted_solver(form1, a_n, F1 + shift)
         u = np.full(chart.sizes, hi)
         delta = hi
         for _ in range(60):
@@ -494,7 +497,7 @@ def solve_constant_F(
 
     tol_abs = tol * max(1.0, float(np.max(np.abs(F))))
     u_tot, res, newton_iters = _newton_polish(
-        form, a_n, F, p, u_tot, tol_abs, history, cg_maxiter
+        form, a_n, F, p, u_tot, tol_abs, history
     )
     iterations += newton_iters
 

@@ -124,7 +124,10 @@ def conformal_formula_check(g, psi):
     # norm covariance |W_{g2}|_{g2} = |W_g|_g / psi, forced either way
     report["weyl_norm"] = float(
         np.max(
-            np.abs(riemann_norm(direct.W, g2.inverse) - riemann_norm(base.W, g.inverse) / psi)
+            np.abs(
+                riemann_norm(direct.W.pair, g2.inverse)
+                - riemann_norm(base.W.pair, g.inverse) / psi
+            )
         )
     )
     return report
@@ -172,7 +175,7 @@ def test_scalar_weyl_t_dependence_is_weyl_norm():
     c = torus(4, 10)
     g = fourier_metric(c, amplitude=0.25, seed=2)
     bundle = curvature_bundle(g)
-    wn = riemann_norm(bundle.W, g.inverse)
+    wn = riemann_norm(bundle.W.pair, g.inverse)
     f0 = scalar_weyl(g, 0.0, bundle=bundle)
     f1 = scalar_weyl(g, 1.0, bundle=bundle)
     scale = np.max(np.abs(f1)) + np.max(np.abs(f0))

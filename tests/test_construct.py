@@ -91,7 +91,7 @@ def test_grid_expansion_converges_to_radial_integral():
     for size in (48, 96):
         chart = make_chart(3, (size,) * 3, (L,) * 3)
         g = flat_metric(chart)
-        fields = radial_fields(chart, (L / 2,) * 3, r, profile, g=g)
+        fields = radial_fields(g, (L / 2,) * 3, r, profile)
         grid = phi_expansion(g, 1.0, k, fields, curvature_bundle(g), include_weyl=False)
         gaps[size] = abs(grid / radial - 1.0)
     assert gaps[96] <= 2e-3
@@ -129,8 +129,7 @@ def forced_deformation_case(monkeypatch):
 
     def forced(g, t, centers=None, **_):
         config = ConstructionConfig(
-            chart=g.chart, centers=_disjoint_prefix(g.chart, centers, L / 8), r=L / 8,
-            k=4.0, t=t,
+            chart=g.chart, centers=_disjoint_prefix(g.chart, centers, L / 8), r=L / 8, k=4.0
         )
         return SearchReport(succeeded=True, config=config, message="forced cell")
 

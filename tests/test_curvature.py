@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from oracles import dense_from_pair, riemann_symmetry_report
 from scalarweyl.curvature import (
     _schouten,
     christoffel,
@@ -25,7 +26,6 @@ from scalarweyl.tensor import (
     kulkarni_nomizu,
     pair_indices,
     riemann_norm,
-    riemann_symmetry_report,
     trace_13,
 )
 
@@ -249,8 +249,8 @@ def test_cap_weyl_vanishes_4d():
     g, rho = cap_metric(c)
     b = curvature_bundle(g)
     mask = rho <= 0.4
-    wn = np.max(riemann_norm(b.W, g.inverse)[mask])
-    rn = np.max(riemann_norm(b.riem, g.inverse)[mask])
+    wn = np.max(riemann_norm(b.W.pair, g.inverse)[mask])
+    rn = np.max(riemann_norm(b.riem.pair, g.inverse)[mask])
     assert rn > 1.0  # the cap really is curved
     assert wn < 1e-8 * rn
 
@@ -298,26 +298,29 @@ def test_weyl_vanishes_in_3d():
     c = chart3(12)
     g = fourier_metric(c, amplitude=0.25, seed=2)
     b = curvature_bundle(g)
-    assert np.max(riemann_norm(b.W, g.inverse)) < 1e-8 * np.max(riemann_norm(b.riem, g.inverse))
+    assert np.max(riemann_norm(b.W.pair, g.inverse)) < 1e-8 * np.max(
+        riemann_norm(b.riem.pair, g.inverse)
+    )
 
 
 def test_weyl_trace_free_4d():
     c = make_chart(4, (8,) * 4, (2 * np.pi,) * 4)
     g = fourier_metric(c, amplitude=0.25, seed=2)
     b = curvature_bundle(g)
-    tr = trace_13(b.W.pair, g.inverse, n=4)
+    tr = trace_13(b.W.pair, g.inverse)
     assert np.max(np.abs(tr)) < 1e-8 * np.max(np.abs(b.W.pair))
     # end-to-end symmetry of the assembled curvature tensor
     scale = float(np.max(np.abs(b.riem.pair)))
-    assert riemann_symmetry_report(b.riem)["max_violation"] < 1e-9 * scale
+    report = riemann_symmetry_report(dense_from_pair(b.riem.pair, 4))
+    assert report["max_violation"] < 1e-9 * scale
 
 
 def test_weyl_forms_one_product(monkeypatch):
     calls = []
 
-    def counted(a, b, n=None):
+    def counted(a, b):
         calls.append(1)
-        return kulkarni_nomizu(a, b, n)
+        return kulkarni_nomizu(a, b)
 
     monkeypatch.setattr("scalarweyl.curvature.kulkarni_nomizu", counted)
     c = make_chart(4, (8,) * 4, (2 * np.pi,) * 4)
@@ -333,8 +336,8 @@ def decomposition_residual(g):
     """
     bundle = curvature_bundle(g)
     recomposed = bundle.W.pair + kulkarni_nomizu(_schouten(bundle.ric, bundle.scal, g), g.dense)
-    diff = riemann_norm(Riem4Field(g.chart, recomposed - bundle.riem.pair), g.inverse)
-    scale = max(float(np.max(riemann_norm(bundle.riem, g.inverse))), 1e-300)
+    diff = riemann_norm(recomposed - bundle.riem.pair, g.inverse)
+    scale = max(float(np.max(riemann_norm(bundle.riem.pair, g.inverse))), 1e-300)
     return float(np.max(diff)) / scale
 
 
@@ -352,7 +355,7 @@ def test_decomposition_residual_and_corruption():
     recomposed -= (
         b.scal[..., None, None] / (2.0 * (n - 1) * (n - 2))
     ) * kulkarni_nomizu(g.dense, g.dense)
-    diff = np.max(riemann_norm(Riem4Field(c, recomposed - b.riem.pair), g.inverse))
+    diff = np.max(riemann_norm(recomposed - b.riem.pair, g.inverse))
     assert diff > 0.05
 
 

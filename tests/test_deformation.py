@@ -19,6 +19,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import dense_from_pair, divergence_total
 from scalarweyl import deformation
 from scalarweyl.conformal import _as_positive
 from scalarweyl.construct import make_bump, radial_fields
@@ -34,11 +35,9 @@ from scalarweyl.deformation import (
     weyl_error,
 )
 from scalarweyl.grid import (
-    CovectorField,
     FieldError,
     MetricField,
     deriv,
-    divergence_total,
     gradient,
     integrate,
     make_chart,
@@ -110,7 +109,7 @@ def reference_error_lines(bundle):
     grad = bundle.grad
     h = bundle.hess
     w = bundle.w
-    riem = bundle.base.riem.dense()
+    riem = dense_from_pair(bundle.base.riem.pair, n)
     ric = bundle.base.ric
     scal = bundle.base.scal
 
@@ -158,8 +157,8 @@ def reference_error_lines(bundle):
 # deformed scalar curvature, and the conformal scaling of the error tensor
 
 
-def frame_split_norm(T, g, grad):
-    """Norm of ``T`` under g + df (x) df, split along the gradient direction
+def frame_split_norm(mat, g, grad):
+    """Norm of the pair matrices ``mat`` under g + df (x) df, split along the gradient direction
     into tangential, once-contracted and twice-contracted blocks weighted 1,
     4/D and 4/D^2 with D = 1 + |grad f|^2."""
     inv = g.inverse
@@ -169,9 +168,7 @@ def frame_split_norm(T, g, grad):
     np.divide(vup, np.sqrt(s2)[..., None], out=unit, where=(s2 > 0)[..., None])
     what = unit[..., :, None] * unit[..., None, :]
     p = inv - what
-    n = g.chart.n
-    lpp, lpw, d = pair_lift(p, p, n), pair_lift(p, what, n), 1.0 + s2
-    mat = T.pair
+    lpp, lpw, d = pair_lift(p, p), pair_lift(p, what), 1.0 + s2
     tang = pair_contract(mat, mat, lpp, lpp)
     mix = pair_contract(mat, mat, lpp, lpw) + pair_contract(mat, mat, lpw, lpp)
     radrad = pair_contract(mat, mat, lpw, lpw)
@@ -202,7 +199,7 @@ def scalar_divergence_identity(bundle):
     div_form = bundle.base.scal - ing["rvv"] / w + div_pt
     pointwise = float(np.max(np.abs(closed - div_form)))
 
-    integral = abs(divergence_total(CovectorField(chart, v), g))
+    integral = abs(divergence_total(v, g))
     return pointwise, integral
 
 
@@ -266,7 +263,7 @@ def test_error_blocks_match_dense_reference(n, size):
     b = bundle_for(n, size, seed=5, amp=0.15, famp=0.5)
     lines = reference_error_lines(b)
     for line, blocks in LINE_BLOCKS.items():
-        got = weyl_error(b, include=blocks).dense()
+        got = dense_from_pair(weyl_error(b, include=blocks).pair, n)
         want = lines[line]
         scale = max(float(np.max(np.abs(want))), 1e-3)
         assert np.max(np.abs(got - want)) < 1e-12 * scale, f"line {line}"
@@ -276,7 +273,7 @@ def test_error_blocks_match_dense_reference(n, size):
 def test_error_total_matches_dense_reference(n, size):
     b = bundle_for(n, size, seed=7, amp=0.15, famp=0.5)
     total = sum(reference_error_lines(b).values())
-    got = weyl_error(b).dense()
+    got = dense_from_pair(weyl_error(b).pair, n)
     scale = max(float(np.max(np.abs(total))), 1e-3)
     assert np.max(np.abs(got - total)) < 1e-12 * scale
 
@@ -305,9 +302,9 @@ def test_error_flip_block_negates_that_block():
 def test_error_forms_one_product_per_second_factor(monkeypatch):
     calls = []
 
-    def counted(a, b, n=None):
+    def counted(a, b):
         calls.append(1)
-        return kulkarni_nomizu(a, b, n)
+        return kulkarni_nomizu(a, b)
 
     b = bundle_for(4, 8)
     monkeypatch.setattr("scalarweyl.deformation.kulkarni_nomizu", counted)
@@ -322,9 +319,9 @@ def test_error_forms_one_product_per_second_factor(monkeypatch):
 def test_only_the_error_tensor_contracts_riemann(monkeypatch):
     calls = []
 
-    def counted(T, v, n=None):
+    def counted(mat, v):
         calls.append(1)
-        return vv_contract(T, v, n)
+        return vv_contract(mat, v)
 
     b = bundle_for(4, 8)
     monkeypatch.setattr("scalarweyl.deformation.vv_contract", counted)
@@ -457,7 +454,7 @@ def test_deformed_norm_zero_deformation_matches_riemann_norm():
     bun = curvature_bundle(g)
     phi = fourier_scalar(c, amplitude=0.5, seed=42)
     assert np.array_equal(
-        deformed_norm(bun.W, g, 0.0 * phi), riemann_norm(bun.W, g.inverse)
+        deformed_norm(bun.W.pair, g, 0.0 * phi), riemann_norm(bun.W.pair, g.inverse)
     )
 
 
@@ -468,9 +465,9 @@ def test_deformed_norm_monotone_in_deformation_size():
     g = fourier_metric(c, amplitude=0.1, seed=3)
     bun = curvature_bundle(g)
     phi = fourier_scalar(c, amplitude=0.5, seed=42)
-    prev = deformed_norm(bun.W, g, 0.0 * phi)
+    prev = deformed_norm(bun.W.pair, g, 0.0 * phi)
     for k in (0.5, 1.0, 2.0):
-        cur = deformed_norm(bun.W, g, k * phi)
+        cur = deformed_norm(bun.W.pair, g, k * phi)
         assert np.all(cur <= prev + 1e-12)
         prev = cur
 
@@ -481,8 +478,8 @@ def test_deformed_norm_paths_agree():
     g = fourier_metric(c, amplitude=0.15, seed=5)
     bun = curvature_bundle(g)
     phi = fourier_scalar(c, amplitude=0.6, seed=11)
-    a = deformed_norm(bun.W, g, 1.5 * phi)
-    b = frame_split_norm(bun.W, g, gradient(c, 1.5 * phi))
+    a = deformed_norm(bun.W.pair, g, 1.5 * phi)
+    b = frame_split_norm(bun.W.pair, g, gradient(c, 1.5 * phi))
     assert np.max(np.abs(a - b)) < 1e-10 * max(float(np.max(a)), 1.0)
 
 
@@ -551,7 +548,7 @@ def test_deformation_energy_flat_termwise_quadrature():
     phi = fourier_scalar(c, amplitude=0.25, seed=17)
     t = 2.0
     b = deform(g, phi)
-    norm_e = frame_split_norm(weyl_error(b), g, b.grad)
+    norm_e = frame_split_norm(weyl_error(b).pair, g, b.grad)
     ginv = g.inverse
     gup = np.einsum("...ab,...b->...a", ginv, b.grad)
     w = 1.0 + np.einsum("...a,...a->...", b.grad, gup)
@@ -610,7 +607,7 @@ def test_weyl_error_vanishes_on_a_sheared_flat_ball():
         chart = torus(4, size)
         g = flat_metric(chart)
         for profile in (make_bump(0.1, 4), _cos4_profile(0.5)):
-            fields = radial_fields(chart, center, r, profile, g=g)
+            fields = radial_fields(g, center, r, profile)
             f = k * fields.psi
             exact = deform(g, f, grad=k * fields.grad_psi, hess=k * fields.hess_psi)
             assert np.max(np.abs(weyl_error(exact).pair)) <= 1e-13

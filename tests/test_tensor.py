@@ -5,23 +5,24 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from scalarweyl import tensor
-from scalarweyl.grid import make_chart
-from scalarweyl.tensor import (
-    Riem4Field,
-    bianchi_project,
+from oracles import (
     bianchi_residual,
     dense_from_pair,
+    pair_from_dense,
+    riemann_symmetry_report,
+    symmetrize_exchange,
+)
+from scalarweyl import tensor
+from scalarweyl.grid import FieldError
+from scalarweyl.tensor import (
+    bianchi_project,
     kulkarni_nomizu,
     pair_contract,
-    pair_from_dense,
     pair_indices,
     pair_lift,
     riemann_norm,
     riemann_norm_squared,
-    symmetrize_exchange,
     trace_13,
-    riemann_symmetry_report,
     vv_contract,
 )
 
@@ -56,21 +57,25 @@ def test_pair_roundtrip_preserves_curvature_type():
 
 
 @pytest.mark.parametrize("n", [3, 4, 5])
-def test_riem4_from_dense_recovers_the_pair_matrix(n):
+def test_pair_from_dense_recovers_the_pair_matrix(n):
     # pair matrices that vary along axis 0 and broadcast over the rest keep
-    # the n = 5 dense input a view of 8 points
-    chart = make_chart(n, (8,) * n, (2 * np.pi,) * n)
+    # the n = 5 dense input of an 8^5 grid a view of 8 points
     m = len(pair_indices(n))
     rng = np.random.default_rng(n)
     b = rng.standard_normal((8,) + (1,) * (n - 1) + (m, m))
     P = bianchi_project(b + np.swapaxes(b, -1, -2), n)
     A = b - np.swapaxes(b, -1, -2)
-    full = chart.sizes + (n,) * 4
+    full = (8,) * n + (n,) * 4
     scale = 4.0 * np.finfo(float).eps * np.max(np.abs(P))
-    pair = Riem4Field.from_dense(chart, np.broadcast_to(dense_from_pair(P, n), full)).pair
+
+    def project(mat):
+        dense = np.broadcast_to(dense_from_pair(mat, n), full)
+        return symmetrize_exchange(pair_from_dense(dense, n))
+
+    pair = project(P)
     assert np.max(np.abs(pair - P)) <= scale
     # an exchange-antisymmetric part is dropped: the result is symmetric
-    pair = Riem4Field.from_dense(chart, np.broadcast_to(dense_from_pair(P + A, n), full)).pair
+    pair = project(P + A)
     assert np.array_equal(pair, np.swapaxes(pair, -1, -2))
     assert np.max(np.abs(pair - P)) <= scale
 
@@ -117,7 +122,7 @@ def test_gkng_norm_is_8n_n_minus_1():
         g = random_spd(n, seed=10 + n)
         inv = np.linalg.inv(g)
         kn = kulkarni_nomizu(g, g)
-        val = riemann_norm_squared(kn, inv, n=n)
+        val = riemann_norm_squared(kn, inv)
         assert val == pytest.approx(8 * n * (n - 1), rel=1e-12)
         # and against the brute-force dense contraction
         assert val == pytest.approx(
@@ -126,20 +131,44 @@ def test_gkng_norm_is_8n_n_minus_1():
 
 
 def test_identity_kn_norm_value():
-    assert riemann_norm(kulkarni_nomizu(np.eye(4), np.eye(4)), np.eye(4), n=4) == pytest.approx(
-        np.sqrt(96.0)
-    )
+    # |id ? id|^2 = 8 n (n-1): 96 at n = 4
+    for n in (3, 4, 5, 6):
+        eye = np.eye(n)
+        assert riemann_norm(kulkarni_nomizu(eye, eye), eye) == pytest.approx(
+            np.sqrt(8.0 * n * (n - 1))
+        )
 
 
 def test_norm_metric_scaling():
     # fixed (0,4) tensor, metric g -> c^2 g: norm scales as c^-4
-    n = 4
-    t = random_curvature_type(n, seed=9)
-    g = random_spd(n, seed=9)
-    c = 1.7
-    v1 = riemann_norm(t, np.linalg.inv(g), n=n)
-    v2 = riemann_norm(t, np.linalg.inv(c**2 * g), n=n)
-    assert v2 == pytest.approx(v1 / c**4, rel=1e-12)
+    for n in (3, 4, 5, 6):
+        t = pair_from_dense(random_curvature_type(n, seed=9), n)
+        g = random_spd(n, seed=9)
+        c = 1.7
+        v1 = riemann_norm(t, np.linalg.inv(g))
+        v2 = riemann_norm(t, np.linalg.inv(c**2 * g))
+        assert v2 == pytest.approx(v1 / c**4, rel=1e-12)
+
+
+def test_kernels_read_a_block_of_n3_pair_matrices_per_point():
+    # a (3, 3) block of n = 3 pair matrices has the shape of one dense n = 3
+    # tensor, (3, 3, 3, 3); each point of the block is still one pair matrix
+    n = 3
+    rng = np.random.default_rng(61)
+    P = np.stack(
+        [pair_from_dense(random_curvature_type(n, seed=s), n) for s in range(9)]
+    ).reshape(3, 3, 3, 3)
+    inv = np.linalg.inv(random_spd(n, seed=62))
+    v = rng.standard_normal(n)
+    for kernel, arg in ((riemann_norm, inv), (trace_13, inv), (vv_contract, v)):
+        got = kernel(P, arg)
+        want = np.stack([kernel(P[idx], arg) for idx in np.ndindex(3, 3)])
+        assert got.shape == (3, 3) + want.shape[1:]
+        np.testing.assert_allclose(got.reshape(want.shape), want, rtol=1e-13, atol=0.0)
+    # the dimension comes from the (n, n) operand: n = 4 pair matrices
+    # against an n = 3 inverse are refused, not misread
+    with pytest.raises(FieldError, match="pair matrices for n = 3"):
+        trace_13(kulkarni_nomizu(np.eye(4), np.eye(4)), inv)
 
 
 def test_pair_contract_matches_dense():
@@ -147,7 +176,7 @@ def test_pair_contract_matches_dense():
         t1 = random_curvature_type(n, seed=1)
         t2 = random_curvature_type(n, seed=2)
         inv = np.linalg.inv(random_spd(n, seed=3))
-        k = pair_lift(inv, inv, n)
+        k = pair_lift(inv, inv)
         got = pair_contract(pair_from_dense(t1, n), pair_from_dense(t2, n), k, k)
         expect = np.einsum(
             "abcd,efgh,ae,bf,cg,dh->", t1, t2, inv, inv, inv, inv, optimize=True
@@ -164,15 +193,15 @@ def test_mixed_pair_lift_frame_sums():
     P = np.eye(n) - W
     mat = pair_from_dense(t, n)
     # sum over fully tangential components
-    got_tttt = pair_contract(mat, mat, pair_lift(P, P, n), pair_lift(P, P, n))
+    got_tttt = pair_contract(mat, mat, pair_lift(P, P), pair_lift(P, P))
     expect = float(np.sum(t[1:, 1:, 1:, 1:] ** 2))
     assert got_tttt == pytest.approx(expect, rel=1e-12)
     # one normal leg in the second slot
-    got_trtt = pair_contract(mat, mat, pair_lift(P, W, n), pair_lift(P, P, n))
+    got_trtt = pair_contract(mat, mat, pair_lift(P, W), pair_lift(P, P))
     expect = float(np.sum(t[1:, 0, 1:, 1:] ** 2))
     assert got_trtt == pytest.approx(expect, rel=1e-12)
     # normal legs in slots two and four
-    got_trtr = pair_contract(mat, mat, pair_lift(P, W, n), pair_lift(P, W, n))
+    got_trtr = pair_contract(mat, mat, pair_lift(P, W), pair_lift(P, W))
     expect = float(np.sum(t[1:, 0, 1:, 0] ** 2))
     assert got_trtr == pytest.approx(expect, rel=1e-12)
 
@@ -185,11 +214,11 @@ def test_trace_13_of_kn():
         inv = np.linalg.inv(g)
         a = rng.standard_normal((n, n))
         a = a + a.T
-        ric = trace_13(kulkarni_nomizu(a, g), inv, n=n)
+        ric = trace_13(kulkarni_nomizu(a, g), inv)
         tra = float(np.einsum("ik,ik->", inv, a))
         assert np.allclose(ric, tra * g + (n - 2) * a, atol=1e-12)
         # sanity: trace of g ? g
-        ric2 = trace_13(kulkarni_nomizu(g, g), inv, n=n)
+        ric2 = trace_13(kulkarni_nomizu(g, g), inv)
         assert np.allclose(ric2, 2 * (n - 1) * g, atol=1e-12)
 
 
@@ -210,14 +239,14 @@ def test_kernels_on_noncontiguous_views():
             kulkarni_nomizu(av, bv), kulkarni_nomizu(av.copy(), bv.copy())
         )
         assert np.array_equal(
-            trace_13(mv, iv, n=n), trace_13(mv.copy(), iv.copy(), n=n)
+            trace_13(mv, iv), trace_13(mv.copy(), iv.copy())
         )
     # a point inverse against a field matrix broadcasts over the field
     pinv = np.linalg.inv(random_spd(n, seed=53))
-    got = trace_13(mat, pinv, n=n)
+    got = trace_13(mat, pinv)
     assert got.shape == (6, 4, n, n)
     for idx in ((0, 0), (5, 3)):
-        assert np.array_equal(got[idx], trace_13(mat[idx], pinv, n=n))
+        assert np.array_equal(got[idx], trace_13(mat[idx], pinv))
 
 
 def test_kernels_across_point_blocks():
@@ -234,7 +263,7 @@ def test_kernels_across_point_blocks():
     assert np.allclose(dense, dense_kn(a, b), atol=1e-13)
     inv = np.linalg.inv(np.eye(n) + 0.1 * a)
     expect = np.einsum("...ik,...ijkt->...jt", inv, dense)
-    assert np.allclose(trace_13(kn, inv, n=n), expect, atol=1e-12)
+    assert np.allclose(trace_13(kn, inv), expect, atol=1e-12)
 
 
 def test_vv_contract_matches_dense():
@@ -242,7 +271,7 @@ def test_vv_contract_matches_dense():
     for n in (3, 4, 5, 6):
         t = random_curvature_type(n, seed=31)
         v = rng.standard_normal(n)
-        got = vv_contract(t, v, n=n)
+        got = vv_contract(pair_from_dense(t, n), v)
         expect = np.einsum("ipkq,p,q->ik", t, v, v)
         assert np.allclose(got, expect, atol=1e-12)
 
@@ -309,15 +338,14 @@ def test_kn_bilinear_and_commutative(s1, s2):
 
 
 @settings(max_examples=25, deadline=None)
-@given(st.integers(0, 10_000))
-def test_norm_triangle_inequality(seed):
-    n = 4
-    t1 = random_curvature_type(n, seed=seed)
-    t2 = random_curvature_type(n, seed=seed + 1)
+@given(st.integers(0, 10_000), st.integers(3, 6))
+def test_norm_triangle_inequality(seed, n):
+    t1 = pair_from_dense(random_curvature_type(n, seed=seed), n)
+    t2 = pair_from_dense(random_curvature_type(n, seed=seed + 1), n)
     inv = np.linalg.inv(random_spd(n, seed=seed + 2))
-    ns = riemann_norm(t1 + t2, inv, n=n)
-    assert ns <= riemann_norm(t1, inv, n=n) + riemann_norm(t2, inv, n=n) + 1e-10
-    assert riemann_norm_squared(t1, inv, n=n) >= 0.0
+    ns = riemann_norm(t1 + t2, inv)
+    assert ns <= riemann_norm(t1, inv) + riemann_norm(t2, inv) + 1e-10
+    assert riemann_norm_squared(t1, inv) >= 0.0
 
 
 def test_kn_two_dimensional_component():
@@ -329,10 +357,10 @@ def test_kn_two_dimensional_component():
 
 def test_norm_linear_metric_scaling():
     # g -> c g multiplies the norm of a fixed (0,4) tensor by c^-2
-    n = 4
-    t = random_curvature_type(n, seed=77)
-    g = random_spd(n, seed=78)
-    c = 2.3
-    assert riemann_norm(t, np.linalg.inv(c * g), n=n) == pytest.approx(
-        riemann_norm(t, np.linalg.inv(g), n=n) / c**2, rel=1e-12
-    )
+    for n in (3, 4, 5, 6):
+        t = pair_from_dense(random_curvature_type(n, seed=77), n)
+        g = random_spd(n, seed=78)
+        c = 2.3
+        assert riemann_norm(t, np.linalg.inv(c * g)) == pytest.approx(
+            riemann_norm(t, np.linalg.inv(g)) / c**2, rel=1e-12
+        )
