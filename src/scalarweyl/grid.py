@@ -8,7 +8,11 @@ field has the grid shape ``sizes``, and a field with components stores them
 in trailing axes after the grid axes (point-major layout, components
 contiguous per point).  The metric is the one wrapped field: a
 ``MetricField`` holds the ``n*(n+1)//2`` lexicographic (i <= j) packed
-components and caches its dense (n, n) form, inverse and volume factor.
+components.  Construction factors them by one batched LDL^T, run in place on
+a component-major copy with one scratch grid array, and checks that every
+pivot is positive.  The determinant (the pivots' product), the inverse
+(L^{-1} formed in place, then M^T D^{-1} M) and the dense (n, n) form are
+built when first read.
 
 Differentiation defaults to 4th-order centered stencils; second derivatives
 are compositions of first-derivative stencils, so mixed partials commute to
@@ -251,6 +255,17 @@ def _coerce_grid_shape(chart: Chart, data, extra: tuple[int, ...], kind: str):
     raise FieldError(f"{kind}: expected shape {expected}, got {data.shape}")
 
 
+def _slot(n: int, a: int, b: int) -> int:
+    """Index of component (a, b), a <= b, in the packed order."""
+    # rows 0..a-1 of the packed order hold n + (n-1) + ... + (n-a+1) slots
+    return a * n - a * (a - 1) // 2 + b - a
+
+
+def _dense_slots(n: int) -> list[int]:
+    """Packed slot of each dense (i, j) entry, row-major."""
+    return [_slot(n, min(i, j), max(i, j)) for i in range(n) for j in range(n)]
+
+
 def sym2_pack_indices(n: int) -> list[tuple[int, int]]:
     """Lexicographic (i <= j) component order for symmetric 2-tensors."""
     return [(i, j) for i in range(n) for j in range(i, n)]
@@ -262,17 +277,18 @@ def sym2_pack(dense: np.ndarray, n: int) -> np.ndarray:
 
 
 def sym2_unpack(packed: np.ndarray, n: int) -> np.ndarray:
-    out = np.empty(packed.shape[:-1] + (n, n), dtype=packed.dtype)
-    for c, (i, j) in enumerate(sym2_pack_indices(n)):
-        out[..., i, j] = packed[..., c]
-        out[..., j, i] = packed[..., c]
-    return out
+    return np.take(packed, _dense_slots(n), axis=-1).reshape(packed.shape[:-1] + (n, n))
 
 
 @dataclass
 class MetricField:
-    """SPD metric field, stored deduplicated (i <= j components), with cached
-    dense form, inverse and volume factors."""
+    """SPD metric field, stored deduplicated (i <= j components).
+
+    Construction runs one batched LDL^T on the packed components; its pivots
+    check positivity.  ``det`` (the pivots' product) and the inverse each
+    come from a fresh factor when first read, and the dense (n, n) form is
+    built only when read.  The factor itself is never kept.
+    """
 
     chart: Chart
     packed: np.ndarray  # (*sizes, n*(n+1)//2)
@@ -282,7 +298,7 @@ class MetricField:
         self.packed = _coerce_grid_shape(
             self.chart, self.packed, (n * (n + 1) // 2,), "MetricField"
         )
-        self._check_spd()
+        self._factor()
 
     @classmethod
     def from_dense(cls, chart: Chart, dense: np.ndarray):
@@ -302,29 +318,92 @@ class MetricField:
     def dense(self) -> np.ndarray:
         return sym2_unpack(self.packed, self.chart.n)
 
-    def _check_spd(self):
-        g = self.dense
-        try:
-            np.linalg.cholesky(g)
-            return
-        except np.linalg.LinAlgError:
-            pass
-        # Locate the first offending point for the error message.
-        eigmin = np.linalg.eigvalsh(g)[..., 0]
-        bad = np.argwhere(eigmin <= 0)
-        where = tuple(int(i) for i in bad[0]) if len(bad) else "unknown"
+    def _factor(self) -> tuple[np.ndarray, np.ndarray]:
+        """LDL^T in place on a component-major copy of ``packed``.
+
+        Slot (k, k) ends as the pivot D_k and slot (k, j), k < j, as the
+        multiplier L_jk.  Returns the factor and its one scratch grid array.
+        """
+        n = self.chart.n
+        # the scratch (``det`` keeps it) comes before the transient copy, so
+        # freeing the copy leaves no heap hole under a kept array
+        tmp = np.empty(self.chart.sizes)
+        a = np.empty(self.packed.shape[-1:] + self.chart.sizes)
+        for s in range(self.chart.sizes[0]):  # slab by slab, the transpose in cache
+            a[:, s] = np.moveaxis(self.packed[s], -1, 0)
+        for k in range(n):
+            d = a[_slot(n, k, k)]
+            # checked before any division by it; a NaN pivot fails too
+            if not d.min() > 0:
+                self._not_positive(d)
+            for j in range(k + 1, n):
+                kj = a[_slot(n, k, j)]
+                # slots (k, i), i < j, already hold L_ik; (k, j) still A_kj
+                for i in range(k + 1, j):
+                    ij = a[_slot(n, i, j)]
+                    np.subtract(ij, np.multiply(a[_slot(n, k, i)], kj, out=tmp), out=ij)
+                np.divide(kj, d, out=kj)
+                np.multiply(kj, kj, out=tmp)
+                tmp *= d
+                jj = a[_slot(n, j, j)]
+                np.subtract(jj, tmp, out=jj)
+        return a, tmp
+
+    def _not_positive(self, pivot: np.ndarray):
+        """Raise at the first point with a failed pivot or a non-positive
+        eigenvalue; the quoted minimum is nan if some entry is not finite."""
+        dense = self.dense
+        finite = np.isfinite(dense).all(axis=(-2, -1))
+        eigmin = np.full(self.chart.sizes, np.nan)
+        eigmin[finite] = np.linalg.eigvalsh(dense[finite])[:, 0]
+        where = tuple(int(i) for i in np.argwhere(~(eigmin > 0) | ~(pivot > 0))[0])
         raise FieldError(
             f"metric is not positive definite at grid point {where} "
-            f"(min eigenvalue {float(np.min(eigmin)):.3e})"
+            f"(min eigenvalue {np.min(eigmin):.3e})"
         )
 
     @cached_property
     def inverse(self) -> np.ndarray:
-        return np.linalg.inv(self.dense)
+        """g^{-1} = M^T D^{-1} M with M = L^{-1}, dense (*sizes, n, n)."""
+        n = self.chart.n
+        out = np.empty(self.chart.sizes + (n, n))  # before the factor, as in _factor
+        a, tmp = self._factor()
+        # M_ij = -(L_ij + sum_{j<k<i} L_ik M_kj) overwrites L_ij, column by column
+        for j in range(n):
+            for i in range(j + 1, n):
+                m = a[_slot(n, j, i)]
+                for k in range(j + 1, i):
+                    np.add(m, np.multiply(a[_slot(n, k, i)], a[_slot(n, j, k)], out=tmp), out=m)
+                np.negative(m, out=m)
+        for k in range(n):
+            np.reciprocal(a[_slot(n, k, k)], out=a[_slot(n, k, k)])
+        # entry (i, j), i <= j, is sum_{k>=j} M_ki M_kj / D_k; it overwrites
+        # slot (i, j), whose other readers are all in earlier columns (the
+        # pivot slot (j, j) is read by its whole column, so it goes last)
+        for j in range(n):
+            for i in range(j + 1):
+                e = a[_slot(n, i, j)]
+                if i < j:
+                    e *= a[_slot(n, j, j)]
+                for k in range(j + 1, n):
+                    np.multiply(a[_slot(n, i, k)], a[_slot(n, j, k)], out=tmp)
+                    tmp *= a[_slot(n, k, k)]
+                    e += tmp
+        # transpose into ``out`` slab by slab, as in _factor
+        full = _dense_slots(n)
+        for s in range(self.chart.sizes[0]):
+            np.copyto(out[s].reshape(-1, n * n), a[:, s].reshape(len(a), -1)[full].T)
+        return out
 
     @cached_property
     def det(self) -> np.ndarray:
-        return np.linalg.det(self.dense)
+        """Product of the LDL^T pivots."""
+        n = self.chart.n
+        a, det = self._factor()
+        np.multiply(a[0], a[_slot(n, 1, 1)], out=det)
+        for k in range(2, n):
+            det *= a[_slot(n, k, k)]
+        return det
 
     @cached_property
     def sqrt_det(self) -> np.ndarray:
@@ -388,9 +467,7 @@ class FluxForm:
 
     def component(self, a: int, b: int) -> np.ndarray:
         """sqrt(det g) g^{ab} for any index order."""
-        a, b = min(a, b), max(a, b)
-        # rows 0..a-1 of the packed order hold n + (n-1) + ... + (n-a+1) slots
-        return self.coefficient[a * self.chart.n - a * (a - 1) // 2 + b - a]
+        return self.coefficient[_slot(self.chart.n, min(a, b), max(a, b))]
 
 
 def _flux_divergence(form: FluxForm, vec: list[np.ndarray]) -> np.ndarray:

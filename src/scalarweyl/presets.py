@@ -3,6 +3,10 @@
 Generators sample fixed low-frequency Fourier data from a seeded RNG, so two
 charts with different resolutions (same seed, same lengths) sample the same
 smooth field.  That makes Richardson refinement comparisons meaningful.
+Sampling is separable: each term's phase splits into a sum over the leading
+axes and one over the trailing axes, so all terms of a field come from one
+matrix product.  A point shared by two resolutions still gets the same value
+to roundoff.
 
 Perturbation amplitudes are normalized analytically (never by a max over
 grid points) to keep the field resolution-independent; the default bound
@@ -27,8 +31,7 @@ __all__ = [
 
 
 def flat_metric(chart: Chart) -> MetricField:
-    dense = np.broadcast_to(np.eye(chart.n), chart.shape + (chart.n, chart.n))
-    return MetricField.from_dense(chart, dense)
+    return MetricField(chart, np.tile(sym2_pack(np.eye(chart.n), chart.n), chart.shape + (1,)))
 
 
 def _mode_table(rng: np.random.Generator, n: int, terms: int, max_mode: int):
@@ -43,14 +46,24 @@ def _mode_table(rng: np.random.Generator, n: int, terms: int, max_mode: int):
 
 
 def _sample_modes(chart: Chart, modes, coeffs, phases) -> np.ndarray:
-    xs = chart.mesh()
-    out = np.zeros(chart.shape)
-    for mode, c, ph in zip(modes, coeffs, phases):
-        arg = ph
-        for a in range(chart.n):
-            arg = arg + (2.0 * np.pi * mode[a] / chart.lengths[a]) * xs[a]
-        out += c * np.sin(arg)
-    return out
+    """sum_t c_t sin(k_t . x + phase_t) as one matrix product.
+
+    The axes split at n // 2 into leading and trailing points, A and B the
+    phase over each, and sin(A + B) = sin A cos B + cos A sin B puts every
+    term in ``left @ right``: [c sin A, c cos A] by [cos B; sin B].
+    """
+    h = chart.n // 2
+    k = 2.0 * np.pi * np.asarray(modes) / np.asarray(chart.lengths)  # (terms, n)
+
+    def phase(axes) -> np.ndarray:  # (points over these axes, terms)
+        xs = np.meshgrid(*(chart.axes()[a] for a in axes), indexing="ij")
+        return sum(x.reshape(-1, 1) * k[:, a] for x, a in zip(xs, axes))
+
+    A = phases + phase(range(h))
+    B = phase(range(h, chart.n))
+    left = np.concatenate([coeffs * np.sin(A), coeffs * np.cos(A)], axis=1)
+    right = np.concatenate([np.cos(B), np.sin(B)], axis=1).T
+    return (left @ right).reshape(chart.shape)
 
 
 def fourier_scalar(
@@ -97,8 +110,7 @@ def fourier_metric(
 def conformally_flat_metric(chart: Chart, phi: np.ndarray) -> MetricField:
     """Metric ``exp(2 phi) * identity``."""
     factor = np.exp(2.0 * np.asarray(phi, dtype=float))
-    dense = factor[..., None, None] * np.eye(chart.n)
-    return MetricField.from_dense(chart, dense)
+    return MetricField(chart, factor[..., None] * sym2_pack(np.eye(chart.n), chart.n))
 
 
 def smooth_bridge(t: np.ndarray) -> np.ndarray:

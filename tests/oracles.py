@@ -13,6 +13,11 @@ coefficient sqrt(det g) g^{ab} once, must agree with it to roundoff.
 ``divergence_total`` is the discrete divergence theorem on the same flux
 form.
 
+``linalg_inverse_det`` is the per-point LAPACK inverse and determinant of
+the dense metric, the oracle of ``MetricField``'s batched LDL^T, and
+``fourier_sum`` samples each Fourier term with its own full-grid sine, the
+oracle of the presets' separable sampling.
+
 The dense (..., n, n, n, n) form of curvature-type tensors lives here too:
 ``src/`` stores them only as pair matrices, and the tests convert to and
 from the dense layout to check the pair kernels against brute-force
@@ -129,6 +134,23 @@ def divergence_total(X: np.ndarray, g: MetricField) -> float:
     chart = g.chart
     components = [X[..., b] for b in range(chart.n)]
     return float(np.sum(_flux_divergence(FluxForm.of(g), components))) * chart.cell_volume
+
+
+def linalg_inverse_det(g: MetricField) -> tuple[np.ndarray, np.ndarray]:
+    """g^{-1} and det g by per-point LAPACK calls on the dense metric."""
+    return np.linalg.inv(g.dense), np.linalg.det(g.dense)
+
+
+def fourier_sum(chart, modes, coeffs, phases) -> np.ndarray:
+    """sum_t c_t sin(k_t . x + phase_t) with k_t = 2 pi m_t / L, term by term."""
+    xs = chart.mesh()
+    out = np.zeros(chart.shape)
+    for mode, c, ph in zip(modes, coeffs, phases):
+        arg = ph
+        for m, length, x in zip(mode, chart.lengths, xs):
+            arg = arg + (2.0 * np.pi * m / length) * x
+        out += c * np.sin(arg)
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -1,9 +1,11 @@
 """Chart construction, differentiation accuracy, and field containers."""
 
+import warnings
+
 import numpy as np
 import pytest
 
-from oracles import divergence_total, einsum_flux_laplacian
+from oracles import divergence_total, einsum_flux_laplacian, linalg_inverse_det
 from scalarweyl import grid
 from scalarweyl.grid import (
     ChartError,
@@ -18,7 +20,7 @@ from scalarweyl.grid import (
     sym2_pack,
     sym2_unpack,
 )
-from scalarweyl.presets import fourier_metric, fourier_scalar
+from scalarweyl.presets import flat_metric, fourier_metric, fourier_scalar
 
 
 def chart3(size=16, scheme="fd4"):
@@ -207,6 +209,43 @@ def test_metric_spd_check_reports_point():
     dense[3, 4, 5] = np.diag([1.0, -2.0, 1.0])
     with pytest.raises(FieldError, match=r"\(3, 4, 5\)"):
         MetricField.from_dense(c, dense)
+
+
+@pytest.mark.parametrize("case", ["singular", "nan_diagonal", "nan_offdiagonal"])
+def test_metric_spd_check_names_first_bad_point_without_warning(case):
+    # a zero or NaN pivot is caught before any division by it
+    c = chart3(8)
+    dense = np.tile(np.eye(3), c.shape + (1, 1))
+    bad = {
+        "singular": np.array([[1.0, 1.0, 0.0], [1.0, 1.0, 0.0], [0.0, 0.0, 1.0]]),
+        "nan_diagonal": np.diag([np.nan, 1.0, 1.0]),
+        "nan_offdiagonal": np.array([[1.0, np.nan, 0.0], [np.nan, 1.0, 0.0], [0.0, 0.0, 1.0]]),
+    }[case]
+    dense[5, 2, 6] = bad
+    dense[6, 0, 0] = bad
+    packed = sym2_pack(dense, 3)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(FieldError, match=r"at grid point \(5, 2, 6\)"):
+            MetricField(c, packed)
+
+
+@pytest.mark.parametrize("amplitude", [0.5, 0.9])
+@pytest.mark.parametrize("n", [3, 4, 5, 6])
+def test_metric_inverse_and_det_match_linalg(n, amplitude):
+    c = make_chart(n, (8,) * n, (2 * np.pi,) * n)
+    g = fourier_metric(c, amplitude=amplitude, seed=n, terms=5)
+    inv, det = linalg_inverse_det(g)
+    assert np.max(np.abs(g.inverse - inv)) <= 1e-13 * np.max(np.abs(inv))
+    assert np.max(np.abs(g.det - det) / det) <= 1e-13
+    assert g.inverse.flags.c_contiguous
+
+
+def test_flat_metric_inverse_and_det_exact():
+    for n in (3, 4, 5, 6):
+        g = flat_metric(make_chart(n, (8,) * n, (1.0,) * n))
+        assert np.array_equal(g.inverse, np.broadcast_to(np.eye(n), g.inverse.shape))
+        assert np.array_equal(g.det, np.ones(g.chart.sizes))
 
 
 def test_metric_inverse_and_det():

@@ -1,4 +1,6 @@
-"""Names that the benchmark's tracer and the modules' __all__ lists promise must exist."""
+"""Names that the benchmark's tracer and the modules' __all__ lists promise
+must exist, and construction work that the benchmark's set-up relies on
+staying lazy."""
 
 import importlib
 import importlib.util
@@ -36,3 +38,17 @@ def test_every_exported_name_exists():
             if not hasattr(module, name)
         ]
     assert not stale, stale
+
+
+def test_metric_construction_forms_no_dense_inverse_or_det():
+    # the dense form, the inverse and det are built when first read; the
+    # first two at construction would double the set-up memory of every
+    # metric, and a det nobody reads adds a grid array to the peak of
+    # curvature_4d, whose sheared metric never reads its own
+    from scalarweyl.grid import make_chart
+    from scalarweyl.presets import fourier_metric
+
+    g = fourier_metric(make_chart(4, (8,) * 4, (1.0,) * 4), seed=1)
+    assert "dense" not in g.__dict__
+    assert "inverse" not in g.__dict__
+    assert "det" not in g.__dict__
