@@ -1,11 +1,12 @@
 """End-to-end production of metrics with constant negative scalar-Weyl curvature.
 
-The pipeline bends a background metric inside a few disjoint balls until the
-certifying integral of the conformal solver goes negative, then hands off to
-the solver.  The bending is radial, after Aubin's mechanism (T. Aubin,
-J. Differential Geom. 4, 1970): an even profile with a quantified slope band
-generates a conformal multiplier psi supported in each ball, and the metric
-is rescaled by psi and sheared by d(k psi) (x) d(k psi).
+A background whose conformal class is already negative goes straight to the
+solver.  Otherwise the pipeline bends it inside a few disjoint balls until
+the certifying integral goes negative; both paths end in the same solve.
+The bending is radial, after Aubin's mechanism (T. Aubin, J. Differential
+Geom. 4, 1970): an even profile with a quantified slope band generates one
+conformal multiplier psi, equal to 1 off the balls, and the metric is
+rescaled by psi and sheared by d(k psi) (x) d(k psi).
 
 Everything rests on flat-ball backgrounds: the metric is exactly Euclidean on
 each ball, so coordinate distance is geodesic distance and every radial field
@@ -19,8 +20,8 @@ Outside the balls psi = 1.  The certifying integral therefore splits exactly,
 with F_0 the background's F and I built from the profile alone.  The search
 evaluates every (radius, shear) cell by this one radial route, with the
 quadrature's own error estimate.  Before the solve, the winning config is
-confirmed on the grid: the test-energy bound of the sheared metric,
-assembled from its deformation bundle, must be negative too.
+confirmed on the grid: the test-energy bound of the sheared metric must be
+negative too.
 """
 
 from __future__ import annotations
@@ -232,28 +233,37 @@ def _check_profile(p: BumpProfile) -> None:
 
 @dataclass(frozen=True)
 class RadialFields:
-    """Conformal multiplier, its volume power, and their exact derivatives.
+    """Conformal multiplier of a set of disjoint balls and its exact derivatives.
 
-    ``psi`` is the multiplier (profile to the power 2/(n-2)), ``f`` the
-    volume weight psi^{(n-2)/2} (the profile itself), with covariant
-    gradients and Hessians from the closed-form radial chain rule.  All
-    fields are identically (1, 0, 0) outside the union of balls.
+    ``psi`` is the profile raised to 2/(n-2) on each ball, with covariant
+    gradient and Hessian from the closed-form radial chain rule; all three
+    are identically (1, 0, 0) outside the union of balls.
     """
 
     chart: Chart
     psi: np.ndarray
     grad_psi: np.ndarray
     hess_psi: np.ndarray
-    f: np.ndarray
-    grad_f: np.ndarray
-    hess_f: np.ndarray
 
 
-def _check_radius_fits(chart: Chart, r: float) -> None:
+def _check_balls(chart: Chart, centers, r: float) -> None:
+    """Centers with one coordinate per axis, a radius that fits the chart,
+    and balls with pairwise gaps above one diameter."""
+    if not centers:
+        raise ValueError("need at least one ball center")
+    for p in centers:
+        if len(p) != chart.n:
+            raise ValueError(f"center {tuple(p)} must have {chart.n} coordinates")
     length = float(min(chart.lengths))
     if not 0.0 < 2.2 * r <= length:
         raise ValueError(
             f"ball radius {r} does not fit the chart; need 0 < 2.2 r <= {length:.4f}"
+        )
+    dropped = len(centers) - len(_disjoint_prefix(chart, centers, r))
+    if dropped:
+        raise ValueError(
+            f"balls of radius {r} overlap: {dropped} of {len(centers)} centers "
+            f"lie within {2.0 * r:.4f} of an earlier one"
         )
 
 
@@ -270,79 +280,50 @@ def _flat_ball_check(g: MetricField, center, limit: float) -> None:
         )
 
 
-def _radial_pieces(chart: Chart, center, r: float, profile: BumpProfile):
-    """(rho, direction, value, slope, second) for one ball, slope in s = rho/r."""
-    disp = chart.min_image(chart.mesh(), center)
-    rho = np.sqrt(np.sum(disp**2, axis=-1))
-    core = rho < 1e-12 * r
-    safe = np.where(core, 1.0, rho)
-    direction = disp / safe[..., None]
-    s = rho / r
-    return rho, core, direction, profile.value(s), profile.slope(s), profile.second(s)
+def _multiplier(v, v1, v2, q: float):
+    """psi = v^q and its first two derivatives, from v and its own two."""
+    psi = v**q
+    p1 = q * v ** (q - 1.0) * v1
+    p2 = q * (q - 1.0) * v ** (q - 2.0) * v1**2 + q * v ** (q - 1.0) * v2
+    return psi, p1, p2
 
 
-def _assemble(chart, r, rho, core, direction, slo, sec):
-    """Gradient and Hessian of a radial scalar from its profile derivatives.
+def radial_fields(g: MetricField, centers, r: float, profile: BumpProfile) -> RadialFields:
+    """Radial fields of disjoint balls of radius ``r`` around ``centers`` on
+    the chart of ``g``, which must be flat on each ball.
 
-    The tangential Hessian coefficient slope/(r rho) needs the limit at the
-    center; the profiles here are flat there, so the guarded value is 0.
-    """
-    n = chart.n
-    grad = (slo / r)[..., None] * direction
-    radial = direction[..., :, None] * direction[..., None, :]
-    tangential = np.eye(n) - radial
-    coef_t = np.where(core, 0.0, slo / (r * np.where(core, 1.0, rho)))
-    hess = (sec / r**2)[..., None, None] * radial + coef_t[..., None, None] * tangential
-    hess = np.where(core[..., None, None], 0.0, hess)
-    return grad, hess
-
-
-def radial_fields(g: MetricField, center, r: float, profile: BumpProfile) -> RadialFields:
-    """Single-ball radial fields on the chart of ``g``, which must be flat on
-    the ball.
-
-    The multiplier is the profile raised to 2/(n-2); the weight f equals the
-    profile itself, the power that turns dV of the rescaled metric into
-    f psi dV.  Flatness of ``g`` on a slightly larger ball guarantees the
-    coordinate distance is geodesic and the coordinate Hessian is covariant.
+    The multiplier is the profile raised to 2/(n-2).  Flatness of ``g`` on a
+    slightly larger ball guarantees the coordinate distance is geodesic and
+    the coordinate Hessian is covariant.  The balls are disjoint, so each
+    adds its deviation from (1, 0, 0).  The tangential Hessian coefficient
+    psi'/rho needs the limit at a center; the profiles here are flat there,
+    so the guarded value is 0.
     """
     chart = g.chart
-    if len(center) != chart.n:
-        raise ValueError(f"center must have {chart.n} coordinates, got {len(center)}")
-    _check_radius_fits(chart, r)
-    _flat_ball_check(g, center, 1.1 * r)
-
-    rho, core, direction, val, slo, sec = _radial_pieces(chart, center, r, profile)
-    q = 2.0 / (chart.n - 2.0)
-    psi = val**q
-    psi_s = q * val ** (q - 1.0) * slo
-    psi_ss = q * (q - 1.0) * val ** (q - 2.0) * slo**2 + q * val ** (q - 1.0) * sec
-    grad_psi, hess_psi = _assemble(chart, r, rho, core, direction, psi_s, psi_ss)
-    grad_f, hess_f = _assemble(chart, r, rho, core, direction, slo, sec)
-    return RadialFields(
-        chart=chart,
-        psi=psi,
-        grad_psi=grad_psi,
-        hess_psi=hess_psi,
-        f=val,
-        grad_f=grad_f,
-        hess_f=hess_f,
-    )
-
-
-def _merge(parts: list[RadialFields], chart: Chart) -> RadialFields:
-    """Combine disjointly supported balls: deviations from 1 add."""
-    psi = 1.0 + sum(p.psi - 1.0 for p in parts)
-    f = 1.0 + sum(p.f - 1.0 for p in parts)
-    return RadialFields(
-        chart=chart,
-        psi=psi,
-        grad_psi=sum(p.grad_psi for p in parts),
-        hess_psi=sum(p.hess_psi for p in parts),
-        f=f,
-        grad_f=sum(p.grad_f for p in parts),
-        hess_f=sum(p.hess_f for p in parts),
-    )
+    n = chart.n
+    _check_balls(chart, centers, r)
+    q = 2.0 / (n - 2.0)
+    psi = np.ones(chart.shape)
+    grad = np.zeros(chart.shape + (n,))
+    hess = np.zeros(chart.shape + (n, n))
+    for center in centers:
+        _flat_ball_check(g, center, 1.1 * r)
+        disp = chart.min_image(chart.mesh(), center)
+        rho = np.sqrt(np.sum(disp**2, axis=-1))
+        core = rho < 1e-12 * r
+        safe = np.where(core, 1.0, rho)
+        direction = disp / safe[..., None]
+        s = rho / r
+        ball, p1, p2 = _multiplier(
+            profile.value(s), profile.slope(s) / r, profile.second(s) / r**2, q
+        )
+        psi += ball - 1.0
+        grad += p1[..., None] * direction
+        radial = direction[..., :, None] * direction[..., None, :]
+        coef_t = np.where(core, 0.0, p1 / safe)
+        part = p2[..., None, None] * radial + coef_t[..., None, None] * (np.eye(n) - radial)
+        hess += np.where(core[..., None, None], 0.0, part)
+    return RadialFields(chart=chart, psi=psi, grad_psi=grad, hess_psi=hess)
 
 
 # ---------------------------------------------------------------------------
@@ -370,38 +351,11 @@ class ConstructionConfig:
             "centers",
             tuple(tuple(float(c) for c in p) for p in self.centers),
         )
-        if not self.centers:
-            raise ValueError("need at least one ball center")
-        for p in self.centers:
-            if len(p) != self.chart.n:
-                raise ValueError(
-                    f"center {p} must have {self.chart.n} coordinates"
-                )
-        _check_radius_fits(self.chart, self.r)
+        _check_balls(self.chart, self.centers, self.r)
         if self.k <= 0.0:
             raise ValueError(f"shear strength must be positive, got {self.k}")
         if not 0.0 < self.floor < 1.0:
             raise ValueError(f"profile floor must lie in (0, 1), got {self.floor}")
-        worst = _closest_pair(self.chart, self.centers)
-        if worst is not None and worst <= 2.0 * self.r:
-            raise ValueError(
-                f"balls of radius {self.r} overlap: closest centers are "
-                f"{worst:.4f} apart, need more than {2.0 * self.r:.4f}"
-            )
-
-
-def _pair_distance(chart: Chart, a, b) -> float:
-    return float(np.linalg.norm(chart.min_image(np.asarray(a, dtype=float), b)))
-
-
-def _closest_pair(chart: Chart, centers) -> float | None:
-    if len(centers) < 2:
-        return None
-    return min(
-        _pair_distance(chart, centers[i], centers[j])
-        for i in range(len(centers))
-        for j in range(i + 1, len(centers))
-    )
 
 
 def _default_centers(chart: Chart) -> tuple:
@@ -429,22 +383,13 @@ def _default_centers(chart: Chart) -> tuple:
 
 
 def _disjoint_prefix(chart: Chart, centers, r: float) -> tuple:
-    """Largest prefix of centers with pairwise gaps above one diameter."""
+    """Centers in order, each kept when its gap to every kept one exceeds 2 r."""
     kept: list = []
     for c in centers:
-        if all(_pair_distance(chart, c, other) > 2.0 * r for other in kept):
-            kept.append(tuple(float(x) for x in c))
+        c = tuple(float(x) for x in c)
+        if all(np.linalg.norm(chart.min_image(np.asarray(c), b)) > 2.0 * r for b in kept):
+            kept.append(c)
     return tuple(kept)
-
-
-def _config_fields(
-    g: MetricField, config: ConstructionConfig, profile: BumpProfile
-) -> RadialFields:
-    parts = [
-        radial_fields(g, center, config.r, profile)
-        for center in config.centers
-    ]
-    return _merge(parts, g.chart)
 
 
 # ---------------------------------------------------------------------------
@@ -469,14 +414,11 @@ def _phi_ball(profile: BumpProfile, n: int, r: float, k: float) -> tuple[float, 
     rule on every second node.
     """
     s = np.linspace(0.0, 1.0, _RADIAL_NODES + 1)
-    v, v1, v2 = profile.value(s), profile.slope(s), profile.second(s)
+    v = profile.value(s)
     rho = r * s
-    q = 2.0 / (n - 2.0)
-    psi = v**q
     # radial derivatives of the weight f = v and of the multiplier psi = v^q
-    f1, f2 = v1 / r, v2 / r**2
-    p1 = q * v ** (q - 1.0) * f1
-    p2 = q * (q - 1.0) * v ** (q - 2.0) * f1**2 + q * v ** (q - 1.0) * f2
+    f1, f2 = profile.slope(s) / r, profile.second(s) / r**2
+    psi, p1, p2 = _multiplier(v, f1, f2, 2.0 / (n - 2.0))
     # the profile is flat at the center, so f1 / rho -> 0 there
     lap_f = f2 + (n - 1.0) * np.divide(f1, rho, out=np.zeros_like(rho), where=rho > 0.0)
     s2 = p1**2
@@ -546,8 +488,8 @@ def search_parameters(
     names the ball.
 
     Radii ascend from the smallest and shears descend from the largest;
-    each radius keeps the largest prefix of centers whose balls stay
-    disjoint.  A cell wins when its value plus its quadrature error is
+    each radius keeps, in order, the centers whose balls miss those kept
+    before.  A cell wins when its value plus its quadrature error is
     negative.  Cells whose radius spans fewer than MIN_CELLS_PER_RADIUS grid
     cells are recorded but not evaluated: the deformed metric built from a
     winning cell is solved on the grid, which cannot carry the profile
@@ -578,11 +520,11 @@ def search_parameters(
             )
             continue
         if r < MIN_CELLS_PER_RADIUS * spacing:
-            for k in sorted(k_grid, reverse=True):
-                landscape.append(
-                    SearchCell(r=r, k=k, balls=len(kept), value=float("nan"),
-                               note="radius below three grid cells; profile unresolvable")
-                )
+            note = f"radius below {MIN_CELLS_PER_RADIUS:g} grid cells; profile unresolvable"
+            landscape.extend(
+                SearchCell(r=r, k=k, balls=len(kept), value=float("nan"), note=note)
+                for k in sorted(k_grid, reverse=True)
+            )
             continue
         for center in kept:
             _flat_ball_check(g, center, 1.1 * r)
@@ -660,15 +602,15 @@ class ConstructionResult:
     carried a negative verdict, "deformation" when a searched config was
     needed, "search" when the search exhausted its grid.  ``certificate``
     is the integral that licensed the solve; ``residual`` the recomputed
-    max |F + 1| on the returned metric.
+    max |F + 1| on ``metric``, which is None unless the solve finished.
     """
 
     succeeded: bool
     path: str
-    metric: MetricField | None
-    solve: SolveReport | None
-    search: SearchReport | None
     trichotomy: TrichotomyResult
+    metric: MetricField | None = None
+    solve: SolveReport | None = None
+    search: SearchReport | None = None
     config: ConstructionConfig | None = None
     certificate: float = float("nan")
     residual: float = float("nan")
@@ -687,109 +629,86 @@ def construct_constant_F(
     """Produce a metric with F = R + t |W| identically -1 from a background.
 
     The background's F is formed once and feeds both the trichotomy and the
-    search.  A class that is already negative goes straight to the solver,
-    which reuses that F and the trichotomy's verdict, and any t <= 0 rides the scalar-curvature-only search (dropping
-    t |W| <= 0 only weakens the certificate, never cheats it).  Otherwise
-    the radial search supplies a config, the rescaled-and-sheared metric is
-    built, its grid test-energy bound must confirm the negative certificate,
-    and the solver finishes inside that class.  The residual is the
-    solver's independent curvature recomputation on the final metric;
-    ``final_tol`` only grades it, the result always returns.
+    search.  A class that is already negative is solved directly, reusing
+    that F and the trichotomy's verdict.  Otherwise the radial search
+    supplies a config; for t <= 0 it certifies with the scalar curvature
+    alone, since dropping t |W| <= 0 only weakens the certificate.  The
+    rescaled-and-sheared metric is built, and its grid test-energy bound
+    must confirm the negative certificate.
+
+    Both paths finish through one solve, on ``g0`` or on the sheared metric.
+    A solver error is returned as a failed result of its path.  The residual
+    is the solver's independent curvature recomputation on the final
+    metric; ``final_tol`` only grades it, the result always returns.
     """
     bundle0 = curvature_bundle(g0)
     F0 = scalar_weyl(g0, t, bundle=bundle0)
     tri = first_eigenvalue(g0, t, coefficient=F0)
+    search = config = None
+    cert = float("nan")
     if tri.verdict == "negative":
-        try:
-            report = solve_constant_F(g0, t, trichotomy=tri)
-        except RuntimeError as exc:
+        path, g, verdict = "direct", g0, tri
+    else:
+        search = search_parameters(
+            g0, t, centers=centers, r_grid=r_grid, k_grid=k_grid,
+            floor=floor, coefficient=F0 if t > 0.0 else bundle0.scal,
+        )
+        if not search.succeeded:
             return ConstructionResult(
                 succeeded=False,
-                path="direct",
-                metric=None,
-                solve=None,
-                search=None,
+                path="search",
+                search=search,
                 trichotomy=tri,
-                message=str(exc),
+                message=search.message,
             )
-        metric = conformal_metric(g0, report.u)
-        ok = report.curvature_residual <= final_tol
-        return ConstructionResult(
-            succeeded=ok,
-            path="direct",
-            metric=metric,
-            solve=report,
-            search=None,
-            trichotomy=tri,
-            residual=report.curvature_residual,
-            message="negative class; solved without deformation",
-        )
+        config = search.config
+        profile = make_bump(config.floor, g0.chart.n)
+        fields = radial_fields(g0, config.centers, config.r, profile)
+        cert, g = _test_energy_bound(g0, t, config.k, fields)
+        if not cert < 0.0:
+            return ConstructionResult(
+                succeeded=False,
+                path="deformation",
+                search=search,
+                trichotomy=tri,
+                config=config,
+                certificate=cert,
+                message=(
+                    f"search cell was negative but the test-energy certificate "
+                    f"came out {cert:.4e}; refusing to solve"
+                ),
+            )
+        path, verdict = "deformation", None
 
-    search = search_parameters(
-        g0, t, centers=centers, r_grid=r_grid, k_grid=k_grid,
-        floor=floor, coefficient=F0 if t > 0.0 else bundle0.scal,
-    )
-    if not search.succeeded:
-        return ConstructionResult(
-            succeeded=False,
-            path="search",
-            metric=None,
-            solve=None,
-            search=search,
-            trichotomy=tri,
-            message=search.message,
-        )
-
-    config = search.config
-    profile = make_bump(config.floor, g0.chart.n)
-    fields = _config_fields(g0, config, profile)
-    cert, sheared = _test_energy_bound(g0, t, config.k, fields)
-    if not cert < 0.0:
-        return ConstructionResult(
-            succeeded=False,
-            path="deformation",
-            metric=None,
-            solve=None,
-            search=search,
-            trichotomy=tri,
-            config=config,
-            certificate=cert,
-            message=(
-                f"search cell was negative but the test-energy certificate "
-                f"came out {cert:.4e}; refusing to solve"
-            ),
-        )
     try:
-        report = solve_constant_F(sheared, t)
+        report = solve_constant_F(g, t, trichotomy=verdict)
     except (RuntimeError, ValueError) as exc:
-        # ValueError: the sheared metric's own trichotomy verdict is not
-        # negative, so the solver refuses the class
+        # ValueError: a FieldError of the solve, or the solver refusing a
+        # sheared metric whose own trichotomy verdict is not negative
         return ConstructionResult(
             succeeded=False,
-            path="deformation",
-            metric=None,
-            solve=None,
+            path=path,
             search=search,
             trichotomy=tri,
             config=config,
             certificate=cert,
             message=str(exc),
         )
-    metric = conformal_metric(sheared, report.u)
-    ok = report.curvature_residual <= final_tol
+    residual = report.curvature_residual
     return ConstructionResult(
-        succeeded=ok,
-        path="deformation",
-        metric=metric,
+        succeeded=residual <= final_tol,
+        path=path,
+        metric=conformal_metric(g, report.u),
         solve=report,
         search=search,
         trichotomy=tri,
         config=config,
         certificate=cert,
-        residual=report.curvature_residual,
+        residual=residual,
         message=(
-            f"certificate {cert:.4f}; final curvature residual "
-            f"{report.curvature_residual:.3e}"
+            "negative class; solved without deformation"
+            if path == "direct"
+            else f"certificate {cert:.4f}; final curvature residual {residual:.3e}"
         ),
     )
 

@@ -5,7 +5,9 @@
 by the exact split on flat balls: a background term plus one 1-D radial
 quadrature per ball.  The expansion here assembles the same integral on the
 whole grid instead, so it converges to the radial value as the grid is
-refined and checks it independently of the split.
+refined and checks it independently of the split.  It reads only the
+multiplier psi of ``construct.radial_fields`` and derives the volume weight
+f = psi^{(n-2)/2} and its derivatives from it by the chain rule.
 
 ``einsum_flux_laplacian`` is the flux-form Laplacian with the flux raised
 point by point through g^{-1}; ``grid.flux_laplacian``, which forms the
@@ -62,13 +64,20 @@ def phi_expansion(
     n = chart.n
     inv = g.inverse
     dens = g.sqrt_det
-    psi, f = fields.psi, fields.f
+    psi = fields.psi
+    # the volume weight f = psi^{(n-2)/2} (the profile itself) by the chain rule
+    e = 0.5 * (n - 2.0)
+    f = psi**e
+    grad_f = (e * psi ** (e - 1.0))[..., None] * fields.grad_psi
+    hess_f = (e * psi ** (e - 1.0))[..., None, None] * fields.hess_psi + (
+        e * (e - 1.0) * psi ** (e - 2.0)
+    )[..., None, None] * (fields.grad_psi[..., :, None] * fields.grad_psi[..., None, :])
 
     psi_up = np.einsum("...ab,...b->...a", inv, fields.grad_psi)
     s2 = np.einsum("...a,...a->...", fields.grad_psi, psi_up)
     dhat = psi / k**2 + s2
 
-    lap_f = np.einsum("...ab,...ab->...", inv, fields.hess_f)
+    lap_f = np.einsum("...ab,...ab->...", inv, hess_f)
 
     ric_pp = np.einsum("...ab,...a,...b->...", base.ric, psi_up, psi_up)
     scal_block = base.scal * f - ric_pp / dhat * f
@@ -90,8 +99,8 @@ def phi_expansion(
     else:
         error_term = 0.0
 
-    hess_pp = np.einsum("...ab,...a,...b->...", fields.hess_f, psi_up, psi_up)
-    grad_fp = np.einsum("...a,...a->...", fields.grad_f, psi_up)
+    hess_pp = np.einsum("...ab,...a,...b->...", hess_f, psi_up, psi_up)
+    grad_fp = np.einsum("...a,...a->...", grad_f, psi_up)
 
     hp = np.einsum("...ab,...b->...a", fields.hess_psi, psi_up)
     hp2 = np.einsum("...a,...ab,...b->...", hp, inv, hp)

@@ -91,7 +91,7 @@ def test_grid_expansion_converges_to_radial_integral():
     for size in (48, 96):
         chart = make_chart(3, (size,) * 3, (L,) * 3)
         g = flat_metric(chart)
-        fields = radial_fields(g, (L / 2,) * 3, r, profile)
+        fields = radial_fields(g, ((L / 2,) * 3,), r, profile)
         grid = phi_expansion(g, 1.0, k, fields, curvature_bundle(g), include_weyl=False)
         gaps[size] = abs(grid / radial - 1.0)
     assert gaps[96] <= 2e-3
@@ -118,6 +118,96 @@ def test_search_rejects_background_curved_on_a_ball():
     chart = make_chart(4, (16,) * 4, (L,) * 4)
     with pytest.raises(FieldError, match="not flat on the ball"):
         search_parameters(fourier_metric(chart, seed=0), 1.0, r_grid=(L / 4,))
+
+
+def test_direct_path_returns_a_solver_failure_as_data(monkeypatch):
+    chart = make_chart(4, (12,) * 4, (L,) * 4)
+    g0 = fourier_metric(chart, amplitude=0.2, seed=3)
+    for exc in (RuntimeError("Newton stalled"), FieldError("u lost positivity")):
+
+        def failing(*args, **kwargs):
+            raise exc
+
+        monkeypatch.setattr(construct, "solve_constant_F", failing)
+        res = construct_constant_F(g0, -4.0)
+        assert res.path == "direct"
+        assert not res.succeeded
+        assert res.metric is None and res.solve is None
+        assert res.message == str(exc)
+
+
+@pytest.mark.parametrize(
+    "change, match",
+    [
+        ({"centers": ()}, "need at least one ball center"),
+        ({"centers": ((1.0, 2.0, 3.0),)}, "must have 4 coordinates"),
+        ({"r": L / 2.0}, "does not fit the chart"),
+        ({"r": 0.0}, "does not fit the chart"),
+        ({"k": 0.0}, "shear strength must be positive"),
+        ({"k": -1.0}, "shear strength must be positive"),
+        ({"floor": 0.0}, "profile floor must lie in"),
+        ({"floor": 1.0}, "profile floor must lie in"),
+        # the two balls touch across the periodic boundary
+        ({"centers": ((0.1,) * 4, (L - 0.1, 0.1, 0.1, 0.1))}, "overlap: 1 of 2 centers"),
+    ],
+)
+def test_config_rejects_invalid_input(change, match):
+    chart = make_chart(4, (8,) * 4, (L,) * 4)
+    args = dict(chart=chart, centers=_default_centers(chart), r=L / 8, k=4.0, floor=0.1)
+    ConstructionConfig(**args)
+    with pytest.raises(ValueError, match=match):
+        ConstructionConfig(**{**args, **change})
+
+
+def test_search_rejects_invalid_cells_through_the_config():
+    # r = 2.5 spans more than three cells at 8^4 and fits; r = 3.0 does not fit
+    g = flat_metric(make_chart(4, (8,) * 4, (L,) * 4))
+    for k in (0.0, -1.0):
+        with pytest.raises(ValueError, match="shear strength must be positive"):
+            search_parameters(g, 1.0, r_grid=(2.5,), k_grid=(k,))
+    with pytest.raises(ValueError, match="does not fit the chart"):
+        search_parameters(g, 1.0, r_grid=(3.0,), k_grid=(4.0,))
+
+
+def test_search_forms_the_background_coefficient_when_omitted():
+    # on 12^4, r = 1.6 spans three cells and its 1.1 r ball stays inside the
+    # flat 1.8 around each quarter center
+    chart = make_chart(4, (12,) * 4, (L,) * 4)
+    g = ball_flat_metric(chart, _default_centers(chart), r_flat=1.8, r_rise=0.3, seed=0)
+    bundle = curvature_bundle(g)
+    grids = dict(r_grid=(1.6,), k_grid=(16.0, 4.0))
+
+    def values(report):
+        return [c.value for c in report.landscape]
+
+    for t in (1.0, 0.0, -1.0):
+        given = scalar_weyl(g, t, bundle=bundle) if t > 0.0 else bundle.scal
+        formed = values(search_parameters(g, t, **grids))
+        assert len(formed) == 2 and all(np.isfinite(formed))
+        assert formed == values(search_parameters(g, t, coefficient=given, **grids))
+    # the t > 0 background carries t |W|, which the scalar curvature lacks
+    assert values(search_parameters(g, 1.0, **grids)) != values(
+        search_parameters(g, 1.0, coefficient=bundle.scal, **grids)
+    )
+
+
+def test_radial_fields_adds_disjoint_balls():
+    chart = make_chart(4, (12,) * 4, (L,) * 4)
+    g = flat_metric(chart)
+    profile = make_bump(0.1, 4)
+    r = L / 8
+    a, b = _default_centers(chart)[:2]
+    both = radial_fields(g, (a, b), r, profile)
+    one, two = (radial_fields(g, (c,), r, profile) for c in (a, b))
+    assert np.any(one.psi != 1.0) and np.any(two.psi != 1.0)
+    assert np.max(np.abs(both.psi - 1.0 - (one.psi - 1.0) - (two.psi - 1.0))) <= 1e-15
+    for name in ("grad_psi", "hess_psi"):
+        total = getattr(one, name) + getattr(two, name)
+        assert np.max(np.abs(getattr(both, name) - total)) <= 1e-15
+    with pytest.raises(ValueError, match="overlap"):
+        radial_fields(g, (a, a), r, profile)
+    with pytest.raises(ValueError, match="must have 4 coordinates"):
+        radial_fields(g, (a[:3],), r, profile)
 
 
 def forced_deformation_case(monkeypatch):

@@ -607,7 +607,7 @@ def test_weyl_error_vanishes_on_a_sheared_flat_ball():
         chart = torus(4, size)
         g = flat_metric(chart)
         for profile in (make_bump(0.1, 4), _cos4_profile(0.5)):
-            fields = radial_fields(g, center, r, profile)
+            fields = radial_fields(g, (center,), r, profile)
             f = k * fields.psi
             exact = deform(g, f, grad=k * fields.grad_psi, hess=k * fields.hess_psi)
             assert np.max(np.abs(weyl_error(exact).pair)) <= 1e-13
