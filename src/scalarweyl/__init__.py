@@ -13,6 +13,7 @@ from .curvature import (
     CurvatureBundle,
     christoffel,
     curvature_bundle,
+    curvature_scalars,
     hessian,
     ricci_scalar,
     riemann,

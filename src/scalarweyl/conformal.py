@@ -15,9 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .curvature import curvature_bundle
+from .curvature import CurvatureBundle, curvature_scalars
 from .grid import FieldError, FluxForm, MetricField, flux_laplacian
-from .tensor import riemann_norm
 
 __all__ = [
     "ConformalParams",
@@ -63,12 +62,18 @@ def _as_positive(name: str, arr) -> np.ndarray:
     return arr
 
 
-def scalar_weyl(g: MetricField, t: float, bundle=None) -> np.ndarray:
-    """Pointwise F = R + t |W|_g; pass ``bundle`` to reuse the curvature
-    stack of ``g``."""
-    if bundle is None:
-        bundle = curvature_bundle(g)
-    return bundle.scal + t * riemann_norm(bundle.W.pair, g.inverse)
+def scalar_weyl(g: MetricField, t: float, bundle: CurvatureBundle | None = None) -> np.ndarray:
+    """Pointwise F = R + t |W|_g.
+
+    Without ``bundle``, the curvature stack runs slab by slab along axis 0
+    and keeps only R and |W|^2 (``curvature_scalars``): each slab forms its
+    Riemann, Ricci and Weyl fields from the whole-grid Christoffel symbols,
+    whose axis-0 derivative reads two ghost planes past each end of the
+    slab.  The result is bit-identical to reading a ``CurvatureBundle`` of
+    ``g``, which ``bundle`` reuses.
+    """
+    scal, wnorm2 = curvature_scalars(g, bundle)
+    return scal + t * np.sqrt(wnorm2)
 
 
 def conformal_metric(g: MetricField, u: np.ndarray) -> MetricField:

@@ -33,7 +33,7 @@ from typing import Callable
 import numpy as np
 
 from .conformal import conformal_metric, scalar_weyl
-from .curvature import CurvatureBundle, curvature_bundle
+from .curvature import CurvatureBundle, curvature_scalars
 from .deformation import (
     _ricci_hessian_blocks,
     _scalar_ingredients,
@@ -43,7 +43,6 @@ from .deformation import (
 )
 from .grid import Chart, FieldError, MetricField, integrate
 from .presets import smooth_bridge
-from .tensor import riemann_norm_squared
 from .yamabe import (
     SolveReport,
     TrichotomyResult,
@@ -382,6 +381,16 @@ def _default_centers(chart: Chart) -> tuple:
     return tuple(out)
 
 
+def _resolving_size(chart: Chart, r: float) -> int:
+    """Smallest even number of points per axis at which a radius ``r`` spans
+    MIN_CELLS_PER_RADIUS cells of every axis (charts take 8 at least)."""
+    length = max(chart.lengths)
+    size = max(8, 2 * math.floor(MIN_CELLS_PER_RADIUS * length / r / 2))
+    while r < MIN_CELLS_PER_RADIUS * (length / size):
+        size += 2
+    return size
+
+
 def _disjoint_prefix(chart: Chart, centers, r: float) -> tuple:
     """Centers in order, each kept when its gap to every kept one exceeds 2 r."""
     kept: list = []
@@ -483,9 +492,9 @@ def search_parameters(
     plus the ball count times the radial integral of :func:`_phi_ball`.
     ``coefficient`` is the background's F (its scalar curvature R for
     t <= 0, where dropping t |W| <= 0 only weakens the certificate); it is
-    formed from ``g`` when omitted.  Before a radius is evaluated, the
-    metric must be flat on 1.1 r around every kept center, or FieldError
-    names the ball.
+    formed from ``g`` as F at max(t, 0) when omitted.  Before a radius is
+    evaluated, the metric must be flat on 1.1 r around every kept center, or
+    FieldError names the ball.
 
     Radii ascend from the smallest and shears descend from the largest;
     each radius keeps, in order, the centers whose balls miss those kept
@@ -493,7 +502,9 @@ def search_parameters(
     negative.  Cells whose radius spans fewer than MIN_CELLS_PER_RADIUS grid
     cells are recorded but not evaluated: the deformed metric built from a
     winning cell is solved on the grid, which cannot carry the profile
-    there.  Failure is data: the report carries the whole landscape.
+    there.  Failure is data: the report carries the whole landscape, and
+    when no radius is resolved the message names the grid the largest one
+    needs.
     """
     chart = g.chart
     if centers is None:
@@ -504,13 +515,13 @@ def search_parameters(
     if k_grid is None:
         k_grid = SHEAR_GRID
     if coefficient is None:
-        bundle = curvature_bundle(g)
-        coefficient = scalar_weyl(g, t, bundle=bundle) if t > 0.0 else bundle.scal
+        coefficient = scalar_weyl(g, max(t, 0.0))
     background = integrate(chart, coefficient, g.sqrt_det)
     profile = make_bump(floor, chart.n)
     spacing = float(max(chart.spacings))
 
     landscape: list[SearchCell] = []
+    unresolved = []
     for r in sorted(r_grid):
         kept = _disjoint_prefix(chart, centers, r)
         if not kept:
@@ -520,6 +531,7 @@ def search_parameters(
             )
             continue
         if r < MIN_CELLS_PER_RADIUS * spacing:
+            unresolved.append(r)
             note = f"radius below {MIN_CELLS_PER_RADIUS:g} grid cells; profile unresolvable"
             landscape.extend(
                 SearchCell(r=r, k=k, balls=len(kept), value=float("nan"), note=note)
@@ -549,12 +561,18 @@ def search_parameters(
                     ),
                 )
     evaluated = [c for c in landscape if np.isfinite(c.value)]
-    best = min(evaluated, key=lambda c: c.value) if evaluated else None
-    tail = (
-        f"; best cell r={best.r:.4f}, k={best.k}, value {best.value:.4f}"
-        if best
-        else "; no evaluable cells"
-    )
+    if evaluated:
+        best = min(evaluated, key=lambda c: c.value)
+        tail = f"; best cell r={best.r:.4f}, k={best.k}, value {best.value:.4f}"
+    elif unresolved:
+        r = max(unresolved)
+        tail = (
+            f"; no evaluable cells: every radius with disjoint balls spans fewer "
+            f"than {MIN_CELLS_PER_RADIUS:g} grid cells, and the largest, r={r:.4f}, "
+            f"needs {_resolving_size(chart, r)} points per axis"
+        )
+    else:
+        tail = "; no evaluable cells"
     return SearchReport(
         succeeded=False,
         config=None,
@@ -628,11 +646,12 @@ def construct_constant_F(
 ) -> ConstructionResult:
     """Produce a metric with F = R + t |W| identically -1 from a background.
 
-    The background's F is formed once and feeds both the trichotomy and the
-    search.  A class that is already negative is solved directly, reusing
-    that F and the trichotomy's verdict.  Otherwise the radial search
-    supplies a config; for t <= 0 it certifies with the scalar curvature
-    alone, since dropping t |W| <= 0 only weakens the certificate.  The
+    The background's F is streamed once, without holding its curvature
+    tensors, and feeds the trichotomy and, for t > 0, the search.  A class
+    that is already negative is solved directly, reusing that F and the
+    trichotomy's verdict.  Otherwise the radial search supplies a config;
+    for t <= 0 it streams and certifies with the scalar curvature alone,
+    since dropping t |W| <= 0 only weakens the certificate.  The
     rescaled-and-sheared metric is built, and its grid test-energy bound
     must confirm the negative certificate.
 
@@ -641,8 +660,7 @@ def construct_constant_F(
     is the solver's independent curvature recomputation on the final
     metric; ``final_tol`` only grades it, the result always returns.
     """
-    bundle0 = curvature_bundle(g0)
-    F0 = scalar_weyl(g0, t, bundle=bundle0)
+    F0 = scalar_weyl(g0, t)
     tri = first_eigenvalue(g0, t, coefficient=F0)
     search = config = None
     cert = float("nan")
@@ -651,7 +669,7 @@ def construct_constant_F(
     else:
         search = search_parameters(
             g0, t, centers=centers, r_grid=r_grid, k_grid=k_grid,
-            floor=floor, coefficient=F0 if t > 0.0 else bundle0.scal,
+            floor=floor, coefficient=F0 if t > 0.0 else None,
         )
         if not search.succeeded:
             return ConstructionResult(
@@ -737,13 +755,13 @@ class PinchingReport:
 def pinching_report(
     g: MetricField, eps: float, bundle: CurvatureBundle | None = None
 ) -> PinchingReport:
+    """Audit R < 0 and |W|^2 < eps R^2 at every point of ``g``, from the
+    streamed R and |W|^2 (``curvature_scalars``) or those of ``bundle``."""
     if eps <= 0.0:
         raise ValueError(f"pinching threshold must be positive, got {eps}")
-    if bundle is None:
-        bundle = curvature_bundle(g)
-    wn2 = riemann_norm_squared(bundle.W.pair, g.inverse)
-    margin = wn2 - eps * bundle.scal**2
-    worst_scal = float(np.max(bundle.scal))
+    scal, wn2 = curvature_scalars(g, bundle)
+    margin = wn2 - eps * scal**2
+    worst_scal = float(np.max(scal))
     worst_margin = float(np.max(margin))
     scalar_negative = worst_scal < 0.0
     pinched = worst_margin < 0.0

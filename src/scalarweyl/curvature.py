@@ -23,6 +23,17 @@ memory near one dense (n, n) field instead of the full n^4 tensor.  The
 antisymmetric part of each lowered (n, n) field is two gathers at the pair
 tables; it is stored as row q, which the exchange average makes the same as
 column q.
+
+The stack runs in slabs of axis-0 planes, about ``_SLAB_POINTS`` points
+each.  Gamma is formed slab by slab into one whole-grid array; each slab
+reads two ghost planes of the packed metric past each end for d_0 g.  Then
+Riemann, Ricci, R, W and |W|^2 run per slab, reading two ghost planes of
+Gamma for d_0 Gamma.  Both use the one fd4 stencil of ``grid``, so every
+slab is bit-identical to the same planes of a whole-grid pass.
+``curvature_bundle`` keeps every field of the loop; ``curvature_scalars``
+keeps only R and |W|^2, so its peak is the whole-grid Gamma plus one slab.
+A spectral chart, whose derivatives need whole axes, is one slab, as is an
+axis no longer than one slab.
 """
 
 from __future__ import annotations
@@ -32,12 +43,21 @@ from functools import lru_cache
 
 import numpy as np
 
-from .grid import Chart, MetricField, deriv, gradient, sym2_pack_indices
+from .grid import (
+    Chart,
+    MetricField,
+    deriv,
+    deriv_planes,
+    gradient,
+    sym2_pack_indices,
+    sym2_unpack,
+)
 from .tensor import (
     Riem4Field,
     bianchi_project,
     kulkarni_nomizu,
     pair_indices,
+    riemann_norm_squared,
     trace_13,
 )
 
@@ -48,6 +68,7 @@ __all__ = [
     "ricci_scalar",
     "weyl",
     "curvature_bundle",
+    "curvature_scalars",
     "hessian",
 ]
 
@@ -74,14 +95,34 @@ def _christoffel_tables(n: int):
     return plus_a, plus_b, minus, expand
 
 
-def christoffel(g: MetricField) -> np.ndarray:
-    """Levi-Civita symbols ``Gamma[..., c, a, b]``, symmetric in (a, b)."""
+#: points per slab of the curvature stack (2 planes of a 20^4 grid).  A
+#: slab's transients take about 2.4 KB per point, 40 MB at this size; on a
+#: 2-core x86 host, 2^14 and 2^15 points per slab ran a 20^4 stack equally
+#: fast, and 2^13 (one plane) about 20% slower.
+_SLAB_POINTS = 1 << 14
+
+
+def _slabs(chart: Chart) -> list[slice]:
+    """Axis-0 plane ranges of the slab loop, about ``_SLAB_POINTS`` points
+    each; a spectral chart, whose derivatives need whole axes, is one slab."""
+    size = chart.sizes[0]
+    if chart.scheme == "spectral":
+        return [slice(0, size)]
+    step = max(1, _SLAB_POINTS * size // chart.npoints)
+    return [slice(s, min(s + step, size)) for s in range(0, size, step)]
+
+
+def christoffel(g: MetricField, planes: slice = slice(None)) -> np.ndarray:
+    """Levi-Civita symbols ``Gamma[..., c, a, b]``, symmetric in (a, b), on
+    the axis-0 ``planes`` (all of them by default)."""
     chart = g.chart
     n = chart.n
     npack = g.packed.shape[-1]
-    dg = np.empty(chart.shape + (npack, n))
+    inv = g.inverse[planes]
+    lead = inv.shape[:-2]
+    dg = np.empty(lead + (npack, n))
     for e in range(n):
-        dg[..., e] = deriv(chart, g.packed, e)
+        dg[..., e] = deriv_planes(chart, g.packed, e, planes)
     flat = dg.reshape(-1, npack * n)
     plus_a, plus_b, minus, expand = _christoffel_tables(n)
     # the tables hold valid columns only, so "clip" skips the bounds check
@@ -90,10 +131,19 @@ def christoffel(g: MetricField) -> np.ndarray:
     brk += tmp
     brk -= np.take(flat, minus, axis=1, out=tmp, mode="clip")
     del dg, flat, tmp
-    raised = np.matmul(0.5 * g.inverse.reshape(-1, n, n), brk.reshape(-1, n, npack))
+    raised = np.matmul(0.5 * inv.reshape(-1, n, n), brk.reshape(-1, n, npack))
     del brk
     gamma = np.take(raised.reshape(-1, n * npack), expand, axis=1, mode="clip")
-    return gamma.reshape(chart.shape + (n, n, n))
+    return gamma.reshape(lead + (n, n, n))
+
+
+def _christoffel_field(g: MetricField) -> np.ndarray:
+    """Whole-grid Gamma, formed slab by slab."""
+    n = g.chart.n
+    gamma = np.empty(g.chart.sizes + (n, n, n))
+    for planes in _slabs(g.chart):
+        gamma[planes] = christoffel(g, planes)
+    return gamma
 
 
 @lru_cache(maxsize=None)
@@ -106,28 +156,34 @@ def _pair_gather(n: int) -> tuple[np.ndarray, np.ndarray]:
     )
 
 
-def riemann(g: MetricField, gamma: np.ndarray | None = None) -> Riem4Field:
-    """Lowered (0,4) curvature tensor of ``g`` in pair storage."""
+def riemann(
+    g: MetricField, gamma: np.ndarray | None = None, planes: slice = slice(None)
+) -> np.ndarray:
+    """Lowered (0,4) curvature pair matrices of ``g`` on the axis-0
+    ``planes``, from the whole-grid symbols ``gamma``; along axis 0 their
+    derivative reads two ghost planes of ``gamma`` past each end."""
     chart = g.chart
     n = chart.n
     if gamma is None:
-        gamma = christoffel(g)
+        gamma = _christoffel_field(g)
     pairs = pair_indices(n)
     m = len(pairs)
     ab, ba = _pair_gather(n)
-    dense = g.dense
+    dense = sym2_unpack(g.packed[planes], n)
+    own = gamma[planes]
+    lead = own.shape[:-3]
     # scratch reused by every pair (two (n, n) fields and one row), and
     # the rows of all pairs
-    prod = np.empty(chart.shape + (n, n))
+    prod = np.empty(lead + (n, n))
     low = np.empty_like(prod)
     flat = low.reshape(-1, n * n)
     rows = np.empty((m, flat.shape[0], m))
     tmp = np.empty(rows.shape[1:])
     for q, (mu, nu) in enumerate(pairs):
-        gm = gamma[..., mu, :]  # Gamma^r_{mu l}
-        gn = gamma[..., nu, :]
-        r13 = deriv(chart, gn, mu)
-        r13 -= deriv(chart, gm, nu)
+        gm = own[..., mu, :]  # Gamma^r_{mu l}
+        gn = own[..., nu, :]
+        r13 = deriv_planes(chart, gamma[..., nu, :], mu, planes)
+        r13 -= deriv_planes(chart, gamma[..., mu, :], nu, planes)
         np.matmul(gm, gn, out=prod)
         prod -= np.matmul(gn, gm, out=low)
         r13 += prod
@@ -143,28 +199,28 @@ def riemann(g: MetricField, gamma: np.ndarray | None = None) -> Riem4Field:
     mat = np.add(rows.transpose(1, 0, 2), rows.transpose(1, 2, 0))
     del rows
     mat *= 0.25
-    mat = mat.reshape(chart.shape + (m, m))
-    return Riem4Field(chart, bianchi_project(mat, n))
+    return bianchi_project(mat.reshape(lead + (m, m)), n)
 
 
-def ricci_scalar(riem: Riem4Field, g: MetricField) -> tuple[np.ndarray, np.ndarray]:
-    """Ricci tensor (dense symmetric) and scalar curvature field."""
-    inv = g.inverse
-    ric = trace_13(riem.pair, inv)
+def ricci_scalar(riem: np.ndarray, inv: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Ricci tensor (dense symmetric) and scalar curvature of the pair
+    matrices ``riem`` under the (..., n, n) inverse metric ``inv``."""
+    ric = trace_13(riem, inv)
     scal = np.einsum("...jt,...jt->...", inv, ric)
     return ric, scal
 
 
-def _schouten(ric: np.ndarray, scal: np.ndarray, g: MetricField) -> np.ndarray:
-    """Schouten tensor ``P = (Ric - R g / (2 (n - 1))) / (n - 2)``."""
-    n = g.chart.n
-    return (ric - (scal / (2.0 * (n - 1)))[..., None, None] * g.dense) / (n - 2)
+def _schouten(ric: np.ndarray, scal: np.ndarray, dense: np.ndarray) -> np.ndarray:
+    """Schouten tensor ``P = (Ric - R g / (2 (n - 1))) / (n - 2)`` for the
+    dense (..., n, n) metric ``dense``."""
+    n = dense.shape[-1]
+    return (ric - (scal / (2.0 * (n - 1)))[..., None, None] * dense) / (n - 2)
 
 
-def weyl(riem: Riem4Field, ric: np.ndarray, scal: np.ndarray, g: MetricField) -> Riem4Field:
-    """Trace-free part of the curvature tensor, ``W = Riem - KN(P, g)`` with
-    the Schouten tensor ``P``."""
-    return Riem4Field(g.chart, riem.pair - kulkarni_nomizu(_schouten(ric, scal, g), g.dense))
+def weyl(riem: np.ndarray, ric: np.ndarray, scal: np.ndarray, dense: np.ndarray) -> np.ndarray:
+    """Trace-free part of the curvature pair matrices, ``W = Riem - KN(P, g)``
+    with the Schouten tensor ``P`` of the dense (..., n, n) metric."""
+    return riem - kulkarni_nomizu(_schouten(ric, scal, dense), dense)
 
 
 @dataclass
@@ -183,11 +239,45 @@ class CurvatureBundle:
         return self.g.chart
 
 
+def _stack(g: MetricField, gamma: np.ndarray):
+    """Yield ``(planes, riem, ric, scal, W)`` for each slab of the grid."""
+    n = g.chart.n
+    for planes in _slabs(g.chart):
+        riem = riemann(g, gamma, planes)
+        ric, scal = ricci_scalar(riem, g.inverse[planes])
+        W = weyl(riem, ric, scal, sym2_unpack(g.packed[planes], n))
+        yield planes, riem, ric, scal, W
+
+
 def curvature_bundle(g: MetricField) -> CurvatureBundle:
-    gamma = christoffel(g)
-    riem_ = riemann(g, gamma)
-    ric, scal = ricci_scalar(riem_, g)
-    return CurvatureBundle(g, gamma, riem_, ric, scal, weyl(riem_, ric, scal, g))
+    """The whole curvature stack of ``g``: the slab loop keeping every field."""
+    shape = g.chart.sizes
+    n = g.chart.n
+    m = len(pair_indices(n))
+    gamma = _christoffel_field(g)
+    riem, W = np.empty(shape + (m, m)), np.empty(shape + (m, m))
+    ric, scal = np.empty(shape + (n, n)), np.empty(shape)
+    for planes, *fields in _stack(g, gamma):
+        for whole, part in zip((riem, ric, scal, W), fields):
+            whole[planes] = part
+    return CurvatureBundle(g, gamma, Riem4Field(g.chart, riem), ric, scal, Riem4Field(g.chart, W))
+
+
+def curvature_scalars(
+    g: MetricField, bundle: CurvatureBundle | None = None
+) -> tuple[np.ndarray, np.ndarray]:
+    """Scalar curvature R and squared Weyl norm |W|^2 of ``g``.
+
+    Read off ``bundle`` when given; otherwise the slab loop keeps only these
+    two fields, so no whole-grid Riemann, Ricci or Weyl field is held.
+    """
+    if bundle is not None:
+        return bundle.scal, riemann_norm_squared(bundle.W.pair, g.inverse)
+    scal, wnorm2 = np.empty(g.chart.sizes), np.empty(g.chart.sizes)
+    for planes, _, _, s, W in _stack(g, _christoffel_field(g)):
+        scal[planes] = s
+        wnorm2[planes] = riemann_norm_squared(W, g.inverse[planes])
+    return scal, wnorm2
 
 
 def hessian(

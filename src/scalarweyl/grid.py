@@ -16,15 +16,19 @@ built when first read.
 
 Differentiation defaults to 4th-order centered stencils; second derivatives
 are compositions of first-derivative stencils, so mixed partials commute to
-roundoff.  Inputs of 2^20 elements or more (an 8 MB field) run the same
-stencil slab by slab, cut along axis 0 (axis 1 when differentiating along
-axis 0), so the ghost copy and the temporaries of one slab stay in L2 cache;
-the results are bit-identical to the one-shot stencil, which scalar fields
-of the usual grid sizes keep.  A spectral scheme is available behind the
-chart's ``scheme`` switch.  Integration is the plain point sum times the
-cell volume, which is spectrally accurate on periodic grids and makes the
-discrete divergence theorem hold to roundoff (the stencil telescopes over
-each periodic axis).
+roundoff.  There is one fd4 stencil: it takes an array that already carries
+two ghost planes at each end of the differentiated axis.  ``deriv`` builds
+those planes by periodic wraparound; ``deriv_planes`` forms a range of
+axis-0 planes only, reading two ghost planes past each end of the range
+when it differentiates along axis 0.  Outputs of 2^20 elements or more (an
+8 MB field) run the same stencil slab by slab, cut along axis 0 (axis 1 when
+differentiating along axis 0), so the ghost copy and the temporaries of one
+slab stay in L2 cache; the results are bit-identical to the one-shot
+stencil, which scalar fields of the usual grid sizes keep.  A spectral
+scheme is available behind the chart's ``scheme`` switch.  Integration is
+the plain point sum times the cell volume, which is spectrally accurate on
+periodic grids and makes the discrete divergence theorem hold to roundoff
+(the stencil telescopes over each periodic axis).
 
 The Laplace-Beltrami operator is applied in flux form,
 (1/sqrt(det g)) sum_a D_a(sqrt(det g) g^{ab} D_b u).  Its coefficient
@@ -36,6 +40,7 @@ derivatives back and one division by sqrt(det g).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -47,6 +52,7 @@ __all__ = [
     "FluxForm",
     "make_chart",
     "deriv",
+    "deriv_planes",
     "gradient",
     "integrate",
     "flux_laplacian",
@@ -141,11 +147,22 @@ def make_chart(n, sizes, lengths, scheme="fd4") -> Chart:
 # ---------------------------------------------------------------------------
 
 
-def _ghost_shifts(arr: np.ndarray, axis: int):
-    """Periodic shifts by -2..2 along ``axis``, as slices of one copy padded
-    with two ghost cells at each end: ``shifted(s)[i] == arr[i + s]``."""
-    size = arr.shape[axis]
-    ext = np.take(arr, np.arange(-2, size + 2) % size, axis=axis)
+def _with_ghosts(arr: np.ndarray, axis: int, start: int, stop: int) -> np.ndarray:
+    """Planes ``start - 2 .. stop + 1`` of ``arr`` along ``axis``, wrapped
+    periodically: the range ``[start, stop)`` with two ghost planes past
+    each end.
+
+    Indexing copies only those planes; ``np.take`` would first copy a
+    strided input whole.
+    """
+    ghosts = np.arange(start - 2, stop + 2) % arr.shape[axis]
+    return arr[(slice(None),) * axis + (ghosts,)]
+
+
+def _interior_shifts(ext: np.ndarray, axis: int):
+    """Shifts by -2..2 of the interior of ``ext``, which carries two ghost
+    planes at each end along ``axis``: ``shifted(s)[i] == ext[2 + i + s]``."""
+    size = ext.shape[axis] - 4
     lead = (slice(None),) * axis
 
     def shifted(s: int) -> np.ndarray:
@@ -154,13 +171,20 @@ def _ghost_shifts(arr: np.ndarray, axis: int):
     return shifted
 
 
-#: inputs of at least this many elements are differentiated slab by slab
+def _ghost_shifts(arr: np.ndarray, axis: int):
+    """Periodic shifts by -2..2 along ``axis``, as slices of one copy padded
+    with two ghost cells at each end: ``shifted(s)[i] == arr[i + s]``."""
+    return _interior_shifts(_with_ghosts(arr, axis, 0, arr.shape[axis]), axis)
+
+
+#: outputs of at least this many elements are differentiated slab by slab
 _SLAB_MIN = 1 << 20
 
 
-def _stencil_fd4(arr: np.ndarray, axis: int, spacing: float, out=None) -> np.ndarray:
-    # 5-point centered stencil on the ghost-cell shifts
-    shifted = _ghost_shifts(arr, axis)
+def _stencil_fd4(ext: np.ndarray, axis: int, spacing: float, out=None) -> np.ndarray:
+    """5-point centered stencil on ``ext``, which carries two ghost planes at
+    each end along ``axis``; the result covers its interior."""
+    shifted = _interior_shifts(ext, axis)
     out = np.subtract(shifted(1), shifted(-1), out=out)
     out *= 8.0
     out -= np.subtract(shifted(2), shifted(-2))
@@ -168,17 +192,29 @@ def _stencil_fd4(arr: np.ndarray, axis: int, spacing: float, out=None) -> np.nda
     return out
 
 
-def _deriv_fd4(arr: np.ndarray, axis: int, spacing: float) -> np.ndarray:
-    """fd4 derivative; large inputs run the same stencil on one-index slabs
-    of a grid axis other than ``axis``, so results are bit-identical."""
-    if arr.size < _SLAB_MIN:
-        return _stencil_fd4(arr, axis, spacing)
+def _deriv_fd4(arr: np.ndarray, axis: int, spacing: float, planes=slice(None)) -> np.ndarray:
+    """fd4 derivative on the axis-0 ``planes`` of ``arr``.
+
+    The ghost planes along ``axis`` wrap periodically; along axis 0 they are
+    read past the ends of ``planes``.  Large outputs run the same stencil on
+    one-index slabs of a grid axis other than ``axis``, so results are
+    bit-identical to the one-shot stencil and to every other choice of
+    ``planes``.
+    """
+    start, stop, _ = planes.indices(arr.shape[0])
+    if axis == 0:
+        shape = (stop - start,) + arr.shape[1:]
+    else:
+        arr = arr[start:stop]
+        shape, start, stop = arr.shape, 0, arr.shape[axis]
+    if math.prod(shape) < _SLAB_MIN:
+        return _stencil_fd4(_with_ghosts(arr, axis, start, stop), axis, spacing)
     cut = 1 if axis == 0 else 0
-    out = np.empty(arr.shape)
+    out = np.empty(shape)
     lead = (slice(None),) * cut
-    for i in range(arr.shape[cut]):
+    for i in range(shape[cut]):
         sl = lead + (slice(i, i + 1),)
-        _stencil_fd4(arr[sl], axis, spacing, out=out[sl])
+        _stencil_fd4(_with_ghosts(arr[sl], axis, start, stop), axis, spacing, out=out[sl])
     return out
 
 
@@ -223,6 +259,24 @@ def deriv(chart: Chart, arr: np.ndarray, axis: int) -> np.ndarray:
     if chart.scheme == "spectral":
         return _deriv_spectral(arr, axis, chart.sizes[axis], chart.lengths[axis])
     return _deriv_fd4(arr, axis, chart.spacings[axis])
+
+
+def deriv_planes(chart: Chart, arr: np.ndarray, axis: int, planes: slice) -> np.ndarray:
+    """Planes ``planes`` (a slice of axis 0) of ``deriv(chart, arr, axis)``,
+    formed without the others.
+
+    Along axis 0 the fd4 stencil reads two ghost planes of ``arr`` past each
+    end of the range, wrapped periodically; the result is bit-identical to
+    the same planes of the whole derivative.  A spectral derivative needs
+    whole axes, so a spectral chart takes all planes only.
+    """
+    if chart.scheme == "spectral":
+        if planes.indices(chart.sizes[0]) != (0, chart.sizes[0], 1):
+            raise FieldError("a spectral chart differentiates whole axes; pass all planes")
+        return deriv(chart, arr, axis)
+    if not 0 <= axis < chart.n:
+        raise FieldError(f"axis must be in [0, {chart.n}), got {axis}")
+    return _deriv_fd4(_grid_broadcast(chart, arr), axis, chart.spacings[axis], planes)
 
 
 def gradient(chart: Chart, arr: np.ndarray) -> np.ndarray:

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from oracles import phi_expansion
-from scalarweyl import conformal, construct, yamabe
+from scalarweyl import conformal, construct, curvature, yamabe
 from scalarweyl.conformal import scalar_weyl
 from scalarweyl.construct import (
     ConstructionConfig,
@@ -191,6 +191,24 @@ def test_search_forms_the_background_coefficient_when_omitted():
     )
 
 
+def test_search_names_the_grid_its_largest_radius_needs():
+    # the default radii run from L/16 to L/6; at 12^4 and 16^4 each spans
+    # fewer than three cells, and L/6 first spans three cells at 18 points
+    for size in (12, 16):
+        g = flat_metric(make_chart(4, (size,) * 4, (L,) * 4))
+        report = search_parameters(g, 1.0)
+        assert not report.succeeded
+        assert not any(np.isfinite(c.value) for c in report.landscape)
+        assert report.message.endswith(
+            "no evaluable cells: every radius with disjoint balls spans fewer than "
+            f"3 grid cells, and the largest, r={L / 6:.4f}, needs 18 points per axis"
+        ), report.message
+    assert construct._resolving_size(make_chart(4, (12,) * 4, (L,) * 4), L / 6) == 18
+    # an 18^4 grid does evaluate that radius
+    g = flat_metric(make_chart(4, (18,) * 4, (L,) * 4))
+    assert any(np.isfinite(c.value) for c in search_parameters(g, 1.0).landscape)
+
+
 def test_radial_fields_adds_disjoint_balls():
     chart = make_chart(4, (12,) * 4, (L,) * 4)
     g = flat_metric(chart)
@@ -253,6 +271,19 @@ def test_deformation_path_reports_a_solver_verdict_error(monkeypatch):
     assert res.certificate == -1.0
     assert "requires a negative first eigenvalue" in res.message
     assert "'positive'" in res.message
+
+
+def test_pinching_report_streams_what_the_bundle_route_reads(monkeypatch):
+    # three planes per slab: slabs of 3, 3 and 2 planes
+    monkeypatch.setattr(curvature, "_SLAB_POINTS", 3 * 8**3)
+    chart = make_chart(4, (8,) * 4, (L,) * 4)
+    g = fourier_metric(chart, amplitude=0.25, seed=2)
+    bundle = curvature_bundle(g)
+    for eps in (1e-3, 1.0, 1e3):
+        streamed, read = pinching_report(g, eps), pinching_report(g, eps, bundle=bundle)
+        assert streamed.worst_scal == read.worst_scal
+        assert streamed.worst_margin == read.worst_margin
+        assert streamed == read
 
 
 def test_pinching_report_reads_the_curvature_stack():

@@ -4,10 +4,14 @@ import numpy as np
 import pytest
 
 from oracles import dense_from_pair, riemann_symmetry_report
+from scalarweyl import curvature
+from scalarweyl.conformal import scalar_weyl
 from scalarweyl.curvature import (
     _schouten,
+    _slabs,
     christoffel,
     curvature_bundle,
+    curvature_scalars,
     hessian,
     ricci_scalar,
     riemann,
@@ -21,11 +25,11 @@ from scalarweyl.presets import (
     radial_cutoff,
 )
 from scalarweyl.tensor import (
-    Riem4Field,
     bianchi_project,
     kulkarni_nomizu,
     pair_indices,
     riemann_norm,
+    riemann_norm_squared,
     trace_13,
 )
 
@@ -86,6 +90,52 @@ def conf_metric(chart):
     return conformally_flat_metric(chart, phi_and_derivs(chart)[0])
 
 
+# --- the slab loop against one whole-field pass -----------------------------
+
+
+@pytest.mark.parametrize(
+    "n, sizes, scheme, slab_points, slabs",
+    [
+        # 3 planes per slab over 10 planes: 3 + 3 + 3 + 1
+        (3, (10, 8, 8), "fd4", 3 * 64, 4),
+        # 4 planes per slab over 10 planes: 4 + 4 + 2
+        (4, (10, 8, 8, 8), "fd4", 4 * 512, 3),
+        # one plane per slab: both ghost planes of every slab are neighbours'
+        (4, (8,) * 4, "fd4", 512, 8),
+        # the default rule keeps an 8^4 grid in one slab
+        (4, (8,) * 4, "fd4", None, 1),
+        # a spectral chart is one slab whatever the points per slab
+        (4, (8,) * 4, "spectral", 512, 1),
+        (3, (8,) * 3, "spectral", 64, 1),
+    ],
+)
+def test_slab_loop_is_bit_identical_to_one_whole_field_pass(
+    monkeypatch, n, sizes, scheme, slab_points, slabs
+):
+    if slab_points is not None:
+        monkeypatch.setattr(curvature, "_SLAB_POINTS", slab_points)
+    c = make_chart(n, sizes, (2 * np.pi,) * n, scheme=scheme)
+    g = fourier_metric(c, amplitude=0.3, seed=4)
+    assert len(_slabs(c)) == slabs
+    # the reference: each layer once on all planes
+    gamma = christoffel(g)
+    riem = riemann(g, gamma)
+    ric, scal = ricci_scalar(riem, g.inverse)
+    W = weyl(riem, ric, scal, g.dense)
+    wnorm2 = riemann_norm_squared(W, g.inverse)
+    b = curvature_bundle(g)
+    for got, want in ((b.gamma, gamma), (b.riem.pair, riem), (b.ric, ric), (b.scal, scal),
+                      (b.W.pair, W)):
+        assert np.array_equal(got, want)
+    streamed = curvature_scalars(g)
+    assert np.array_equal(streamed[0], scal)
+    assert np.array_equal(streamed[1], wnorm2)
+    t = 0.7
+    F = scalar_weyl(g, t)
+    assert np.array_equal(F, scal + t * np.sqrt(wnorm2))
+    assert np.array_equal(F, scalar_weyl(g, t, bundle=b))
+
+
 # --- flat -------------------------------------------------------------------
 
 
@@ -96,8 +146,8 @@ def test_flat_curvature_identically_zero():
         gamma = christoffel(g)
         assert np.count_nonzero(gamma) == 0
         rm = riemann(g, gamma)
-        assert np.count_nonzero(rm.pair) == 0
-        ric, scal = ricci_scalar(rm, g)
+        assert np.count_nonzero(rm) == 0
+        ric, scal = ricci_scalar(rm, g.inverse)
         assert np.count_nonzero(ric) == 0 and np.count_nonzero(scal) == 0
         assert decomposition_residual(g) == 0.0
 
@@ -156,7 +206,7 @@ def test_assembly_matches_per_entry_reference(n, sizes, scheme):
     ref = christoffel_reference(g)
     assert np.max(np.abs(gamma - ref)) <= 1e-14 * np.max(np.abs(ref))
     # from the same symbols the assembly is bit-identical
-    assert np.array_equal(riemann(g, gamma).pair, riemann_reference(g, gamma))
+    assert np.array_equal(riemann(g, gamma), riemann_reference(g, gamma))
 
 
 # --- conformally flat oracles ------------------------------------------------
@@ -188,7 +238,7 @@ def test_ricci_scalar_conformal_oracle_order():
     for size in (12, 24):
         c = chart3(size)
         g = conf_metric(c)
-        ric, scal = ricci_scalar(riemann(g), g)
+        ric, scal = ricci_scalar(riemann(g), g.inverse)
         ric_o, scal_o = ricci_oracle(c)
         errs_ric.append(np.max(np.abs(ric - ric_o)))
         errs_scal.append(np.max(np.abs(scal - scal_o)))
@@ -203,10 +253,10 @@ def test_trace_linearity():
     c = chart3(8)
     g = fourier_metric(c, amplitude=0.2, seed=1)
     r1 = riemann(g)
-    r2 = Riem4Field(c, kulkarni_nomizu(g.dense, g.dense))
-    ric_sum, scal_sum = ricci_scalar(Riem4Field(c, r1.pair + r2.pair), g)
-    ric1, scal1 = ricci_scalar(r1, g)
-    ric2, scal2 = ricci_scalar(r2, g)
+    r2 = kulkarni_nomizu(g.dense, g.dense)
+    ric_sum, scal_sum = ricci_scalar(r1 + r2, g.inverse)
+    ric1, scal1 = ricci_scalar(r1, g.inverse)
+    ric2, scal2 = ricci_scalar(r2, g.inverse)
     assert np.allclose(ric_sum, ric1 + ric2, atol=1e-12)
     assert np.allclose(scal_sum, scal1 + scal2, atol=1e-12)
 
@@ -234,10 +284,10 @@ def test_cap_sectional_curvature_is_one():
         rm = riemann(g)
         # pair slot 0 is (0,1): plane of the first two coordinate directions
         plane = g.dense[..., 0, 0] * g.dense[..., 1, 1] - g.dense[..., 0, 1] ** 2
-        K = rm.pair[..., 0, 0] / plane
+        K = rm[..., 0, 0] / plane
         mask = rho <= 0.4
         errs_k.append(np.max(np.abs(K[mask] - 1.0)))
-        _, scal = ricci_scalar(rm, g)
+        _, scal = ricci_scalar(rm, g.inverse)
         errs_r.append(np.max(np.abs(scal[mask] - 6.0)))
     # measured at 32^3: 5.9e-3 and 3.6e-2, ratio ~10
     assert errs_k[1] < 2.5e-2 and errs_k[0] / errs_k[1] > 6.0
@@ -264,7 +314,7 @@ def test_riemann_refinement_order():
     for size in (12, 24, 48):
         c = chart3(size)
         g = fourier_metric(c, amplitude=0.25, seed=5)
-        mat = riemann(g).pair
+        mat = riemann(g)
         if prev is not None:
             errs.append(np.max(np.abs(prev - mat[::2, ::2, ::2])))
         prev = mat
@@ -335,7 +385,7 @@ def decomposition_residual(g):
     product plumbing.
     """
     bundle = curvature_bundle(g)
-    recomposed = bundle.W.pair + kulkarni_nomizu(_schouten(bundle.ric, bundle.scal, g), g.dense)
+    recomposed = bundle.W.pair + kulkarni_nomizu(_schouten(bundle.ric, bundle.scal, g.dense), g.dense)
     diff = riemann_norm(recomposed - bundle.riem.pair, g.inverse)
     scale = max(float(np.max(riemann_norm(bundle.riem.pair, g.inverse))), 1e-300)
     return float(np.max(diff)) / scale

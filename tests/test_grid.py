@@ -13,6 +13,7 @@ from scalarweyl.grid import (
     FluxForm,
     MetricField,
     deriv,
+    deriv_planes,
     flux_laplacian,
     gradient,
     integrate,
@@ -158,6 +159,39 @@ def test_blocked_fd4_matches_one_shot_stencil():
         for axis in range(c.n):
             ref = _one_shot_fd4(whole, axis, c.spacings[axis])
             assert np.array_equal(deriv(c, arr, axis), ref)
+
+
+def test_ghost_plane_stencil_matches_periodic_deriv_on_its_planes():
+    rng = np.random.default_rng(13)
+    c = make_chart(3, (10, 8, 12), (1.0, 2.0, 3.0))
+    arr = rng.standard_normal(c.sizes + (3,))
+    # ranges inside the axis, at both ends (ghost planes wrap) and whole
+    ranges = [(3, 6), (0, 2), (8, 10), (9, 10), (0, 10)]
+    for axis in range(c.n):
+        whole = deriv(c, arr, axis)
+        for start, stop in ranges:
+            planes = slice(start, stop)
+            assert np.array_equal(deriv_planes(c, arr, axis, planes), whole[planes])
+        # the stencil itself takes an array carrying two ghost planes per end
+        ext = np.take(arr, np.arange(-2, c.sizes[axis] + 2) % c.sizes[axis], axis=axis)
+        assert np.array_equal(grid._stencil_fd4(ext, axis, c.spacings[axis]), whole)
+    ext = np.take(arr, np.arange(1, 9), axis=0)  # planes 3..6 with their ghosts
+    assert np.array_equal(grid._stencil_fd4(ext, 0, c.spacings[0]), deriv(c, arr, 0)[3:7])
+    # an output of 2^20 elements runs the stencil cut into one-index slabs
+    big = make_chart(4, (16,) * 4, (1.0,) * 4)
+    wide = rng.standard_normal(big.sizes + (32,))
+    for axis in (0, 2):
+        got = deriv_planes(big, wide, axis, slice(4, 12))
+        assert got[..., 0].size * 32 == grid._SLAB_MIN
+        assert np.array_equal(got, deriv(big, wide, axis)[4:12])
+
+
+def test_deriv_planes_spectral_takes_whole_axes_only():
+    c = make_chart(3, (8,) * 3, (1.0,) * 3, scheme="spectral")
+    arr = np.random.default_rng(2).standard_normal(c.sizes)
+    assert np.array_equal(deriv_planes(c, arr, 1, slice(None)), deriv(c, arr, 1))
+    with pytest.raises(FieldError, match="whole axes"):
+        deriv_planes(c, arr, 1, slice(0, 4))
 
 
 def test_gradient_shape_and_values():
