@@ -34,15 +34,10 @@ import numpy as np
 
 from .conformal import conformal_metric, scalar_weyl
 from .curvature import CurvatureBundle, curvature_scalars
-from .deformation import (
-    _ricci_hessian_blocks,
-    _scalar_ingredients,
-    _weyl_error,
-    deform,
-    deformed_norm,
-)
+from .deformation import _energy_slabs, _ricci_hessian_blocks, deform
 from .grid import Chart, FieldError, MetricField, integrate
 from .presets import smooth_bridge
+from .tensor import lifted_norm_squared
 from .yamabe import (
     SolveReport,
     TrichotomyResult,
@@ -593,23 +588,26 @@ def _test_energy_bound(
 
     The bound is the conformal test-function energy of the sheared metric,
     assembled from one deformation bundle of the rescaled metric through the
-    closed-form routes.  It sits below the certifying integral by the
-    integrated triangle gap t * int(|W'| + |E| - |W' + E|) dV', which is
-    pointwise nonnegative; its negativity is what licenses the
-    constant-curvature solve.
+    closed-form routes, slab by slab as ``deformation_energy`` is.  It sits
+    below the certifying integral by the integrated triangle gap
+    t * int(|W'| + |E| - |W' + E|) dV', which is pointwise nonnegative; its
+    negativity is what licenses the constant-curvature solve.
     """
     chart = g.chart
     scaled = MetricField(chart, fields.psi[..., None] * g.packed)
-    phi = k * fields.psi
-    bundle = deform(scaled, phi, grad=k * fields.grad_psi)
+    bundle = deform(scaled, k * fields.psi, grad=k * fields.grad_psi)
+    base = bundle.base
+    snorm, ricci, hess = (np.empty(chart.sizes) for _ in range(3))
+    for planes, lift, E, ricci_slab, hess_slab in _energy_slabs(bundle):
+        ricci[planes], hess[planes] = ricci_slab, hess_slab
+        snorm[planes] = np.sqrt(lifted_norm_squared(base.W.pair[planes] + E, lift))
+    ricci_block, hess_block = _ricci_hessian_blocks(bundle, ricci, hess)
     dens = scaled.sqrt_det
-    ing = _scalar_ingredients(bundle)
-    snorm = deformed_norm(
-        bundle.base.W.pair + _weyl_error(bundle, ing).pair, scaled, phi, grad=bundle.grad
+    scal = integrate(chart, base.scal, dens)
+    return (
+        float(scal + t * integrate(chart, snorm, dens) + (ricci_block + hess_block)),
+        bundle.g_prime,
     )
-    ricci, hess = _ricci_hessian_blocks(bundle, ing)
-    scal = integrate(chart, bundle.base.scal, dens)
-    return float(scal + t * integrate(chart, snorm, dens) + (ricci + hess)), bundle.g_prime
 
 
 @dataclass

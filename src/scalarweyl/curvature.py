@@ -15,14 +15,21 @@ downstream Weyl norms need.
 The Christoffel symbols come from the derivatives of the packed metric
 (n (n + 1) / 2 components): three whole-field gathers on the point-major
 (points, components) view form the lowered bracket for every lower index
-and every packed pair (a <= b), one batched (n x n) . (n x P) product raises
-the index, and one more gather expands the packed pairs to (a, b).
+and every packed pair (a <= b), and one batched (n x n) . (n x P) product
+raises the index.  The symbols stay packed in their symmetric lower pair,
+(..., n, P) with ``Gamma[..., c, q] = Gamma^c_{ab}`` for q = (a, b): the one
+representation that ``CurvatureBundle.gamma``, ``riemann`` and ``hessian``
+read, 5/8 of the dense (..., n, n, n) at n = 4.  ``sym2_unpack(Gamma, n)``
+gives the dense form.
 
 Riemann assembly is blocked over the derivative pair (mu < nu) to keep peak
-memory near one dense (n, n) field instead of the full n^4 tensor.  The
-antisymmetric part of each lowered (n, n) field is two gathers at the pair
-tables; it is stored as row q, which the exchange average makes the same as
-column q.
+memory near a few dense (n, n) fields instead of the full n^4 tensor.  The
+packed symbols are differentiated one axis at a time, and each derivative
+is gathered at once into the (n, n) matrices of the pairs that hold that
+axis; the matrices Gamma^r_{a l} of the products are gathered once per
+slab.  The antisymmetric part of each lowered (n, n) field is two gathers
+at the pair tables; it is stored as row q, which the exchange average
+makes the same as column q.
 
 The stack runs in slabs of axis-0 planes, about ``_SLAB_POINTS`` points
 each.  Gamma is formed slab by slab into one whole-grid array; each slab
@@ -31,13 +38,16 @@ Riemann, Ricci, R, W and |W|^2 run per slab, reading two ghost planes of
 Gamma for d_0 Gamma.  Both use the one fd4 stencil of ``grid``, so every
 slab is bit-identical to the same planes of a whole-grid pass.
 ``curvature_bundle`` keeps every field of the loop; ``curvature_scalars``
-keeps only R and |W|^2, so its peak is the whole-grid Gamma plus one slab.
-A spectral chart, whose derivatives need whole axes, is one slab, as is an
-axis no longer than one slab.
+keeps only R and |W|^2, so its peak is the whole-grid Gamma plus one slab,
+and on a bundle it forms |W|^2 slab by slab too.  The deformation layer
+runs its closed forms in the same slabs.  A spectral chart, whose
+derivatives need whole axes, is one slab, as is an axis no longer than one
+slab.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -46,6 +56,7 @@ import numpy as np
 from .grid import (
     Chart,
     MetricField,
+    _dense_slots,
     deriv,
     deriv_planes,
     gradient,
@@ -73,6 +84,20 @@ __all__ = [
 ]
 
 
+def _pack_slots(n: int) -> np.ndarray:
+    """``slot[a, b]``: the packed column of the symmetric pair (a, b)."""
+    return np.reshape(_dense_slots(n), (n, n))
+
+
+@lru_cache(maxsize=None)
+def _gamma_blocks(n: int) -> list[np.ndarray]:
+    """For each ``a``, the flat (n * P) columns of the packed symbols that
+    form the (n, n) matrix ``Gamma^r_{a l}`` in (r, l)."""
+    slot = _pack_slots(n)
+    npack = n * (n + 1) // 2
+    return [(np.arange(n)[:, None] * npack + slot[a]).ravel() for a in range(n)]
+
+
 @lru_cache(maxsize=None)
 def _christoffel_tables(n: int):
     """Gather tables on the flattened packed-derivative field.
@@ -80,19 +105,14 @@ def _christoffel_tables(n: int):
     ``dg[..., c, e]`` is ``d_e`` of packed component ``c``, flattened to
     column ``c * n + e``.  Column ``d * P + q`` of the bracket, for packed
     pair ``q = (a, b)``, is ``d_a g_db + d_b g_da - d_d g_ab``, gathered as
-    ``plus_a + plus_b - minus``.  ``expand`` maps ``(c, a, b)`` to column
-    ``c * P + slot[a, b]`` of the raised bracket.
+    ``plus_a + plus_b - minus``.
     """
-    pack = sym2_pack_indices(n)
-    slot = np.empty((n, n), dtype=np.intp)
-    for q, (a, b) in enumerate(pack):
-        slot[a, b] = slot[b, a] = q
-    rows = [(d, a, b) for d in range(n) for a, b in pack]
+    slot = _pack_slots(n)
+    rows = [(d, a, b) for d in range(n) for a, b in sym2_pack_indices(n)]
     plus_a = np.array([slot[d, b] * n + a for d, a, b in rows])
     plus_b = np.array([slot[d, a] * n + b for d, a, b in rows])
     minus = np.array([slot[a, b] * n + d for d, a, b in rows])
-    expand = (np.arange(n)[:, None, None] * len(pack) + slot).ravel()
-    return plus_a, plus_b, minus, expand
+    return plus_a, plus_b, minus
 
 
 #: points per slab of the curvature stack (2 planes of a 20^4 grid).  A
@@ -113,8 +133,10 @@ def _slabs(chart: Chart) -> list[slice]:
 
 
 def christoffel(g: MetricField, planes: slice = slice(None)) -> np.ndarray:
-    """Levi-Civita symbols ``Gamma[..., c, a, b]``, symmetric in (a, b), on
-    the axis-0 ``planes`` (all of them by default)."""
+    """Levi-Civita symbols on the axis-0 ``planes`` (all of them by default),
+    packed in their symmetric lower pair: ``Gamma[..., c, q]`` is
+    ``Gamma^c_{ab}`` for the packed pair ``q = (a <= b)``, so
+    ``sym2_unpack(Gamma, n)`` is the dense ``Gamma[..., c, a, b]``."""
     chart = g.chart
     n = chart.n
     npack = g.packed.shape[-1]
@@ -124,7 +146,7 @@ def christoffel(g: MetricField, planes: slice = slice(None)) -> np.ndarray:
     for e in range(n):
         dg[..., e] = deriv_planes(chart, g.packed, e, planes)
     flat = dg.reshape(-1, npack * n)
-    plus_a, plus_b, minus, expand = _christoffel_tables(n)
+    plus_a, plus_b, minus = _christoffel_tables(n)
     # the tables hold valid columns only, so "clip" skips the bounds check
     brk = np.take(flat, plus_a, axis=1, mode="clip")
     tmp = np.take(flat, plus_b, axis=1, mode="clip")
@@ -132,15 +154,12 @@ def christoffel(g: MetricField, planes: slice = slice(None)) -> np.ndarray:
     brk -= np.take(flat, minus, axis=1, out=tmp, mode="clip")
     del dg, flat, tmp
     raised = np.matmul(0.5 * inv.reshape(-1, n, n), brk.reshape(-1, n, npack))
-    del brk
-    gamma = np.take(raised.reshape(-1, n * npack), expand, axis=1, mode="clip")
-    return gamma.reshape(lead + (n, n, n))
+    return raised.reshape(lead + (n, npack))
 
 
 def _christoffel_field(g: MetricField) -> np.ndarray:
-    """Whole-grid Gamma, formed slab by slab."""
-    n = g.chart.n
-    gamma = np.empty(g.chart.sizes + (n, n, n))
+    """Whole-grid packed Gamma, formed slab by slab."""
+    gamma = np.empty(g.chart.sizes + (g.chart.n, g.packed.shape[-1]))
     for planes in _slabs(g.chart):
         gamma[planes] = christoffel(g, planes)
     return gamma
@@ -160,8 +179,8 @@ def riemann(
     g: MetricField, gamma: np.ndarray | None = None, planes: slice = slice(None)
 ) -> np.ndarray:
     """Lowered (0,4) curvature pair matrices of ``g`` on the axis-0
-    ``planes``, from the whole-grid symbols ``gamma``; along axis 0 their
-    derivative reads two ghost planes of ``gamma`` past each end."""
+    ``planes``, from the whole-grid packed symbols ``gamma``; along axis 0
+    their derivative reads two ghost planes of ``gamma`` past each end."""
     chart = g.chart
     n = chart.n
     if gamma is None:
@@ -169,31 +188,49 @@ def riemann(
     pairs = pair_indices(n)
     m = len(pairs)
     ab, ba = _pair_gather(n)
-    dense = sym2_unpack(g.packed[planes], n)
-    own = gamma[planes]
-    lead = own.shape[:-3]
-    # scratch reused by every pair (two (n, n) fields and one row), and
-    # the rows of all pairs
-    prod = np.empty(lead + (n, n))
+    blocks = _gamma_blocks(n)
+    npack = gamma.shape[-1]
+    lead = gamma[planes].shape[:-2]
+    points = math.prod(lead)
+    # d_mu Gamma_nu - d_nu Gamma_mu of every pair, as (n, n) matrices in
+    # (r, l) of Gamma^r_{nu l}: one axis's packed derivative at a time, each
+    # gathered into the pairs that hold that axis (mu < nu, so the
+    # subtraction always follows its first term)
+    r13 = [np.empty((points, n, n)) for _ in pairs]
+    tmp = np.empty((points, n * n))
+    for e in range(n):
+        d = deriv_planes(chart, gamma, e, planes).reshape(points, n * npack)
+        for q, (mu, nu) in enumerate(pairs):
+            # the tables hold valid columns only, so "clip" skips the bounds check
+            if mu == e:
+                np.take(d, blocks[nu], axis=1, out=r13[q].reshape(points, -1), mode="clip")
+            elif nu == e:
+                r13[q] -= np.take(d, blocks[mu], axis=1, out=tmp, mode="clip").reshape(
+                    points, n, n
+                )
+        del d
+    del tmp
+    own = gamma[planes].reshape(points, n * npack)
+    mats = [np.take(own, blocks[a], axis=1, mode="clip").reshape(points, n, n) for a in range(n)]
+    dense = sym2_unpack(g.packed[planes], n).reshape(points, n, n)
+    # scratch reused by every pair (two (n, n) fields and one row), and the
+    # rows of all pairs
+    prod = np.empty((points, n, n))
     low = np.empty_like(prod)
-    flat = low.reshape(-1, n * n)
-    rows = np.empty((m, flat.shape[0], m))
-    tmp = np.empty(rows.shape[1:])
+    flat = low.reshape(points, n * n)
+    rows = np.empty((m, points, m))
+    spare = np.empty((points, m))
     for q, (mu, nu) in enumerate(pairs):
-        gm = own[..., mu, :]  # Gamma^r_{mu l}
-        gn = own[..., nu, :]
-        r13 = deriv_planes(chart, gamma[..., nu, :], mu, planes)
-        r13 -= deriv_planes(chart, gamma[..., mu, :], nu, planes)
-        np.matmul(gm, gn, out=prod)
-        prod -= np.matmul(gn, gm, out=low)
-        r13 += prod
-        np.matmul(dense, r13, out=low)
+        np.matmul(mats[mu], mats[nu], out=prod)
+        prod -= np.matmul(mats[nu], mats[mu], out=low)
+        r13[q] += prod
+        np.matmul(dense, r13[q], out=low)
         # twice the antisymmetric part of the first pair is row q
         row = np.take(flat, ab, axis=1, out=rows[q], mode="clip")
-        row -= np.take(flat, ba, axis=1, out=tmp, mode="clip")
+        row -= np.take(flat, ba, axis=1, out=spare, mode="clip")
     # free the scratch so the exchange average and the projection run
     # with no more than two pair matrices alive
-    del prod, low, flat, tmp, r13, row
+    del r13, mats, prod, low, flat, spare, row
     # exchange average of the rows and their transpose, with the halving of
     # the antisymmetric part folded in (scaling by 1/4 is exact)
     mat = np.add(rows.transpose(1, 0, 2), rows.transpose(1, 2, 0))
@@ -225,7 +262,13 @@ def weyl(riem: np.ndarray, ric: np.ndarray, scal: np.ndarray, dense: np.ndarray)
 
 @dataclass
 class CurvatureBundle:
-    """Curvature stack of one metric, computed once and passed around."""
+    """Curvature stack of one metric, computed once and passed around.
+
+    Every field is whole-grid: ``gamma`` holds the packed symbols
+    (..., n, n (n + 1) / 2) of ``christoffel``, 40 values per point at
+    n = 4 where the dense form holds 64; ``riem`` and ``W`` are pair-matrix
+    fields, ``ric`` dense (..., n, n) and ``scal`` scalar.
+    """
 
     g: MetricField
     gamma: np.ndarray
@@ -268,12 +311,16 @@ def curvature_scalars(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Scalar curvature R and squared Weyl norm |W|^2 of ``g``.
 
-    Read off ``bundle`` when given; otherwise the slab loop keeps only these
-    two fields, so no whole-grid Riemann, Ricci or Weyl field is held.
+    Read off ``bundle`` when given, with |W|^2 formed slab by slab;
+    otherwise the slab loop keeps only these two fields, so no whole-grid
+    Riemann, Ricci or Weyl field is held.
     """
+    wnorm2 = np.empty(g.chart.sizes)
     if bundle is not None:
-        return bundle.scal, riemann_norm_squared(bundle.W.pair, g.inverse)
-    scal, wnorm2 = np.empty(g.chart.sizes), np.empty(g.chart.sizes)
+        for planes in _slabs(g.chart):
+            wnorm2[planes] = riemann_norm_squared(bundle.W.pair[planes], g.inverse[planes])
+        return bundle.scal, wnorm2
+    scal = np.empty(g.chart.sizes)
     for planes, _, _, s, W in _stack(g, _christoffel_field(g)):
         scal[planes] = s
         wnorm2[planes] = riemann_norm_squared(W, g.inverse[planes])
@@ -286,7 +333,8 @@ def hessian(
     u: np.ndarray,
     grad: np.ndarray | None = None,
 ) -> np.ndarray:
-    """Covariant Hessian ``u_{;ij} = d_i d_j u - Gamma^k_{ij} d_k u``.
+    """Covariant Hessian ``u_{;ij} = d_i d_j u - Gamma^k_{ij} d_k u`` from the
+    packed symbols ``gamma``.
 
     The composed first-derivative stencils commute, so the result is exactly
     symmetric.  Pass ``grad`` to substitute analytic first derivatives.
@@ -301,5 +349,5 @@ def hessian(
             out[..., i, j] = val
             if j != i:
                 out[..., j, i] = val
-    out -= np.einsum("...kij,...k->...ij", gamma, grad)
+    out -= sym2_unpack(np.einsum("...kq,...k->...q", gamma, grad), n)
     return out

@@ -21,7 +21,15 @@ The ingredients come in two parts.  The scalar ingredients (the raised
 gradient, the Laplacian and the Hessian and Ricci contractions against it)
 feed the scalar closed form, the energy and the block coefficients; only
 the error tensor needs the (n, n) Kulkarni-Nomizu factors S, Q, V and
-df (x) df, so only ``weyl_error`` builds them.
+df (x) df.
+
+Every closed form is pointwise, so it runs in the curvature stack's slabs
+of axis-0 planes (``curvature._slabs``): the ingredients, the factors and
+the block products exist for one slab at a time, and each slab writes its
+planes of the whole-grid outputs (the error tensor, R', the integrands of
+the energy).  The energy's two norms share one deformed inverse and its
+pair lift per slab, and each integral runs once over a whole-grid
+integrand, so every result is bit-identical to one pass over all planes.
 """
 
 from __future__ import annotations
@@ -30,11 +38,20 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .curvature import CurvatureBundle, curvature_bundle, hessian
-from .grid import Chart, MetricField, gradient, integrate, sym2_pack
-from .tensor import Riem4Field, kulkarni_nomizu, riemann_norm, vv_contract
+from .curvature import CurvatureBundle, _slabs, curvature_bundle, hessian
+from .grid import Chart, MetricField, gradient, integrate, sym2_pack, sym2_unpack
+from .tensor import (
+    Riem4Field,
+    kulkarni_nomizu,
+    lifted_norm_squared,
+    pair_indices,
+    pair_lift,
+    riemann_norm,
+    vv_contract,
+)
 
 BLOCK_COUNT = 15
+_ALL_BLOCKS = frozenset(range(1, BLOCK_COUNT + 1))
 
 
 @dataclass(frozen=True)
@@ -88,20 +105,27 @@ def deform(
     return DeformationBundle(base=base, f=f, grad=grad, hess=hess, w=w, g_prime=g_prime)
 
 
+def _downdate(inv: np.ndarray, fup: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """The rank-one downdate g^{ab} - f^a f^b / w of ``deformed_inverse``."""
+    return inv - fup[..., :, None] * fup[..., None, :] / w[..., None, None]
+
+
 def deformed_inverse(g: MetricField, grad: np.ndarray) -> np.ndarray:
     """Closed-form inverse of g + df (x) df: the rank-one downdate
     g^{ab} - f^a f^b / (1 + |grad f|^2)."""
     fup = np.einsum("...ab,...b->...a", g.inverse, grad)
     w = 1.0 + np.einsum("...a,...a->...", grad, fup)
-    return g.inverse - fup[..., :, None] * fup[..., None, :] / w[..., None, None]
+    return _downdate(g.inverse, fup, w)
 
 
-def _scalar_ingredients(bundle: DeformationBundle) -> dict:
-    """Pointwise scalars of the closed forms, plus the raised gradient
-    ``fup`` and ``u = h(., fup)``."""
-    inv = bundle.base.g.inverse
-    h = bundle.hess
-    fup = np.einsum("...ab,...b->...a", inv, bundle.grad)
+def _scalar_ingredients(bundle: DeformationBundle, planes: slice) -> dict:
+    """Pointwise scalars of the closed forms on the axis-0 ``planes``, plus
+    the raised gradient ``fup``, ``u = h(., fup)`` and the planes of ``w``
+    and of the undeformed scalar curvature."""
+    base = bundle.base
+    inv = base.g.inverse[planes]
+    h = bundle.hess[planes]
+    fup = np.einsum("...ab,...b->...a", inv, bundle.grad[planes])
     lap = np.einsum("...ab,...ab->...", inv, h)
     hup = np.matmul(h, inv)  # mixed h_a{}^c
     h2 = np.einsum("...ab,...ab->...", hup, np.matmul(inv, h))
@@ -114,43 +138,45 @@ def _scalar_ingredients(bundle: DeformationBundle) -> dict:
         "u": u,
         "beta": beta,
         "u2": u2,
-        "rvv": np.einsum("...ab,...a,...b->...", bundle.base.ric, fup, fup),
+        "rvv": np.einsum("...ab,...a,...b->...", base.ric[planes], fup, fup),
         "c7": lap**2 - h2,
         "c10": lap * beta - u2,
+        "w": bundle.w[planes],
+        "scal": base.scal[planes],
     }
 
 
-def _kn_factors(bundle: DeformationBundle, ing: dict) -> dict:
-    """Kulkarni-Nomizu factors of the fifteen blocks, by block-table name."""
+def _kn_factors(bundle: DeformationBundle, ing: dict, planes: slice) -> dict:
+    """Kulkarni-Nomizu factors of the fifteen blocks on the axis-0
+    ``planes``, by block-table name."""
     g = bundle.base.g
-    h = bundle.hess
-    grad = bundle.grad
+    h = bundle.hess[planes]
+    grad = bundle.grad[planes]
     u = ing["u"]
-    hh = np.matmul(np.matmul(h, g.inverse), h)  # (h g^{-1} h)_ab
+    hh = np.matmul(np.matmul(h, g.inverse[planes]), h)  # (h g^{-1} h)_ab
     return {
-        "gdense": g.dense,
+        "gdense": sym2_unpack(g.packed[planes], bundle.n),
         "F2": grad[..., :, None] * grad[..., None, :],
         "h": h,
-        "S": vv_contract(bundle.base.riem.pair, ing["fup"]),
+        "S": vv_contract(bundle.base.riem.pair[planes], ing["fup"]),
         "Q": ing["lap"][..., None, None] * h - hh,
         "V": ing["beta"][..., None, None] * h - u[..., :, None] * u[..., None, :],
-        "ric": bundle.base.ric,
+        "ric": bundle.base.ric[planes],
     }
 
 
-def _block_table(
-    ing: dict, scal: np.ndarray, w: np.ndarray, n: int
-) -> list[tuple[np.ndarray, str, str]]:
+def _block_table(ing: dict, n: int) -> list[tuple[np.ndarray, str, str]]:
     """Coefficient field and factor names for each of the fifteen blocks."""
     cn2 = 1.0 / (n - 2.0)
     cnn = 1.0 / ((n - 1.0) * (n - 2.0))
+    w = ing["w"]
     one = np.ones_like(w)
     return [
         (0.5 / w, "h", "h"),
         # the Ricci block enters with a minus sign: the plus variant fails
         # the direct Weyl-difference oracle (coefficient fit lands on -1.0)
         (-cn2 * one, "ric", "F2"),
-        (cnn * scal, "gdense", "F2"),
+        (cnn * ing["scal"], "gdense", "F2"),
         (cn2 / w, "S", "gdense"),
         (cn2 / w, "S", "F2"),
         (-cnn * ing["rvv"] / w, "gdense", "gdense"),
@@ -166,38 +192,53 @@ def _block_table(
     ]
 
 
+def _picked_blocks(include, flip_block) -> frozenset:
+    """The blocks ``weyl_error`` assembles, checked before any slab runs."""
+    picked = _ALL_BLOCKS if include is None else frozenset(include)
+    if not picked <= _ALL_BLOCKS:
+        raise ValueError(f"block indices must lie in 1..{BLOCK_COUNT}")
+    if flip_block is not None and flip_block not in _ALL_BLOCKS:
+        raise ValueError(f"flip_block must lie in 1..{BLOCK_COUNT}")
+    if not picked:
+        raise ValueError("no blocks selected")
+    return picked
+
+
 def weyl_error(
     bundle: DeformationBundle,
     include=None,
     flip_block: int | None = None,
 ) -> Riem4Field:
-    """Change of the (0,4) Weyl tensor under the deformation, in closed form.
+    """Change of the (0,4) Weyl tensor under the deformation, in closed form,
+    assembled slab by slab.
 
     ``include`` restricts assembly to a subset of the fifteen blocks
     (1-based, display order) for isolation tests.  ``flip_block`` negates one
     block; the flagship identity test must then fail, which is how the
     verification pipeline proves it is alive.
     """
-    return _weyl_error(bundle, _scalar_ingredients(bundle), include, flip_block)
+    picked = _picked_blocks(include, flip_block)
+    m = len(pair_indices(bundle.n))
+    out = np.empty(bundle.chart.sizes + (m, m))
+    for planes in _slabs(bundle.chart):
+        ing = _scalar_ingredients(bundle, planes)
+        out[planes] = _error_tensor(bundle, ing, planes, picked, flip_block)
+    return Riem4Field(bundle.chart, out)
 
 
-def _weyl_error(bundle, ing, include=None, flip_block=None) -> Riem4Field:
-    """``weyl_error`` on scalar ingredients the caller already holds."""
-    n = bundle.n
-    table = _block_table(ing, bundle.base.scal, bundle.w, n)
-    if include is None:
-        picked = set(range(1, BLOCK_COUNT + 1))
-    else:
-        picked = set(include)
-        if not picked <= set(range(1, BLOCK_COUNT + 1)):
-            raise ValueError(f"block indices must lie in 1..{BLOCK_COUNT}")
-    if flip_block is not None and flip_block not in range(1, BLOCK_COUNT + 1):
-        raise ValueError(f"flip_block must lie in 1..{BLOCK_COUNT}")
-
+def _error_tensor(
+    bundle: DeformationBundle,
+    ing: dict,
+    planes: slice,
+    picked: frozenset = _ALL_BLOCKS,
+    flip_block: int | None = None,
+) -> np.ndarray:
+    """Pair matrices of the error tensor on the axis-0 ``planes``, from the
+    scalar ingredients of those planes."""
     # one product per second factor, of the summed weighted first factors
-    factors = _kn_factors(bundle, ing)
+    factors = _kn_factors(bundle, ing, planes)
     firsts: dict[str, np.ndarray] = {}
-    for idx, (coeff, a, b) in enumerate(table, start=1):
+    for idx, (coeff, a, b) in enumerate(_block_table(ing, bundle.n), start=1):
         if idx not in picked:
             continue
         c = -coeff if idx == flip_block else coeff
@@ -205,8 +246,6 @@ def _weyl_error(bundle, ing, include=None, flip_block=None) -> Riem4Field:
             firsts[b] += c[..., None, None] * factors[a]
         else:
             firsts[b] = c[..., None, None] * factors[a]
-    if not firsts:
-        raise ValueError("no blocks selected")
     # drop S, Q and V: only the second factors stay alive through the products
     seconds = {b: factors[b] for b in firsts}
     del factors
@@ -214,22 +253,21 @@ def _weyl_error(bundle, ing, include=None, flip_block=None) -> Riem4Field:
     mat = kulkarni_nomizu(firsts.pop(first), seconds[first])
     for b in rest:
         mat += kulkarni_nomizu(firsts.pop(b), seconds[b])
-    return Riem4Field(bundle.chart, mat)
+    return mat
 
 
 def deformed_scalar_closed_form(bundle: DeformationBundle) -> np.ndarray:
-    """Scalar curvature of g + df (x) df from the four-term closed form."""
-    return _scalar_closed_form(bundle, _scalar_ingredients(bundle))
+    """Scalar curvature of g + df (x) df from the four-term closed form,
+    slab by slab."""
+    out = np.empty(bundle.chart.sizes)
+    for planes in _slabs(bundle.chart):
+        out[planes] = _scalar_closed_form(_scalar_ingredients(bundle, planes))
+    return out
 
 
-def _scalar_closed_form(bundle: DeformationBundle, ing: dict) -> np.ndarray:
-    w = bundle.w
-    return (
-        bundle.base.scal
-        - 2.0 * ing["rvv"] / w
-        + ing["c7"] / w
-        - 2.0 * ing["c10"] / w**2
-    )
+def _scalar_closed_form(ing: dict) -> np.ndarray:
+    w = ing["w"]
+    return ing["scal"] - 2.0 * ing["rvv"] / w + ing["c7"] / w - 2.0 * ing["c10"] / w**2
 
 
 def deformed_norm(
@@ -244,17 +282,36 @@ def deformed_norm(
     return riemann_norm(mat, deformed_inverse(g, grad))
 
 
-def _ricci_hessian_blocks(bundle: DeformationBundle, ing: dict) -> tuple[float, float]:
+def _energy_slabs(bundle: DeformationBundle):
+    """Yield, for each slab of the deformation functionals, ``(planes, lift,
+    E, ricci, hess)``: the pair lift of the deformed inverse, the error
+    tensor, and the integrands Ric(f^, f^) / w and |u|^2 / w^2 - beta^2 / w^3
+    of the Ricci and Hessian blocks."""
+    inverse = bundle.base.g.inverse
+    for planes in _slabs(bundle.chart):
+        ing = _scalar_ingredients(bundle, planes)
+        w = ing["w"]
+        inv = _downdate(inverse[planes], ing["fup"], w)
+        yield (
+            planes,
+            pair_lift(inv, inv),
+            _error_tensor(bundle, ing, planes),
+            ing["rvv"] / w,
+            ing["u2"] / w**2 - ing["beta"] ** 2 / w**3,
+        )
+
+
+def _ricci_hessian_blocks(
+    bundle: DeformationBundle, ricci: np.ndarray, hess: np.ndarray
+) -> tuple[float, float]:
     """The Ricci block -int Ric(f^, f^) / w dV and the Hessian block
-    (n-1)/(n-2) int (|u|^2 / w^2 - beta^2 / w^3) dV, over the undeformed
-    volume, of the deformation functionals."""
-    chart, w = bundle.chart, bundle.w
-    dens = bundle.base.g.sqrt_det
-    ricci = -integrate(chart, ing["rvv"] / w, dens)
-    hess = ((bundle.n - 1.0) / (bundle.n - 2.0)) * integrate(
-        chart, ing["u2"] / w**2 - ing["beta"] ** 2 / w**3, dens
-    )
-    return ricci, hess
+    (n-1)/(n-2) int (|u|^2 / w^2 - beta^2 / w^3) dV of the deformation
+    functionals, over the undeformed volume, from their whole-grid
+    integrands."""
+    chart, dens = bundle.chart, bundle.base.g.sqrt_det
+    ricci_block = -integrate(chart, ricci, dens)
+    hess_block = ((bundle.n - 1.0) / (bundle.n - 2.0)) * integrate(chart, hess, dens)
+    return ricci_block, hess_block
 
 
 def deformation_energy(
@@ -271,20 +328,24 @@ def deformation_energy(
     deformed norm, the error-tensor norm, a Ricci correction, and the
     Hessian correction from the conformal factor (1+|grad phi|^2)^{-1/4}.
 
-    Closed-form ``grad``/``hess`` substitute for the stencils as in
+    The integrands are formed slab by slab, the two norms under one pair
+    lift of the deformed inverse; each integral runs once over the whole
+    grid.  Closed-form ``grad``/``hess`` substitute for the stencils as in
     :func:`deform`.
     """
     if t <= 0:
         raise ValueError("the deformation functional is only defined for t > 0")
     chart = g.chart
-    phi = np.asarray(phi, dtype=float)
     bundle = deform(g, phi, grad=grad, hess=hess, base=base)
-    dens = bundle.base.g.sqrt_det
-    ing = _scalar_ingredients(bundle)
-
-    wnorm = deformed_norm(bundle.base.W.pair, g, phi, grad=bundle.grad)
-    enorm = deformed_norm(_weyl_error(bundle, ing).pair, g, phi, grad=bundle.grad)
-    i1 = integrate(chart, bundle.base.scal + t * wnorm, dens)
+    base = bundle.base
+    curv, enorm, ricci, hess_term = (np.empty(chart.sizes) for _ in range(4))
+    for planes, lift, E, ricci_slab, hess_slab in _energy_slabs(bundle):
+        ricci[planes], hess_term[planes] = ricci_slab, hess_slab
+        wnorm = np.sqrt(lifted_norm_squared(base.W.pair[planes], lift))
+        curv[planes] = base.scal[planes] + t * wnorm
+        enorm[planes] = np.sqrt(lifted_norm_squared(E, lift))
+    dens = base.g.sqrt_det
+    i1 = integrate(chart, curv, dens)
     i2 = t * integrate(chart, enorm, dens)
-    i3, i4 = _ricci_hessian_blocks(bundle, ing)
+    i3, i4 = _ricci_hessian_blocks(bundle, ricci, hess_term)
     return i1 + i2 + i3 + i4

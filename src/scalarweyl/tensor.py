@@ -41,6 +41,7 @@ __all__ = [
     "kulkarni_nomizu",
     "riemann_norm",
     "riemann_norm_squared",
+    "lifted_norm_squared",
     "trace_13",
     "vv_contract",
     "bianchi_project",
@@ -162,9 +163,13 @@ def pair_contract(t1: np.ndarray, t2: np.ndarray, k12: np.ndarray, k34: np.ndarr
 def riemann_norm_squared(mat: np.ndarray, inv: np.ndarray) -> np.ndarray:
     """Squared norm ``T_{ijkt} T^{ijkt}`` of the pair matrices ``mat``, with
     all indices raised by the (..., n, n) inverse metric ``inv``."""
-    k = pair_lift(inv, inv)
-    val = pair_contract(mat, mat, k, k)
-    return np.maximum(val, 0.0)
+    return lifted_norm_squared(mat, pair_lift(inv, inv))
+
+
+def lifted_norm_squared(mat: np.ndarray, lift: np.ndarray) -> np.ndarray:
+    """``riemann_norm_squared`` under an inverse metric given by its pair
+    lift, so that several tensors can share one lift."""
+    return np.maximum(pair_contract(mat, mat, lift, lift), 0.0)
 
 
 def riemann_norm(mat: np.ndarray, inv: np.ndarray) -> np.ndarray:

@@ -15,6 +15,13 @@ coefficient sqrt(det g) g^{ab} once, must agree with it to roundoff.
 ``divergence_total`` is the discrete divergence theorem on the same flux
 form.
 
+The ``whole_field_*`` functions are the deformation layer's closed forms
+run over all planes at once, each pointwise step on the whole grid: the
+oracle of the slab loops of ``deformation`` and of
+``construct._test_energy_bound``, which must be bit-identical to them.
+They read the block table of ``deformation`` and measure norms with the
+whole-field ``deformed_norm``.
+
 ``linalg_inverse_det`` is the per-point LAPACK inverse and determinant of
 the dense metric, the oracle of ``MetricField``'s batched LDL^T, and
 ``fourier_sum`` samples each Fourier term with its own full-grid sine, the
@@ -32,9 +39,22 @@ import numpy as np
 
 from scalarweyl.construct import RadialFields
 from scalarweyl.curvature import CurvatureBundle
-from scalarweyl.deformation import deform, deformed_norm, weyl_error
+from scalarweyl.deformation import (
+    BLOCK_COUNT,
+    DeformationBundle,
+    _block_table,
+    deform,
+    deformed_norm,
+    weyl_error,
+)
 from scalarweyl.grid import FluxForm, MetricField, _flux_divergence, deriv, gradient, integrate
-from scalarweyl.tensor import _pair_lookup, _quad_entries, pair_indices
+from scalarweyl.tensor import (
+    _pair_lookup,
+    _quad_entries,
+    kulkarni_nomizu,
+    pair_indices,
+    vv_contract,
+)
 
 
 def phi_expansion(
@@ -119,6 +139,113 @@ def phi_expansion(
     )
     return float(total)
 
+
+
+# ---------------------------------------------------------------------------
+# the deformation layer on the whole grid
+
+
+def whole_field_ingredients(bundle: DeformationBundle) -> dict:
+    """Scalar ingredients of the deformation closed forms on every point."""
+    inv = bundle.base.g.inverse
+    h = bundle.hess
+    fup = np.einsum("...ab,...b->...a", inv, bundle.grad)
+    lap = np.einsum("...ab,...ab->...", inv, h)
+    hup = np.matmul(h, inv)
+    h2 = np.einsum("...ab,...ab->...", hup, np.matmul(inv, h))
+    u = np.einsum("...ab,...b->...a", h, fup)
+    beta = np.einsum("...a,...a->...", u, fup)
+    u2 = np.einsum("...a,...ab,...b->...", u, inv, u)
+    return {
+        "fup": fup,
+        "lap": lap,
+        "u": u,
+        "beta": beta,
+        "u2": u2,
+        "rvv": np.einsum("...ab,...a,...b->...", bundle.base.ric, fup, fup),
+        "c7": lap**2 - h2,
+        "c10": lap * beta - u2,
+        "w": bundle.w,
+        "scal": bundle.base.scal,
+    }
+
+
+def whole_field_weyl_error(
+    bundle: DeformationBundle, include=None, flip_block: int | None = None
+) -> np.ndarray:
+    """Pair matrices of the error tensor: the fifteen-block table on the
+    whole grid, one Kulkarni-Nomizu product per second factor."""
+    ing = whole_field_ingredients(bundle)
+    g, h, grad, u = bundle.base.g, bundle.hess, bundle.grad, ing["u"]
+    factors = {
+        "gdense": g.dense,
+        "F2": grad[..., :, None] * grad[..., None, :],
+        "h": h,
+        "S": vv_contract(bundle.base.riem.pair, ing["fup"]),
+        "Q": ing["lap"][..., None, None] * h - np.matmul(np.matmul(h, g.inverse), h),
+        "V": ing["beta"][..., None, None] * h - u[..., :, None] * u[..., None, :],
+        "ric": bundle.base.ric,
+    }
+    picked = set(range(1, BLOCK_COUNT + 1)) if include is None else set(include)
+    firsts: dict[str, np.ndarray] = {}
+    for idx, (coeff, a, b) in enumerate(_block_table(ing, bundle.n), start=1):
+        if idx in picked:
+            c = -coeff if idx == flip_block else coeff
+            term = c[..., None, None] * factors[a]
+            firsts[b] = firsts[b] + term if b in firsts else term
+    first, *rest = firsts
+    mat = kulkarni_nomizu(firsts[first], factors[first])
+    for b in rest:
+        mat += kulkarni_nomizu(firsts[b], factors[b])
+    return mat
+
+
+def whole_field_scalar_closed_form(bundle: DeformationBundle) -> np.ndarray:
+    """Four-term closed form of the deformed scalar curvature."""
+    ing = whole_field_ingredients(bundle)
+    w = ing["w"]
+    return ing["scal"] - 2.0 * ing["rvv"] / w + ing["c7"] / w - 2.0 * ing["c10"] / w**2
+
+
+def _whole_field_ricci_hessian(bundle: DeformationBundle, ing: dict) -> tuple[float, float]:
+    chart, w, dens = bundle.chart, ing["w"], bundle.base.g.sqrt_det
+    ricci = -integrate(chart, ing["rvv"] / w, dens)
+    hess = ((bundle.n - 1.0) / (bundle.n - 2.0)) * integrate(
+        chart, ing["u2"] / w**2 - ing["beta"] ** 2 / w**3, dens
+    )
+    return ricci, hess
+
+
+def whole_field_energy(
+    g: MetricField, phi, t: float, base: CurvatureBundle | None = None
+) -> float:
+    """``deformation_energy`` with each norm formed by ``deformed_norm``."""
+    chart = g.chart
+    bundle = deform(g, phi, base=base)
+    dens = bundle.base.g.sqrt_det
+    ing = whole_field_ingredients(bundle)
+    wnorm = deformed_norm(bundle.base.W.pair, g, phi, grad=bundle.grad)
+    enorm = deformed_norm(whole_field_weyl_error(bundle), g, phi, grad=bundle.grad)
+    i1 = integrate(chart, bundle.base.scal + t * wnorm, dens)
+    i2 = t * integrate(chart, enorm, dens)
+    i3, i4 = _whole_field_ricci_hessian(bundle, ing)
+    return i1 + i2 + i3 + i4
+
+
+def whole_field_energy_bound(g: MetricField, t: float, k: float, fields: RadialFields) -> float:
+    """``construct._test_energy_bound``'s certificate on the whole grid."""
+    chart = g.chart
+    scaled = MetricField(chart, fields.psi[..., None] * g.packed)
+    phi = k * fields.psi
+    bundle = deform(scaled, phi, grad=k * fields.grad_psi)
+    dens = scaled.sqrt_det
+    ing = whole_field_ingredients(bundle)
+    snorm = deformed_norm(
+        bundle.base.W.pair + whole_field_weyl_error(bundle), scaled, phi, grad=bundle.grad
+    )
+    ricci, hess = _whole_field_ricci_hessian(bundle, ing)
+    scal = integrate(chart, bundle.base.scal, dens)
+    return float(scal + t * integrate(chart, snorm, dens) + (ricci + hess))
 
 
 def einsum_flux_laplacian(g: MetricField, u: np.ndarray) -> np.ndarray:

@@ -43,6 +43,21 @@ def test_direct_path_reaches_constant_F_at_scheme_order():
     assert order >= 2.5
 
 
+def test_constant_F_metric_with_positive_t_is_pinched():
+    # the abstract's corollary: F = R + t|W| == -1 with t > 0 gives
+    # R = -1 - t|W| < 0 and |W| < |R| / t, so the rescaled metric passes the
+    # pinching audit at eps = 1/t^2 once the recomputed max |F + 1| is
+    # below 1 (measured 0.315 at 12^4, worst R -1.03; lambda_1 = -0.0158)
+    t = 0.02
+    chart = make_chart(4, (12,) * 4, (L,) * 4)
+    g = fourier_metric(chart, amplitude=0.5, seed=3)
+    report = yamabe.solve_constant_F(g, t, init="eigen")
+    assert report.trichotomy.verdict == "negative"
+    assert report.curvature_residual < 1.0
+    pinching = pinching_report(conformal.conformal_metric(g, report.u), 1.0 / t**2)
+    assert pinching.passed, pinching
+
+
 def test_direct_path_forms_one_verdict_and_one_background(monkeypatch):
     # the solve reuses the background F and the verdict of the trichotomy;
     # the second F is the independent recompute on the rescaled metric

@@ -17,7 +17,7 @@ from scalarweyl.curvature import (
     riemann,
     weyl,
 )
-from scalarweyl.grid import MetricField, deriv, gradient, make_chart
+from scalarweyl.grid import MetricField, deriv, gradient, make_chart, sym2_unpack
 from scalarweyl.presets import (
     conformally_flat_metric,
     flat_metric,
@@ -127,9 +127,9 @@ def test_slab_loop_is_bit_identical_to_one_whole_field_pass(
     for got, want in ((b.gamma, gamma), (b.riem.pair, riem), (b.ric, ric), (b.scal, scal),
                       (b.W.pair, W)):
         assert np.array_equal(got, want)
-    streamed = curvature_scalars(g)
-    assert np.array_equal(streamed[0], scal)
-    assert np.array_equal(streamed[1], wnorm2)
+    for streamed in (curvature_scalars(g), curvature_scalars(g, bundle=b)):
+        assert np.array_equal(streamed[0], scal)
+        assert np.array_equal(streamed[1], wnorm2)
     t = 0.7
     F = scalar_weyl(g, t)
     assert np.array_equal(F, scal + t * np.sqrt(wnorm2))
@@ -203,10 +203,11 @@ def test_assembly_matches_per_entry_reference(n, sizes, scheme):
     c = make_chart(n, sizes, lengths, scheme=scheme)
     g = fourier_metric(c, amplitude=0.2, seed=7)
     gamma = christoffel(g)
+    dense = sym2_unpack(gamma, n)
     ref = christoffel_reference(g)
-    assert np.max(np.abs(gamma - ref)) <= 1e-14 * np.max(np.abs(ref))
+    assert np.max(np.abs(dense - ref)) <= 1e-14 * np.max(np.abs(ref))
     # from the same symbols the assembly is bit-identical
-    assert np.array_equal(riemann(g, gamma), riemann_reference(g, gamma))
+    assert np.array_equal(riemann(g, gamma), riemann_reference(g, dense))
 
 
 # --- conformally flat oracles ------------------------------------------------
@@ -216,7 +217,7 @@ def test_christoffel_conformal_oracle_order():
     errs = []
     for size in (16, 32):
         c = chart3(size)
-        errs.append(np.max(np.abs(christoffel(conf_metric(c)) - gamma_oracle(c))))
+        errs.append(np.max(np.abs(sym2_unpack(christoffel(conf_metric(c)), 3) - gamma_oracle(c))))
     # measured halving ratio 15.2 (4th order); frozen band
     assert 13.0 < errs[0] / errs[1] < 18.5
 
@@ -227,7 +228,7 @@ def test_christoffel_single_axis_component():
     x = c.mesh()[0]
     phi = 0.1 * np.sin(x)
     g = conformally_flat_metric(c, np.broadcast_to(phi, c.shape))
-    gamma = christoffel(g)
+    gamma = sym2_unpack(christoffel(g), 3)
     assert np.max(np.abs(gamma[..., 0, 0, 0] - 0.1 * np.cos(x))) < 1e-4
     # lower symmetry is exact by construction
     assert np.array_equal(gamma, np.swapaxes(gamma, -1, -2))
@@ -328,9 +329,10 @@ def test_einstein_divergence_refines_away():
         G = b.ric - 0.5 * b.scal[..., None, None] * g.dense
         dG = np.stack([deriv(c, G, a) for a in range(c.n)], axis=-1)
         inv = g.inverse
+        gamma = sym2_unpack(b.gamma, c.n)
         div = np.einsum("...ac,...cba->...b", inv, dG)
-        div -= np.einsum("...ac,...dac,...db->...b", inv, b.gamma, G)
-        div -= np.einsum("...ac,...dab,...cd->...b", inv, b.gamma, G)
+        div -= np.einsum("...ac,...dac,...db->...b", inv, gamma, G)
+        div -= np.einsum("...ac,...dab,...cd->...b", inv, gamma, G)
         return div
 
     errs = []
@@ -421,6 +423,24 @@ def test_hessian_flat_matches_plain_second_derivatives():
     assert np.array_equal(H, np.swapaxes(H, -1, -2))
     grad = gradient(c, u)
     assert np.allclose(H[..., 0, 1], deriv(c, grad[..., 1], 0), atol=1e-14)
+
+
+@pytest.mark.parametrize("n, scheme", [(3, "fd4"), (4, "fd4"), (4, "spectral")])
+def test_hessian_reads_the_packed_symbols_as_the_dense_route(n, scheme):
+    # the packed correction Gamma^k_q u_k, unpacked, is bit for bit the
+    # dense contraction over Gamma^k_ij
+    c = make_chart(n, (8,) * n, (2 * np.pi,) * n, scheme=scheme)
+    g = fourier_metric(c, amplitude=0.2, seed=3)
+    u = fourier_metric(c, amplitude=0.5, seed=8).packed[..., 0]
+    gamma = christoffel(g)
+    assert gamma.shape == c.shape + (n, n * (n + 1) // 2)
+    grad = gradient(c, u)
+    want = np.empty(c.shape + (n, n))
+    for i in range(n):
+        for j in range(n):
+            want[..., i, j] = deriv(c, grad[..., max(i, j)], min(i, j))
+    want -= np.einsum("...kij,...k->...ij", sym2_unpack(gamma, n), grad)
+    assert np.array_equal(hessian(c, gamma, u), want)
 
 
 def test_hessian_conformal_oracle():

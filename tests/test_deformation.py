@@ -19,10 +19,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import dense_from_pair, divergence_total
-from scalarweyl import deformation
+from oracles import (
+    dense_from_pair,
+    divergence_total,
+    whole_field_energy,
+    whole_field_energy_bound,
+    whole_field_scalar_closed_form,
+    whole_field_weyl_error,
+)
+from scalarweyl import construct, curvature, deformation
 from scalarweyl.conformal import _as_positive
-from scalarweyl.construct import make_bump, radial_fields
+from scalarweyl.construct import RadialFields, make_bump, radial_fields
 from scalarweyl.curvature import curvature_bundle
 from scalarweyl.deformation import (
     BLOCK_COUNT,
@@ -185,11 +192,11 @@ def scalar_divergence_identity(bundle):
     """
     chart = bundle.chart
     g = bundle.base.g
-    ing = deformation._scalar_ingredients(bundle)
+    ing = deformation._scalar_ingredients(bundle, slice(None))
     w = bundle.w
     v = (ing["lap"][..., None] * bundle.grad - ing["u"]) / w[..., None]
 
-    closed = deformation._scalar_closed_form(bundle, ing)
+    closed = deformation._scalar_closed_form(ing)
 
     vup = np.einsum("...ab,...b->...a", g.inverse, v)
     div_pt = 0.0
@@ -299,6 +306,62 @@ def test_error_flip_block_negates_that_block():
         assert np.max(np.abs(flipped - (weyl_error(b).pair - 2.0 * target))) < 1e-14
 
 
+def test_weyl_error_checks_its_blocks_before_any_slab(monkeypatch):
+    calls = []
+
+    def counted(*args):
+        calls.append(1)
+        return _scalar_ingredients(*args)
+
+    b = bundle_for(4, 8)
+    monkeypatch.setattr("scalarweyl.deformation._scalar_ingredients", counted)
+    for include, flip, match in (
+        ((0, 3), None, "block indices"),
+        ((), None, "no blocks"),
+        (None, 16, "flip_block"),
+        ((), 0, "flip_block"),
+    ):
+        with pytest.raises(ValueError, match=match):
+            weyl_error(b, include=include, flip_block=flip)
+    assert not calls
+
+
+@pytest.mark.parametrize(
+    "n, sizes, scheme, slab_points, slabs",
+    [
+        # one plane per slab: both ghost planes of every slab are neighbours'
+        (3, (10, 8, 8), "fd4", 64, 10),
+        (4, (10, 8, 8, 8), "fd4", 512, 10),
+        # several planes per slab: 3 + 3 + 3 + 1 and 4 + 4 + 2
+        (3, (10, 8, 8), "fd4", 3 * 64, 4),
+        (4, (10, 8, 8, 8), "fd4", 4 * 512, 3),
+        # a spectral chart is one slab whatever the points per slab
+        (4, (8,) * 4, "spectral", 512, 1),
+    ],
+)
+def test_streamed_closed_forms_are_bit_identical_to_the_whole_field_oracle(
+    monkeypatch, n, sizes, scheme, slab_points, slabs
+):
+    monkeypatch.setattr(curvature, "_SLAB_POINTS", slab_points)
+    c = make_chart(n, sizes, (2.0 * np.pi,) * n, scheme=scheme)
+    assert len(curvature._slabs(c)) == slabs
+    g = fourier_metric(c, amplitude=0.2, seed=6)
+    f = fourier_scalar(c, amplitude=0.3, seed=106)
+    b = deform(g, f)
+    for include, flip in ((None, None), ((1, 4, 8, 12, 15), None), (None, 2)):
+        got = weyl_error(b, include=include, flip_block=flip).pair
+        assert np.array_equal(got, whole_field_weyl_error(b, include, flip))
+    assert np.array_equal(deformed_scalar_closed_form(b), whole_field_scalar_closed_form(b))
+    t = 0.7
+    assert deformation_energy(g, f, t, base=b.base) == whole_field_energy(g, f, t, b.base)
+    # a smooth positive multiplier stands in for the radial fields: the
+    # bound reads only psi and its gradient
+    psi = np.exp(0.2 * fourier_scalar(c, amplitude=0.5, seed=11))
+    fields = RadialFields(c, psi, gradient(c, psi), np.zeros(c.shape + (n, n)))
+    cert, _ = construct._test_energy_bound(g, t, 0.8, fields)
+    assert cert == whole_field_energy_bound(g, t, 0.8, fields)
+
+
 def test_error_forms_one_product_per_second_factor(monkeypatch):
     calls = []
 
@@ -329,7 +392,7 @@ def test_only_the_error_tensor_contracts_riemann(monkeypatch):
     assert len(calls) == 1
     calls.clear()
     deformation_energy(b.base.g, b.f, 1.0, base=b.base)
-    # once, inside its weyl_error; the scalar terms need no Riemann contraction
+    # once, for its error tensor; the scalar terms need no Riemann contraction
     assert len(calls) == 1
     calls.clear()
     deformed_scalar_closed_form(b)
@@ -337,23 +400,26 @@ def test_only_the_error_tensor_contracts_riemann(monkeypatch):
 
 
 def test_each_caller_forms_the_scalar_ingredients_once(monkeypatch):
+    # once per slab: three planes per slab cut 8 planes into 3 slabs, and
+    # the whole-grid divergence check is one call
     calls = []
 
-    def counted(bundle):
+    def counted(*args):
         calls.append(1)
-        return _scalar_ingredients(bundle)
+        return _scalar_ingredients(*args)
 
     b = bundle_for(4, 8)
     monkeypatch.setattr("scalarweyl.deformation._scalar_ingredients", counted)
-    for run in (
-        lambda: weyl_error(b),
-        lambda: deformed_scalar_closed_form(b),
-        lambda: scalar_divergence_identity(b),
-        lambda: deformation_energy(b.base.g, b.f, 1.0, base=b.base),
+    monkeypatch.setattr(curvature, "_SLAB_POINTS", 3 * 8**3)
+    for run, count in (
+        (lambda: weyl_error(b), 3),
+        (lambda: deformed_scalar_closed_form(b), 3),
+        (lambda: scalar_divergence_identity(b), 1),
+        (lambda: deformation_energy(b.base.g, b.f, 1.0, base=b.base), 3),
     ):
         calls.clear()
         run()
-        assert len(calls) == 1
+        assert len(calls) == count
 
 
 # ---------------------------------------------------------------------------
