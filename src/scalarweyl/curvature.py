@@ -18,7 +18,7 @@ The Christoffel symbols come from the derivatives of the packed metric
 and every packed pair (a <= b), and one batched (n x n) . (n x P) product
 raises the index.  The symbols stay packed in their symmetric lower pair,
 (..., n, P) with ``Gamma[..., c, q] = Gamma^c_{ab}`` for q = (a, b): the one
-representation that ``CurvatureBundle.gamma``, ``riemann`` and ``hessian``
+layout that ``CurvatureBundle.gamma``, ``riemann``'s windows and ``hessian``
 read, 5/8 of the dense (..., n, n, n) at n = 4.  ``sym2_unpack(Gamma, n)``
 gives the dense form.
 
@@ -31,18 +31,25 @@ slab.  The antisymmetric part of each lowered (n, n) field is two gathers
 at the pair tables; it is stored as row q, which the exchange average
 makes the same as column q.
 
-The stack runs in slabs of axis-0 planes, about ``_SLAB_POINTS`` points
-each.  Gamma is formed slab by slab into one whole-grid array; each slab
-reads two ghost planes of the packed metric past each end for d_0 g.  Then
-Riemann, Ricci, R, W and |W|^2 run per slab, reading two ghost planes of
-Gamma for d_0 Gamma.  Both use the one fd4 stencil of ``grid``, so every
-slab is bit-identical to the same planes of a whole-grid pass.
-``curvature_bundle`` keeps every field of the loop; ``curvature_scalars``
-keeps only R and |W|^2, so its peak is the whole-grid Gamma plus one slab,
-and on a bundle it forms |W|^2 slab by slab too.  The deformation layer
-runs its closed forms in the same slabs.  A spectral chart, whose
-derivatives need whole axes, is one slab, as is an axis no longer than one
-slab.
+The stack is one loop over slabs of axis-0 planes, about ``_SLAB_POINTS``
+points each.  Each slab holds a window of Gamma: its own planes plus two
+ghost planes past each end, wrapped periodically.  Moving to the next slab
+keeps the four planes the two windows share and runs ``christoffel`` on the
+new planes only, each reading two ghost planes of the packed metric for
+d_0 g; planes 0 and 1 are kept from the first window for the last, so no
+whole-grid Gamma is formed.  ``riemann`` reads the window as its one Gamma
+representation, its d_0 Gamma a plain stencil on the window's planes
+(``grid.deriv_window``), and Ricci, R, W and |W|^2 follow on the slab.
+Every layer uses the one fd4 stencil of ``grid``, so every slab is
+bit-identical to the same planes of a whole-grid pass.
+``curvature_bundle`` runs the loop keeping every field, Gamma included (the
+window's own planes, which ``hessian`` reads); ``curvature_scalars`` keeps
+only R and |W|^2, so its peak is one window and one slab's transients, and
+on a bundle it forms |W|^2 slab by slab too.  The deformation layer runs
+its closed forms in the same slabs.  A spectral chart, whose derivatives
+need whole axes, is one slab whose window is the whole Gamma with no ghost
+planes; an fd4 axis no longer than one slab is one slab whose window wraps
+onto itself.
 """
 
 from __future__ import annotations
@@ -57,8 +64,10 @@ from .grid import (
     Chart,
     MetricField,
     _dense_slots,
+    _with_ghosts,
     deriv,
     deriv_planes,
+    deriv_window,
     gradient,
     sym2_pack_indices,
     sym2_unpack,
@@ -76,6 +85,7 @@ __all__ = [
     "CurvatureBundle",
     "christoffel",
     "riemann",
+    "gamma_window",
     "ricci_scalar",
     "weyl",
     "curvature_bundle",
@@ -157,12 +167,59 @@ def christoffel(g: MetricField, planes: slice = slice(None)) -> np.ndarray:
     return raised.reshape(lead + (n, npack))
 
 
-def _christoffel_field(g: MetricField) -> np.ndarray:
-    """Whole-grid packed Gamma, formed slab by slab."""
-    gamma = np.empty(g.chart.sizes + (g.chart.n, g.packed.shape[-1]))
-    for planes in _slabs(g.chart):
-        gamma[planes] = christoffel(g, planes)
-    return gamma
+def gamma_window(chart: Chart, gamma: np.ndarray, planes: slice = slice(None)) -> np.ndarray:
+    """The window of the axis-0 ``planes`` cut from the whole-grid packed
+    symbols ``gamma``: those planes with two wrapped ghost planes past each
+    end, or ``gamma`` itself on a spectral chart."""
+    if chart.scheme == "spectral":
+        return gamma
+    start, stop, _ = planes.indices(chart.sizes[0])
+    return _with_ghosts(gamma, 0, start, stop)
+
+
+def _own(chart: Chart, window: np.ndarray) -> np.ndarray:
+    """The window's own planes, without its ghost planes."""
+    return window if chart.scheme == "spectral" else window[2:-2]
+
+
+def _gamma_windows(g: MetricField):
+    """Yield ``(planes, window)`` for each slab, the window as
+    ``gamma_window`` would cut it from the whole-grid symbols, which are
+    never formed.
+
+    One buffer holds the window and is overwritten by the next slab's.
+    Moving on keeps the four planes two neighbouring windows share and forms
+    only the new ones.  The first window's lower ghosts are the grid's last
+    two planes; its planes 0 and 1, the last window's upper ghosts, are kept
+    for it.
+    """
+    chart = g.chart
+    slabs = _slabs(chart)
+    if chart.scheme == "spectral":
+        yield slabs[0], christoffel(g)
+        return
+    size = chart.sizes[0]
+    # every slab reads the inverse, which the metric keeps: formed before the
+    # window, it leaves no heap hole under it when the window is freed
+    g.inverse
+    buf = np.empty((slabs[0].stop + 4,) + chart.sizes[1:] + (chart.n, g.packed.shape[-1]))
+    for k, planes in enumerate(slabs):
+        lo, hi = planes.start - 2, planes.stop + 2
+        window = buf[: hi - lo]
+        first_new = lo + 4 if k else 0
+        last_new = min(hi, size)
+        if first_new < last_new:
+            window[first_new - lo : last_new - lo] = christoffel(g, slice(first_new, last_new))
+        if k == 0:
+            head = window[2:4].copy()
+            # one slab reaching the last planes has formed them already
+            window[:2] = window[size : size + 2] if hi >= size else christoffel(
+                g, slice(size - 2, size)
+            )
+        for p in range(max(first_new, size), hi):
+            window[p - lo] = head[p - size]
+        yield planes, window
+        window[:4] = window[-4:]
 
 
 @lru_cache(maxsize=None)
@@ -176,21 +233,23 @@ def _pair_gather(n: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def riemann(
-    g: MetricField, gamma: np.ndarray | None = None, planes: slice = slice(None)
+    g: MetricField, window: np.ndarray | None = None, planes: slice = slice(None)
 ) -> np.ndarray:
     """Lowered (0,4) curvature pair matrices of ``g`` on the axis-0
-    ``planes``, from the whole-grid packed symbols ``gamma``; along axis 0
-    their derivative reads two ghost planes of ``gamma`` past each end."""
+    ``planes``, from the packed symbols ``window`` of those planes as
+    ``gamma_window`` cuts them (formed from ``g`` when omitted); along axis
+    0 their derivative reads the window's ghost planes in place."""
     chart = g.chart
     n = chart.n
-    if gamma is None:
-        gamma = _christoffel_field(g)
+    if window is None:
+        window = gamma_window(chart, christoffel(g), planes)
     pairs = pair_indices(n)
     m = len(pairs)
     ab, ba = _pair_gather(n)
     blocks = _gamma_blocks(n)
-    npack = gamma.shape[-1]
-    lead = gamma[planes].shape[:-2]
+    npack = window.shape[-1]
+    own = _own(chart, window)
+    lead = own.shape[:-2]
     points = math.prod(lead)
     # d_mu Gamma_nu - d_nu Gamma_mu of every pair, as (n, n) matrices in
     # (r, l) of Gamma^r_{nu l}: one axis's packed derivative at a time, each
@@ -199,7 +258,7 @@ def riemann(
     r13 = [np.empty((points, n, n)) for _ in pairs]
     tmp = np.empty((points, n * n))
     for e in range(n):
-        d = deriv_planes(chart, gamma, e, planes).reshape(points, n * npack)
+        d = deriv_window(chart, window, e).reshape(points, n * npack)
         for q, (mu, nu) in enumerate(pairs):
             # the tables hold valid columns only, so "clip" skips the bounds check
             if mu == e:
@@ -210,7 +269,7 @@ def riemann(
                 )
         del d
     del tmp
-    own = gamma[planes].reshape(points, n * npack)
+    own = own.reshape(points, n * npack)
     mats = [np.take(own, blocks[a], axis=1, mode="clip").reshape(points, n, n) for a in range(n)]
     dense = sym2_unpack(g.packed[planes], n).reshape(points, n, n)
     # scratch reused by every pair (two (n, n) fields and one row), and the
@@ -264,10 +323,12 @@ def weyl(riem: np.ndarray, ric: np.ndarray, scal: np.ndarray, dense: np.ndarray)
 class CurvatureBundle:
     """Curvature stack of one metric, computed once and passed around.
 
-    Every field is whole-grid: ``gamma`` holds the packed symbols
-    (..., n, n (n + 1) / 2) of ``christoffel``, 40 values per point at
-    n = 4 where the dense form holds 64; ``riem`` and ``W`` are pair-matrix
-    fields, ``ric`` dense (..., n, n) and ``scal`` scalar.
+    Every field is whole-grid, written slab by slab by the one slab loop
+    that ``curvature_scalars`` also runs: ``gamma`` holds the own planes of
+    each slab's window of packed symbols (..., n, n (n + 1) / 2), 40 values
+    per point at n = 4 where the dense form holds 64, and ``hessian`` reads
+    it; ``riem`` and ``W`` are pair-matrix fields, ``ric`` dense
+    (..., n, n) and ``scal`` scalar.
     """
 
     g: MetricField
@@ -282,14 +343,15 @@ class CurvatureBundle:
         return self.g.chart
 
 
-def _stack(g: MetricField, gamma: np.ndarray):
-    """Yield ``(planes, riem, ric, scal, W)`` for each slab of the grid."""
+def _stack(g: MetricField):
+    """Yield ``(planes, own, riem, ric, scal, W)`` for each slab of the grid,
+    ``own`` the slab's planes of Gamma (overwritten by the next slab)."""
     n = g.chart.n
-    for planes in _slabs(g.chart):
-        riem = riemann(g, gamma, planes)
+    for planes, window in _gamma_windows(g):
+        riem = riemann(g, window, planes)
         ric, scal = ricci_scalar(riem, g.inverse[planes])
         W = weyl(riem, ric, scal, sym2_unpack(g.packed[planes], n))
-        yield planes, riem, ric, scal, W
+        yield planes, _own(g.chart, window), riem, ric, scal, W
 
 
 def curvature_bundle(g: MetricField) -> CurvatureBundle:
@@ -297,11 +359,11 @@ def curvature_bundle(g: MetricField) -> CurvatureBundle:
     shape = g.chart.sizes
     n = g.chart.n
     m = len(pair_indices(n))
-    gamma = _christoffel_field(g)
+    gamma = np.empty(shape + (n, g.packed.shape[-1]))
     riem, W = np.empty(shape + (m, m)), np.empty(shape + (m, m))
     ric, scal = np.empty(shape + (n, n)), np.empty(shape)
-    for planes, *fields in _stack(g, gamma):
-        for whole, part in zip((riem, ric, scal, W), fields):
+    for planes, *fields in _stack(g):
+        for whole, part in zip((gamma, riem, ric, scal, W), fields):
             whole[planes] = part
     return CurvatureBundle(g, gamma, Riem4Field(g.chart, riem), ric, scal, Riem4Field(g.chart, W))
 
@@ -313,7 +375,7 @@ def curvature_scalars(
 
     Read off ``bundle`` when given, with |W|^2 formed slab by slab;
     otherwise the slab loop keeps only these two fields, so no whole-grid
-    Riemann, Ricci or Weyl field is held.
+    Christoffel, Riemann, Ricci or Weyl field is held.
     """
     wnorm2 = np.empty(g.chart.sizes)
     if bundle is not None:
@@ -321,7 +383,7 @@ def curvature_scalars(
             wnorm2[planes] = riemann_norm_squared(bundle.W.pair[planes], g.inverse[planes])
         return bundle.scal, wnorm2
     scal = np.empty(g.chart.sizes)
-    for planes, _, _, s, W in _stack(g, _christoffel_field(g)):
+    for planes, _, _, _, s, W in _stack(g):
         scal[planes] = s
         wnorm2[planes] = riemann_norm_squared(W, g.inverse[planes])
     return scal, wnorm2

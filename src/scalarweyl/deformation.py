@@ -35,6 +35,7 @@ integrand, so every result is bit-identical to one pass over all planes.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -57,14 +58,13 @@ _ALL_BLOCKS = frozenset(range(1, BLOCK_COUNT + 1))
 @dataclass(frozen=True)
 class DeformationBundle:
     """Undeformed curvature stack plus the derivative data of the deforming
-    function, with the deformed metric built once."""
+    function; the deformed metric is built on first read and kept."""
 
     base: CurvatureBundle
     f: np.ndarray
     grad: np.ndarray
     hess: np.ndarray
     w: np.ndarray
-    g_prime: MetricField
 
     @property
     def chart(self) -> Chart:
@@ -73,6 +73,15 @@ class DeformationBundle:
     @property
     def n(self) -> int:
         return self.base.g.chart.n
+
+    @cached_property
+    def g_prime(self) -> MetricField:
+        """The metric g + df (x) df.  The closed forms never read it, so
+        ``deformation_energy`` pays neither its packed field nor its
+        factorization."""
+        grad = self.grad
+        packed = self.base.g.packed + sym2_pack(grad[..., :, None] * grad[..., None, :], self.n)
+        return MetricField(self.chart, packed)
 
 
 def deform(
@@ -100,9 +109,7 @@ def deform(
         hess = hessian(chart, base.gamma, f, grad=grad)
     fup = np.einsum("...ab,...b->...a", g.inverse, grad)
     w = 1.0 + np.einsum("...a,...a->...", grad, fup)
-    packed = g.packed + sym2_pack(grad[..., :, None] * grad[..., None, :], chart.n)
-    g_prime = MetricField(chart, packed)
-    return DeformationBundle(base=base, f=f, grad=grad, hess=hess, w=w, g_prime=g_prime)
+    return DeformationBundle(base=base, f=f, grad=grad, hess=hess, w=w)
 
 
 def _downdate(inv: np.ndarray, fup: np.ndarray, w: np.ndarray) -> np.ndarray:

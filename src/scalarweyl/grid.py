@@ -20,11 +20,13 @@ roundoff.  There is one fd4 stencil: it takes an array that already carries
 two ghost planes at each end of the differentiated axis.  ``deriv`` builds
 those planes by periodic wraparound; ``deriv_planes`` forms a range of
 axis-0 planes only, reading two ghost planes past each end of the range
-when it differentiates along axis 0.  Outputs of 2^20 elements or more (an
-8 MB field) run the same stencil slab by slab, cut along axis 0 (axis 1 when
-differentiating along axis 0), so the ghost copy and the temporaries of one
-slab stay in L2 cache; the results are bit-identical to the one-shot
-stencil, which scalar fields of the usual grid sizes keep.  A spectral
+when it differentiates along axis 0; ``deriv_window`` takes a range that
+already carries those planes and reads them in place.  Outputs of 2^20
+elements or more (an 8 MB field) run the same stencil slab by slab, cut
+along axis 0 (axis 1 when differentiating along axis 0), so the ghost copy
+and the temporaries of one slab stay in L2 cache; the results are
+bit-identical to the one-shot stencil, which scalar fields of the usual
+grid sizes keep.  A spectral
 scheme is available behind the chart's ``scheme`` switch.  Integration is
 the plain point sum times the cell volume, which is spectrally accurate on
 periodic grids and makes the discrete divergence theorem hold to roundoff
@@ -53,6 +55,7 @@ __all__ = [
     "make_chart",
     "deriv",
     "deriv_planes",
+    "deriv_window",
     "gradient",
     "integrate",
     "flux_laplacian",
@@ -277,6 +280,25 @@ def deriv_planes(chart: Chart, arr: np.ndarray, axis: int, planes: slice) -> np.
     if not 0 <= axis < chart.n:
         raise FieldError(f"axis must be in [0, {chart.n}), got {axis}")
     return _deriv_fd4(_grid_broadcast(chart, arr), axis, chart.spacings[axis], planes)
+
+
+def deriv_window(chart: Chart, window: np.ndarray, axis: int) -> np.ndarray:
+    """Derivative along ``axis`` on the own planes of an axis-0 window.
+
+    On an fd4 chart ``window`` holds a range of axis-0 planes with two
+    ghost planes past each end (as ``_with_ghosts`` cuts them), and the
+    result covers the range: bit-identical to ``deriv_planes`` of the whole
+    field on those planes.  Along axis 0 the stencil reads the ghost planes
+    in place, with no copy.  A spectral window is the whole field, with no
+    ghost planes.
+    """
+    if not 0 <= axis < chart.n:
+        raise FieldError(f"axis must be in [0, {chart.n}), got {axis}")
+    if chart.scheme == "spectral":
+        return deriv(chart, window, axis)
+    if axis == 0:
+        return _stencil_fd4(window, 0, chart.spacings[0])
+    return _deriv_fd4(window[2:-2], axis, chart.spacings[axis])
 
 
 def gradient(chart: Chart, arr: np.ndarray) -> np.ndarray:

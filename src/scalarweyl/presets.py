@@ -98,12 +98,19 @@ def fourier_metric(
     n = chart.n
     rng = np.random.default_rng(seed)
     per_entry = amplitude / n
-    packed = np.empty(chart.shape + (n * (n + 1) // 2,))
-    # the draws follow the packed (i <= j) order
+    npack = n * (n + 1) // 2
+    # the kept array comes before the transient component-major one, so
+    # freeing that leaves no heap hole under a kept array
+    packed = np.empty(chart.shape + (npack,))
+    comps = np.empty((npack,) + chart.shape)
+    # the draws follow the packed (i <= j) order; each component fills a
+    # contiguous grid array, and one transpose makes them point-major
     for c, (i, j) in enumerate(sym2_pack_indices(n)):
         modes, coeffs, phases = _mode_table(rng, n, terms, max_mode)
         coeffs *= per_entry / np.sum(np.abs(coeffs))
-        packed[..., c] = float(i == j) + _sample_modes(chart, modes, coeffs, phases)
+        np.add(float(i == j), _sample_modes(chart, modes, coeffs, phases), out=comps[c])
+    np.copyto(packed, np.moveaxis(comps, 0, -1))
+    del comps  # before the metric forms its own component-major copy
     return MetricField(chart, packed)
 
 

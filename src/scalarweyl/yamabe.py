@@ -274,6 +274,11 @@ def first_eigenvalue(
     the residual in the volume-weighted norm is below
     ``tol * max(1, max|F|)``, confirmed on a fresh apply because the
     recurrence for A y drifts; ``iterations`` counts the operator applies.
+    A solve that does not converge in ``maxiter`` iterations raises and
+    says why: the applies used, the last residual against the tolerance,
+    and the max/min ratio over the grid of the trace of the flux
+    coefficient sqrt(det g) g^{ab}, the spread that the mean-coefficient
+    preconditioner leaves out.
 
     The operator carries the checkerboard regularization from the module
     comment; its coefficient is formed once, as a ``FluxForm`` of g.
@@ -296,7 +301,11 @@ def first_eigenvalue(
         form, params.a_n, F - sigma, pen_mean=eta * float(np.mean(1.0 / dens))
     )
 
+    applies = 0
+
     def apply_sym(y):
+        nonlocal applies
+        applies += 1
         phi = y / sd
         return sd * (modified_laplacian_apply(form, t, phi, F=F) + pen(phi))
 
@@ -321,9 +330,14 @@ def first_eigenvalue(
         y, Ay, p, Ap = _ritz_step(y, Ay, w, apply_sym(w), p, Ap)
         fresh = False
     else:
+        trace = sum(form.component(a, a) for a in range(chart.n))
         raise RuntimeError(
             f"eigensolver did not converge: residual {res:.3e} "
-            f"after {maxiter} iterations"
+            f"after {maxiter} iterations: {applies} operator applies, last "
+            f"residual {res:.3e} against tolerance {tol * scale:.3e}, flux "
+            f"coefficient trace max/min {float(np.max(trace) / np.min(trace)):.4f} "
+            f"over the grid (the spread the mean-coefficient Fourier "
+            f"preconditioner leaves out)"
         )
     u = y / sd
     u /= np.sqrt(integrate(chart, u * u, dens))

@@ -12,6 +12,7 @@ from scalarweyl.curvature import (
     christoffel,
     curvature_bundle,
     curvature_scalars,
+    gamma_window,
     hessian,
     ricci_scalar,
     riemann,
@@ -119,7 +120,7 @@ def test_slab_loop_is_bit_identical_to_one_whole_field_pass(
     assert len(_slabs(c)) == slabs
     # the reference: each layer once on all planes
     gamma = christoffel(g)
-    riem = riemann(g, gamma)
+    riem = riemann(g, gamma_window(c, gamma))
     ric, scal = ricci_scalar(riem, g.inverse)
     W = weyl(riem, ric, scal, g.dense)
     wnorm2 = riemann_norm_squared(W, g.inverse)
@@ -134,6 +135,17 @@ def test_slab_loop_is_bit_identical_to_one_whole_field_pass(
     F = scalar_weyl(g, t)
     assert np.array_equal(F, scal + t * np.sqrt(wnorm2))
     assert np.array_equal(F, scalar_weyl(g, t, bundle=b))
+    # the window forms each plane of Gamma once; past one slab, the last
+    # window forms again the grid's last two planes, the first's lower ghosts
+    formed = []
+
+    def counted(g, planes=slice(None)):
+        formed.append(len(range(*planes.indices(sizes[0]))))
+        return christoffel(g, planes)
+
+    monkeypatch.setattr(curvature, "christoffel", counted)
+    curvature_scalars(g)
+    assert sum(formed) == sizes[0] + (2 if slabs > 1 else 0)
 
 
 # --- flat -------------------------------------------------------------------
@@ -145,7 +157,7 @@ def test_flat_curvature_identically_zero():
         g = flat_metric(c)
         gamma = christoffel(g)
         assert np.count_nonzero(gamma) == 0
-        rm = riemann(g, gamma)
+        rm = riemann(g, gamma_window(c, gamma))
         assert np.count_nonzero(rm) == 0
         ric, scal = ricci_scalar(rm, g.inverse)
         assert np.count_nonzero(ric) == 0 and np.count_nonzero(scal) == 0
@@ -207,7 +219,7 @@ def test_assembly_matches_per_entry_reference(n, sizes, scheme):
     ref = christoffel_reference(g)
     assert np.max(np.abs(dense - ref)) <= 1e-14 * np.max(np.abs(ref))
     # from the same symbols the assembly is bit-identical
-    assert np.array_equal(riemann(g, gamma), riemann_reference(g, dense))
+    assert np.array_equal(riemann(g, gamma_window(c, gamma)), riemann_reference(g, dense))
 
 
 # --- conformally flat oracles ------------------------------------------------

@@ -48,6 +48,7 @@ from scalarweyl.grid import (
     gradient,
     integrate,
     make_chart,
+    sym2_pack,
 )
 from scalarweyl.presets import flat_metric, fourier_metric, fourier_scalar
 from scalarweyl.tensor import (
@@ -234,6 +235,28 @@ def test_deform_constant_function_is_identity():
     assert np.array_equal(b.w, np.ones(c.shape))
     assert np.count_nonzero(weyl_error(b).pair) == 0
     assert np.array_equal(deformed_scalar_closed_form(b), b.base.scal)
+
+
+def test_deformed_metric_is_built_on_first_read(monkeypatch):
+    # the closed forms never read g', so the energy pays neither its
+    # packed field nor its factorization
+    b = bundle_for(4, 8)
+    g, f = b.base.g, b.f
+    built = []
+    post_init = MetricField.__post_init__
+
+    def counted(self):
+        built.append(1)
+        post_init(self)
+
+    monkeypatch.setattr(MetricField, "__post_init__", counted)
+    deformation_energy(g, f, 1.0, base=b.base)
+    assert built == []
+    # read, it is the metric the eager build formed, bit for bit
+    eager = g.packed + sym2_pack(b.grad[..., :, None] * b.grad[..., None, :], 4)
+    assert np.array_equal(deform(g, f, base=b.base).g_prime.packed, eager)
+    assert len(built) == 1
+    assert b.g_prime is b.g_prime
 
 
 def test_deform_rejects_foreign_base():

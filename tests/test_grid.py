@@ -14,6 +14,7 @@ from scalarweyl.grid import (
     MetricField,
     deriv,
     deriv_planes,
+    deriv_window,
     flux_laplacian,
     gradient,
     integrate,
@@ -184,6 +185,25 @@ def test_ghost_plane_stencil_matches_periodic_deriv_on_its_planes():
         got = deriv_planes(big, wide, axis, slice(4, 12))
         assert got[..., 0].size * 32 == grid._SLAB_MIN
         assert np.array_equal(got, deriv(big, wide, axis)[4:12])
+
+
+def test_window_derivative_matches_periodic_deriv_on_its_planes():
+    # a window is a plane range with two wrapped ghost planes per end; its
+    # derivative covers the range along every axis
+    rng = np.random.default_rng(17)
+    c = make_chart(3, (10, 8, 12), (1.0, 2.0, 3.0))
+    arr = rng.standard_normal(c.sizes + (3,))
+    for start, stop in [(3, 6), (0, 2), (8, 10), (9, 10), (0, 10)]:
+        window = grid._with_ghosts(arr, 0, start, stop)
+        for axis in range(c.n):
+            got = deriv_window(c, window, axis)
+            assert np.array_equal(got, deriv(c, arr, axis)[start:stop])
+    # a spectral window is the whole field
+    s = make_chart(3, (8,) * 3, (1.0,) * 3, scheme="spectral")
+    arr = rng.standard_normal(s.sizes)
+    assert np.array_equal(deriv_window(s, arr, 2), deriv(s, arr, 2))
+    with pytest.raises(FieldError):
+        deriv_window(c, grid._with_ghosts(arr, 0, 0, 8), 3)
 
 
 def test_deriv_planes_spectral_takes_whole_axes_only():

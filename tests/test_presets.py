@@ -8,6 +8,7 @@ from oracles import fourier_sum
 from scalarweyl.grid import MetricField, make_chart, sym2_pack_indices
 from scalarweyl.presets import (
     _mode_table,
+    _sample_modes,
     conformally_flat_metric,
     flat_metric,
     fourier_metric,
@@ -43,6 +44,10 @@ def test_fourier_fields_match_termwise_oracle(chart):
         coeffs *= amplitude / n / np.sum(np.abs(coeffs))
         want = float(i == j) + fourier_sum(chart, modes, coeffs, phases)
         assert np.max(np.abs(g.packed[..., c] - want)) <= 1e-14 * amplitude
+        # the component-major fill only moves the samples: bit for bit
+        # the per-component strided fill
+        sampled = float(i == j) + _sample_modes(chart, modes, coeffs, phases)
+        assert np.array_equal(g.packed[..., c], sampled)
 
 
 @pytest.mark.parametrize("n", [3, 4])

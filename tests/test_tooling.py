@@ -54,13 +54,40 @@ def test_metric_construction_forms_no_dense_inverse_or_det():
     assert "det" not in g.__dict__
 
 
-def test_streamed_scalar_weyl_peaks_below_half_the_bundle_route():
-    # without a bundle the curvature stack runs slab by slab and keeps only
-    # the whole-grid Christoffel symbols, R and |W|^2; the bundle route keeps
-    # every curvature field (measured at 20^4: 748 against 2096 bytes per
-    # point)
+def _traced_peak(run) -> int:
+    """Bytes allocated by ``run`` at its peak, above what was held before."""
     import tracemalloc
 
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        run()
+        return tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+
+
+def test_streamed_curvature_scalars_hold_no_whole_grid_christoffel_field():
+    # the slab loop holds a window of Gamma planes, never all of them: the
+    # whole-grid packed Gamma alone is 320 bytes per point (measured at
+    # 20^4: 415 bytes per point, against 657 with the whole field held)
+    import numpy as np
+
+    from scalarweyl.curvature import curvature_scalars
+    from scalarweyl.grid import make_chart
+    from scalarweyl.presets import fourier_metric
+
+    g = fourier_metric(make_chart(4, (20,) * 4, (2 * np.pi,) * 4), amplitude=0.3, seed=3)
+    g.inverse  # the stack reads it, and the metric keeps it
+    per_point = _traced_peak(lambda: curvature_scalars(g)) / g.chart.npoints
+    assert per_point <= 450, per_point
+
+
+def test_streamed_scalar_weyl_peaks_below_half_the_bundle_route():
+    # without a bundle the curvature stack runs slab by slab and keeps only
+    # a window of Christoffel planes, R and |W|^2; the bundle route keeps
+    # every curvature field (measured at 20^4: 415 against 1431 bytes per
+    # point)
     import numpy as np
 
     from scalarweyl.conformal import scalar_weyl
@@ -71,17 +98,8 @@ def test_streamed_scalar_weyl_peaks_below_half_the_bundle_route():
     g = fourier_metric(make_chart(4, (20,) * 4, (2 * np.pi,) * 4), amplitude=0.3, seed=3)
     g.inverse  # both routes read it, and the metric keeps it
 
-    def peak(run):
-        tracemalloc.start()
-        try:
-            base = tracemalloc.get_traced_memory()[0]
-            run()
-            return tracemalloc.get_traced_memory()[1] - base
-        finally:
-            tracemalloc.stop()
-
-    streamed = peak(lambda: scalar_weyl(g, 1.0))
-    bundled = peak(lambda: scalar_weyl(g, 1.0, bundle=curvature_bundle(g)))
+    streamed = _traced_peak(lambda: scalar_weyl(g, 1.0))
+    bundled = _traced_peak(lambda: scalar_weyl(g, 1.0, bundle=curvature_bundle(g)))
     assert streamed < 0.5 * bundled, (streamed, bundled)
 
 
@@ -90,8 +108,6 @@ def test_streamed_deformation_layer_peaks_below_half_the_whole_field_route():
     # whole-field oracle forms every ingredient and factor on all planes
     # (measured at 20^4: 68 against 296 MB for the error tensor, 83
     # against 334 MB for the energy)
-    import tracemalloc
-
     import numpy as np
 
     from oracles import whole_field_energy, whole_field_weyl_error
@@ -105,18 +121,9 @@ def test_streamed_deformation_layer_peaks_below_half_the_whole_field_route():
     b = deform(g, f)
     g.sqrt_det  # both energy routes read it, and the metric keeps it
 
-    def peak(run):
-        tracemalloc.start()
-        try:
-            base = tracemalloc.get_traced_memory()[0]
-            run()
-            return tracemalloc.get_traced_memory()[1] - base
-        finally:
-            tracemalloc.stop()
-
-    streamed = peak(lambda: weyl_error(b))
-    whole = peak(lambda: whole_field_weyl_error(b))
+    streamed = _traced_peak(lambda: weyl_error(b))
+    whole = _traced_peak(lambda: whole_field_weyl_error(b))
     assert streamed < 0.5 * whole, (streamed, whole)
-    streamed = peak(lambda: deformation_energy(g, f, 1.0, base=b.base))
-    whole = peak(lambda: whole_field_energy(g, f, 1.0, b.base))
+    streamed = _traced_peak(lambda: deformation_energy(g, f, 1.0, base=b.base))
+    whole = _traced_peak(lambda: whole_field_energy(g, f, 1.0, b.base))
     assert streamed < 0.5 * whole, (streamed, whole)

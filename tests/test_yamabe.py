@@ -7,6 +7,8 @@ convergence on the doubling sequence 8/16/32 measures order 3.8; asserted
 above 3.5.
 """
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -183,8 +185,20 @@ def test_eigensolver_failure_names_its_cause():
     g = fourier_metric(torus(4, 8), amplitude=0.08, seed=9)
     with pytest.raises(
         RuntimeError, match=r"eigensolver did not converge: residual .* after 2 iterations"
-    ):
+    ) as err:
         first_eigenvalue(g, 1.0, maxiter=2)
+    # and why: the applies (the starting one and one per iteration), the
+    # last residual, and the spread over the grid of the flux coefficient's
+    # trace, which the mean-coefficient preconditioner leaves out
+    msg = str(err.value)
+    res = re.search(r"residual (\S+) after", msg).group(1)
+    assert "3 operator applies" in msg
+    assert f"last residual {res} against tolerance" in msg
+    form = FluxForm.of(g)
+    trace = sum(form.component(a, a) for a in range(4))
+    ratio = float(np.max(trace) / np.min(trace))
+    assert ratio > 1.0
+    assert f"trace max/min {ratio:.4f} over the grid" in msg
 
 
 def test_eigensolver_operator_applies(monkeypatch):
