@@ -37,7 +37,6 @@ from .deformation import (
 from .yamabe import (
     SolveReport,
     TrichotomyResult,
-    conformal_energy,
     first_eigenvalue,
     solve_constant_F,
 )

@@ -53,11 +53,12 @@ def u_to_psi(u: np.ndarray, n: int) -> np.ndarray:
 
 def _as_positive(name: str, arr) -> np.ndarray:
     arr = np.asarray(arr, dtype=float)
-    if np.min(arr) <= 0:
-        bad = tuple(int(i) for i in np.unravel_index(int(np.argmin(arr)), arr.shape))
+    # a NaN entry fails too
+    if not np.min(arr) > 0:
+        bad = tuple(int(i) for i in np.argwhere(~(arr > 0))[0])
         raise FieldError(
-            f"{name} must be positive everywhere, min {float(np.min(arr)):.3e} "
-            f"at grid point {bad}"
+            f"{name} must be positive everywhere, first violation "
+            f"{float(arr[bad]):.3e} at grid point {bad}"
         )
     return arr
 
@@ -67,10 +68,10 @@ def scalar_weyl(g: MetricField, t: float, bundle: CurvatureBundle | None = None)
 
     Without ``bundle``, the curvature stack runs slab by slab along axis 0
     and keeps only R and |W|^2 (``curvature_scalars``): each slab forms its
-    Riemann, Ricci and Weyl fields from the whole-grid Christoffel symbols,
-    whose axis-0 derivative reads two ghost planes past each end of the
-    slab.  The result is bit-identical to reading a ``CurvatureBundle`` of
-    ``g``, which ``bundle`` reuses.
+    Riemann, Ricci and Weyl fields from a window of Christoffel symbols,
+    the slab's planes with two ghost planes past each end, which its axis-0
+    derivative reads.  The result is bit-identical to reading a
+    ``CurvatureBundle`` of ``g``, which ``bundle`` reuses.
     """
     scal, wnorm2 = curvature_scalars(g, bundle)
     return scal + t * np.sqrt(wnorm2)

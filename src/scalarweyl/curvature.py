@@ -32,24 +32,24 @@ at the pair tables; it is stored as row q, which the exchange average
 makes the same as column q.
 
 The stack is one loop over slabs of axis-0 planes, about ``_SLAB_POINTS``
-points each.  Each slab holds a window of Gamma: its own planes plus two
-ghost planes past each end, wrapped periodically.  Moving to the next slab
-keeps the four planes the two windows share and runs ``christoffel`` on the
-new planes only, each reading two ghost planes of the packed metric for
-d_0 g; planes 0 and 1 are kept from the first window for the last, so no
-whole-grid Gamma is formed.  ``riemann`` reads the window as its one Gamma
-representation, its d_0 Gamma a plain stencil on the window's planes
-(``grid.deriv_window``), and Ricci, R, W and |W|^2 follow on the slab.
-Every layer uses the one fd4 stencil of ``grid``, so every slab is
-bit-identical to the same planes of a whole-grid pass.
-``curvature_bundle`` runs the loop keeping every field, Gamma included (the
-window's own planes, which ``hessian`` reads); ``curvature_scalars`` keeps
-only R and |W|^2, so its peak is one window and one slab's transients, and
-on a bundle it forms |W|^2 slab by slab too.  The deformation layer runs
-its closed forms in the same slabs.  A spectral chart, whose derivatives
-need whole axes, is one slab whose window is the whole Gamma with no ghost
-planes; an fd4 axis no longer than one slab is one slab whose window wraps
-onto itself.
+points each.  Both first-derivative layers take one route: ``grid.window``
+cuts the planes formed plus two ghost planes past each end, which
+``grid.deriv_window`` differentiates; ``christoffel`` reads the window of
+the packed metric and ``riemann`` that of Gamma.  Each slab holds a window
+of Gamma in one buffer; moving to the next slab keeps the four planes the
+two windows share and runs ``christoffel`` on the new planes only; planes
+0 and 1 are kept from the first window for the last, so no whole-grid
+Gamma is formed.  ``riemann`` reads the window as its one Gamma
+representation, and Ricci, R, W and |W|^2 follow on the slab.  Every layer
+uses the one fd4 stencil of ``grid``, so every slab is bit-identical to the
+same planes of a whole-grid pass.  ``curvature_bundle`` runs the loop
+keeping every field, Gamma included (the window's own planes, which
+``hessian`` reads); ``curvature_scalars`` keeps only R and |W|^2, so its
+peak is one window and one slab's transients, and on a bundle it forms
+|W|^2 slab by slab too.  The deformation layer runs its closed forms in the
+same slabs.  A spectral chart, whose derivatives need whole axes, is one
+slab whose window is the whole field with no ghost planes; an fd4 axis no
+longer than one slab is one slab whose window wraps onto itself.
 """
 
 from __future__ import annotations
@@ -64,13 +64,12 @@ from .grid import (
     Chart,
     MetricField,
     _dense_slots,
-    _with_ghosts,
     deriv,
-    deriv_planes,
     deriv_window,
     gradient,
     sym2_pack_indices,
     sym2_unpack,
+    window,
 )
 from .tensor import (
     Riem4Field,
@@ -85,7 +84,6 @@ __all__ = [
     "CurvatureBundle",
     "christoffel",
     "riemann",
-    "gamma_window",
     "ricci_scalar",
     "weyl",
     "curvature_bundle",
@@ -153,8 +151,10 @@ def christoffel(g: MetricField, planes: slice = slice(None)) -> np.ndarray:
     inv = g.inverse[planes]
     lead = inv.shape[:-2]
     dg = np.empty(lead + (npack, n))
+    win = window(chart, g.packed, planes)
     for e in range(n):
-        dg[..., e] = deriv_planes(chart, g.packed, e, planes)
+        dg[..., e] = deriv_window(chart, win, e)
+    del win
     flat = dg.reshape(-1, npack * n)
     plus_a, plus_b, minus = _christoffel_tables(n)
     # the tables hold valid columns only, so "clip" skips the bounds check
@@ -167,16 +167,6 @@ def christoffel(g: MetricField, planes: slice = slice(None)) -> np.ndarray:
     return raised.reshape(lead + (n, npack))
 
 
-def gamma_window(chart: Chart, gamma: np.ndarray, planes: slice = slice(None)) -> np.ndarray:
-    """The window of the axis-0 ``planes`` cut from the whole-grid packed
-    symbols ``gamma``: those planes with two wrapped ghost planes past each
-    end, or ``gamma`` itself on a spectral chart."""
-    if chart.scheme == "spectral":
-        return gamma
-    start, stop, _ = planes.indices(chart.sizes[0])
-    return _with_ghosts(gamma, 0, start, stop)
-
-
 def _own(chart: Chart, window: np.ndarray) -> np.ndarray:
     """The window's own planes, without its ghost planes."""
     return window if chart.scheme == "spectral" else window[2:-2]
@@ -184,7 +174,7 @@ def _own(chart: Chart, window: np.ndarray) -> np.ndarray:
 
 def _gamma_windows(g: MetricField):
     """Yield ``(planes, window)`` for each slab, the window as
-    ``gamma_window`` would cut it from the whole-grid symbols, which are
+    ``grid.window`` would cut it from the whole-grid symbols, which are
     never formed.
 
     One buffer holds the window and is overwritten by the next slab's.
@@ -232,17 +222,15 @@ def _pair_gather(n: int) -> tuple[np.ndarray, np.ndarray]:
     )
 
 
-def riemann(
-    g: MetricField, window: np.ndarray | None = None, planes: slice = slice(None)
-) -> np.ndarray:
+def riemann(g: MetricField, window: np.ndarray, planes: slice = slice(None)) -> np.ndarray:
     """Lowered (0,4) curvature pair matrices of ``g`` on the axis-0
-    ``planes``, from the packed symbols ``window`` of those planes as
-    ``gamma_window`` cuts them (formed from ``g`` when omitted); along axis
-    0 their derivative reads the window's ghost planes in place."""
+    ``planes`` (all of them by default), from ``window``: the packed
+    symbols of those planes with two ghost planes past each end, as
+    ``grid.window`` cuts them (the whole symbols on a spectral chart).
+    ``deriv_window`` differentiates it, along axis 0 reading the ghost
+    planes in place."""
     chart = g.chart
     n = chart.n
-    if window is None:
-        window = gamma_window(chart, christoffel(g), planes)
     pairs = pair_indices(n)
     m = len(pairs)
     ab, ba = _pair_gather(n)

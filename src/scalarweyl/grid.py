@@ -18,19 +18,16 @@ Differentiation defaults to 4th-order centered stencils; second derivatives
 are compositions of first-derivative stencils, so mixed partials commute to
 roundoff.  There is one fd4 stencil: it takes an array that already carries
 two ghost planes at each end of the differentiated axis.  ``deriv`` builds
-those planes by periodic wraparound; ``deriv_planes`` forms a range of
-axis-0 planes only, reading two ghost planes past each end of the range
-when it differentiates along axis 0; ``deriv_window`` takes a range that
-already carries those planes and reads them in place.  Outputs of 2^20
-elements or more (an 8 MB field) run the same stencil slab by slab, cut
-along axis 0 (axis 1 when differentiating along axis 0), so the ghost copy
-and the temporaries of one slab stay in L2 cache; the results are
-bit-identical to the one-shot stencil, which scalar fields of the usual
-grid sizes keep.  A spectral
-scheme is available behind the chart's ``scheme`` switch.  Integration is
-the plain point sum times the cell volume, which is spectrally accurate on
-periodic grids and makes the discrete divergence theorem hold to roundoff
-(the stencil telescopes over each periodic axis).
+those planes by periodic wraparound.  A range of axis-0 planes is
+differentiated through its ``window``, the range with two wrapped ghost
+planes past each end: ``deriv_window`` reads them in place along axis 0 and
+wraps the range's own planes along the other axes, as ``deriv`` does, so
+every range is bit-identical to the same planes of the whole derivative.
+A spectral scheme is available behind the chart's ``scheme`` switch; its
+window is the whole field.  Integration is the plain point sum times the
+cell volume, which is spectrally accurate on periodic grids and makes the
+discrete divergence theorem hold to roundoff (the stencil telescopes over
+each periodic axis).
 
 The Laplace-Beltrami operator is applied in flux form,
 (1/sqrt(det g)) sum_a D_a(sqrt(det g) g^{ab} D_b u).  Its coefficient
@@ -42,7 +39,6 @@ derivatives back and one division by sqrt(det g).
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -54,7 +50,7 @@ __all__ = [
     "FluxForm",
     "make_chart",
     "deriv",
-    "deriv_planes",
+    "window",
     "deriv_window",
     "gradient",
     "integrate",
@@ -180,44 +176,14 @@ def _ghost_shifts(arr: np.ndarray, axis: int):
     return _interior_shifts(_with_ghosts(arr, axis, 0, arr.shape[axis]), axis)
 
 
-#: outputs of at least this many elements are differentiated slab by slab
-_SLAB_MIN = 1 << 20
-
-
-def _stencil_fd4(ext: np.ndarray, axis: int, spacing: float, out=None) -> np.ndarray:
+def _stencil_fd4(ext: np.ndarray, axis: int, spacing: float) -> np.ndarray:
     """5-point centered stencil on ``ext``, which carries two ghost planes at
     each end along ``axis``; the result covers its interior."""
     shifted = _interior_shifts(ext, axis)
-    out = np.subtract(shifted(1), shifted(-1), out=out)
+    out = np.subtract(shifted(1), shifted(-1))
     out *= 8.0
     out -= np.subtract(shifted(2), shifted(-2))
     out /= 12.0 * spacing
-    return out
-
-
-def _deriv_fd4(arr: np.ndarray, axis: int, spacing: float, planes=slice(None)) -> np.ndarray:
-    """fd4 derivative on the axis-0 ``planes`` of ``arr``.
-
-    The ghost planes along ``axis`` wrap periodically; along axis 0 they are
-    read past the ends of ``planes``.  Large outputs run the same stencil on
-    one-index slabs of a grid axis other than ``axis``, so results are
-    bit-identical to the one-shot stencil and to every other choice of
-    ``planes``.
-    """
-    start, stop, _ = planes.indices(arr.shape[0])
-    if axis == 0:
-        shape = (stop - start,) + arr.shape[1:]
-    else:
-        arr = arr[start:stop]
-        shape, start, stop = arr.shape, 0, arr.shape[axis]
-    if math.prod(shape) < _SLAB_MIN:
-        return _stencil_fd4(_with_ghosts(arr, axis, start, stop), axis, spacing)
-    cut = 1 if axis == 0 else 0
-    out = np.empty(shape)
-    lead = (slice(None),) * cut
-    for i in range(shape[cut]):
-        sl = lead + (slice(i, i + 1),)
-        _stencil_fd4(_with_ghosts(arr[sl], axis, start, stop), axis, spacing, out=out[sl])
     return out
 
 
@@ -261,44 +227,42 @@ def deriv(chart: Chart, arr: np.ndarray, axis: int) -> np.ndarray:
     arr = _grid_broadcast(chart, arr)
     if chart.scheme == "spectral":
         return _deriv_spectral(arr, axis, chart.sizes[axis], chart.lengths[axis])
-    return _deriv_fd4(arr, axis, chart.spacings[axis])
+    return _stencil_fd4(_with_ghosts(arr, axis, 0, chart.sizes[axis]), axis, chart.spacings[axis])
 
 
-def deriv_planes(chart: Chart, arr: np.ndarray, axis: int, planes: slice) -> np.ndarray:
-    """Planes ``planes`` (a slice of axis 0) of ``deriv(chart, arr, axis)``,
-    formed without the others.
+def window(chart: Chart, arr: np.ndarray, planes: slice = slice(None)) -> np.ndarray:
+    """The axis-0 ``planes`` of ``arr`` (all of them by default) with two
+    ghost planes past each end, wrapped periodically: the input of
+    ``deriv_window``.
 
-    Along axis 0 the fd4 stencil reads two ghost planes of ``arr`` past each
-    end of the range, wrapped periodically; the result is bit-identical to
-    the same planes of the whole derivative.  A spectral derivative needs
-    whole axes, so a spectral chart takes all planes only.
+    A spectral derivative needs whole axes, so on a spectral chart the
+    window is ``arr`` itself and only the whole plane range is accepted.
     """
     if chart.scheme == "spectral":
         if planes.indices(chart.sizes[0]) != (0, chart.sizes[0], 1):
             raise FieldError("a spectral chart differentiates whole axes; pass all planes")
-        return deriv(chart, arr, axis)
-    if not 0 <= axis < chart.n:
-        raise FieldError(f"axis must be in [0, {chart.n}), got {axis}")
-    return _deriv_fd4(_grid_broadcast(chart, arr), axis, chart.spacings[axis], planes)
+        return arr
+    start, stop, _ = planes.indices(chart.sizes[0])
+    return _with_ghosts(arr, 0, start, stop)
 
 
 def deriv_window(chart: Chart, window: np.ndarray, axis: int) -> np.ndarray:
     """Derivative along ``axis`` on the own planes of an axis-0 window.
 
     On an fd4 chart ``window`` holds a range of axis-0 planes with two
-    ghost planes past each end (as ``_with_ghosts`` cuts them), and the
-    result covers the range: bit-identical to ``deriv_planes`` of the whole
-    field on those planes.  Along axis 0 the stencil reads the ghost planes
-    in place, with no copy.  A spectral window is the whole field, with no
-    ghost planes.
+    ghost planes past each end (as ``window`` cuts them), and the result
+    covers the range: bit-identical to the same planes of ``deriv`` of the
+    whole field.  Along axis 0 the stencil reads the ghost planes in place,
+    with no copy; along the others it wraps the own planes as ``deriv``
+    does.  A spectral window is the whole field, with no ghost planes.
     """
     if not 0 <= axis < chart.n:
         raise FieldError(f"axis must be in [0, {chart.n}), got {axis}")
     if chart.scheme == "spectral":
         return deriv(chart, window, axis)
-    if axis == 0:
-        return _stencil_fd4(window, 0, chart.spacings[0])
-    return _deriv_fd4(window[2:-2], axis, chart.spacings[axis])
+    if axis > 0:
+        window = _with_ghosts(window[2:-2], axis, 0, chart.sizes[axis])
+    return _stencil_fd4(window, axis, chart.spacings[axis])
 
 
 def gradient(chart: Chart, arr: np.ndarray) -> np.ndarray:
@@ -499,16 +463,16 @@ def integrate(chart: Chart, f, density) -> float:
     """
     fd = np.asarray(f, dtype=float)
     dens = np.asarray(density, dtype=float)
+    # a NaN density fails too
     if dens.ndim == 0:
-        if dens <= 0:
+        if not dens > 0:
             raise FieldError(f"density must be positive, got {float(dens)}")
-    else:
-        if np.min(dens) <= 0:
-            bad = np.argwhere(dens <= 0)[0]
-            raise FieldError(
-                f"density must be positive everywhere, first violation at "
-                f"{tuple(int(i) for i in bad)}"
-            )
+    elif not np.min(dens) > 0:
+        bad = tuple(int(i) for i in np.argwhere(~(dens > 0))[0])
+        raise FieldError(
+            f"density must be positive everywhere, first violation "
+            f"{float(dens[bad])} at {bad}"
+        )
     return float(np.sum(fd * dens) * chart.cell_volume)
 
 

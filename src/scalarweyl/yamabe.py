@@ -35,7 +35,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .conformal import ConformalParams, conformal_metric, modified_laplacian_apply, scalar_weyl
-from .grid import FieldError, FluxForm, MetricField, _ghost_shifts, flux_laplacian, gradient, integrate
+from .grid import FieldError, FluxForm, MetricField, _ghost_shifts, flux_laplacian, integrate
 
 
 @dataclass(frozen=True)
@@ -346,32 +346,6 @@ def first_eigenvalue(
     band = 1e-6 * scale
     verdict = "zero" if abs(lam) < band else ("negative" if lam < 0.0 else "positive")
     return TrichotomyResult(lam, u, verdict, res, it, F)
-
-
-def conformal_energy(
-    g: MetricField,
-    t: float,
-    u: np.ndarray,
-    coefficient=None,
-) -> float:
-    """Integral certificate int F u^2 dV + a_n int |grad u|^2 dV.
-
-    Negative value implies the conformal class of g contains a metric with
-    F == -1.  Central differences satisfy exact summation by parts on the
-    periodic grid, so this equals the operator energy int u L u dV to
-    roundoff, not merely to discretization order.
-    """
-    chart = g.chart
-    params = ConformalParams(t, chart.n)
-    u = np.asarray(u, dtype=float)
-    if np.min(u) <= 0.0:
-        raise FieldError(
-            f"certificate requires u > 0, min {float(np.min(u)):.3e}"
-        )
-    F = coefficient if coefficient is not None else scalar_weyl(g, t)
-    du = gradient(chart, u)
-    grad2 = np.einsum("...ab,...a,...b->...", g.inverse, du, du)
-    return integrate(chart, F * u * u + params.a_n * grad2, g.sqrt_det)
 
 
 # ---------------------------------------------------------------------------

@@ -22,6 +22,16 @@ oracle of the slab loops of ``deformation`` and of
 They read the block table of ``deformation`` and measure norms with the
 whole-field ``deformed_norm``.
 
+``whole_riemann`` is ``curvature.riemann`` on all planes at once, from
+the whole-grid Christoffel symbols cut as one window; ``src/`` only ever
+forms Riemann slab by slab from a rolling window.
+
+``conformal_energy`` is the integral certificate
+int F u^2 dV + a_n int |grad u|^2 dV, the quadratic form of the operator
+L = -a_n Lap + F written with gradients instead of the flux-form
+Laplacian; by exact summation by parts on the periodic grid it equals
+int u L u dV to roundoff.
+
 ``linalg_inverse_det`` is the per-point LAPACK inverse and determinant of
 the dense metric, the oracle of ``MetricField``'s batched LDL^T, and
 ``fourier_sum`` samples each Fourier term with its own full-grid sine, the
@@ -37,8 +47,9 @@ from __future__ import annotations
 
 import numpy as np
 
+from scalarweyl.conformal import ConformalParams, scalar_weyl
 from scalarweyl.construct import RadialFields
-from scalarweyl.curvature import CurvatureBundle
+from scalarweyl.curvature import CurvatureBundle, christoffel, riemann
 from scalarweyl.deformation import (
     BLOCK_COUNT,
     DeformationBundle,
@@ -47,7 +58,16 @@ from scalarweyl.deformation import (
     deformed_norm,
     weyl_error,
 )
-from scalarweyl.grid import FluxForm, MetricField, _flux_divergence, deriv, gradient, integrate
+from scalarweyl.grid import (
+    FieldError,
+    FluxForm,
+    MetricField,
+    _flux_divergence,
+    deriv,
+    gradient,
+    integrate,
+    window,
+)
 from scalarweyl.tensor import (
     _pair_lookup,
     _quad_entries,
@@ -270,6 +290,31 @@ def divergence_total(X: np.ndarray, g: MetricField) -> float:
     chart = g.chart
     components = [X[..., b] for b in range(chart.n)]
     return float(np.sum(_flux_divergence(FluxForm.of(g), components))) * chart.cell_volume
+
+
+def whole_riemann(g: MetricField) -> np.ndarray:
+    """Riemann pair matrices of ``g`` on all planes, from one window of the
+    whole-grid Christoffel symbols."""
+    return riemann(g, window(g.chart, christoffel(g)))
+
+
+def conformal_energy(g: MetricField, t: float, u: np.ndarray, coefficient=None) -> float:
+    """Integral certificate int F u^2 dV + a_n int |grad u|^2 dV.
+
+    Negative value implies the conformal class of g contains a metric with
+    F == -1.  Central differences satisfy exact summation by parts on the
+    periodic grid, so this equals the operator energy int u L u dV to
+    roundoff, not merely to discretization order.
+    """
+    chart = g.chart
+    params = ConformalParams(t, chart.n)
+    u = np.asarray(u, dtype=float)
+    if not np.min(u) > 0.0:
+        raise FieldError(f"certificate requires u > 0, min {float(np.min(u)):.3e}")
+    F = coefficient if coefficient is not None else scalar_weyl(g, t)
+    du = gradient(chart, u)
+    grad2 = np.einsum("...ab,...a,...b->...", g.inverse, du, du)
+    return integrate(chart, F * u * u + params.a_n * grad2, g.sqrt_det)
 
 
 def linalg_inverse_det(g: MetricField) -> tuple[np.ndarray, np.ndarray]:

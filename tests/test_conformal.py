@@ -233,6 +233,20 @@ def test_conformal_metric_rejects_nonpositive_factor():
         conformal_metric(g, u)
 
 
+def test_conformal_metric_names_a_nan_factor():
+    # a NaN factor is named as u, not reported as an indefinite metric
+    c = torus(3, 8)
+    u = np.ones(c.shape)
+    u[1, 2, 3] = np.nan
+    u[4, 4, 4] = -1.0
+    with pytest.raises(
+        FieldError,
+        match=r"conformal factor u must be positive everywhere, first violation nan "
+        r"at grid point \(1, 2, 3\)",
+    ):
+        conformal_metric(flat_metric(c), u)
+
+
 def test_modified_laplacian_constant_input():
     c = torus(3, 12)
     one = np.ones(c.shape)

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from oracles import dense_from_pair, riemann_symmetry_report
+from oracles import dense_from_pair, riemann_symmetry_report, whole_riemann
 from scalarweyl import curvature
 from scalarweyl.conformal import scalar_weyl
 from scalarweyl.curvature import (
@@ -12,13 +12,12 @@ from scalarweyl.curvature import (
     christoffel,
     curvature_bundle,
     curvature_scalars,
-    gamma_window,
     hessian,
     ricci_scalar,
     riemann,
     weyl,
 )
-from scalarweyl.grid import MetricField, deriv, gradient, make_chart, sym2_unpack
+from scalarweyl.grid import MetricField, deriv, gradient, make_chart, sym2_unpack, window
 from scalarweyl.presets import (
     conformally_flat_metric,
     flat_metric,
@@ -120,7 +119,7 @@ def test_slab_loop_is_bit_identical_to_one_whole_field_pass(
     assert len(_slabs(c)) == slabs
     # the reference: each layer once on all planes
     gamma = christoffel(g)
-    riem = riemann(g, gamma_window(c, gamma))
+    riem = riemann(g, window(c, gamma))
     ric, scal = ricci_scalar(riem, g.inverse)
     W = weyl(riem, ric, scal, g.dense)
     wnorm2 = riemann_norm_squared(W, g.inverse)
@@ -157,7 +156,7 @@ def test_flat_curvature_identically_zero():
         g = flat_metric(c)
         gamma = christoffel(g)
         assert np.count_nonzero(gamma) == 0
-        rm = riemann(g, gamma_window(c, gamma))
+        rm = riemann(g, window(c, gamma))
         assert np.count_nonzero(rm) == 0
         ric, scal = ricci_scalar(rm, g.inverse)
         assert np.count_nonzero(ric) == 0 and np.count_nonzero(scal) == 0
@@ -219,7 +218,17 @@ def test_assembly_matches_per_entry_reference(n, sizes, scheme):
     ref = christoffel_reference(g)
     assert np.max(np.abs(dense - ref)) <= 1e-14 * np.max(np.abs(ref))
     # from the same symbols the assembly is bit-identical
-    assert np.array_equal(riemann(g, gamma_window(c, gamma)), riemann_reference(g, dense))
+    assert np.array_equal(riemann(g, window(c, gamma)), riemann_reference(g, dense))
+
+
+@pytest.mark.parametrize("n, sizes", [(3, (10, 12, 8)), (4, (10, 8, 8, 8))])
+def test_christoffel_on_planes_matches_the_whole_grid(n, sizes):
+    # the window of the packed metric wraps at both ends of axis 0
+    c = make_chart(n, sizes, (2 * np.pi,) * n)
+    g = fourier_metric(c, amplitude=0.3, seed=4)
+    whole = christoffel(g)
+    for planes in (slice(3, 6), slice(0, 2), slice(8, 10), slice(9, 10), slice(0, 10)):
+        assert np.array_equal(christoffel(g, planes), whole[planes])
 
 
 # --- conformally flat oracles ------------------------------------------------
@@ -251,7 +260,7 @@ def test_ricci_scalar_conformal_oracle_order():
     for size in (12, 24):
         c = chart3(size)
         g = conf_metric(c)
-        ric, scal = ricci_scalar(riemann(g), g.inverse)
+        ric, scal = ricci_scalar(whole_riemann(g), g.inverse)
         ric_o, scal_o = ricci_oracle(c)
         errs_ric.append(np.max(np.abs(ric - ric_o)))
         errs_scal.append(np.max(np.abs(scal - scal_o)))
@@ -265,7 +274,7 @@ def test_ricci_scalar_conformal_oracle_order():
 def test_trace_linearity():
     c = chart3(8)
     g = fourier_metric(c, amplitude=0.2, seed=1)
-    r1 = riemann(g)
+    r1 = whole_riemann(g)
     r2 = kulkarni_nomizu(g.dense, g.dense)
     ric_sum, scal_sum = ricci_scalar(r1 + r2, g.inverse)
     ric1, scal1 = ricci_scalar(r1, g.inverse)
@@ -294,7 +303,7 @@ def test_cap_sectional_curvature_is_one():
     for size in (16, 32):
         c = chart3(size, length=4.0)
         g, rho = cap_metric(c)
-        rm = riemann(g)
+        rm = whole_riemann(g)
         # pair slot 0 is (0,1): plane of the first two coordinate directions
         plane = g.dense[..., 0, 0] * g.dense[..., 1, 1] - g.dense[..., 0, 1] ** 2
         K = rm[..., 0, 0] / plane
@@ -327,7 +336,7 @@ def test_riemann_refinement_order():
     for size in (12, 24, 48):
         c = chart3(size)
         g = fourier_metric(c, amplitude=0.25, seed=5)
-        mat = riemann(g)
+        mat = whole_riemann(g)
         if prev is not None:
             errs.append(np.max(np.abs(prev - mat[::2, ::2, ::2])))
         prev = mat

@@ -13,7 +13,6 @@ from scalarweyl.grid import (
     FluxForm,
     MetricField,
     deriv,
-    deriv_planes,
     deriv_window,
     flux_laplacian,
     gradient,
@@ -21,6 +20,7 @@ from scalarweyl.grid import (
     make_chart,
     sym2_pack,
     sym2_unpack,
+    window,
 )
 from scalarweyl.presets import flat_metric, fourier_metric, fourier_scalar
 
@@ -141,7 +141,7 @@ def _one_shot_fd4(arr, axis, spacing):
     return out
 
 
-def test_blocked_fd4_matches_one_shot_stencil():
+def test_fd4_deriv_matches_one_shot_reference():
     rng = np.random.default_rng(5)
     c = make_chart(4, (16,) * 4, (1.0, 2.0, 3.0, 4.0))
     full = rng.standard_normal(c.sizes + (16,))
@@ -155,8 +155,6 @@ def test_blocked_fd4_matches_one_shot_stencil():
         (sparse, np.broadcast_to(sparse, c.sizes + (16,))),
     ]
     for arr, whole in cases:
-        # 16^4 points times 16 components: exactly the slab threshold
-        assert whole.size == grid._SLAB_MIN
         for axis in range(c.n):
             ref = _one_shot_fd4(whole, axis, c.spacings[axis])
             assert np.array_equal(deriv(c, arr, axis), ref)
@@ -166,24 +164,19 @@ def test_ghost_plane_stencil_matches_periodic_deriv_on_its_planes():
     rng = np.random.default_rng(13)
     c = make_chart(3, (10, 8, 12), (1.0, 2.0, 3.0))
     arr = rng.standard_normal(c.sizes + (3,))
-    # ranges inside the axis, at both ends (ghost planes wrap) and whole
-    ranges = [(3, 6), (0, 2), (8, 10), (9, 10), (0, 10)]
+    # the stencil takes an array carrying two ghost planes per end
     for axis in range(c.n):
-        whole = deriv(c, arr, axis)
-        for start, stop in ranges:
-            planes = slice(start, stop)
-            assert np.array_equal(deriv_planes(c, arr, axis, planes), whole[planes])
-        # the stencil itself takes an array carrying two ghost planes per end
         ext = np.take(arr, np.arange(-2, c.sizes[axis] + 2) % c.sizes[axis], axis=axis)
-        assert np.array_equal(grid._stencil_fd4(ext, axis, c.spacings[axis]), whole)
+        assert np.array_equal(grid._stencil_fd4(ext, axis, c.spacings[axis]), deriv(c, arr, axis))
     ext = np.take(arr, np.arange(1, 9), axis=0)  # planes 3..6 with their ghosts
     assert np.array_equal(grid._stencil_fd4(ext, 0, c.spacings[0]), deriv(c, arr, 0)[3:7])
-    # an output of 2^20 elements runs the stencil cut into one-index slabs
+    # a window of 2^20 output elements runs the stencil in one shot too
     big = make_chart(4, (16,) * 4, (1.0,) * 4)
     wide = rng.standard_normal(big.sizes + (32,))
+    win = window(big, wide, slice(4, 12))
     for axis in (0, 2):
-        got = deriv_planes(big, wide, axis, slice(4, 12))
-        assert got[..., 0].size * 32 == grid._SLAB_MIN
+        got = deriv_window(big, win, axis)
+        assert got.size == 1 << 20
         assert np.array_equal(got, deriv(big, wide, axis)[4:12])
 
 
@@ -193,25 +186,27 @@ def test_window_derivative_matches_periodic_deriv_on_its_planes():
     rng = np.random.default_rng(17)
     c = make_chart(3, (10, 8, 12), (1.0, 2.0, 3.0))
     arr = rng.standard_normal(c.sizes + (3,))
-    for start, stop in [(3, 6), (0, 2), (8, 10), (9, 10), (0, 10)]:
-        window = grid._with_ghosts(arr, 0, start, stop)
-        for axis in range(c.n):
-            got = deriv_window(c, window, axis)
-            assert np.array_equal(got, deriv(c, arr, axis)[start:stop])
-    # a spectral window is the whole field
-    s = make_chart(3, (8,) * 3, (1.0,) * 3, scheme="spectral")
-    arr = rng.standard_normal(s.sizes)
-    assert np.array_equal(deriv_window(s, arr, 2), deriv(s, arr, 2))
+    # ranges inside the axis, at both ends (ghost planes wrap) and whole
+    ranges = [slice(3, 6), slice(0, 2), slice(8, 10), slice(9, 10), slice(0, 10), slice(None)]
+    for axis in range(c.n):
+        whole = deriv(c, arr, axis)
+        for planes in ranges:
+            win = window(c, arr, planes)
+            assert win.shape[0] == len(range(*planes.indices(10))) + 4
+            assert np.array_equal(deriv_window(c, win, axis), whole[planes])
     with pytest.raises(FieldError):
-        deriv_window(c, grid._with_ghosts(arr, 0, 0, 8), 3)
+        deriv_window(c, window(c, arr, slice(0, 8)), 3)
 
 
-def test_deriv_planes_spectral_takes_whole_axes_only():
+def test_window_spectral_takes_whole_axes_only():
+    # a spectral window is the whole field, with no ghost planes
     c = make_chart(3, (8,) * 3, (1.0,) * 3, scheme="spectral")
     arr = np.random.default_rng(2).standard_normal(c.sizes)
-    assert np.array_equal(deriv_planes(c, arr, 1, slice(None)), deriv(c, arr, 1))
+    assert window(c, arr) is arr
+    assert window(c, arr, slice(0, 8)) is arr
+    assert np.array_equal(deriv_window(c, window(c, arr), 1), deriv(c, arr, 1))
     with pytest.raises(FieldError, match="whole axes"):
-        deriv_planes(c, arr, 1, slice(0, 4))
+        window(c, arr, slice(0, 4))
 
 
 def test_gradient_shape_and_values():
@@ -324,6 +319,18 @@ def test_integrate_rejects_bad_density():
     dens[1, 2, 3] = -1.0
     with pytest.raises(FieldError, match=r"\(1, 2, 3\)"):
         integrate(c, np.ones(c.shape), dens)
+
+
+def test_integrate_rejects_nan_density():
+    # NaN is not positive: the first bad point is named, not a nan returned
+    c = chart3(8)
+    dens = np.ones(c.shape)
+    dens[3, 0, 5] = -1.0
+    dens[2, 6, 1] = np.nan
+    with pytest.raises(FieldError, match=r"first violation nan at \(2, 6, 1\)"):
+        integrate(c, np.ones(c.shape), dens)
+    with pytest.raises(FieldError, match="density must be positive, got nan"):
+        integrate(c, np.ones(c.shape), np.nan)
 
 
 def test_divergence_total_telescopes_to_zero():

@@ -14,6 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import conformal_energy
 from scalarweyl.conformal import (
     ConformalParams,
     conformal_metric,
@@ -30,7 +31,6 @@ from scalarweyl.yamabe import (
     _penalty_strength,
     _ritz_step,
     _shifted_solver,
-    conformal_energy,
     first_eigenvalue,
     solve_constant_F,
 )
