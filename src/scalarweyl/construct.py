@@ -33,8 +33,8 @@ from typing import Callable
 import numpy as np
 
 from .conformal import conformal_metric, scalar_weyl
-from .curvature import CurvatureBundle, curvature_scalars
-from .deformation import _energy_slabs, _ricci_hessian_blocks, deform
+from .curvature import CurvatureBundle, _each_part, curvature_scalars
+from .deformation import _energy_terms, _ricci_hessian_blocks, deform
 from .grid import Chart, FieldError, MetricField, integrate
 from .presets import smooth_bridge
 from .tensor import lifted_norm_squared
@@ -598,9 +598,12 @@ def _test_energy_bound(
     bundle = deform(scaled, k * fields.psi, grad=k * fields.grad_psi)
     base = bundle.base
     snorm, ricci, hess = (np.empty(chart.sizes) for _ in range(3))
-    for planes, lift, E, ricci_slab, hess_slab in _energy_slabs(bundle):
-        ricci[planes], hess[planes] = ricci_slab, hess_slab
-        snorm[planes] = np.sqrt(lifted_norm_squared(base.W.pair[planes] + E, lift))
+
+    def run(part: slice) -> None:
+        lift, E, ricci[part], hess[part] = _energy_terms(bundle, part)
+        snorm[part] = np.sqrt(lifted_norm_squared(base.W.pair[part] + E, lift))
+
+    _each_part(chart, run)
     ricci_block, hess_block = _ricci_hessian_blocks(bundle, ricci, hess)
     dens = scaled.sqrt_det
     scal = integrate(chart, base.scal, dens)

@@ -50,11 +50,27 @@ peak is one window and one slab's transients, and on a bundle it forms
 same slabs.  A spectral chart, whose derivatives need whole axes, is one
 slab whose window is the whole field with no ghost planes; an fd4 axis no
 longer than one slab is one slab whose window wraps onto itself.
+
+Every slab loop runs each slab on all the CPUs the process may use
+(``_in_parts``): the slab's planes are split into one contiguous part per
+worker, the calling thread runs the first and a module-level thread pool
+the others, and the loop waits for every part before it goes on.  numpy
+releases the interpreter lock inside the ufunc, ``take`` and ``matmul``
+loops that do the work.  The workers share the slab's one window: each
+forms its own new planes of Gamma into it, and ``riemann`` reads a part's
+planes with their ghost planes from it, so the points in flight stay one
+slab's.  Each part writes only its own planes of the outputs, and the
+arithmetic of a point does not depend on the planes around it, so every
+worker count gives bit-identical results.  A spectral stack stays one
+unsplit slab.
 """
 
 from __future__ import annotations
 
 import math
+import os
+import threading
+from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -123,10 +139,12 @@ def _christoffel_tables(n: int):
     return plus_a, plus_b, minus
 
 
-#: points per slab of the curvature stack (2 planes of a 20^4 grid).  A
-#: slab's transients take about 2.4 KB per point, 40 MB at this size; on a
-#: 2-core x86 host, 2^14 and 2^15 points per slab ran a 20^4 stack equally
-#: fast, and 2^13 (one plane) about 20% slower.
+#: points in flight in the curvature stack: one slab of axis-0 planes, about
+#: this many points, is split among the workers, who share its window (2
+#: planes of a 20^4 grid, one per worker on a 2-core host).  A slab's
+#: transients take about 2.4 KB per point, 40 MB at this size; on a 2-core
+#: x86 host, 2^14 and 2^15 points per slab ran a single-threaded 20^4 stack
+#: equally fast, and 2^13 (one plane) about 20% slower.
 _SLAB_POINTS = 1 << 14
 
 
@@ -138,6 +156,76 @@ def _slabs(chart: Chart) -> list[slice]:
         return [slice(0, size)]
     step = max(1, _SLAB_POINTS * size // chart.npoints)
     return [slice(s, min(s + step, size)) for s in range(0, size, step)]
+
+
+def _worker_count() -> int:
+    """Threads a slab is split among: the CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call (macOS)
+        return os.cpu_count() or 1
+
+
+_WORKERS = _worker_count()
+# the calling thread runs a slab's first part, the pool the others; the pool
+# starts a thread only on its first submit, so one worker starts none
+_POOL = ThreadPoolExecutor(max_workers=max(1, _WORKERS - 1), thread_name_prefix="slab")
+
+
+class _PartFlag(threading.local):
+    """Whether this thread is running a part."""
+
+    active = False
+
+
+_IN_PART = _PartFlag()
+
+
+def _parts(planes: slice) -> list[slice]:
+    """Contiguous split of ``planes`` into one part per worker (at most one
+    per plane), sizes differing by at most one; a slab loop started inside
+    a part is not split again."""
+    size = planes.stop - planes.start
+    count = 1 if _IN_PART.active else min(_WORKERS, size)
+    cuts = [planes.start + size * k // count for k in range(count + 1)]
+    return [slice(a, b) for a, b in zip(cuts, cuts[1:])]
+
+
+def _run_part(run, part: slice) -> None:
+    """``run(part)``, with any slab loop it starts left unsplit."""
+    outer = _IN_PART.active
+    _IN_PART.active = True
+    try:
+        run(part)
+    finally:
+        _IN_PART.active = outer
+
+
+def _in_parts(run, planes: slice) -> None:
+    """Call ``run(part)`` for each part of ``planes``: the first in the
+    calling thread, the others on the pool.
+
+    Every part has finished when this returns or raises, so none is still
+    writing into a buffer the caller reuses; the error of the first part
+    that raised, in plane order, is the one raised.  Each part writes only
+    its own planes; the caller forms every cached ``MetricField`` property
+    a part reads before the parts start, so no two parts form it at once.
+    """
+    first, *rest = _parts(planes)
+    futures = [_POOL.submit(_run_part, run, part) for part in rest]
+    try:
+        _run_part(run, first)
+    finally:
+        wait(futures)
+    for future in futures:
+        future.result()
+
+
+def _each_part(chart: Chart, run) -> None:
+    """``_in_parts`` over every slab of ``chart``: ``run(part)`` for each
+    part of each slab."""
+    for planes in _slabs(chart):
+        _in_parts(run, planes)
 
 
 def christoffel(g: MetricField, planes: slice = slice(None)) -> np.ndarray:
@@ -179,9 +267,9 @@ def _gamma_windows(g: MetricField):
 
     One buffer holds the window and is overwritten by the next slab's.
     Moving on keeps the four planes two neighbouring windows share and forms
-    only the new ones.  The first window's lower ghosts are the grid's last
-    two planes; its planes 0 and 1, the last window's upper ghosts, are kept
-    for it.
+    only the new ones, split among the workers, each writing its own planes.
+    The first window's lower ghosts are the grid's last two planes; its
+    planes 0 and 1, the last window's upper ghosts, are kept for it.
     """
     chart = g.chart
     slabs = _slabs(chart)
@@ -189,23 +277,34 @@ def _gamma_windows(g: MetricField):
         yield slabs[0], christoffel(g)
         return
     size = chart.sizes[0]
-    # every slab reads the inverse, which the metric keeps: formed before the
+    # every part reads the inverse, which the metric keeps: formed before the
     # window, it leaves no heap hole under it when the window is freed
     g.inverse
     buf = np.empty((slabs[0].stop + 4,) + chart.sizes[1:] + (chart.n, g.packed.shape[-1]))
+
+    def form(window: np.ndarray, new: slice, shift: int) -> None:
+        """Symbols of the ``new`` planes into rows ``plane - shift`` of
+        ``window``, each part writing its own rows."""
+
+        def run(part: slice) -> None:
+            window[part.start - shift : part.stop - shift] = christoffel(g, part)
+
+        _in_parts(run, new)
+
     for k, planes in enumerate(slabs):
         lo, hi = planes.start - 2, planes.stop + 2
         window = buf[: hi - lo]
         first_new = lo + 4 if k else 0
         last_new = min(hi, size)
         if first_new < last_new:
-            window[first_new - lo : last_new - lo] = christoffel(g, slice(first_new, last_new))
+            form(window, slice(first_new, last_new), lo)
         if k == 0:
             head = window[2:4].copy()
             # one slab reaching the last planes has formed them already
-            window[:2] = window[size : size + 2] if hi >= size else christoffel(
-                g, slice(size - 2, size)
-            )
+            if hi >= size:
+                window[:2] = window[size : size + 2]
+            else:
+                form(window, slice(size - 2, size), size - 2)
         for p in range(max(first_new, size), hi):
             window[p - lo] = head[p - size]
         yield planes, window
@@ -331,15 +430,30 @@ class CurvatureBundle:
         return self.g.chart
 
 
-def _stack(g: MetricField):
-    """Yield ``(planes, own, riem, ric, scal, W)`` for each slab of the grid,
-    ``own`` the slab's planes of Gamma (overwritten by the next slab)."""
-    n = g.chart.n
+def _stack(g: MetricField, keep) -> None:
+    """Run the stack slab by slab, calling ``keep(part, own, riem, ric, scal,
+    W)`` for each part of each slab, ``own`` the part's planes of Gamma
+    (overwritten by the next slab).  A spectral chart's one slab is not
+    split: its derivatives need whole axes."""
+    chart = g.chart
+    n = chart.n
+    spectral = chart.scheme == "spectral"
     for planes, window in _gamma_windows(g):
-        riem = riemann(g, window, planes)
-        ric, scal = ricci_scalar(riem, g.inverse[planes])
-        W = weyl(riem, ric, scal, sym2_unpack(g.packed[planes], n))
-        yield planes, _own(g.chart, window), riem, ric, scal, W
+
+        def run(part: slice) -> None:
+            # fd4: the part's planes and two ghost planes past each end, all
+            # inside the slab's window
+            lo = part.start - planes.start
+            win = window if spectral else window[lo : lo + part.stop - part.start + 4]
+            riem = riemann(g, win, part)
+            ric, scal = ricci_scalar(riem, g.inverse[part])
+            W = weyl(riem, ric, scal, sym2_unpack(g.packed[part], n))
+            keep(part, _own(chart, win), riem, ric, scal, W)
+
+        if spectral:
+            run(planes)
+        else:
+            _in_parts(run, planes)
 
 
 def curvature_bundle(g: MetricField) -> CurvatureBundle:
@@ -350,9 +464,12 @@ def curvature_bundle(g: MetricField) -> CurvatureBundle:
     gamma = np.empty(shape + (n, g.packed.shape[-1]))
     riem, W = np.empty(shape + (m, m)), np.empty(shape + (m, m))
     ric, scal = np.empty(shape + (n, n)), np.empty(shape)
-    for planes, *fields in _stack(g):
-        for whole, part in zip((gamma, riem, ric, scal, W), fields):
-            whole[planes] = part
+
+    def keep(part: slice, *fields) -> None:
+        for whole, field in zip((gamma, riem, ric, scal, W), fields):
+            whole[part] = field
+
+    _stack(g, keep)
     return CurvatureBundle(g, gamma, Riem4Field(g.chart, riem), ric, scal, Riem4Field(g.chart, W))
 
 
@@ -367,13 +484,20 @@ def curvature_scalars(
     """
     wnorm2 = np.empty(g.chart.sizes)
     if bundle is not None:
-        for planes in _slabs(g.chart):
-            wnorm2[planes] = riemann_norm_squared(bundle.W.pair[planes], g.inverse[planes])
+        inverse = g.inverse
+
+        def run(part: slice) -> None:
+            wnorm2[part] = riemann_norm_squared(bundle.W.pair[part], inverse[part])
+
+        _each_part(g.chart, run)
         return bundle.scal, wnorm2
     scal = np.empty(g.chart.sizes)
-    for planes, _, _, _, s, W in _stack(g):
-        scal[planes] = s
-        wnorm2[planes] = riemann_norm_squared(W, g.inverse[planes])
+
+    def keep(part: slice, own, riem, ric, s, W) -> None:
+        scal[part] = s
+        wnorm2[part] = riemann_norm_squared(W, g.inverse[part])
+
+    _stack(g, keep)
     return scal, wnorm2
 
 

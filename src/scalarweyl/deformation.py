@@ -24,12 +24,14 @@ the error tensor needs the (n, n) Kulkarni-Nomizu factors S, Q, V and
 df (x) df.
 
 Every closed form is pointwise, so it runs in the curvature stack's slabs
-of axis-0 planes (``curvature._slabs``): the ingredients, the factors and
-the block products exist for one slab at a time, and each slab writes its
-planes of the whole-grid outputs (the error tensor, R', the integrands of
-the energy).  The energy's two norms share one deformed inverse and its
-pair lift per slab, and each integral runs once over a whole-grid
-integrand, so every result is bit-identical to one pass over all planes.
+of axis-0 planes, each split among the workers (``curvature._each_part``):
+the ingredients, the factors and the block products exist for one part at
+a time, and each part writes its planes of the whole-grid outputs (the
+error tensor, R', the integrands of the energy).  The undeformed inverse
+that every part reads was formed by ``deform``.  The energy's two norms
+share one deformed inverse and its pair lift per part, and each integral
+runs once over a whole-grid integrand, so every result is bit-identical to
+one pass over all planes, whatever the worker count.
 """
 
 from __future__ import annotations
@@ -39,7 +41,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .curvature import CurvatureBundle, _slabs, curvature_bundle, hessian
+from .curvature import CurvatureBundle, _each_part, curvature_bundle, hessian
 from .grid import Chart, MetricField, gradient, integrate, sym2_pack, sym2_unpack
 from .tensor import (
     Riem4Field,
@@ -227,9 +229,12 @@ def weyl_error(
     picked = _picked_blocks(include, flip_block)
     m = len(pair_indices(bundle.n))
     out = np.empty(bundle.chart.sizes + (m, m))
-    for planes in _slabs(bundle.chart):
-        ing = _scalar_ingredients(bundle, planes)
-        out[planes] = _error_tensor(bundle, ing, planes, picked, flip_block)
+
+    def run(part: slice) -> None:
+        ing = _scalar_ingredients(bundle, part)
+        out[part] = _error_tensor(bundle, ing, part, picked, flip_block)
+
+    _each_part(bundle.chart, run)
     return Riem4Field(bundle.chart, out)
 
 
@@ -267,8 +272,11 @@ def deformed_scalar_closed_form(bundle: DeformationBundle) -> np.ndarray:
     """Scalar curvature of g + df (x) df from the four-term closed form,
     slab by slab."""
     out = np.empty(bundle.chart.sizes)
-    for planes in _slabs(bundle.chart):
-        out[planes] = _scalar_closed_form(_scalar_ingredients(bundle, planes))
+
+    def run(part: slice) -> None:
+        out[part] = _scalar_closed_form(_scalar_ingredients(bundle, part))
+
+    _each_part(bundle.chart, run)
     return out
 
 
@@ -289,23 +297,20 @@ def deformed_norm(
     return riemann_norm(mat, deformed_inverse(g, grad))
 
 
-def _energy_slabs(bundle: DeformationBundle):
-    """Yield, for each slab of the deformation functionals, ``(planes, lift,
-    E, ricci, hess)``: the pair lift of the deformed inverse, the error
+def _energy_terms(bundle: DeformationBundle, planes: slice):
+    """``(lift, E, ricci, hess)`` of the deformation functionals on the
+    axis-0 ``planes``: the pair lift of the deformed inverse, the error
     tensor, and the integrands Ric(f^, f^) / w and |u|^2 / w^2 - beta^2 / w^3
     of the Ricci and Hessian blocks."""
-    inverse = bundle.base.g.inverse
-    for planes in _slabs(bundle.chart):
-        ing = _scalar_ingredients(bundle, planes)
-        w = ing["w"]
-        inv = _downdate(inverse[planes], ing["fup"], w)
-        yield (
-            planes,
-            pair_lift(inv, inv),
-            _error_tensor(bundle, ing, planes),
-            ing["rvv"] / w,
-            ing["u2"] / w**2 - ing["beta"] ** 2 / w**3,
-        )
+    ing = _scalar_ingredients(bundle, planes)
+    w = ing["w"]
+    inv = _downdate(bundle.base.g.inverse[planes], ing["fup"], w)
+    return (
+        pair_lift(inv, inv),
+        _error_tensor(bundle, ing, planes),
+        ing["rvv"] / w,
+        ing["u2"] / w**2 - ing["beta"] ** 2 / w**3,
+    )
 
 
 def _ricci_hessian_blocks(
@@ -346,11 +351,14 @@ def deformation_energy(
     bundle = deform(g, phi, grad=grad, hess=hess, base=base)
     base = bundle.base
     curv, enorm, ricci, hess_term = (np.empty(chart.sizes) for _ in range(4))
-    for planes, lift, E, ricci_slab, hess_slab in _energy_slabs(bundle):
-        ricci[planes], hess_term[planes] = ricci_slab, hess_slab
-        wnorm = np.sqrt(lifted_norm_squared(base.W.pair[planes], lift))
-        curv[planes] = base.scal[planes] + t * wnorm
-        enorm[planes] = np.sqrt(lifted_norm_squared(E, lift))
+
+    def run(part: slice) -> None:
+        lift, E, ricci[part], hess_term[part] = _energy_terms(bundle, part)
+        wnorm = np.sqrt(lifted_norm_squared(base.W.pair[part], lift))
+        curv[part] = base.scal[part] + t * wnorm
+        enorm[part] = np.sqrt(lifted_norm_squared(E, lift))
+
+    _each_part(chart, run)
     dens = base.g.sqrt_det
     i1 = integrate(chart, curv, dens)
     i2 = t * integrate(chart, enorm, dens)

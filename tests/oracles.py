@@ -47,6 +47,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from scalarweyl import curvature
 from scalarweyl.conformal import ConformalParams, scalar_weyl
 from scalarweyl.construct import RadialFields
 from scalarweyl.curvature import CurvatureBundle, christoffel, riemann
@@ -75,6 +76,12 @@ from scalarweyl.tensor import (
     pair_indices,
     vv_contract,
 )
+
+
+def slab_parts(chart) -> int:
+    """Parts the slab loop runs on ``chart``: a layer called once per part
+    is called this many times per loop."""
+    return sum(len(curvature._parts(planes)) for planes in curvature._slabs(chart))
 
 
 def phi_expansion(

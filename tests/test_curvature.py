@@ -1,9 +1,14 @@
 """Curvature stack against analytic oracles and refinement orders."""
 
+import os
+import threading
+import time
+from concurrent.futures import Future
+
 import numpy as np
 import pytest
 
-from oracles import dense_from_pair, riemann_symmetry_report, whole_riemann
+from oracles import dense_from_pair, riemann_symmetry_report, slab_parts, whole_riemann
 from scalarweyl import curvature
 from scalarweyl.conformal import scalar_weyl
 from scalarweyl.curvature import (
@@ -389,6 +394,8 @@ def test_weyl_trace_free_4d():
 
 
 def test_weyl_forms_one_product(monkeypatch):
+    # one product per slab part: an 8^4 grid is one slab, one part per
+    # worker; one worker makes one product
     calls = []
 
     def counted(a, b):
@@ -397,8 +404,123 @@ def test_weyl_forms_one_product(monkeypatch):
 
     monkeypatch.setattr("scalarweyl.curvature.kulkarni_nomizu", counted)
     c = make_chart(4, (8,) * 4, (2 * np.pi,) * 4)
-    curvature_bundle(fourier_metric(c, amplitude=0.25, seed=2))
-    assert len(calls) == 1
+    g = fourier_metric(c, amplitude=0.25, seed=2)
+    for workers, parts in ((curvature._WORKERS, slab_parts(c)), (1, 1)):
+        monkeypatch.setattr(curvature, "_WORKERS", workers)
+        calls.clear()
+        curvature_bundle(g)
+        assert len(calls) == parts
+
+
+# --- the parts of a slab --------------------------------------------------
+
+
+def test_a_raising_part_surfaces_after_every_part_has_finished(monkeypatch):
+    # no part may still be writing into a buffer the caller reuses when the
+    # error reaches it, and the first part's error in plane order wins
+    monkeypatch.setattr(curvature, "_WORKERS", 3)
+    finished = []
+
+    def run(part):
+        if part.start == 0:
+            raise ValueError("part 0")
+        time.sleep(0.2)
+        finished.append(part.start)
+        if part.start == 2:
+            raise ValueError("part 2")
+
+    with pytest.raises(ValueError, match="part 0"):
+        curvature._in_parts(run, slice(0, 3))
+    assert sorted(finished) == [1, 2]
+
+    def run_pool_errors(part):
+        if part.start == 1:
+            time.sleep(0.2)
+            raise ValueError("part 1")
+        if part.start == 2:
+            raise ValueError("part 2")
+
+    with pytest.raises(ValueError, match="part 1"):
+        curvature._in_parts(run_pool_errors, slice(0, 3))
+
+
+def test_a_slab_loop_inside_a_part_runs_inline(monkeypatch):
+    # a loop inside a part that waited for the pool could wait for itself
+    # once every pool thread runs an outer part; it must submit nothing.
+    # Each part here runs on a thread of its own, so a failing case fails
+    # instead of hanging
+    submitted = []
+
+    class ThreadPerPart:
+        def submit(self, fn, *args):
+            submitted.append(args)
+            future = Future()
+
+            def target():
+                try:
+                    future.set_result(fn(*args))
+                except BaseException as exc:
+                    future.set_exception(exc)
+
+            threading.Thread(target=target, daemon=True).start()
+            return future
+
+    monkeypatch.setattr(curvature, "_POOL", ThreadPerPart())
+    monkeypatch.setattr(curvature, "_WORKERS", 2)
+    c = make_chart(4, (8,) * 4, (2 * np.pi,) * 4)
+    g = fourier_metric(c, amplitude=0.25, seed=2)
+    want = curvature_scalars(g)
+    got = {}
+
+    def run(part):
+        got[part.start] = curvature_scalars(g)
+
+    submitted.clear()
+    curvature._in_parts(run, slice(0, 2))
+    assert len(submitted) == 1
+    assert sorted(got) == [0, 1]
+    for scal, wnorm2 in got.values():
+        assert np.array_equal(scal, want[0]) and np.array_equal(wnorm2, want[1])
+
+
+def test_threaded_stack_factors_the_metric_no_more_often(monkeypatch):
+    # the parts read the inverse, a cached property formed before they start
+    calls = []
+    factor = MetricField._factor
+
+    def counted(self):
+        calls.append(1)
+        return factor(self)
+
+    monkeypatch.setattr(MetricField, "_factor", counted)
+    c = make_chart(4, (8,) * 4, (2 * np.pi,) * 4)
+    counts = []
+    for workers in (1, 2):
+        monkeypatch.setattr(curvature, "_WORKERS", workers)
+        calls.clear()
+        curvature_scalars(fourier_metric(c, amplitude=0.25, seed=2))
+        counts.append(len(calls))
+    # construction's check and the inverse
+    assert counts == [2, 2]
+
+
+def test_worker_count_without_an_affinity_call_is_the_cpu_count(monkeypatch):
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    assert curvature._worker_count() == (os.cpu_count() or 1)
+
+
+def test_one_worker_starts_no_pool_part(monkeypatch):
+    class NoPool:
+        def submit(self, *args):
+            raise AssertionError("a pool part was started")
+
+    monkeypatch.setattr(curvature, "_WORKERS", 1)
+    monkeypatch.setattr(curvature, "_POOL", NoPool())
+    monkeypatch.setattr(curvature, "_SLAB_POINTS", 3 * 8**3)
+    c = make_chart(4, (8,) * 4, (2 * np.pi,) * 4)
+    g = fourier_metric(c, amplitude=0.25, seed=2)
+    curvature_scalars(g, bundle=curvature_bundle(g))
+    curvature_scalars(g)
 
 
 def decomposition_residual(g):

@@ -12,6 +12,7 @@ here; asserted above 3.5.  Machine-level identities (determinant, closed-form
 inverse, the 3d collapse of the error tensor) are asserted near eps.
 """
 
+import sys
 from types import SimpleNamespace
 
 import numpy as np
@@ -22,6 +23,7 @@ from hypothesis import strategies as st
 from oracles import (
     dense_from_pair,
     divergence_total,
+    slab_parts,
     whole_field_energy,
     whole_field_energy_bound,
     whole_field_scalar_closed_form,
@@ -30,7 +32,7 @@ from oracles import (
 from scalarweyl import construct, curvature, deformation
 from scalarweyl.conformal import _as_positive
 from scalarweyl.construct import RadialFields, make_bump, radial_fields
-from scalarweyl.curvature import curvature_bundle
+from scalarweyl.curvature import curvature_bundle, curvature_scalars
 from scalarweyl.deformation import (
     BLOCK_COUNT,
     _scalar_ingredients,
@@ -385,6 +387,50 @@ def test_streamed_closed_forms_are_bit_identical_to_the_whole_field_oracle(
     assert cert == whole_field_energy_bound(g, t, 0.8, fields)
 
 
+def test_every_worker_count_gives_bit_identical_outputs(monkeypatch):
+    # 3-plane slabs over 8 planes (3 + 3 + 2): two workers split them into
+    # uneven parts (1 + 2, 1 + 2, 1 + 1), three into single planes, and
+    # three workers are more than a 2-core host's; a short switch interval
+    # interleaves the parts' writes into the shared window and outputs
+    monkeypatch.setattr(curvature, "_SLAB_POINTS", 3 * 8**3)
+    c = torus(4, 8)
+    g = fourier_metric(c, amplitude=0.2, seed=6)
+    f = fourier_scalar(c, amplitude=0.3, seed=106)
+    psi = np.exp(0.2 * fourier_scalar(c, amplitude=0.5, seed=11))
+    fields = RadialFields(c, psi, gradient(c, psi), np.zeros(c.shape + (4, 4)))
+
+    def outputs():
+        b = deform(g, f)
+        base = b.base
+        return [
+            base.gamma, base.riem.pair, base.ric, base.scal, base.W.pair,
+            *curvature_scalars(g), *curvature_scalars(g, bundle=base),
+            weyl_error(b).pair, deformed_scalar_closed_form(b),
+            deformation_energy(g, f, 0.7, base=base),
+            construct._test_energy_bound(g, 0.7, 0.8, fields)[0],
+        ]
+
+    monkeypatch.setattr(curvature, "_WORKERS", 1)
+    want = outputs()
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for workers in (2, 3):
+            monkeypatch.setattr(curvature, "_WORKERS", workers)
+            for got, ref in zip(outputs(), want, strict=True):
+                assert np.array_equal(got, ref)
+    finally:
+        sys.setswitchinterval(interval)
+
+
+def host_then_one_worker(monkeypatch, chart):
+    """Yield the slab parts of ``chart`` with the host's workers, then with
+    one worker, each set while the caller's loop body runs."""
+    for workers in (curvature._WORKERS, 1):
+        monkeypatch.setattr(curvature, "_WORKERS", workers)
+        yield slab_parts(chart)
+
+
 def test_error_forms_one_product_per_second_factor(monkeypatch):
     calls = []
 
@@ -394,12 +440,16 @@ def test_error_forms_one_product_per_second_factor(monkeypatch):
 
     b = bundle_for(4, 8)
     monkeypatch.setattr("scalarweyl.deformation.kulkarni_nomizu", counted)
-    weyl_error(b)
-    # the second factors are h, g and df (x) df
-    assert len(calls) == 3
-    calls.clear()
-    weyl_error(b, include=(1, 2, 3))
-    assert len(calls) == 2
+    for parts in host_then_one_worker(monkeypatch, b.chart):
+        # per slab part, the second factors are h, g and df (x) df
+        calls.clear()
+        weyl_error(b)
+        assert len(calls) == 3 * parts
+        calls.clear()
+        weyl_error(b, include=(1, 2, 3))
+        assert len(calls) == 2 * parts
+    # one worker: the 8^4 grid is one slab of one part
+    assert parts == 1
 
 
 def test_only_the_error_tensor_contracts_riemann(monkeypatch):
@@ -411,20 +461,25 @@ def test_only_the_error_tensor_contracts_riemann(monkeypatch):
 
     b = bundle_for(4, 8)
     monkeypatch.setattr("scalarweyl.deformation.vv_contract", counted)
-    weyl_error(b)
-    assert len(calls) == 1
-    calls.clear()
-    deformation_energy(b.base.g, b.f, 1.0, base=b.base)
-    # once, for its error tensor; the scalar terms need no Riemann contraction
-    assert len(calls) == 1
-    calls.clear()
-    deformed_scalar_closed_form(b)
-    assert len(calls) == 0
+    for parts in host_then_one_worker(monkeypatch, b.chart):
+        calls.clear()
+        weyl_error(b)
+        assert len(calls) == parts
+        calls.clear()
+        deformation_energy(b.base.g, b.f, 1.0, base=b.base)
+        # once per part, for its error tensor; the scalar terms need no
+        # Riemann contraction
+        assert len(calls) == parts
+        calls.clear()
+        deformed_scalar_closed_form(b)
+        assert len(calls) == 0
+    assert parts == 1
 
 
 def test_each_caller_forms_the_scalar_ingredients_once(monkeypatch):
-    # once per slab: three planes per slab cut 8 planes into 3 slabs, and
-    # the whole-grid divergence check is one call
+    # once per slab part: three planes per slab cut 8 planes into 3 slabs,
+    # one part each with one worker, and the whole-grid divergence check is
+    # one call
     calls = []
 
     def counted(*args):
@@ -434,15 +489,17 @@ def test_each_caller_forms_the_scalar_ingredients_once(monkeypatch):
     b = bundle_for(4, 8)
     monkeypatch.setattr("scalarweyl.deformation._scalar_ingredients", counted)
     monkeypatch.setattr(curvature, "_SLAB_POINTS", 3 * 8**3)
-    for run, count in (
-        (lambda: weyl_error(b), 3),
-        (lambda: deformed_scalar_closed_form(b), 3),
-        (lambda: scalar_divergence_identity(b), 1),
-        (lambda: deformation_energy(b.base.g, b.f, 1.0, base=b.base), 3),
-    ):
-        calls.clear()
-        run()
-        assert len(calls) == count
+    for parts in host_then_one_worker(monkeypatch, b.chart):
+        for run, count in (
+            (lambda: weyl_error(b), parts),
+            (lambda: deformed_scalar_closed_form(b), parts),
+            (lambda: scalar_divergence_identity(b), 1),
+            (lambda: deformation_energy(b.base.g, b.f, 1.0, base=b.base), parts),
+        ):
+            calls.clear()
+            run()
+            assert len(calls) == count
+    assert parts == 3
 
 
 # ---------------------------------------------------------------------------

@@ -70,7 +70,7 @@ def _traced_peak(run) -> int:
 def test_streamed_curvature_scalars_hold_no_whole_grid_christoffel_field():
     # the slab loop holds a window of Gamma planes, never all of them: the
     # whole-grid packed Gamma alone is 320 bytes per point (measured at
-    # 20^4: 415 bytes per point, against 657 with the whole field held)
+    # 20^4: 344 bytes per point, against 657 with the whole field held)
     import numpy as np
 
     from scalarweyl.curvature import curvature_scalars
@@ -86,7 +86,7 @@ def test_streamed_curvature_scalars_hold_no_whole_grid_christoffel_field():
 def test_streamed_scalar_weyl_peaks_below_half_the_bundle_route():
     # without a bundle the curvature stack runs slab by slab and keeps only
     # a window of Christoffel planes, R and |W|^2; the bundle route keeps
-    # every curvature field (measured at 20^4: 415 against 1431 bytes per
+    # every curvature field (measured at 20^4: 344 against 1360 bytes per
     # point)
     import numpy as np
 
@@ -101,6 +101,28 @@ def test_streamed_scalar_weyl_peaks_below_half_the_bundle_route():
     streamed = _traced_peak(lambda: scalar_weyl(g, 1.0))
     bundled = _traced_peak(lambda: scalar_weyl(g, 1.0, bundle=curvature_bundle(g)))
     assert streamed < 0.5 * bundled, (streamed, bundled)
+
+
+def test_splitting_a_slab_among_the_workers_adds_no_traced_peak(monkeypatch):
+    # the workers share one slab and its window of Christoffel planes, so
+    # the points in flight stay one slab's: a window per worker would add
+    # 15 MB at 20^4.  The slack is the pool's bookkeeping, below one plane
+    # of one pair-matrix field (2.3 MB); measured on a 2-core host: 52.52
+    # to 52.54 MB with both workers, 52.50 MB with one
+    import numpy as np
+
+    from scalarweyl import curvature
+    from scalarweyl.conformal import scalar_weyl
+    from scalarweyl.grid import make_chart
+    from scalarweyl.presets import fourier_metric
+
+    g = fourier_metric(make_chart(4, (20,) * 4, (2 * np.pi,) * 4), amplitude=0.3, seed=3)
+    g.inverse  # the stack reads it, and the metric keeps it
+
+    host = _traced_peak(lambda: scalar_weyl(g, 1.0))
+    monkeypatch.setattr(curvature, "_WORKERS", 1)
+    one = _traced_peak(lambda: scalar_weyl(g, 1.0))
+    assert host <= one + 2**20, (host, one)
 
 
 def test_streamed_deformation_layer_peaks_below_half_the_whole_field_route():
