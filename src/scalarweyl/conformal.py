@@ -20,7 +20,6 @@ from .grid import FieldError, FluxForm, MetricField, flux_laplacian
 
 __all__ = [
     "ConformalParams",
-    "u_to_psi",
     "scalar_weyl",
     "conformal_metric",
     "modified_laplacian_apply",
@@ -45,10 +44,6 @@ class ConformalParams:
     @property
     def p_n(self) -> float:
         return (self.n + 2) / (self.n - 2)
-
-
-def u_to_psi(u: np.ndarray, n: int) -> np.ndarray:
-    return np.asarray(u, dtype=float) ** (4.0 / (n - 2))
 
 
 def _as_positive(name: str, arr) -> np.ndarray:
@@ -85,7 +80,7 @@ def conformal_metric(g: MetricField, u: np.ndarray) -> MetricField:
     """
     u = _as_positive("conformal factor u", u)
     n = g.chart.n
-    psi = u_to_psi(u, n)
+    psi = u ** (4.0 / (n - 2))
     out = MetricField(g.chart, psi[..., None] * g.packed)
     out.inverse = g.inverse / psi[..., None, None]
     out.sqrt_det = psi ** (0.5 * n) * g.sqrt_det

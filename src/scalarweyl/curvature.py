@@ -44,12 +44,13 @@ representation, and Ricci, R, W and |W|^2 follow on the slab.  Every layer
 uses the one fd4 stencil of ``grid``, so every slab is bit-identical to the
 same planes of a whole-grid pass.  ``curvature_bundle`` runs the loop
 keeping every field, Gamma included (the window's own planes, which
-``hessian`` reads); ``curvature_scalars`` keeps only R and |W|^2, so its
-peak is one window and one slab's transients, and on a bundle it forms
-|W|^2 slab by slab too.  The deformation layer runs its closed forms in the
-same slabs.  A spectral chart, whose derivatives need whole axes, is one
-slab whose window is the whole field with no ghost planes; an fd4 axis no
-longer than one slab is one slab whose window wraps onto itself.
+``hessian`` contracts with the gradient its caller passes);
+``curvature_scalars`` keeps only R and |W|^2, so its peak is one window and
+one slab's transients, and on a bundle it forms |W|^2 slab by slab too.
+The deformation layer runs its closed forms in the same slabs.  A spectral
+chart, whose derivatives need whole axes, is one slab whose window is the
+whole field with no ghost planes; an fd4 axis no longer than one slab is
+one slab whose window wraps onto itself.
 
 Every slab loop runs each slab on all the CPUs the process may use
 (``_in_parts``): the slab's planes are split into one contiguous part per
@@ -82,7 +83,6 @@ from .grid import (
     _dense_slots,
     deriv,
     deriv_window,
-    gradient,
     sym2_pack_indices,
     sym2_unpack,
     window,
@@ -501,21 +501,15 @@ def curvature_scalars(
     return scal, wnorm2
 
 
-def hessian(
-    chart: Chart,
-    gamma: np.ndarray,
-    u: np.ndarray,
-    grad: np.ndarray | None = None,
-) -> np.ndarray:
+def hessian(chart: Chart, gamma: np.ndarray, grad: np.ndarray) -> np.ndarray:
     """Covariant Hessian ``u_{;ij} = d_i d_j u - Gamma^k_{ij} d_k u`` from the
-    packed symbols ``gamma``.
+    packed symbols ``gamma`` and the first derivatives ``grad`` = d_k u, which
+    may be analytic ones.
 
     The composed first-derivative stencils commute, so the result is exactly
-    symmetric.  Pass ``grad`` to substitute analytic first derivatives.
+    symmetric.
     """
     n = chart.n
-    if grad is None:
-        grad = gradient(chart, u)
     out = np.empty(chart.shape + (n, n))
     for i in range(n):
         for j in range(i, n):

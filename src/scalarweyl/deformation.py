@@ -15,7 +15,9 @@ metric, and raised objects are produced on the fly with g^{-1}.  Every
 block's second Kulkarni-Nomizu factor is h, g or df (x) df; the product is
 bilinear, so the error tensor is assembled in pair storage from one product
 per second factor, whose first factor is the coefficient-weighted sum of
-the first factors of that group's blocks.
+the first factors of that group's blocks.  ``weyl_error`` always sums all
+fifteen blocks; the tests' whole-field oracle assembles any subset of the
+same table.
 
 The ingredients come in two parts.  The scalar ingredients (the raised
 gradient, the Laplacian and the Hessian and Ricci contractions against it)
@@ -54,7 +56,6 @@ from .tensor import (
 )
 
 BLOCK_COUNT = 15
-_ALL_BLOCKS = frozenset(range(1, BLOCK_COUNT + 1))
 
 
 @dataclass(frozen=True)
@@ -108,7 +109,7 @@ def deform(
     if grad is None:
         grad = gradient(chart, f)
     if hess is None:
-        hess = hessian(chart, base.gamma, f, grad=grad)
+        hess = hessian(chart, base.gamma, grad)
     fup = np.einsum("...ab,...b->...a", g.inverse, grad)
     w = 1.0 + np.einsum("...a,...a->...", grad, fup)
     return DeformationBundle(base=base, f=f, grad=grad, hess=hess, w=w)
@@ -201,38 +202,22 @@ def _block_table(ing: dict, n: int) -> list[tuple[np.ndarray, str, str]]:
     ]
 
 
-def _picked_blocks(include, flip_block) -> frozenset:
-    """The blocks ``weyl_error`` assembles, checked before any slab runs."""
-    picked = _ALL_BLOCKS if include is None else frozenset(include)
-    if not picked <= _ALL_BLOCKS:
-        raise ValueError(f"block indices must lie in 1..{BLOCK_COUNT}")
-    if flip_block is not None and flip_block not in _ALL_BLOCKS:
-        raise ValueError(f"flip_block must lie in 1..{BLOCK_COUNT}")
-    if not picked:
-        raise ValueError("no blocks selected")
-    return picked
-
-
-def weyl_error(
-    bundle: DeformationBundle,
-    include=None,
-    flip_block: int | None = None,
-) -> Riem4Field:
+def weyl_error(bundle: DeformationBundle, flip_block: int | None = None) -> Riem4Field:
     """Change of the (0,4) Weyl tensor under the deformation, in closed form,
-    assembled slab by slab.
+    assembled slab by slab from all fifteen blocks.
 
-    ``include`` restricts assembly to a subset of the fifteen blocks
-    (1-based, display order) for isolation tests.  ``flip_block`` negates one
-    block; the flagship identity test must then fail, which is how the
-    verification pipeline proves it is alive.
+    ``flip_block`` negates one block (1-based, display order); the flagship
+    identity test must then fail, which is how the verification pipeline
+    proves it is alive.
     """
-    picked = _picked_blocks(include, flip_block)
+    if flip_block is not None and flip_block not in range(1, BLOCK_COUNT + 1):
+        raise ValueError(f"flip_block must lie in 1..{BLOCK_COUNT}")
     m = len(pair_indices(bundle.n))
     out = np.empty(bundle.chart.sizes + (m, m))
 
     def run(part: slice) -> None:
         ing = _scalar_ingredients(bundle, part)
-        out[part] = _error_tensor(bundle, ing, part, picked, flip_block)
+        out[part] = _error_tensor(bundle, ing, part, flip_block)
 
     _each_part(bundle.chart, run)
     return Riem4Field(bundle.chart, out)
@@ -242,7 +227,6 @@ def _error_tensor(
     bundle: DeformationBundle,
     ing: dict,
     planes: slice,
-    picked: frozenset = _ALL_BLOCKS,
     flip_block: int | None = None,
 ) -> np.ndarray:
     """Pair matrices of the error tensor on the axis-0 ``planes``, from the
@@ -251,8 +235,6 @@ def _error_tensor(
     factors = _kn_factors(bundle, ing, planes)
     firsts: dict[str, np.ndarray] = {}
     for idx, (coeff, a, b) in enumerate(_block_table(ing, bundle.n), start=1):
-        if idx not in picked:
-            continue
         c = -coeff if idx == flip_block else coeff
         if b in firsts:
             firsts[b] += c[..., None, None] * factors[a]

@@ -340,20 +340,6 @@ class MetricField:
         )
         self._factor()
 
-    @classmethod
-    def from_dense(cls, chart: Chart, dense: np.ndarray):
-        """Metric from dense (*sizes, n, n) components, symmetric to 1e-12."""
-        dense = _coerce_grid_shape(
-            chart, dense, (chart.n, chart.n), "MetricField dense input"
-        )
-        skew = np.max(np.abs(dense - np.swapaxes(dense, -1, -2)))
-        scale = max(np.max(np.abs(dense)), 1e-300)
-        if skew > 1e-12 * scale:
-            raise FieldError(
-                f"dense input is not symmetric: max skew {skew:.3e} vs scale {scale:.3e}"
-            )
-        return cls(chart, sym2_pack(dense, chart.n))
-
     @cached_property
     def dense(self) -> np.ndarray:
         return sym2_unpack(self.packed, self.chart.n)

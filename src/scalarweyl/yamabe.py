@@ -25,6 +25,11 @@ The trichotomy eigensolve is a single-vector LOBPCG (locally optimal block
 preconditioned conjugate gradient; Knyazev, SIAM J. Sci. Comput. 23(2),
 2001) on the same symmetrized operator with the same Fourier preconditioner:
 one operator apply per iteration and no inner linear solves.
+
+Every tolerance and iteration cap is a module constant: ``_EIG_TOL`` and
+``_EIG_MAXITER`` for the eigensolve, ``_SOLVE_TOL`` for the constant-F
+solve, ``_NEWTON_MAXITER`` and ``_NEWTON_CG_TOL`` for its Newton polish,
+and ``_CG_MAXITER`` for each conjugate-gradient solve.
 """
 
 from __future__ import annotations
@@ -103,29 +108,24 @@ def _penalty_strength(a_n, F):
 # with the Fourier preconditioner (a fixed SPD circulant).
 
 
-def _derivative_symbol(chart, axis):
-    size = chart.sizes[axis]
-    h = chart.spacings[axis]
-    k = 2.0 * np.pi * np.fft.fftfreq(size, d=h)
-    if chart.scheme == "spectral":
-        s = k.copy()
-        if size % 2 == 0:
-            s[size // 2] = 0.0  # odd Nyquist mode is dropped by the scheme
-        return s
-    return (8.0 * np.sin(k * h) - np.sin(2.0 * k * h)) / (6.0 * h)
-
-
-def _fourier_preconditioner(chart, a_n, c_lap, q_mean, pen_mean):
+def _preconditioner(form, a_n, q, pen_mean=0.0):
+    """Fourier inverse of the mean-coefficient symbol of -a_n Lap + q [+ penalty]."""
+    chart = form.chart
+    trace = sum(form.component(a, a) for a in range(chart.n)) / form.sqrt_det
+    c_lap = float(np.mean(trace)) / chart.n
+    q_mean = float(np.mean(q * form.sqrt_det))
     sym = np.zeros(chart.sizes)
     pen_sym = np.zeros(chart.sizes)
-    for a in range(chart.n):
-        size = chart.sizes[a]
-        h = chart.spacings[a]
+    for a, (size, h) in enumerate(zip(chart.sizes, chart.spacings)):
         k = 2.0 * np.pi * np.fft.fftfreq(size, d=h)
-        s = _derivative_symbol(chart, a) ** 2
+        if chart.scheme == "spectral":
+            d = k.copy()
+            d[size // 2] = 0.0  # odd Nyquist mode is dropped by the scheme
+        else:
+            d = (8.0 * np.sin(k * h) - np.sin(2.0 * k * h)) / (6.0 * h)
         shape = [1] * chart.n
-        shape[a] = s.size
-        sym = sym + s.reshape(shape)
+        shape[a] = size
+        sym = sym + (d**2).reshape(shape)
         pen_sym = pen_sym + ((2.0 * np.cos(k * h) - 2.0) ** 2).reshape(shape)
     denom = (
         a_n * max(c_lap, 1e-12) * sym + pen_mean * pen_sym + max(q_mean, 1e-12)
@@ -145,6 +145,14 @@ def _fourier_preconditioner(chart, a_n, c_lap, q_mean, pen_mean):
 
 #: iteration cap of one conjugate-gradient solve
 _CG_MAXITER = 5000
+#: eigensolve: residual tolerance relative to max(1, max|F|), iteration cap
+_EIG_TOL = 1e-9
+_EIG_MAXITER = 80
+#: constant-F solve: residual tolerance relative to max(1, max|F|); the
+#: Newton polish's step cap and the relative tolerance of its inner solves
+_SOLVE_TOL = 1e-9
+_NEWTON_MAXITER = 40
+_NEWTON_CG_TOL = 1e-10
 
 
 def _pcg(apply_sym, b, precond, tol):
@@ -173,20 +181,10 @@ def _pcg(apply_sym, b, precond, tol):
     )
 
 
-def _operator_preconditioner(form, a_n, q, pen_mean=0.0):
-    """Fourier inverse of the mean-coefficient symbol of -a_n Lap + q [+ penalty]."""
-    n = form.chart.n
-    trace = sum(form.component(a, a) for a in range(n)) / form.sqrt_det
-    c_lap = float(np.mean(trace)) / n
-    return _fourier_preconditioner(
-        form.chart, a_n, c_lap, float(np.mean(q * form.sqrt_det)), pen_mean=pen_mean
-    )
-
-
 def _shifted_solver(form, a_n, q):
     """Solve (-a_n Lap + q) x = b to a per-call relative tolerance."""
     sd = np.sqrt(form.sqrt_det)
-    precond = _operator_preconditioner(form, a_n, q)
+    precond = _preconditioner(form, a_n, q)
 
     def apply_sym(y):
         phi = y / sd
@@ -256,8 +254,6 @@ def first_eigenvalue(
     g: MetricField,
     t: float,
     coefficient: np.ndarray | None = None,
-    tol: float = 1e-9,
-    maxiter: int = 80,
 ) -> TrichotomyResult:
     """Smallest eigenvalue of -a_n Lap + F by single-vector LOBPCG.
 
@@ -272,10 +268,10 @@ def first_eigenvalue(
     Ritz pair on span{y, w, p}, where p is the last step: one operator
     apply (A w) per iteration and no inner linear solves.  It stops once
     the residual in the volume-weighted norm is below
-    ``tol * max(1, max|F|)``, confirmed on a fresh apply because the
+    ``_EIG_TOL * max(1, max|F|)``, confirmed on a fresh apply because the
     recurrence for A y drifts; ``iterations`` counts the operator applies.
-    A solve that does not converge in ``maxiter`` iterations raises and
-    says why: the applies used, the last residual against the tolerance,
+    A solve that does not converge in ``_EIG_MAXITER`` iterations raises
+    and says why: the applies used, the last residual against the tolerance,
     and the max/min ratio over the grid of the trace of the flux
     coefficient sqrt(det g) g^{ab}, the spread that the mean-coefficient
     preconditioner leaves out.
@@ -297,7 +293,7 @@ def first_eigenvalue(
     sigma = float(np.min(F)) - 1.0
     eta = _penalty_strength(params.a_n, F)
     pen = _penalty_apply(dens, eta)
-    precond = _operator_preconditioner(
+    precond = _preconditioner(
         form, params.a_n, F - sigma, pen_mean=eta * float(np.mean(1.0 / dens))
     )
 
@@ -316,11 +312,11 @@ def first_eigenvalue(
     fresh = True
     p = Ap = None
     scale = max(1.0, float(np.max(np.abs(F))))
-    for it in range(1, maxiter + 1):
+    for it in range(1, _EIG_MAXITER + 1):
         lam = float(np.vdot(y, Ay))
         r = Ay - lam * y
         res = float(np.linalg.norm(r))
-        if res <= tol * scale:
+        if res <= _EIG_TOL * scale:
             if fresh:
                 break
             Ay = apply_sym(y)
@@ -332,12 +328,11 @@ def first_eigenvalue(
     else:
         trace = sum(form.component(a, a) for a in range(chart.n))
         raise RuntimeError(
-            f"eigensolver did not converge: residual {res:.3e} "
-            f"after {maxiter} iterations: {applies} operator applies, last "
-            f"residual {res:.3e} against tolerance {tol * scale:.3e}, flux "
-            f"coefficient trace max/min {float(np.max(trace) / np.min(trace)):.4f} "
-            f"over the grid (the spread the mean-coefficient Fourier "
-            f"preconditioner leaves out)"
+            f"eigensolver did not converge after {_EIG_MAXITER} iterations: "
+            f"{applies} operator applies, last residual {res:.3e} against "
+            f"tolerance {_EIG_TOL * scale:.3e}, flux coefficient trace max/min "
+            f"{float(np.max(trace) / np.min(trace)):.4f} over the grid (the "
+            f"spread the mean-coefficient Fourier preconditioner leaves out)"
         )
     u = y / sd
     u /= np.sqrt(integrate(chart, u * u, dens))
@@ -358,16 +353,16 @@ _HANDOFF = 1e-3
 _FORCING = 1e-2
 
 
-def _newton_polish(form, a_n, F, p, u, tol_abs, history, maxiter=40, cg_tol=1e-10):
+def _newton_polish(form, a_n, F, p, u, tol_abs, history):
     res_of = lambda v: -a_n * flux_laplacian(form, v) + F * v + v**p
     r = res_of(u)
     res = float(np.max(np.abs(r)))
-    for it in range(1, maxiter + 1):
+    for it in range(1, _NEWTON_MAXITER + 1):
         history.append(res)
         if res <= tol_abs:
             return u, res, it - 1
         q = F + p * u ** (p - 1.0)
-        delta = _shifted_solver(form, a_n, q)(-r, cg_tol)
+        delta = _shifted_solver(form, a_n, q)(-r, _NEWTON_CG_TOL)
         step = 1.0
         while step > 1e-4:
             cand = u + step * delta
@@ -384,7 +379,7 @@ def _newton_polish(form, a_n, F, p, u, tol_abs, history, maxiter=40, cg_tol=1e-1
             )
     raise RuntimeError(
         f"Newton polish did not reach {tol_abs:.1e}: residual {res:.3e} "
-        f"after {maxiter} iterations"
+        f"after {_NEWTON_MAXITER} iterations"
     )
 
 
@@ -394,7 +389,6 @@ def solve_constant_F(
     coefficient: np.ndarray | None = None,
     trichotomy: TrichotomyResult | None = None,
     init: str = "barriers",
-    tol: float = 1e-9,
 ) -> SolveReport:
     """Positive u with -a_n Lap u + F u = -u^{p_n}, i.e. F == -1 after
     rescaling the metric by u^{4/(n-2)}.
@@ -483,7 +477,7 @@ def solve_constant_F(
         ep = integrate(chart, u1 ** (p + 1.0), dens)
         u_tot = max(e2 / ep, 1e-8) ** (1.0 / (p - 1.0)) * u1
 
-    tol_abs = tol * max(1.0, float(np.max(np.abs(F))))
+    tol_abs = _SOLVE_TOL * max(1.0, float(np.max(np.abs(F))))
     u_tot, res, newton_iters = _newton_polish(
         form, a_n, F, p, u_tot, tol_abs, history
     )

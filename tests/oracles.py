@@ -32,6 +32,8 @@ L = -a_n Lap + F written with gradients instead of the flux-form
 Laplacian; by exact summation by parts on the periodic grid it equals
 int u L u dV to roundoff.
 
+``metric_from_dense`` builds a metric from dense (n, n) components after
+checking their symmetry; ``src/`` takes only the packed components.
 ``linalg_inverse_det`` is the per-point LAPACK inverse and determinant of
 the dense metric, the oracle of ``MetricField``'s batched LDL^T, and
 ``fourier_sum`` samples each Fourier term with its own full-grid sine, the
@@ -67,6 +69,7 @@ from scalarweyl.grid import (
     deriv,
     gradient,
     integrate,
+    sym2_pack,
     window,
 )
 from scalarweyl.tensor import (
@@ -201,7 +204,12 @@ def whole_field_weyl_error(
     bundle: DeformationBundle, include=None, flip_block: int | None = None
 ) -> np.ndarray:
     """Pair matrices of the error tensor: the fifteen-block table on the
-    whole grid, one Kulkarni-Nomizu product per second factor."""
+    whole grid, one Kulkarni-Nomizu product per second factor.
+
+    ``include`` restricts assembly to a subset of the blocks (1-based,
+    display order) for isolation tests; ``flip_block`` negates one block, as
+    in ``weyl_error``.
+    """
     ing = whole_field_ingredients(bundle)
     g, h, grad, u = bundle.base.g, bundle.hess, bundle.grad, ing["u"]
     factors = {
@@ -322,6 +330,18 @@ def conformal_energy(g: MetricField, t: float, u: np.ndarray, coefficient=None) 
     du = gradient(chart, u)
     grad2 = np.einsum("...ab,...a,...b->...", g.inverse, du, du)
     return integrate(chart, F * u * u + params.a_n * grad2, g.sqrt_det)
+
+
+def metric_from_dense(chart, dense: np.ndarray) -> MetricField:
+    """Metric from dense (*sizes, n, n) components, symmetric to 1e-12."""
+    dense = np.asarray(dense, dtype=float)
+    skew = np.max(np.abs(dense - np.swapaxes(dense, -1, -2)))
+    scale = max(np.max(np.abs(dense)), 1e-300)
+    if skew > 1e-12 * scale:
+        raise FieldError(
+            f"dense input is not symmetric: max skew {skew:.3e} vs scale {scale:.3e}"
+        )
+    return MetricField(chart, sym2_pack(dense, chart.n))
 
 
 def linalg_inverse_det(g: MetricField) -> tuple[np.ndarray, np.ndarray]:

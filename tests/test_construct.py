@@ -5,7 +5,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from oracles import phi_expansion
+from oracles import metric_from_dense, phi_expansion
 from scalarweyl import conformal, construct, curvature, yamabe
 from scalarweyl.conformal import scalar_weyl
 from scalarweyl.construct import (
@@ -21,7 +21,7 @@ from scalarweyl.construct import (
     search_parameters,
 )
 from scalarweyl.curvature import curvature_bundle
-from scalarweyl.grid import FieldError, MetricField, gradient, make_chart
+from scalarweyl.grid import FieldError, gradient, make_chart
 from scalarweyl.presets import ball_flat_metric, flat_metric, fourier_metric, radial_cutoff
 
 L = 2 * np.pi
@@ -109,7 +109,7 @@ def test_radial_deformation_keeps_the_flat_torus_eigenvalue_at_zero():
         dpsi = gradient(chart, psi)
         sheared = rescaled + dpsi[..., :, None] * dpsi[..., None, :]
         for kind, dense in (("rescale", rescaled), ("shear", sheared)):
-            g = MetricField.from_dense(chart, dense)
+            g = metric_from_dense(chart, dense)
             lams[kind].append(yamabe.first_eigenvalue(g, 0.0).lam)
     for kind, (coarse, fine) in lams.items():
         assert fine > 0.0, (kind, fine)

@@ -295,7 +295,7 @@ def test_error_blocks_match_dense_reference(n, size):
     b = bundle_for(n, size, seed=5, amp=0.15, famp=0.5)
     lines = reference_error_lines(b)
     for line, blocks in LINE_BLOCKS.items():
-        got = dense_from_pair(weyl_error(b, include=blocks).pair, n)
+        got = dense_from_pair(whole_field_weyl_error(b, blocks), n)
         want = lines[line]
         scale = max(float(np.max(np.abs(want))), 1e-3)
         assert np.max(np.abs(got - want)) < 1e-12 * scale, f"line {line}"
@@ -313,12 +313,8 @@ def test_error_total_matches_dense_reference(n, size):
 def test_error_block_selection():
     b = bundle_for(4, 8)
     full = weyl_error(b).pair
-    parts = [weyl_error(b, include=(k,)).pair for k in range(1, BLOCK_COUNT + 1)]
+    parts = [whole_field_weyl_error(b, (k,)) for k in range(1, BLOCK_COUNT + 1)]
     assert np.max(np.abs(sum(parts) - full)) < 1e-14
-    with pytest.raises(ValueError):
-        weyl_error(b, include=(0, 3))
-    with pytest.raises(ValueError):
-        weyl_error(b, include=())
     with pytest.raises(ValueError):
         weyl_error(b, flip_block=16)
 
@@ -327,7 +323,7 @@ def test_error_flip_block_negates_that_block():
     b = bundle_for(4, 8)
     for k in (2, 9):
         flipped = weyl_error(b, flip_block=k).pair
-        target = weyl_error(b, include=(k,)).pair
+        target = whole_field_weyl_error(b, (k,))
         assert np.max(np.abs(flipped - (weyl_error(b).pair - 2.0 * target))) < 1e-14
 
 
@@ -340,14 +336,9 @@ def test_weyl_error_checks_its_blocks_before_any_slab(monkeypatch):
 
     b = bundle_for(4, 8)
     monkeypatch.setattr("scalarweyl.deformation._scalar_ingredients", counted)
-    for include, flip, match in (
-        ((0, 3), None, "block indices"),
-        ((), None, "no blocks"),
-        (None, 16, "flip_block"),
-        ((), 0, "flip_block"),
-    ):
-        with pytest.raises(ValueError, match=match):
-            weyl_error(b, include=include, flip_block=flip)
+    for flip in (16, 0):
+        with pytest.raises(ValueError, match="flip_block"):
+            weyl_error(b, flip_block=flip)
     assert not calls
 
 
@@ -373,9 +364,9 @@ def test_streamed_closed_forms_are_bit_identical_to_the_whole_field_oracle(
     g = fourier_metric(c, amplitude=0.2, seed=6)
     f = fourier_scalar(c, amplitude=0.3, seed=106)
     b = deform(g, f)
-    for include, flip in ((None, None), ((1, 4, 8, 12, 15), None), (None, 2)):
-        got = weyl_error(b, include=include, flip_block=flip).pair
-        assert np.array_equal(got, whole_field_weyl_error(b, include, flip))
+    for flip in (None, 2):
+        got = weyl_error(b, flip_block=flip).pair
+        assert np.array_equal(got, whole_field_weyl_error(b, flip_block=flip))
     assert np.array_equal(deformed_scalar_closed_form(b), whole_field_scalar_closed_form(b))
     t = 0.7
     assert deformation_energy(g, f, t, base=b.base) == whole_field_energy(g, f, t, b.base)
@@ -445,9 +436,6 @@ def test_error_forms_one_product_per_second_factor(monkeypatch):
         calls.clear()
         weyl_error(b)
         assert len(calls) == 3 * parts
-        calls.clear()
-        weyl_error(b, include=(1, 2, 3))
-        assert len(calls) == 2 * parts
     # one worker: the 8^4 grid is one slab of one part
     assert parts == 1
 

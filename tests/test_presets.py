@@ -4,8 +4,8 @@ the Gershgorin bound, and the packed flat and conformally flat metrics."""
 import numpy as np
 import pytest
 
-from oracles import fourier_sum
-from scalarweyl.grid import MetricField, make_chart, sym2_pack_indices
+from oracles import fourier_sum, metric_from_dense
+from scalarweyl.grid import make_chart, sym2_pack_indices
 from scalarweyl.presets import (
     _mode_table,
     _sample_modes,
@@ -77,10 +77,10 @@ def test_flat_and_conformal_metrics_pack_as_from_dense():
     for chart in charts():
         n = chart.n
         eye = np.broadcast_to(np.eye(n), chart.shape + (n, n))
-        assert np.array_equal(flat_metric(chart).packed, MetricField.from_dense(chart, eye).packed)
+        assert np.array_equal(flat_metric(chart).packed, metric_from_dense(chart, eye).packed)
         phi = fourier_scalar(chart, amplitude=0.3, seed=n)
         dense = np.exp(2.0 * phi)[..., None, None] * np.eye(n)
         assert np.array_equal(
             conformally_flat_metric(chart, phi).packed,
-            MetricField.from_dense(chart, dense).packed,
+            metric_from_dense(chart, dense).packed,
         )

@@ -1,21 +1,30 @@
 """Names that the benchmark's tracer and the modules' __all__ lists promise
-must exist, and construction work that the benchmark's set-up relies on
-staying lazy."""
+must exist, the calls the benchmark's workloads make, and construction work
+that the benchmark's set-up relies on staying lazy."""
 
+import contextlib
 import importlib
 import importlib.util
 import pkgutil
+import sys
 from pathlib import Path
 
-SPANS = Path(__file__).resolve().parent.parent / "perfbench" / "spans.py"
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+
+
+def _load_perfbench(name: str):
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", PERFBENCH / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    # a dataclass resolves its annotations through its module's entry here
+    sys.modules[spec.name] = module
+    spec.loader.exec_module(module)
+    return module
 
 
 def test_traced_functions_exist():
     # the traced benchmark run wraps these by name and raises on a missing
     # one; a refactor that deletes one should fail here first
-    spec = importlib.util.spec_from_file_location("perfbench_spans", SPANS)
-    spans = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(spans)
+    spans = _load_perfbench("spans")
     missing = [
         f"{module}.{name}"
         for module, names in spans.TRACED.items()
@@ -23,6 +32,17 @@ def test_traced_functions_exist():
         if not callable(getattr(importlib.import_module(f"scalarweyl.{module}"), name, None))
     ]
     assert not missing, missing
+
+
+def test_benchmark_workloads_run_on_small_grids(monkeypatch):
+    # one set-up and one pass of every workload, each grid shrunk to 8^4:
+    # every call and keyword the benchmark makes into the package still works
+    workloads = _load_perfbench("workloads")
+    for name in ("CURVATURE_SIZE", "SOLVE_SIZE", "CONSTRUCT_SIZE"):
+        monkeypatch.setattr(workloads, name, 8)
+    for name, workload in workloads.WORKLOADS.items():
+        inputs = workload.setup(0)
+        assert workload.run_pass(inputs[0], contextlib.nullcontext), name
 
 
 def test_every_exported_name_exists():

@@ -15,6 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import conformal_energy
+from scalarweyl import yamabe
 from scalarweyl.conformal import (
     ConformalParams,
     conformal_metric,
@@ -24,11 +25,10 @@ from scalarweyl.conformal import (
 from scalarweyl.grid import FieldError, FluxForm, flux_laplacian, integrate, make_chart
 from scalarweyl.presets import flat_metric, fourier_metric, fourier_scalar
 from scalarweyl.yamabe import (
-    _derivative_symbol,
-    _fourier_preconditioner,
     _pcg,
     _penalty_apply,
     _penalty_strength,
+    _preconditioner,
     _ritz_step,
     _shifted_solver,
     first_eigenvalue,
@@ -74,14 +74,20 @@ def test_penalty_matches_roll_reference(sizes):
 
 
 def _complex_preconditioner(chart, a_n, c_lap, q_mean, pen_mean):
-    # reference: the full complex spectrum of the same symbol
+    # reference: the full complex spectrum of the symbol, with each scheme's
+    # first-derivative symbol written out: fd4's (8 sin kh - sin 2kh) / (6h),
+    # and the spectral k, whose Nyquist mode the scheme drops
     denom = np.full(chart.sizes, q_mean)
-    for a in range(chart.n):
-        k = 2.0 * np.pi * np.fft.fftfreq(chart.sizes[a], d=chart.spacings[a])
+    for a, (size, h) in enumerate(zip(chart.sizes, chart.spacings)):
+        k = 2.0 * np.pi * np.fft.fftfreq(size, d=h)
+        if chart.scheme == "spectral":
+            d = np.where(np.arange(size) == size // 2, 0.0, k)
+        else:
+            d = (8.0 * np.sin(k * h) - np.sin(2.0 * k * h)) / (6.0 * h)
         shape = [1] * chart.n
-        shape[a] = chart.sizes[a]
-        pen = (2.0 * np.cos(k * chart.spacings[a]) - 2.0) ** 2
-        denom = denom + (a_n * c_lap * _derivative_symbol(chart, a) ** 2).reshape(shape)
+        shape[a] = size
+        pen = (2.0 * np.cos(k * h) - 2.0) ** 2
+        denom = denom + (a_n * c_lap * d**2).reshape(shape)
         denom = denom + (pen_mean * pen).reshape(shape)
     return lambda r: np.real(np.fft.ifftn(np.fft.fftn(r) / denom))
 
@@ -90,10 +96,16 @@ def _complex_preconditioner(chart, a_n, c_lap, q_mean, pen_mean):
 @pytest.mark.parametrize("sizes", [(8, 10, 12), (8, 12, 8, 10)])
 def test_real_fft_preconditioner_matches_complex_form(sizes, scheme):
     chart = make_chart(len(sizes), sizes, (2.0 * np.pi,) * len(sizes), scheme=scheme)
-    r = np.random.default_rng(3).standard_normal(sizes)
-    args = (ConformalParams(1.0, chart.n).a_n, 1.3, 0.4, 0.2)
-    ref = _complex_preconditioner(chart, *args)(r)
-    got = _fourier_preconditioner(chart, *args)(r)
+    rng = np.random.default_rng(3)
+    r = rng.standard_normal(sizes)
+    q = 0.4 + rng.random(sizes)
+    g = fourier_metric(chart, amplitude=0.2, seed=4)
+    a_n = ConformalParams(1.0, chart.n).a_n
+    # the symbol's coefficients: the mean of tr g^{-1} / n and of q dV
+    c_lap = float(np.mean(np.trace(g.inverse, axis1=-2, axis2=-1))) / chart.n
+    q_mean = float(np.mean(q * g.sqrt_det))
+    ref = _complex_preconditioner(chart, a_n, c_lap, q_mean, 0.2)(r)
+    got = _preconditioner(FluxForm.of(g), a_n, q, pen_mean=0.2)(r)
     assert got.shape == ref.shape
     assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
 
@@ -181,19 +193,23 @@ def test_eigenfunction_matches_dense_oracle_on_noncubic_chart():
     assert float(np.max(np.abs(tri.eigenfunction - u))) < 1e-8
 
 
-def test_eigensolver_failure_names_its_cause():
+def test_eigensolver_failure_names_its_cause(monkeypatch):
+    monkeypatch.setattr(yamabe, "_EIG_MAXITER", 2)
     g = fourier_metric(torus(4, 8), amplitude=0.08, seed=9)
     with pytest.raises(
-        RuntimeError, match=r"eigensolver did not converge: residual .* after 2 iterations"
+        RuntimeError, match=r"eigensolver did not converge after 2 iterations: "
     ) as err:
-        first_eigenvalue(g, 1.0, maxiter=2)
+        first_eigenvalue(g, 1.0)
     # and why: the applies (the starting one and one per iteration), the
-    # last residual, and the spread over the grid of the flux coefficient's
-    # trace, which the mean-coefficient preconditioner leaves out
+    # last residual against the tolerance, and the spread over the grid of
+    # the flux coefficient's trace, which the mean-coefficient
+    # preconditioner leaves out
     msg = str(err.value)
-    res = re.search(r"residual (\S+) after", msg).group(1)
     assert "3 operator applies" in msg
-    assert f"last residual {res} against tolerance" in msg
+    res, tol = re.search(r"last residual (\S+) against tolerance (\S+),", msg).groups()
+    scale = max(1.0, float(np.max(np.abs(scalar_weyl(g, 1.0)))))
+    assert tol == f"{yamabe._EIG_TOL * scale:.3e}"
+    assert float(res) > float(tol)
     form = FluxForm.of(g)
     trace = sum(form.component(a, a) for a in range(4))
     ratio = float(np.max(trace) / np.min(trace))
@@ -432,9 +448,10 @@ def test_solve_forms_one_operator_per_stage(monkeypatch):
     g, F, _ = manufactured(torus(4, 12))
     newton_steps = []
     for tol in (1e-4, 1e-12):
+        monkeypatch.setattr(yamabe, "_SOLVE_TOL", tol)
         metrics.clear()
         solvers.clear()
-        solve_constant_F(g, 1.0, coefficient=F, init="barriers", tol=tol)
+        solve_constant_F(g, 1.0, coefficient=F, init="barriers")
         assert len(metrics) == 3
         assert metrics[0] is g and metrics[1] is g and metrics[2] is not g
         # one solver for the barrier stage, then one per Newton step, all on
