@@ -18,9 +18,8 @@ The Christoffel symbols come from the derivatives of the packed metric
 and every packed pair (a <= b), and one batched (n x n) . (n x P) product
 raises the index.  The symbols stay packed in their symmetric lower pair,
 (..., n, P) with ``Gamma[..., c, q] = Gamma^c_{ab}`` for q = (a, b): the one
-layout that ``CurvatureBundle.gamma``, ``riemann``'s windows and ``hessian``
-read, 5/8 of the dense (..., n, n, n) at n = 4.  ``sym2_unpack(Gamma, n)``
-gives the dense form.
+layout that ``riemann``'s windows and ``hessian`` read, 5/8 of the dense
+(..., n, n, n) at n = 4.  ``sym2_unpack(Gamma, n)`` gives the dense form.
 
 Riemann assembly is blocked over the derivative pair (mu < nu) to keep peak
 memory near a few dense (n, n) fields instead of the full n^4 tensor.  The
@@ -43,10 +42,12 @@ Gamma is formed.  ``riemann`` reads the window as its one Gamma
 representation, and Ricci, R, W and |W|^2 follow on the slab.  Every layer
 uses the one fd4 stencil of ``grid``, so every slab is bit-identical to the
 same planes of a whole-grid pass.  ``curvature_bundle`` runs the loop
-keeping every field, Gamma included (the window's own planes, which
-``hessian`` contracts with the gradient its caller passes);
-``curvature_scalars`` keeps only R and |W|^2, so its peak is one window and
-one slab's transients, and on a bundle it forms |W|^2 slab by slab too.
+keeping every field but Gamma; ``hessian`` runs the windows alone and
+contracts each part's own planes with the gradient its caller passes, and
+``deform`` has the bundle's loop do that contraction too, so it forms Gamma
+once for both.  ``curvature_scalars`` keeps only R and |W|^2, so its peak is
+one window and one slab's transients, and on a bundle it forms |W|^2 slab
+by slab too.
 The deformation layer runs its closed forms in the same slabs.  A spectral
 chart, whose derivatives need whole axes, is one slab whose window is the
 whole field with no ghost planes; an fd4 axis no longer than one slab is
@@ -411,15 +412,13 @@ class CurvatureBundle:
     """Curvature stack of one metric, computed once and passed around.
 
     Every field is whole-grid, written slab by slab by the one slab loop
-    that ``curvature_scalars`` also runs: ``gamma`` holds the own planes of
-    each slab's window of packed symbols (..., n, n (n + 1) / 2), 40 values
-    per point at n = 4 where the dense form holds 64, and ``hessian`` reads
-    it; ``riem`` and ``W`` are pair-matrix fields, ``ric`` dense
-    (..., n, n) and ``scal`` scalar.
+    that ``curvature_scalars`` also runs: ``riem`` and ``W`` are pair-matrix
+    fields, ``ric`` dense (..., n, n) and ``scal`` scalar.  The Christoffel
+    symbols are not kept: each slab's window of them is overwritten by the
+    next, and ``hessian`` streams them again.
     """
 
     g: MetricField
-    gamma: np.ndarray
     riem: Riem4Field
     ric: np.ndarray
     scal: np.ndarray
@@ -457,20 +456,32 @@ def _stack(g: MetricField, keep) -> None:
 
 
 def curvature_bundle(g: MetricField) -> CurvatureBundle:
-    """The whole curvature stack of ``g``: the slab loop keeping every field."""
-    shape = g.chart.sizes
-    n = g.chart.n
-    m = len(pair_indices(n))
-    gamma = np.empty(shape + (n, g.packed.shape[-1]))
-    riem, W = np.empty(shape + (m, m)), np.empty(shape + (m, m))
-    ric, scal = np.empty(shape + (n, n)), np.empty(shape)
+    """The whole curvature stack of ``g``: the slab loop keeping every field
+    but the Christoffel symbols."""
+    return _bundle(g, None)[0]
 
-    def keep(part: slice, *fields) -> None:
-        for whole, field in zip((gamma, riem, ric, scal, W), fields):
+
+def _bundle(
+    g: MetricField, grad: np.ndarray | None
+) -> tuple[CurvatureBundle, np.ndarray | None]:
+    """``curvature_bundle(g)`` and, given ``grad``, ``hessian(g, grad)`` from
+    the same slab loop: each part contracts its own planes of Gamma with
+    the gradient, so the symbols are formed once for both."""
+    chart = g.chart
+    shape = chart.sizes
+    m = len(pair_indices(chart.n))
+    riem, W = np.empty(shape + (m, m)), np.empty(shape + (m, m))
+    ric, scal = np.empty(shape + (chart.n, chart.n)), np.empty(shape)
+    hess = None if grad is None else _second_derivatives(chart, grad)
+
+    def keep(part: slice, own, *fields) -> None:
+        for whole, field in zip((riem, ric, scal, W), fields):
             whole[part] = field
+        if hess is not None:
+            hess[part] -= _gamma_term(own, grad[part])
 
     _stack(g, keep)
-    return CurvatureBundle(g, gamma, Riem4Field(g.chart, riem), ric, scal, Riem4Field(g.chart, W))
+    return CurvatureBundle(g, Riem4Field(chart, riem), ric, scal, Riem4Field(chart, W)), hess
 
 
 def curvature_scalars(
@@ -501,14 +512,10 @@ def curvature_scalars(
     return scal, wnorm2
 
 
-def hessian(chart: Chart, gamma: np.ndarray, grad: np.ndarray) -> np.ndarray:
-    """Covariant Hessian ``u_{;ij} = d_i d_j u - Gamma^k_{ij} d_k u`` from the
-    packed symbols ``gamma`` and the first derivatives ``grad`` = d_k u, which
-    may be analytic ones.
-
-    The composed first-derivative stencils commute, so the result is exactly
-    symmetric.
-    """
+def _second_derivatives(chart: Chart, grad: np.ndarray) -> np.ndarray:
+    """``d_i d_j u`` from the first derivatives ``grad`` = d_k u.  The
+    composed first-derivative stencils commute, so the result is exactly
+    symmetric."""
     n = chart.n
     out = np.empty(chart.shape + (n, n))
     for i in range(n):
@@ -517,5 +524,32 @@ def hessian(chart: Chart, gamma: np.ndarray, grad: np.ndarray) -> np.ndarray:
             out[..., i, j] = val
             if j != i:
                 out[..., j, i] = val
-    out -= sym2_unpack(np.einsum("...kq,...k->...q", gamma, grad), n)
+    return out
+
+
+def _gamma_term(own: np.ndarray, grad: np.ndarray) -> np.ndarray:
+    """``Gamma^k_{ij} d_k u`` on the planes of the packed symbols ``own``,
+    dense in (i, j)."""
+    return sym2_unpack(np.einsum("...kq,...k->...q", own, grad), own.shape[-2])
+
+
+def hessian(g: MetricField, grad: np.ndarray) -> np.ndarray:
+    """Covariant Hessian ``u_{;ij} = d_i d_j u - Gamma^k_{ij} d_k u`` of
+    ``g`` from the first derivatives ``grad`` = d_k u, which may be analytic
+    ones.
+
+    The Christoffel symbols stream through the stack's windows: each part of
+    each slab subtracts the term of its own planes, so no whole-grid Gamma
+    is formed, and every point is bit-identical to the whole-field formula.
+    """
+    chart = g.chart
+    out = _second_derivatives(chart, grad)
+    for planes, window in _gamma_windows(g):
+        own = _own(chart, window)
+
+        def run(part: slice) -> None:
+            rows = slice(part.start - planes.start, part.stop - planes.start)
+            out[part] -= _gamma_term(own[rows], grad[part])
+
+        _in_parts(run, planes)
     return out

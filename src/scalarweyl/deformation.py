@@ -11,7 +11,11 @@ the oracle in the tests.
 
 Index bookkeeping: ``grad`` holds the covariant components f_a (coordinate
 partials), ``hess`` the covariant Hessian with respect to the undeformed
-metric, and raised objects are produced on the fly with g^{-1}.  Every
+metric, and raised objects are produced on the fly with g^{-1}.  The
+Hessian's Christoffel term comes from the curvature stack's windows of
+symbols, part by part: ``deform`` has the loop that forms its curvature
+bundle contract them too, and given a bundle it streams them once through
+``hessian``; no whole-grid Christoffel field is formed.  Every
 block's second Kulkarni-Nomizu factor is h, g or df (x) df; the product is
 bilinear, so the error tensor is assembled in pair storage from one product
 per second factor, whose first factor is the coefficient-weighted sum of
@@ -43,7 +47,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .curvature import CurvatureBundle, _each_part, curvature_bundle, hessian
+from .curvature import CurvatureBundle, _bundle, _each_part, curvature_bundle, hessian
 from .grid import Chart, MetricField, gradient, integrate, sym2_pack, sym2_unpack
 from .tensor import (
     Riem4Field,
@@ -98,18 +102,22 @@ def deform(
 
     ``grad`` and ``hess`` (covariant Hessian) may substitute analytic
     derivatives for the stencil ones; with both supplied the bundle is exact
-    for closed-form test fields.
+    for closed-form test fields.  Without ``base`` or ``hess``, one slab loop
+    forms the curvature stack and the Hessian's Christoffel term; given
+    ``base``, ``hessian`` forms the symbols once more.
     """
-    if base is None:
-        base = curvature_bundle(g)
-    elif base.g is not g:
+    if base is not None and base.g is not g:
         raise ValueError("curvature bundle was computed for a different metric")
     chart = g.chart
     f = np.asarray(f, dtype=float)
     if grad is None:
         grad = gradient(chart, f)
-    if hess is None:
-        hess = hessian(chart, base.gamma, grad)
+    if base is None and hess is None:
+        base, hess = _bundle(g, grad)
+    elif base is None:
+        base = curvature_bundle(g)
+    elif hess is None:
+        hess = hessian(g, grad)
     fup = np.einsum("...ab,...b->...a", g.inverse, grad)
     w = 1.0 + np.einsum("...a,...a->...", grad, fup)
     return DeformationBundle(base=base, f=f, grad=grad, hess=hess, w=w)

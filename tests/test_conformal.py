@@ -17,7 +17,7 @@ from scalarweyl.conformal import (
     modified_laplacian_apply,
     scalar_weyl,
 )
-from scalarweyl.curvature import christoffel, curvature_bundle, hessian
+from scalarweyl.curvature import curvature_bundle, hessian
 from scalarweyl.grid import FieldError, MetricField, gradient, integrate, make_chart
 from scalarweyl.presets import flat_metric, fourier_metric, fourier_scalar
 from scalarweyl.tensor import riemann_norm
@@ -65,7 +65,7 @@ def conformal_formula_check(g, psi):
 
     f = psi ** ((n - 2) / 2.0)
     grad_f = gradient(chart, f)
-    hess_f = hessian(chart, base.gamma, grad_f)
+    hess_f = hessian(g, grad_f)
     lap_f = np.einsum("...ij,...ij->...", g.inverse, hess_f)
     grad2_f = np.einsum("...ij,...i,...j->...", g.inverse, grad_f, grad_f)
 
@@ -97,8 +97,8 @@ def conformal_formula_check(g, psi):
 
     # Hessian law, applied to psi itself
     grad_psi = gradient(chart, psi)
-    hess_base = hessian(chart, base.gamma, grad_psi)
-    hess_direct = hessian(chart, christoffel(g2), grad_psi)
+    hess_base = hessian(g, grad_psi)
+    hess_direct = hessian(g2, grad_psi)
     grad2_psi = np.einsum("...ij,...i,...j->...", g.inverse, grad_psi, grad_psi)
     hess_formula = hess_base - (
         np.einsum("...i,...j->...ij", grad_psi, grad_psi)

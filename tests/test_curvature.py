@@ -28,6 +28,7 @@ from scalarweyl.curvature import (
     riemann,
     weyl,
 )
+from scalarweyl.deformation import deform
 from scalarweyl.grid import MetricField, deriv, gradient, make_chart, sym2_unpack, window
 from scalarweyl.presets import (
     conformally_flat_metric,
@@ -135,8 +136,7 @@ def test_slab_loop_is_bit_identical_to_one_whole_field_pass(
     W = weyl(riem, ric, scal, g.dense)
     wnorm2 = riemann_norm_squared(W, g.inverse)
     b = curvature_bundle(g)
-    for got, want in ((b.gamma, gamma), (b.riem.pair, riem), (b.ric, ric), (b.scal, scal),
-                      (b.W.pair, W)):
+    for got, want in ((b.riem.pair, riem), (b.ric, ric), (b.scal, scal), (b.W.pair, W)):
         assert np.array_equal(got, want)
     for streamed in (curvature_scalars(g), curvature_scalars(g, bundle=b)):
         assert np.array_equal(streamed[0], scal)
@@ -361,7 +361,7 @@ def test_einstein_divergence_refines_away():
         G = b.ric - 0.5 * b.scal[..., None, None] * g.dense
         dG = np.stack([deriv(c, G, a) for a in range(c.n)], axis=-1)
         inv = g.inverse
-        gamma = sym2_unpack(b.gamma, c.n)
+        gamma = sym2_unpack(christoffel(g), c.n)
         div = np.einsum("...ac,...cba->...b", inv, dG)
         div -= np.einsum("...ac,...dac,...db->...b", inv, gamma, G)
         div -= np.einsum("...ac,...dab,...cd->...b", inv, gamma, G)
@@ -569,15 +569,18 @@ def test_hessian_flat_matches_plain_second_derivatives():
     x, y, _ = c.mesh()
     u = np.broadcast_to(np.sin(x + 2 * y), c.shape)
     grad = gradient(c, u)
-    H = hessian(c, christoffel(g), grad)
+    H = hessian(g, grad)
     assert np.array_equal(H, np.swapaxes(H, -1, -2))
     assert np.allclose(H[..., 0, 1], deriv(c, grad[..., 1], 0), atol=1e-14)
 
 
 @pytest.mark.parametrize("n, scheme", [(3, "fd4"), (4, "fd4"), (4, "spectral")])
-def test_hessian_reads_the_packed_symbols_as_the_dense_route(n, scheme):
-    # the packed correction Gamma^k_q u_k, unpacked, is bit for bit the
-    # dense contraction over Gamma^k_ij
+def test_hessian_reads_the_packed_symbols_as_the_dense_route(monkeypatch, n, scheme):
+    # the packed correction Gamma^k_q u_k, streamed through the windows and
+    # unpacked, is bit for bit the dense contraction over the whole-grid
+    # Gamma^k_ij: on its own and inside the loop that forms deform's bundle,
+    # on one slab and on 3-plane slabs (3 + 3 + 2; a spectral chart stays
+    # one slab)
     c = make_chart(n, (8,) * n, (2 * np.pi,) * n, scheme=scheme)
     g = fourier_metric(c, amplitude=0.2, seed=3)
     u = fourier_metric(c, amplitude=0.5, seed=8).packed[..., 0]
@@ -589,7 +592,10 @@ def test_hessian_reads_the_packed_symbols_as_the_dense_route(n, scheme):
         for j in range(n):
             want[..., i, j] = deriv(c, grad[..., max(i, j)], min(i, j))
     want -= np.einsum("...kij,...k->...ij", sym2_unpack(gamma, n), grad)
-    assert np.array_equal(hessian(c, gamma, grad), want)
+    for slab_points in (curvature._SLAB_POINTS, 3 * 8 ** (n - 1)):
+        monkeypatch.setattr(curvature, "_SLAB_POINTS", slab_points)
+        assert np.array_equal(hessian(g, grad), want)
+        assert np.array_equal(deform(g, u).hess, want)
 
 
 def test_hessian_conformal_oracle():
@@ -599,7 +605,7 @@ def test_hessian_conformal_oracle():
         g = conf_metric(c)
         x, y, _ = c.mesh()
         u = np.broadcast_to(np.sin(x) * np.cos(y), c.shape)
-        H = hessian(c, christoffel(g), gradient(c, u))
+        H = hessian(g, gradient(c, u))
         # analytic covariant hessian from the oracle symbols
         du = np.stack(
             [

@@ -32,7 +32,7 @@ from oracles import (
 from scalarweyl import construct, curvature, deformation
 from scalarweyl.conformal import _as_positive
 from scalarweyl.construct import RadialFields, make_bump, radial_fields
-from scalarweyl.curvature import curvature_bundle, curvature_scalars
+from scalarweyl.curvature import christoffel, curvature_bundle, curvature_scalars, hessian
 from scalarweyl.deformation import (
     BLOCK_COUNT,
     _scalar_ingredients,
@@ -394,7 +394,8 @@ def test_every_worker_count_gives_bit_identical_outputs(monkeypatch):
         b = deform(g, f)
         base = b.base
         return [
-            base.gamma, base.riem.pair, base.ric, base.scal, base.W.pair,
+            b.hess, hessian(g, gradient(c, f)),
+            base.riem.pair, base.ric, base.scal, base.W.pair,
             *curvature_scalars(g), *curvature_scalars(g, bundle=base),
             weyl_error(b).pair, deformed_scalar_closed_form(b),
             deformation_energy(g, f, 0.7, base=base),
@@ -461,6 +462,31 @@ def test_only_the_error_tensor_contracts_riemann(monkeypatch):
         calls.clear()
         deformed_scalar_closed_form(b)
         assert len(calls) == 0
+    assert parts == 1
+
+
+def test_deform_forms_each_plane_of_christoffel_once(monkeypatch):
+    # the 8^4 grid is one slab: the loop that forms deform's own bundle
+    # contracts each part's planes of Gamma for the Hessian, where a second
+    # sweep would call christoffel once more per part; given a bundle, the
+    # Hessian's one sweep is all the energy forms
+    calls = []
+
+    def counted(g, planes=slice(None)):
+        calls.append(1)
+        return christoffel(g, planes)
+
+    c = torus(4, 8)
+    g = fourier_metric(c, amplitude=0.2, seed=6)
+    f = fourier_scalar(c, amplitude=0.3, seed=106)
+    monkeypatch.setattr(curvature, "christoffel", counted)
+    for parts in host_then_one_worker(monkeypatch, c):
+        calls.clear()
+        b = deform(g, f)
+        assert len(calls) == parts
+        calls.clear()
+        deformation_energy(g, f, 1.0, base=b.base)
+        assert len(calls) == parts
     assert parts == 1
 
 

@@ -103,6 +103,33 @@ def test_streamed_curvature_scalars_hold_no_whole_grid_christoffel_field():
     assert per_point <= 450, per_point
 
 
+def test_curvature_bundle_holds_no_whole_grid_christoffel_field():
+    # the bundle keeps Riemann, Ricci, R and W (712 bytes per point at
+    # n = 4); above them the peak holds one slab's transients and window,
+    # 2^14 points, a quarter of a 16^4 grid (measured: 1412 bytes per
+    # point, 700 above the kept fields).  A whole-grid packed Gamma adds
+    # 320 bytes per point (measured: 1732)
+    import numpy as np
+
+    from scalarweyl.curvature import curvature_bundle
+    from scalarweyl.grid import make_chart
+    from scalarweyl.presets import fourier_metric
+
+    g = fourier_metric(make_chart(4, (16,) * 4, (2 * np.pi,) * 4), amplitude=0.3, seed=3)
+    g.inverse  # the stack reads it, and the metric keeps it
+    kept = {}
+
+    def run():
+        b = curvature_bundle(g)
+        kept.update(riem=b.riem.pair, ric=b.ric, scal=b.scal, W=b.W.pair)
+
+    peak = _traced_peak(run)
+    npoints = g.chart.npoints
+    kept_per_point = sum(field.nbytes for field in kept.values()) / npoints
+    assert kept_per_point == 712
+    assert peak / npoints <= kept_per_point + 900, peak / npoints
+
+
 def test_streamed_scalar_weyl_peaks_below_half_the_bundle_route():
     # without a bundle the curvature stack runs slab by slab and keeps only
     # a window of Christoffel planes, R and |W|^2; the bundle route keeps
