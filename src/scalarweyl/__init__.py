@@ -29,7 +29,6 @@ from .deformation import (
     DeformationBundle,
     deform,
     deformation_energy,
-    deformed_inverse,
     deformed_norm,
     deformed_scalar_closed_form,
     weyl_error,

@@ -88,21 +88,15 @@ def conformal_metric(g: MetricField, u: np.ndarray) -> MetricField:
 
 
 def modified_laplacian_apply(
-    g: MetricField | FluxForm,
-    t: float,
-    phi: np.ndarray,
-    F: np.ndarray | None = None,
+    g: MetricField | FluxForm, t: float, phi: np.ndarray, F: np.ndarray
 ) -> np.ndarray:
     """Apply L phi = -a_n Lap_g phi + F phi.
 
-    Pass ``F`` to reuse a precomputed curvature functional (the solver does,
-    many thousands of times); otherwise it is computed from ``g``.  A
-    ``FluxForm`` of g serves for g once ``F`` is given.
+    ``F`` is the curvature functional, formed once by the caller
+    (``scalar_weyl``, or a coefficient that overrides geometry) and reused
+    for every apply, many thousands of times in the solver; ``g`` may be a
+    ``FluxForm`` of the metric.
     """
     params = ConformalParams(t, g.chart.n)
-    if F is None:
-        if isinstance(g, FluxForm):
-            raise ValueError("a FluxForm carries no curvature; pass F")
-        F = scalar_weyl(g, t)
     phi = np.asarray(phi, dtype=float)
     return -params.a_n * flux_laplacian(g, phi) + F * phi

@@ -33,7 +33,7 @@ from typing import Callable
 import numpy as np
 
 from .conformal import conformal_metric, scalar_weyl
-from .curvature import CurvatureBundle, _each_part, curvature_scalars
+from .curvature import _each_part, curvature_scalars
 from .deformation import _energy_terms, _ricci_hessian_blocks, deform
 from .grid import Chart, FieldError, MetricField, integrate
 from .presets import smooth_bridge
@@ -50,6 +50,9 @@ from .yamabe import (
 #: profile term; large k suppresses the 1/k^2 remainder blocks.
 RADIUS_DIVISORS = (16.0, 12.0, 8.0, 6.0)
 SHEAR_GRID = (1.0, 2.0, 4.0, 8.0, 16.0)
+
+#: floor of the radial profile every config is bent with (``make_bump``)
+PROFILE_FLOOR = 0.1
 
 #: a ball whose radius spans fewer grid cells than this cannot carry the
 #: profile's slope band; the search records such cells instead of
@@ -326,18 +329,18 @@ def radial_fields(g: MetricField, centers, r: float, profile: BumpProfile) -> Ra
 
 @dataclass(frozen=True)
 class ConstructionConfig:
-    """One candidate of the construction: balls, radius, shear, coupling.
+    """One candidate of the construction: balls, radius and shear.
 
     ``centers`` are ball centers (ideally grid points so the flat plateau of
     the background contains the exact center), ``r`` the common ball radius,
-    ``k`` the shear strength, ``floor`` the profile parameter.
+    ``k`` the shear strength.  Every config is bent with the profile of
+    floor ``PROFILE_FLOOR``.
     """
 
     chart: Chart
     centers: tuple
     r: float
     k: float
-    floor: float = 0.1
 
     def __post_init__(self):
         object.__setattr__(
@@ -348,8 +351,6 @@ class ConstructionConfig:
         _check_balls(self.chart, self.centers, self.r)
         if self.k <= 0.0:
             raise ValueError(f"shear strength must be positive, got {self.k}")
-        if not 0.0 < self.floor < 1.0:
-            raise ValueError(f"profile floor must lie in (0, 1), got {self.floor}")
 
 
 def _default_centers(chart: Chart) -> tuple:
@@ -477,7 +478,6 @@ def search_parameters(
     centers=None,
     r_grid=None,
     k_grid=None,
-    floor: float = 0.1,
     coefficient: np.ndarray | None = None,
 ) -> SearchReport:
     """Grid search for a config with a negative certifying integral.
@@ -512,7 +512,7 @@ def search_parameters(
     if coefficient is None:
         coefficient = scalar_weyl(g, max(t, 0.0))
     background = integrate(chart, coefficient, g.sqrt_det)
-    profile = make_bump(floor, chart.n)
+    profile = make_bump(PROFILE_FLOOR, chart.n)
     spacing = float(max(chart.spacings))
 
     landscape: list[SearchCell] = []
@@ -536,7 +536,7 @@ def search_parameters(
         for center in kept:
             _flat_ball_check(g, center, 1.1 * r)
         for k in sorted(k_grid, reverse=True):
-            config = ConstructionConfig(chart=chart, centers=kept, r=r, k=k, floor=floor)
+            config = ConstructionConfig(chart=chart, centers=kept, r=r, k=k)
             ball, error = _phi_ball(profile, chart.n, r, k)
             value = background + len(kept) * ball
             residual = len(kept) * error
@@ -642,7 +642,6 @@ def construct_constant_F(
     centers=None,
     r_grid=None,
     k_grid=None,
-    floor: float = 0.1,
     final_tol: float = 5e-3,
 ) -> ConstructionResult:
     """Produce a metric with F = R + t |W| identically -1 from a background.
@@ -659,7 +658,9 @@ def construct_constant_F(
     Both paths finish through one solve, on ``g0`` or on the sheared metric.
     A solver error is returned as a failed result of its path.  The residual
     is the solver's independent curvature recomputation on the final
-    metric; ``final_tol`` only grades it, the result always returns.
+    metric; ``final_tol`` only grades it, the result always returns, and its
+    message names the residual, and ``final_tol`` when the residual misses
+    it.  The solve takes ``solve_constant_F``'s default eigenfunction start.
     """
     F0 = scalar_weyl(g0, t)
     tri = first_eigenvalue(g0, t, coefficient=F0)
@@ -670,7 +671,7 @@ def construct_constant_F(
     else:
         search = search_parameters(
             g0, t, centers=centers, r_grid=r_grid, k_grid=k_grid,
-            floor=floor, coefficient=F0 if t > 0.0 else None,
+            coefficient=F0 if t > 0.0 else None,
         )
         if not search.succeeded:
             return ConstructionResult(
@@ -681,7 +682,7 @@ def construct_constant_F(
                 message=search.message,
             )
         config = search.config
-        profile = make_bump(config.floor, g0.chart.n)
+        profile = make_bump(PROFILE_FLOOR, g0.chart.n)
         fields = radial_fields(g0, config.centers, config.r, profile)
         cert, g = _test_energy_bound(g0, t, config.k, fields)
         if not cert < 0.0:
@@ -714,6 +715,12 @@ def construct_constant_F(
             message=str(exc),
         )
     residual = report.curvature_residual
+    head = "negative class; solved without deformation" if path == "direct" else (
+        f"certificate {cert:.4f}"
+    )
+    message = f"{head}; final curvature residual {residual:.3e}"
+    if not residual <= final_tol:
+        message += f" above final_tol {final_tol:.1e}"
     return ConstructionResult(
         succeeded=residual <= final_tol,
         path=path,
@@ -724,11 +731,7 @@ def construct_constant_F(
         config=config,
         certificate=cert,
         residual=residual,
-        message=(
-            "negative class; solved without deformation"
-            if path == "direct"
-            else f"certificate {cert:.4f}; final curvature residual {residual:.3e}"
-        ),
+        message=message,
     )
 
 
@@ -753,14 +756,12 @@ class PinchingReport:
     worst_margin: float
 
 
-def pinching_report(
-    g: MetricField, eps: float, bundle: CurvatureBundle | None = None
-) -> PinchingReport:
+def pinching_report(g: MetricField, eps: float) -> PinchingReport:
     """Audit R < 0 and |W|^2 < eps R^2 at every point of ``g``, from the
-    streamed R and |W|^2 (``curvature_scalars``) or those of ``bundle``."""
+    streamed R and |W|^2 (``curvature_scalars``)."""
     if eps <= 0.0:
         raise ValueError(f"pinching threshold must be positive, got {eps}")
-    scal, wn2 = curvature_scalars(g, bundle)
+    scal, wn2 = curvature_scalars(g)
     margin = wn2 - eps * scal**2
     worst_scal = float(np.max(scal))
     worst_margin = float(np.max(margin))

@@ -34,24 +34,24 @@ The stack is one loop over slabs of axis-0 planes, about ``_SLAB_POINTS``
 points each.  Both first-derivative layers take one route: ``grid.window``
 cuts the planes formed plus two ghost planes past each end, which
 ``grid.deriv_window`` differentiates; ``christoffel`` reads the window of
-the packed metric and ``riemann`` that of Gamma.  Each slab holds a window
-of Gamma in one buffer; moving to the next slab keeps the four planes the
-two windows share and runs ``christoffel`` on the new planes only; planes
-0 and 1 are kept from the first window for the last, so no whole-grid
-Gamma is formed.  ``riemann`` reads the window as its one Gamma
-representation, and Ricci, R, W and |W|^2 follow on the slab.  Every layer
-uses the one fd4 stencil of ``grid``, so every slab is bit-identical to the
-same planes of a whole-grid pass.  ``curvature_bundle`` runs the loop
-keeping every field but Gamma; ``hessian`` runs the windows alone and
-contracts each part's own planes with the gradient its caller passes, and
-``deform`` has the bundle's loop do that contraction too, so it forms Gamma
-once for both.  ``curvature_scalars`` keeps only R and |W|^2, so its peak is
-one window and one slab's transients, and on a bundle it forms |W|^2 slab
-by slab too.
+the packed metric and ``riemann`` that of Gamma.  One slab loop, ``_sweep``,
+holds a window of Gamma per slab in one buffer; moving to the next slab
+keeps the four planes the two windows share and runs ``christoffel`` on the
+new planes only; planes 0 and 1 are kept from the first window for the
+last, so no whole-grid Gamma is formed.  It hands each part of the slab its
+planes of Gamma with their ghost planes, and each caller passes what to do
+with them: ``curvature_bundle`` keeps Riemann, Ricci, R and W
+(``_curvature``), ``curvature_scalars`` keeps only R and |W|^2, so its peak
+is one window and one slab's transients, and ``hessian`` contracts the
+part's own planes with the gradient its caller passes; ``deform`` has the
+bundle's sweep do that contraction too, so it forms Gamma once for both.
+Every layer uses the one fd4 stencil of ``grid``, so every slab is
+bit-identical to the same planes of a whole-grid pass.  On a bundle,
+``curvature_scalars`` forms |W|^2 slab by slab.
 The deformation layer runs its closed forms in the same slabs.  A spectral
-chart, whose derivatives need whole axes, is one slab whose window is the
-whole field with no ghost planes; an fd4 axis no longer than one slab is
-one slab whose window wraps onto itself.
+chart, whose derivatives need whole axes, is one unsplit slab whose window
+is the whole Gamma with no ghost planes; an fd4 axis no longer than one
+slab is one slab whose window wraps onto itself.
 
 Every slab loop runs each slab on all the CPUs the process may use
 (``_in_parts``): the slab's planes are split into one contiguous part per
@@ -63,8 +63,9 @@ forms its own new planes of Gamma into it, and ``riemann`` reads a part's
 planes with their ghost planes from it, so the points in flight stay one
 slab's.  Each part writes only its own planes of the outputs, and the
 arithmetic of a point does not depend on the planes around it, so every
-worker count gives bit-identical results.  A spectral stack stays one
-unsplit slab.
+worker count gives bit-identical results.  A spectral sweep stays one
+unsplit part; the pointwise work the deformation layer runs on its slab is
+split.
 """
 
 from __future__ import annotations
@@ -261,22 +262,25 @@ def _own(chart: Chart, window: np.ndarray) -> np.ndarray:
     return window if chart.scheme == "spectral" else window[2:-2]
 
 
-def _gamma_windows(g: MetricField):
-    """Yield ``(planes, window)`` for each slab, the window as
-    ``grid.window`` would cut it from the whole-grid symbols, which are
-    never formed.
+def _sweep(g: MetricField, run) -> None:
+    """Call ``run(part, win)`` for each part of each slab, ``win`` the
+    part's planes of Gamma with two ghost planes past each end, cut from the
+    slab's window as ``grid.window`` would cut it from the whole-grid
+    symbols, which are never formed.  A spectral chart, whose derivatives
+    need whole axes, runs one unsplit part whose window is the whole Gamma.
 
-    One buffer holds the window and is overwritten by the next slab's.
-    Moving on keeps the four planes two neighbouring windows share and forms
-    only the new ones, split among the workers, each writing its own planes.
-    The first window's lower ghosts are the grid's last two planes; its
-    planes 0 and 1, the last window's upper ghosts, are kept for it.
+    One buffer holds the slab's window and is overwritten by the next
+    slab's.  Moving on keeps the four planes two neighbouring windows share
+    and forms only the new ones, split among the workers, each writing its
+    own planes.  The first window's lower ghosts are the grid's last two
+    planes; its planes 0 and 1, the last window's upper ghosts, are kept
+    for it.
     """
     chart = g.chart
-    slabs = _slabs(chart)
     if chart.scheme == "spectral":
-        yield slabs[0], christoffel(g)
+        run(slice(0, chart.sizes[0]), christoffel(g))
         return
+    slabs = _slabs(chart)
     size = chart.sizes[0]
     # every part reads the inverse, which the metric keeps: formed before the
     # window, it leaves no heap hole under it when the window is freed
@@ -287,10 +291,10 @@ def _gamma_windows(g: MetricField):
         """Symbols of the ``new`` planes into rows ``plane - shift`` of
         ``window``, each part writing its own rows."""
 
-        def run(part: slice) -> None:
+        def fill(part: slice) -> None:
             window[part.start - shift : part.stop - shift] = christoffel(g, part)
 
-        _in_parts(run, new)
+        _in_parts(fill, new)
 
     for k, planes in enumerate(slabs):
         lo, hi = planes.start - 2, planes.stop + 2
@@ -308,7 +312,14 @@ def _gamma_windows(g: MetricField):
                 form(window, slice(size - 2, size), size - 2)
         for p in range(max(first_new, size), hi):
             window[p - lo] = head[p - size]
-        yield planes, window
+
+        def each(part: slice) -> None:
+            # the part's planes and two ghost planes past each end, all
+            # inside the slab's window
+            start = part.start - planes.start
+            run(part, window[start : part.stop - planes.start + 4])
+
+        _in_parts(each, planes)
         window[:4] = window[-4:]
 
 
@@ -322,11 +333,11 @@ def _pair_gather(n: int) -> tuple[np.ndarray, np.ndarray]:
     )
 
 
-def riemann(g: MetricField, window: np.ndarray, planes: slice = slice(None)) -> np.ndarray:
+def riemann(g: MetricField, window: np.ndarray, planes: slice) -> np.ndarray:
     """Lowered (0,4) curvature pair matrices of ``g`` on the axis-0
-    ``planes`` (all of them by default), from ``window``: the packed
-    symbols of those planes with two ghost planes past each end, as
-    ``grid.window`` cuts them (the whole symbols on a spectral chart).
+    ``planes``, from ``window``: the packed symbols of those planes with two
+    ghost planes past each end, as ``grid.window`` cuts them (the whole
+    symbols on a spectral chart).
     ``deriv_window`` differentiates it, along axis 0 reading the ghost
     planes in place."""
     chart = g.chart
@@ -429,30 +440,12 @@ class CurvatureBundle:
         return self.g.chart
 
 
-def _stack(g: MetricField, keep) -> None:
-    """Run the stack slab by slab, calling ``keep(part, own, riem, ric, scal,
-    W)`` for each part of each slab, ``own`` the part's planes of Gamma
-    (overwritten by the next slab).  A spectral chart's one slab is not
-    split: its derivatives need whole axes."""
-    chart = g.chart
-    n = chart.n
-    spectral = chart.scheme == "spectral"
-    for planes, window in _gamma_windows(g):
-
-        def run(part: slice) -> None:
-            # fd4: the part's planes and two ghost planes past each end, all
-            # inside the slab's window
-            lo = part.start - planes.start
-            win = window if spectral else window[lo : lo + part.stop - part.start + 4]
-            riem = riemann(g, win, part)
-            ric, scal = ricci_scalar(riem, g.inverse[part])
-            W = weyl(riem, ric, scal, sym2_unpack(g.packed[part], n))
-            keep(part, _own(chart, win), riem, ric, scal, W)
-
-        if spectral:
-            run(planes)
-        else:
-            _in_parts(run, planes)
+def _curvature(g: MetricField, win: np.ndarray, part: slice):
+    """Riemann, Ricci, R and W of ``g`` on the axis-0 planes ``part``, from
+    their window ``win`` of Gamma."""
+    riem = riemann(g, win, part)
+    ric, scal = ricci_scalar(riem, g.inverse[part])
+    return riem, ric, scal, weyl(riem, ric, scal, sym2_unpack(g.packed[part], g.chart.n))
 
 
 def curvature_bundle(g: MetricField) -> CurvatureBundle:
@@ -474,13 +467,13 @@ def _bundle(
     ric, scal = np.empty(shape + (chart.n, chart.n)), np.empty(shape)
     hess = None if grad is None else _second_derivatives(chart, grad)
 
-    def keep(part: slice, own, *fields) -> None:
-        for whole, field in zip((riem, ric, scal, W), fields):
+    def run(part: slice, win: np.ndarray) -> None:
+        for whole, field in zip((riem, ric, scal, W), _curvature(g, win, part)):
             whole[part] = field
         if hess is not None:
-            hess[part] -= _gamma_term(own, grad[part])
+            hess[part] -= _gamma_term(_own(chart, win), grad[part])
 
-    _stack(g, keep)
+    _sweep(g, run)
     return CurvatureBundle(g, Riem4Field(chart, riem), ric, scal, Riem4Field(chart, W)), hess
 
 
@@ -504,11 +497,11 @@ def curvature_scalars(
         return bundle.scal, wnorm2
     scal = np.empty(g.chart.sizes)
 
-    def keep(part: slice, own, riem, ric, s, W) -> None:
-        scal[part] = s
+    def run(part: slice, win: np.ndarray) -> None:
+        _, _, scal[part], W = _curvature(g, win, part)
         wnorm2[part] = riemann_norm_squared(W, g.inverse[part])
 
-    _stack(g, keep)
+    _sweep(g, run)
     return scal, wnorm2
 
 
@@ -544,12 +537,9 @@ def hessian(g: MetricField, grad: np.ndarray) -> np.ndarray:
     """
     chart = g.chart
     out = _second_derivatives(chart, grad)
-    for planes, window in _gamma_windows(g):
-        own = _own(chart, window)
 
-        def run(part: slice) -> None:
-            rows = slice(part.start - planes.start, part.stop - planes.start)
-            out[part] -= _gamma_term(own[rows], grad[part])
+    def run(part: slice, win: np.ndarray) -> None:
+        out[part] -= _gamma_term(_own(chart, win), grad[part])
 
-        _in_parts(run, planes)
+    _sweep(g, run)
     return out

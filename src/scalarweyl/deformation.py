@@ -13,15 +13,15 @@ Index bookkeeping: ``grad`` holds the covariant components f_a (coordinate
 partials), ``hess`` the covariant Hessian with respect to the undeformed
 metric, and raised objects are produced on the fly with g^{-1}.  The
 Hessian's Christoffel term comes from the curvature stack's windows of
-symbols, part by part: ``deform`` has the loop that forms its curvature
-bundle contract them too, and given a bundle it streams them once through
-``hessian``; no whole-grid Christoffel field is formed.  Every
-block's second Kulkarni-Nomizu factor is h, g or df (x) df; the product is
-bilinear, so the error tensor is assembled in pair storage from one product
-per second factor, whose first factor is the coefficient-weighted sum of
-the first factors of that group's blocks.  ``weyl_error`` always sums all
-fifteen blocks; the tests' whole-field oracle assembles any subset of the
-same table.
+symbols, part by part.  ``deform`` takes one of two routes: without a
+curvature bundle, the sweep that forms the bundle contracts the symbols
+too; given one, ``hessian`` streams them once more.  No whole-grid
+Christoffel field is formed.  Every block's second Kulkarni-Nomizu factor
+is h, g or df (x) df; the product is bilinear, so the error tensor is
+assembled in pair storage from one product per second factor, whose first
+factor is the coefficient-weighted sum of the first factors of that
+group's blocks.  ``weyl_error`` always sums all fifteen blocks; the tests'
+whole-field oracle assembles any subset of the same table.
 
 The ingredients come in two parts.  The scalar ingredients (the raised
 gradient, the Laplacian and the Hessian and Ricci contractions against it)
@@ -47,7 +47,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .curvature import CurvatureBundle, _bundle, _each_part, curvature_bundle, hessian
+from .curvature import CurvatureBundle, _bundle, _each_part, hessian
 from .grid import Chart, MetricField, gradient, integrate, sym2_pack, sym2_unpack
 from .tensor import (
     Riem4Field,
@@ -68,7 +68,6 @@ class DeformationBundle:
     function; the deformed metric is built on first read and kept."""
 
     base: CurvatureBundle
-    f: np.ndarray
     grad: np.ndarray
     hess: np.ndarray
     w: np.ndarray
@@ -95,45 +94,33 @@ def deform(
     g: MetricField,
     f,
     grad: np.ndarray | None = None,
-    hess: np.ndarray | None = None,
     base: CurvatureBundle | None = None,
 ) -> DeformationBundle:
     """Bundle for the deformation g' = g + df (x) df.
 
-    ``grad`` and ``hess`` (covariant Hessian) may substitute analytic
-    derivatives for the stencil ones; with both supplied the bundle is exact
-    for closed-form test fields.  Without ``base`` or ``hess``, one slab loop
-    forms the curvature stack and the Hessian's Christoffel term; given
-    ``base``, ``hessian`` forms the symbols once more.
+    ``grad`` may substitute analytic first derivatives for the stencil
+    ones.  Without ``base``, one sweep forms the curvature stack and the
+    Hessian's Christoffel term; given ``base``, ``hessian`` forms the
+    symbols once more.
     """
     if base is not None and base.g is not g:
         raise ValueError("curvature bundle was computed for a different metric")
-    chart = g.chart
-    f = np.asarray(f, dtype=float)
     if grad is None:
-        grad = gradient(chart, f)
-    if base is None and hess is None:
+        grad = gradient(g.chart, np.asarray(f, dtype=float))
+    if base is None:
         base, hess = _bundle(g, grad)
-    elif base is None:
-        base = curvature_bundle(g)
-    elif hess is None:
+    else:
         hess = hessian(g, grad)
     fup = np.einsum("...ab,...b->...a", g.inverse, grad)
     w = 1.0 + np.einsum("...a,...a->...", grad, fup)
-    return DeformationBundle(base=base, f=f, grad=grad, hess=hess, w=w)
+    return DeformationBundle(base=base, grad=grad, hess=hess, w=w)
 
 
 def _downdate(inv: np.ndarray, fup: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """The rank-one downdate g^{ab} - f^a f^b / w of ``deformed_inverse``."""
+    """The closed-form inverse of g + df (x) df: the rank-one downdate
+    g^{ab} - f^a f^b / w of the inverse ``inv`` of g, with ``fup`` the
+    raised gradient and w = 1 + |grad f|^2."""
     return inv - fup[..., :, None] * fup[..., None, :] / w[..., None, None]
-
-
-def deformed_inverse(g: MetricField, grad: np.ndarray) -> np.ndarray:
-    """Closed-form inverse of g + df (x) df: the rank-one downdate
-    g^{ab} - f^a f^b / (1 + |grad f|^2)."""
-    fup = np.einsum("...ab,...b->...a", g.inverse, grad)
-    w = 1.0 + np.einsum("...a,...a->...", grad, fup)
-    return _downdate(g.inverse, fup, w)
 
 
 def _scalar_ingredients(bundle: DeformationBundle, planes: slice) -> dict:
@@ -275,16 +262,13 @@ def _scalar_closed_form(ing: dict) -> np.ndarray:
     return ing["scal"] - 2.0 * ing["rvv"] / w + ing["c7"] / w - 2.0 * ing["c10"] / w**2
 
 
-def deformed_norm(
-    mat: np.ndarray, g: MetricField, phi, grad: np.ndarray | None = None
-) -> np.ndarray:
+def deformed_norm(mat: np.ndarray, g: MetricField, grad: np.ndarray) -> np.ndarray:
     """Pointwise norm of curvature-type pair matrices under
-    g + d(phi) (x) d(phi), contracted with the closed-form inverse of
-    :func:`deformed_inverse`.  ``grad`` substitutes analytic first
-    derivatives of ``phi``."""
-    if grad is None:
-        grad = gradient(g.chart, np.asarray(phi, dtype=float))
-    return riemann_norm(mat, deformed_inverse(g, grad))
+    g + df (x) df, given the first derivatives ``grad`` of f, contracted
+    with the closed-form inverse of ``_downdate``."""
+    fup = np.einsum("...ab,...b->...a", g.inverse, grad)
+    w = 1.0 + np.einsum("...a,...a->...", grad, fup)
+    return riemann_norm(mat, _downdate(g.inverse, fup, w))
 
 
 def _energy_terms(bundle: DeformationBundle, planes: slice):
@@ -317,12 +301,7 @@ def _ricci_hessian_blocks(
 
 
 def deformation_energy(
-    g: MetricField,
-    phi,
-    t: float,
-    base: CurvatureBundle | None = None,
-    grad: np.ndarray | None = None,
-    hess: np.ndarray | None = None,
+    g: MetricField, phi, t: float, base: CurvatureBundle | None = None
 ) -> float:
     """Integral functional whose negativity certifies that the conformal
     class of g + d(phi) (x) d(phi) contains a constant-curvature
@@ -330,15 +309,15 @@ def deformation_energy(
     deformed norm, the error-tensor norm, a Ricci correction, and the
     Hessian correction from the conformal factor (1+|grad phi|^2)^{-1/4}.
 
-    The integrands are formed slab by slab, the two norms under one pair
-    lift of the deformed inverse; each integral runs once over the whole
-    grid.  Closed-form ``grad``/``hess`` substitute for the stencils as in
-    :func:`deform`.
+    The deformation comes from :func:`deform` on the stencil derivatives
+    of ``phi``, reusing ``base`` when given.  The integrands are formed slab
+    by slab, the two norms under one pair lift of the deformed inverse; each
+    integral runs once over the whole grid.
     """
     if t <= 0:
         raise ValueError("the deformation functional is only defined for t > 0")
     chart = g.chart
-    bundle = deform(g, phi, grad=grad, hess=hess, base=base)
+    bundle = deform(g, phi, base=base)
     base = bundle.base
     curv, enorm, ricci, hess_term = (np.empty(chart.sizes) for _ in range(4))
 

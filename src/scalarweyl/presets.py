@@ -143,7 +143,6 @@ def ball_flat_metric(
     r_rise: float,
     amplitude: float = 0.2,
     seed: int = 0,
-    max_mode: int = 1,
 ) -> MetricField:
     """Band-limited perturbed metric that is exactly flat inside given balls.
 
@@ -151,7 +150,7 @@ def ball_flat_metric(
     for distance <= r_flat from every center and reaching 1 at
     r_flat + r_rise (periodic minimum-image distance).
     """
-    pert = fourier_metric(chart, amplitude=amplitude, seed=seed, max_mode=max_mode)
+    pert = fourier_metric(chart, amplitude=amplitude, seed=seed)
     window = np.ones(chart.shape)
     mesh = chart.mesh()
     for center in np.atleast_2d(np.asarray(centers, dtype=float)):

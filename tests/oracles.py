@@ -20,7 +20,10 @@ run over all planes at once, each pointwise step on the whole grid: the
 oracle of the slab loops of ``deformation`` and of
 ``construct._test_energy_bound``, which must be bit-identical to them.
 They read the block table of ``deformation`` and measure norms with the
-whole-field ``deformed_norm``.
+whole-field ``deformed_norm``.  ``exact_deformation`` builds the
+deformation bundle from closed-form first and covariant second derivatives,
+so closed-form test fields get an exact one; ``deformed_inverse`` is the
+closed-form inverse of g + df (x) df that ``deformed_norm`` contracts with.
 
 ``whole_riemann`` is ``curvature.riemann`` on all planes at once, from
 the whole-grid Christoffel symbols cut as one window; ``src/`` only ever
@@ -57,6 +60,7 @@ from scalarweyl.deformation import (
     BLOCK_COUNT,
     DeformationBundle,
     _block_table,
+    _downdate,
     deform,
     deformed_norm,
     weyl_error,
@@ -141,9 +145,9 @@ def phi_expansion(
         )[..., None, None] * (
             fields.grad_psi[..., :, None] * fields.grad_psi[..., None, :]
         )
-        sheared = deform(g, eta, grad=grad_eta, hess=hess_eta, base=base)
-        w_norm = deformed_norm(base.W.pair, g, eta, grad=grad_eta)
-        e_norm = deformed_norm(weyl_error(sheared).pair, g, eta, grad=grad_eta)
+        sheared = exact_deformation(base, grad_eta, hess_eta)
+        w_norm = deformed_norm(base.W.pair, g, grad_eta)
+        e_norm = deformed_norm(weyl_error(sheared).pair, g, grad_eta)
         scal_block = scal_block + t * w_norm * f
         error_term = t * integrate(chart, e_norm * f, dens)
     else:
@@ -173,6 +177,26 @@ def phi_expansion(
 
 # ---------------------------------------------------------------------------
 # the deformation layer on the whole grid
+
+
+def exact_deformation(
+    base: CurvatureBundle, grad: np.ndarray, hess: np.ndarray
+) -> DeformationBundle:
+    """The deformation bundle of g + df (x) df over the curvature stack
+    ``base`` of g, from the first derivatives ``grad`` of f and its
+    covariant Hessian ``hess``, which may both be analytic."""
+    g = base.g
+    fup = np.einsum("...ab,...b->...a", g.inverse, grad)
+    w = 1.0 + np.einsum("...a,...a->...", grad, fup)
+    return DeformationBundle(base=base, grad=grad, hess=hess, w=w)
+
+
+def deformed_inverse(g: MetricField, grad: np.ndarray) -> np.ndarray:
+    """Closed-form inverse of g + df (x) df: the rank-one downdate
+    g^{ab} - f^a f^b / (1 + |grad f|^2)."""
+    fup = np.einsum("...ab,...b->...a", g.inverse, grad)
+    w = 1.0 + np.einsum("...a,...a->...", grad, fup)
+    return _downdate(g.inverse, fup, w)
 
 
 def whole_field_ingredients(bundle: DeformationBundle) -> dict:
@@ -259,8 +283,8 @@ def whole_field_energy(
     bundle = deform(g, phi, base=base)
     dens = bundle.base.g.sqrt_det
     ing = whole_field_ingredients(bundle)
-    wnorm = deformed_norm(bundle.base.W.pair, g, phi, grad=bundle.grad)
-    enorm = deformed_norm(whole_field_weyl_error(bundle), g, phi, grad=bundle.grad)
+    wnorm = deformed_norm(bundle.base.W.pair, g, bundle.grad)
+    enorm = deformed_norm(whole_field_weyl_error(bundle), g, bundle.grad)
     i1 = integrate(chart, bundle.base.scal + t * wnorm, dens)
     i2 = t * integrate(chart, enorm, dens)
     i3, i4 = _whole_field_ricci_hessian(bundle, ing)
@@ -271,12 +295,11 @@ def whole_field_energy_bound(g: MetricField, t: float, k: float, fields: RadialF
     """``construct._test_energy_bound``'s certificate on the whole grid."""
     chart = g.chart
     scaled = MetricField(chart, fields.psi[..., None] * g.packed)
-    phi = k * fields.psi
-    bundle = deform(scaled, phi, grad=k * fields.grad_psi)
+    bundle = deform(scaled, k * fields.psi, grad=k * fields.grad_psi)
     dens = scaled.sqrt_det
     ing = whole_field_ingredients(bundle)
     snorm = deformed_norm(
-        bundle.base.W.pair + whole_field_weyl_error(bundle), scaled, phi, grad=bundle.grad
+        bundle.base.W.pair + whole_field_weyl_error(bundle), scaled, bundle.grad
     )
     ricci, hess = _whole_field_ricci_hessian(bundle, ing)
     scal = integrate(chart, bundle.base.scal, dens)
@@ -310,7 +333,7 @@ def divergence_total(X: np.ndarray, g: MetricField) -> float:
 def whole_riemann(g: MetricField) -> np.ndarray:
     """Riemann pair matrices of ``g`` on all planes, from one window of the
     whole-grid Christoffel symbols."""
-    return riemann(g, window(g.chart, christoffel(g)))
+    return riemann(g, window(g.chart, christoffel(g)), slice(None))
 
 
 def conformal_energy(g: MetricField, t: float, u: np.ndarray, coefficient=None) -> float:

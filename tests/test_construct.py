@@ -1,6 +1,7 @@
 """End-to-end production of constant scalar-Weyl curvature metrics."""
 
 import dataclasses
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -39,6 +40,16 @@ def test_direct_path_reaches_constant_F_at_scheme_order():
         assert res.trichotomy.verdict == "negative"
         results[size] = res
     assert results[16].succeeded, results[16].residual
+    # 12^4 misses the default final_tol of 5e-3, and the message says so
+    assert not results[12].succeeded
+    assert results[12].message == (
+        "negative class; solved without deformation; final curvature residual "
+        f"{results[12].residual:.3e} above final_tol 5.0e-03"
+    )
+    assert results[16].message == (
+        "negative class; solved without deformation; final curvature residual "
+        f"{results[16].residual:.3e}"
+    )
     order = np.log(results[12].residual / results[16].residual) / np.log(16 / 12)
     assert order >= 2.5
 
@@ -56,6 +67,19 @@ def test_constant_F_metric_with_positive_t_is_pinched():
     assert report.curvature_residual < 1.0
     pinching = pinching_report(conformal.conformal_metric(g, report.u), 1.0 / t**2)
     assert pinching.passed, pinching
+
+
+def test_construct_solves_the_positive_t_class_directly():
+    # the class of the pinching case is negative (lambda_1 = -0.0158), so the
+    # pipeline solves it directly; the eigenfunction start reaches a
+    # recomputed max |F + 1| of 0.315, where the barrier start stops at a
+    # sign-indefinite rescaled coefficient
+    chart = make_chart(4, (12,) * 4, (L,) * 4)
+    res = construct_constant_F(fourier_metric(chart, amplitude=0.5, seed=3), 0.02)
+    assert res.path == "direct", res.message
+    assert res.solve is not None
+    assert np.isfinite(res.residual)
+    assert res.message.endswith(f"residual {res.residual:.3e} above final_tol 5.0e-03")
 
 
 def test_direct_path_forms_one_verdict_and_one_background(monkeypatch):
@@ -183,6 +207,8 @@ def test_direct_path_returns_a_solver_failure_as_data(monkeypatch):
         ({"r": 0.0}, "does not fit the chart"),
         ({"k": 0.0}, "shear strength must be positive"),
         ({"k": -1.0}, "shear strength must be positive"),
+        # the profile floor is the module constant make_bump receives, and
+        # make_bump still checks it
         ({"floor": 0.0}, "profile floor must lie in"),
         ({"floor": 1.0}, "profile floor must lie in"),
         # the two balls touch across the periodic boundary
@@ -191,10 +217,13 @@ def test_direct_path_returns_a_solver_failure_as_data(monkeypatch):
 )
 def test_config_rejects_invalid_input(change, match):
     chart = make_chart(4, (8,) * 4, (L,) * 4)
-    args = dict(chart=chart, centers=_default_centers(chart), r=L / 8, k=4.0, floor=0.1)
+    args = dict(chart=chart, centers=_default_centers(chart), r=L / 8, k=4.0)
     ConstructionConfig(**args)
     with pytest.raises(ValueError, match=match):
-        ConstructionConfig(**{**args, **change})
+        if "floor" in change:
+            make_bump(change["floor"], chart.n)
+        else:
+            ConstructionConfig(**{**args, **change})
 
 
 def test_search_rejects_invalid_cells_through_the_config():
@@ -311,6 +340,27 @@ def test_deformation_path_reports_a_solver_verdict_error(monkeypatch):
     assert "'positive'" in res.message
 
 
+def test_deformation_path_names_a_missed_final_tol(monkeypatch):
+    # with the certificate forced negative and a solve whose residual misses
+    # final_tol, the message names both, as on the direct path
+    g0, centers = forced_deformation_case(monkeypatch)
+    monkeypatch.setattr(construct, "_test_energy_bound", lambda *args: (-1.0, g0))
+    report = SimpleNamespace(u=np.ones(g0.chart.sizes), curvature_residual=0.25)
+    monkeypatch.setattr(construct, "solve_constant_F", lambda *args, **kwargs: report)
+    res = construct_constant_F(g0, 1.0, centers, final_tol=0.1)
+    assert res.path == "deformation" and not res.succeeded
+    assert res.message == (
+        "certificate -1.0000; final curvature residual 2.500e-01 above final_tol 1.0e-01"
+    )
+
+
+def read_off(monkeypatch, bundle):
+    """Have ``pinching_report`` read R and |W|^2 off ``bundle``."""
+    monkeypatch.setattr(
+        construct, "curvature_scalars", lambda g: curvature.curvature_scalars(g, bundle)
+    )
+
+
 def test_pinching_report_streams_what_the_bundle_route_reads(monkeypatch):
     # three planes per slab: slabs of 3, 3 and 2 planes
     monkeypatch.setattr(curvature, "_SLAB_POINTS", 3 * 8**3)
@@ -318,13 +368,16 @@ def test_pinching_report_streams_what_the_bundle_route_reads(monkeypatch):
     g = fourier_metric(chart, amplitude=0.25, seed=2)
     bundle = curvature_bundle(g)
     for eps in (1e-3, 1.0, 1e3):
-        streamed, read = pinching_report(g, eps), pinching_report(g, eps, bundle=bundle)
+        with monkeypatch.context() as m:
+            streamed = pinching_report(g, eps)
+            read_off(m, bundle)
+            read = pinching_report(g, eps)
         assert streamed.worst_scal == read.worst_scal
         assert streamed.worst_margin == read.worst_margin
         assert streamed == read
 
 
-def test_pinching_report_reads_the_curvature_stack():
+def test_pinching_report_reads_the_curvature_stack(monkeypatch):
     chart = make_chart(4, (8,) * 4, (L,) * 4)
     g = fourier_metric(chart, amplitude=0.25, seed=2)
     for eps in (0.0, -1.0):
@@ -336,8 +389,9 @@ def test_pinching_report_reads_the_curvature_stack():
     # shifting R below zero everywhere reaches the passing branch
     negative = dataclasses.replace(bundle, scal=bundle.scal - (np.max(bundle.scal) + 1.0))
     for b, R in ((bundle, scal), (negative, negative.scal)):
+        read_off(monkeypatch, b)
         for eps in (1e-3, 1.0, 1e3):
-            rep = pinching_report(g, eps, bundle=b)
+            rep = pinching_report(g, eps)
             margin = wnorm**2 - eps * R**2
             assert rep.worst_scal == np.max(R)
             assert rep.worst_margin == pytest.approx(
@@ -346,5 +400,6 @@ def test_pinching_report_reads_the_curvature_stack():
             assert rep.scalar_negative == (np.max(R) < 0.0)
             assert rep.pinched == (rep.worst_margin < 0.0)
             assert rep.passed == (rep.scalar_negative and rep.pinched)
-    assert pinching_report(g, 1e3, bundle=negative).passed
-    assert not pinching_report(g, 1e-3, bundle=bundle).passed
+    assert pinching_report(g, 1e3).passed
+    read_off(monkeypatch, bundle)
+    assert not pinching_report(g, 1e-3).passed

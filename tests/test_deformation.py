@@ -22,7 +22,9 @@ from hypothesis import strategies as st
 
 from oracles import (
     dense_from_pair,
+    deformed_inverse,
     divergence_total,
+    exact_deformation,
     slab_parts,
     whole_field_energy,
     whole_field_energy_bound,
@@ -38,7 +40,6 @@ from scalarweyl.deformation import (
     _scalar_ingredients,
     deform,
     deformation_energy,
-    deformed_inverse,
     deformed_norm,
     deformed_scalar_closed_form,
     weyl_error,
@@ -66,11 +67,14 @@ def torus(n, size, scheme="fd4"):
     return make_chart(n, (size,) * n, (2.0 * np.pi,) * n, scheme=scheme)
 
 
-def bundle_for(n, size, seed=5, amp=0.05, famp=0.3):
+def inputs_for(n, size, seed=5, amp=0.05, famp=0.3):
     c = torus(n, size)
     g = fourier_metric(c, amplitude=amp, seed=seed)
-    f = fourier_scalar(c, amplitude=famp, seed=seed + 100)
-    return deform(g, f)
+    return g, fourier_scalar(c, amplitude=famp, seed=seed + 100)
+
+
+def bundle_for(n, size, seed=5, amp=0.05, famp=0.3):
+    return deform(*inputs_for(n, size, seed, amp, famp))
 
 
 # ---------------------------------------------------------------------------
@@ -242,8 +246,8 @@ def test_deform_constant_function_is_identity():
 def test_deformed_metric_is_built_on_first_read(monkeypatch):
     # the closed forms never read g', so the energy pays neither its
     # packed field nor its factorization
-    b = bundle_for(4, 8)
-    g, f = b.base.g, b.f
+    g, f = inputs_for(4, 8)
+    b = deform(g, f)
     built = []
     post_init = MetricField.__post_init__
 
@@ -389,12 +393,17 @@ def test_every_worker_count_gives_bit_identical_outputs(monkeypatch):
     f = fourier_scalar(c, amplitude=0.3, seed=106)
     psi = np.exp(0.2 * fourier_scalar(c, amplitude=0.5, seed=11))
     fields = RadialFields(c, psi, gradient(c, psi), np.zeros(c.shape + (4, 4)))
+    # a spectral sweep is one unsplit part, whatever the worker count
+    s = torus(4, 8, "spectral")
+    gs = fourier_metric(s, amplitude=0.2, seed=6)
+    fs = fourier_scalar(s, amplitude=0.3, seed=106)
 
     def outputs():
         b = deform(g, f)
         base = b.base
         return [
             b.hess, hessian(g, gradient(c, f)),
+            deform(gs, fs).hess, hessian(gs, gradient(s, fs)),
             base.riem.pair, base.ric, base.scal, base.W.pair,
             *curvature_scalars(g), *curvature_scalars(g, bundle=base),
             weyl_error(b).pair, deformed_scalar_closed_form(b),
@@ -448,14 +457,15 @@ def test_only_the_error_tensor_contracts_riemann(monkeypatch):
         calls.append(1)
         return vv_contract(mat, v)
 
-    b = bundle_for(4, 8)
+    g, f = inputs_for(4, 8)
+    b = deform(g, f)
     monkeypatch.setattr("scalarweyl.deformation.vv_contract", counted)
     for parts in host_then_one_worker(monkeypatch, b.chart):
         calls.clear()
         weyl_error(b)
         assert len(calls) == parts
         calls.clear()
-        deformation_energy(b.base.g, b.f, 1.0, base=b.base)
+        deformation_energy(g, f, 1.0, base=b.base)
         # once per part, for its error tensor; the scalar terms need no
         # Riemann contraction
         assert len(calls) == parts
@@ -469,7 +479,8 @@ def test_deform_forms_each_plane_of_christoffel_once(monkeypatch):
     # the 8^4 grid is one slab: the loop that forms deform's own bundle
     # contracts each part's planes of Gamma for the Hessian, where a second
     # sweep would call christoffel once more per part; given a bundle, the
-    # Hessian's one sweep is all the energy forms
+    # Hessian's one sweep is all the energy forms; a spectral sweep forms
+    # the whole Gamma in one call
     calls = []
 
     def counted(g, planes=slice(None)):
@@ -487,6 +498,10 @@ def test_deform_forms_each_plane_of_christoffel_once(monkeypatch):
         calls.clear()
         deformation_energy(g, f, 1.0, base=b.base)
         assert len(calls) == parts
+        calls.clear()
+        s = torus(4, 8, "spectral")
+        hessian(fourier_metric(s, amplitude=0.2, seed=6), gradient(s, f))
+        assert calls == [1]
     assert parts == 1
 
 
@@ -500,7 +515,8 @@ def test_each_caller_forms_the_scalar_ingredients_once(monkeypatch):
         calls.append(1)
         return _scalar_ingredients(*args)
 
-    b = bundle_for(4, 8)
+    g, f = inputs_for(4, 8)
+    b = deform(g, f)
     monkeypatch.setattr("scalarweyl.deformation._scalar_ingredients", counted)
     monkeypatch.setattr(curvature, "_SLAB_POINTS", 3 * 8**3)
     for parts in host_then_one_worker(monkeypatch, b.chart):
@@ -508,7 +524,7 @@ def test_each_caller_forms_the_scalar_ingredients_once(monkeypatch):
             (lambda: weyl_error(b), parts),
             (lambda: deformed_scalar_closed_form(b), parts),
             (lambda: scalar_divergence_identity(b), 1),
-            (lambda: deformation_energy(b.base.g, b.f, 1.0, base=b.base), parts),
+            (lambda: deformation_energy(g, f, 1.0, base=b.base), parts),
         ):
             calls.clear()
             run()
@@ -614,7 +630,8 @@ def test_deformed_norm_zero_deformation_matches_riemann_norm():
     bun = curvature_bundle(g)
     phi = fourier_scalar(c, amplitude=0.5, seed=42)
     assert np.array_equal(
-        deformed_norm(bun.W.pair, g, 0.0 * phi), riemann_norm(bun.W.pair, g.inverse)
+        deformed_norm(bun.W.pair, g, gradient(c, 0.0 * phi)),
+        riemann_norm(bun.W.pair, g.inverse),
     )
 
 
@@ -625,9 +642,9 @@ def test_deformed_norm_monotone_in_deformation_size():
     g = fourier_metric(c, amplitude=0.1, seed=3)
     bun = curvature_bundle(g)
     phi = fourier_scalar(c, amplitude=0.5, seed=42)
-    prev = deformed_norm(bun.W.pair, g, 0.0 * phi)
+    prev = deformed_norm(bun.W.pair, g, gradient(c, 0.0 * phi))
     for k in (0.5, 1.0, 2.0):
-        cur = deformed_norm(bun.W.pair, g, k * phi)
+        cur = deformed_norm(bun.W.pair, g, gradient(c, k * phi))
         assert np.all(cur <= prev + 1e-12)
         prev = cur
 
@@ -638,8 +655,9 @@ def test_deformed_norm_paths_agree():
     g = fourier_metric(c, amplitude=0.15, seed=5)
     bun = curvature_bundle(g)
     phi = fourier_scalar(c, amplitude=0.6, seed=11)
-    a = deformed_norm(bun.W.pair, g, 1.5 * phi)
-    b = frame_split_norm(bun.W.pair, g, gradient(c, 1.5 * phi))
+    grad = gradient(c, 1.5 * phi)
+    a = deformed_norm(bun.W.pair, g, grad)
+    b = frame_split_norm(bun.W.pair, g, grad)
     assert np.max(np.abs(a - b)) < 1e-10 * max(float(np.max(a)), 1.0)
 
 
@@ -766,10 +784,11 @@ def test_weyl_error_vanishes_on_a_sheared_flat_ball():
     for size in (12, 16):
         chart = torus(4, size)
         g = flat_metric(chart)
+        base = curvature_bundle(g)
         for profile in (make_bump(0.1, 4), _cos4_profile(0.5)):
             fields = radial_fields(g, (center,), r, profile)
             f = k * fields.psi
-            exact = deform(g, f, grad=k * fields.grad_psi, hess=k * fields.hess_psi)
+            exact = exact_deformation(base, k * fields.grad_psi, k * fields.hess_psi)
             assert np.max(np.abs(weyl_error(exact).pair)) <= 1e-13
         stencil[size] = np.max(np.abs(weyl_error(deform(g, f)).pair))
     assert np.log(stencil[12] / stencil[16]) / np.log(16 / 12) >= 3.5
