@@ -88,15 +88,17 @@ def conformal_metric(g: MetricField, u: np.ndarray) -> MetricField:
 
 
 def modified_laplacian_apply(
-    g: MetricField | FluxForm, t: float, phi: np.ndarray, F: np.ndarray
+    g: MetricField | FluxForm, phi: np.ndarray, F: np.ndarray
 ) -> np.ndarray:
     """Apply L phi = -a_n Lap_g phi + F phi.
 
     ``F`` is the curvature functional, formed once by the caller
     (``scalar_weyl``, or a coefficient that overrides geometry) and reused
-    for every apply, many thousands of times in the solver; ``g`` may be a
-    ``FluxForm`` of the metric.
+    for every apply, many thousands of times in the solver, so the coupling
+    t enters only through it; a_n depends on the dimension alone.  ``g``
+    may be a ``FluxForm`` of the metric.
     """
-    params = ConformalParams(t, g.chart.n)
+    n = g.chart.n
+    a_n = 4.0 * (n - 1) / (n - 2)
     phi = np.asarray(phi, dtype=float)
-    return -params.a_n * flux_laplacian(g, phi) + F * phi
+    return -a_n * flux_laplacian(g, phi) + F * phi

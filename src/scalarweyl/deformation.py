@@ -111,9 +111,14 @@ def deform(
         base, hess = _bundle(g, grad)
     else:
         hess = hessian(g, grad)
+    return DeformationBundle(base=base, grad=grad, hess=hess, w=_raised(g, grad)[1])
+
+
+def _raised(g: MetricField, grad: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``(fup, w)``: the gradient ``grad`` of f raised by g, and
+    w = 1 + |grad f|^2."""
     fup = np.einsum("...ab,...b->...a", g.inverse, grad)
-    w = 1.0 + np.einsum("...a,...a->...", grad, fup)
-    return DeformationBundle(base=base, grad=grad, hess=hess, w=w)
+    return fup, 1.0 + np.einsum("...a,...a->...", grad, fup)
 
 
 def _downdate(inv: np.ndarray, fup: np.ndarray, w: np.ndarray) -> np.ndarray:
@@ -266,9 +271,7 @@ def deformed_norm(mat: np.ndarray, g: MetricField, grad: np.ndarray) -> np.ndarr
     """Pointwise norm of curvature-type pair matrices under
     g + df (x) df, given the first derivatives ``grad`` of f, contracted
     with the closed-form inverse of ``_downdate``."""
-    fup = np.einsum("...ab,...b->...a", g.inverse, grad)
-    w = 1.0 + np.einsum("...a,...a->...", grad, fup)
-    return riemann_norm(mat, _downdate(g.inverse, fup, w))
+    return riemann_norm(mat, _downdate(g.inverse, *_raised(g, grad)))
 
 
 def _energy_terms(bundle: DeformationBundle, planes: slice):

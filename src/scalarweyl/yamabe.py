@@ -309,7 +309,7 @@ def first_eigenvalue(
         nonlocal applies
         applies += 1
         phi = y / sd
-        return sd * (modified_laplacian_apply(form, t, phi, F=F) + pen(phi))
+        return sd * (modified_laplacian_apply(form, phi, F) + pen(phi))
 
     # for unit y, |A y - rho y| is the residual of u = y / sqrt(sqrt(g)) in
     # the volume-weighted norm, with u of unit L2(dV) norm
@@ -451,7 +451,7 @@ def solve_constant_F(
     if init == "barriers":
         # conformal change by the eigenfunction: the transported coefficient
         # is lambda_1 u1^{1-p} up to the eigen-residual, hence negative
-        F1 = u1 ** (-p) * modified_laplacian_apply(form, t, u1, F=F)
+        F1 = u1 ** (-p) * modified_laplacian_apply(form, u1, F)
         if float(np.max(F1)) >= 0.0:
             raise RuntimeError(
                 "eigenfunction rescale left the coefficient sign-indefinite "
@@ -493,7 +493,7 @@ def solve_constant_F(
     if coefficient is None:
         recomputed = scalar_weyl(conformal_metric(g, u_tot), t)
     else:
-        recomputed = u_tot ** (-p) * modified_laplacian_apply(form, t, u_tot, F=F)
+        recomputed = u_tot ** (-p) * modified_laplacian_apply(form, u_tot, F)
     curvature_residual = float(np.max(np.abs(recomputed + 1.0)))
 
     return SolveReport(

@@ -61,6 +61,7 @@ from scalarweyl.deformation import (
     DeformationBundle,
     _block_table,
     _downdate,
+    _raised,
     deform,
     deformed_norm,
     weyl_error,
@@ -185,18 +186,13 @@ def exact_deformation(
     """The deformation bundle of g + df (x) df over the curvature stack
     ``base`` of g, from the first derivatives ``grad`` of f and its
     covariant Hessian ``hess``, which may both be analytic."""
-    g = base.g
-    fup = np.einsum("...ab,...b->...a", g.inverse, grad)
-    w = 1.0 + np.einsum("...a,...a->...", grad, fup)
-    return DeformationBundle(base=base, grad=grad, hess=hess, w=w)
+    return DeformationBundle(base=base, grad=grad, hess=hess, w=_raised(base.g, grad)[1])
 
 
 def deformed_inverse(g: MetricField, grad: np.ndarray) -> np.ndarray:
     """Closed-form inverse of g + df (x) df: the rank-one downdate
     g^{ab} - f^a f^b / (1 + |grad f|^2)."""
-    fup = np.einsum("...ab,...b->...a", g.inverse, grad)
-    w = 1.0 + np.einsum("...a,...a->...", grad, fup)
-    return _downdate(g.inverse, fup, w)
+    return _downdate(g.inverse, *_raised(g, grad))
 
 
 def whole_field_ingredients(bundle: DeformationBundle) -> dict:

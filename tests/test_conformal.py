@@ -40,8 +40,8 @@ def covariance_residual(g, u, phi, t):
     """
     p_n = ConformalParams(t, g.chart.n).p_n
     gu = conformal_metric(g, u)
-    lhs = modified_laplacian_apply(gu, t, phi, F=scalar_weyl(gu, t))
-    rhs = u ** (-p_n) * modified_laplacian_apply(g, t, phi * u, F=scalar_weyl(g, t))
+    lhs = modified_laplacian_apply(gu, phi, F=scalar_weyl(gu, t))
+    rhs = u ** (-p_n) * modified_laplacian_apply(g, phi * u, F=scalar_weyl(g, t))
     return float(np.max(np.abs(lhs - rhs)))
 
 
@@ -253,11 +253,11 @@ def test_modified_laplacian_constant_input():
     one = np.ones(c.shape)
 
     flat = flat_metric(c)
-    assert np.count_nonzero(modified_laplacian_apply(flat, 1.0, one, F=scalar_weyl(flat, 1.0))) == 0
+    assert np.count_nonzero(modified_laplacian_apply(flat, one, F=scalar_weyl(flat, 1.0))) == 0
 
     g = fourier_metric(c, amplitude=0.25, seed=3)
     f = scalar_weyl(g, 1.0)
-    out = modified_laplacian_apply(g, 1.0, one, F=f)
+    out = modified_laplacian_apply(g, one, F=f)
     # grad(1) == 0 exactly, so the operator reduces to multiplication by F
     assert np.array_equal(out, f)
 
@@ -269,7 +269,7 @@ def test_modified_laplacian_flat_eigenfunction():
         g = flat_metric(c)
         phi = np.sin(c.mesh()[0]) * np.ones(c.shape)
         a_n = ConformalParams(1.0, 3).a_n
-        out = modified_laplacian_apply(g, 1.0, phi, F=scalar_weyl(g, 1.0))
+        out = modified_laplacian_apply(g, phi, F=scalar_weyl(g, 1.0))
         assert np.max(np.abs(out - a_n * phi)) < tol * a_n
 
 
@@ -279,8 +279,8 @@ def test_modified_laplacian_self_adjoint():
     phi = fourier_scalar(c, amplitude=0.5, seed=12)
     chi = fourier_scalar(c, amplitude=0.5, seed=13)
     F = scalar_weyl(g, 1.0)
-    lphi = modified_laplacian_apply(g, 1.0, phi, F=F)
-    lchi = modified_laplacian_apply(g, 1.0, chi, F=F)
+    lphi = modified_laplacian_apply(g, phi, F=F)
+    lchi = modified_laplacian_apply(g, chi, F=F)
     a = integrate(c, chi * lphi, g.sqrt_det)
     b = integrate(c, phi * lchi, g.sqrt_det)
     scale = integrate(c, np.abs(chi * lphi), g.sqrt_det)
@@ -354,7 +354,7 @@ def test_scalar_weyl_covariance():
         u = fourier_scalar(c, amplitude=0.25, seed=11, mean=1.0)
         p_n = ConformalParams(1.0, 4).p_n
         lhs = scalar_weyl(conformal_metric(g, u), 1.0)
-        rhs = u ** (-p_n) * modified_laplacian_apply(g, 1.0, u, F=scalar_weyl(g, 1.0))
+        rhs = u ** (-p_n) * modified_laplacian_apply(g, u, F=scalar_weyl(g, 1.0))
         res[size] = np.max(np.abs(lhs - rhs))
     assert res[16] < 0.03
     assert res[8] / res[16] > 9.0

@@ -40,12 +40,6 @@ def test_direct_path_reaches_constant_F_at_scheme_order():
         assert res.trichotomy.verdict == "negative"
         results[size] = res
     assert results[16].succeeded, results[16].residual
-    # 12^4 misses the default final_tol of 5e-3, and the message says so
-    assert not results[12].succeeded
-    assert results[12].message == (
-        "negative class; solved without deformation; final curvature residual "
-        f"{results[12].residual:.3e} above final_tol 5.0e-03"
-    )
     assert results[16].message == (
         "negative class; solved without deformation; final curvature residual "
         f"{results[16].residual:.3e}"
@@ -71,15 +65,29 @@ def test_constant_F_metric_with_positive_t_is_pinched():
 
 def test_construct_solves_the_positive_t_class_directly():
     # the class of the pinching case is negative (lambda_1 = -0.0158), so the
-    # pipeline solves it directly; the eigenfunction start reaches a
-    # recomputed max |F + 1| of 0.315, where the barrier start stops at a
+    # pipeline solves it directly; the eigenfunction start reaches a finite
+    # recomputed max |F + 1| (0.315), where the barrier start stops at a
     # sign-indefinite rescaled coefficient
     chart = make_chart(4, (12,) * 4, (L,) * 4)
     res = construct_constant_F(fourier_metric(chart, amplitude=0.5, seed=3), 0.02)
     assert res.path == "direct", res.message
     assert res.solve is not None
     assert np.isfinite(res.residual)
-    assert res.message.endswith(f"residual {res.residual:.3e} above final_tol 5.0e-03")
+    assert f"final curvature residual {res.residual:.3e}" in res.message
+
+
+def test_direct_path_names_a_missed_final_tol(monkeypatch):
+    # a solve whose residual misses final_tol: the message names both
+    chart = make_chart(4, (12,) * 4, (L,) * 4)
+    g0 = fourier_metric(chart, amplitude=0.2, seed=3)
+    report = SimpleNamespace(u=np.ones(chart.sizes), curvature_residual=0.25)
+    monkeypatch.setattr(construct, "solve_constant_F", lambda *args, **kwargs: report)
+    res = construct_constant_F(g0, -4.0, final_tol=0.1)
+    assert res.path == "direct" and not res.succeeded
+    assert res.message == (
+        "negative class; solved without deformation; final curvature residual "
+        "2.500e-01 above final_tol 1.0e-01"
+    )
 
 
 def test_direct_path_forms_one_verdict_and_one_background(monkeypatch):

@@ -134,7 +134,7 @@ def operator_matrix(g, t, coefficient=None):
     A = np.empty((npts, npts))
     for j in range(npts):
         flat[j] = 1.0
-        A[:, j] = (modified_laplacian_apply(g, t, basis, F=F) + pen(basis)).reshape(-1)
+        A[:, j] = (modified_laplacian_apply(g, basis, F=F) + pen(basis)).reshape(-1)
         flat[j] = 0.0
     s = np.sqrt(g.sqrt_det.reshape(-1))
     sym = (s[:, None] * A) / s[None, :]
@@ -282,7 +282,7 @@ def test_negative_verdict_survives_coefficient_transport():
     assert tri.verdict == "negative"
     w = np.abs(1.0 + 0.25 * fourier_scalar(chart, amplitude=1.0, seed=23)) + 0.05
     p = ConformalParams(1.0, chart.n).p_n
-    transported = w ** (-p) * modified_laplacian_apply(g, 1.0, w, F=F)
+    transported = w ** (-p) * modified_laplacian_apply(g, w, F=F)
     tri2 = first_eigenvalue(conformal_metric(g, w), 1.0, coefficient=transported)
     assert tri2.verdict == "negative"
 
@@ -313,7 +313,7 @@ def yhat(g, t, u, scale_invariant=True):
     chart = g.chart
     u = np.asarray(u, dtype=float)
     num = integrate(
-        chart, u * modified_laplacian_apply(g, t, u, F=scalar_weyl(g, t)), g.sqrt_det
+        chart, u * modified_laplacian_apply(g, u, F=scalar_weyl(g, t)), g.sqrt_det
     )
     den = integrate(chart, np.abs(u) ** (2.0 * chart.n / (chart.n - 2.0)), g.sqrt_det)
     if den == 0.0:
@@ -380,7 +380,7 @@ def test_certificate_equals_operator_energy_to_roundoff():
     u = np.abs(1.0 + 0.3 * fourier_scalar(chart, amplitude=1.0, seed=11)) + 0.1
     e1 = conformal_energy(g, 1.0, u)
     F = scalar_weyl(g, 1.0)
-    e2 = integrate(chart, u * modified_laplacian_apply(g, 1.0, u, F=F), g.sqrt_det)
+    e2 = integrate(chart, u * modified_laplacian_apply(g, u, F=F), g.sqrt_det)
     assert abs(e1 - e2) < 1e-12 * max(1.0, abs(e1))
 
 
@@ -466,10 +466,11 @@ def test_solve_forms_one_operator_per_stage(monkeypatch):
 
 def test_solver_fixed_point_at_constant_negative_coefficient():
     chart = torus(4, 8)
-    report = solve_constant_F(
-        flat_metric(chart), 1.0, coefficient=np.full(chart.sizes, -1.0)
-    )
-    assert float(np.max(np.abs(report.u - 1.0))) < 1e-12
+    for init in ("barriers", "eigen"):
+        report = solve_constant_F(
+            flat_metric(chart), 1.0, coefficient=np.full(chart.sizes, -1.0), init=init
+        )
+        assert float(np.max(np.abs(report.u - 1.0))) < 1e-12, init
 
 
 def test_solver_initializations_agree():
@@ -486,11 +487,12 @@ def test_solver_initializations_agree():
 
 def test_solver_reports_solution_filtered_through_full_recompute():
     g, F, _ = manufactured(torus(4, 12))
-    report = solve_constant_F(g, 1.0, coefficient=F)
-    assert report.trichotomy is not None
-    assert report.trichotomy.verdict == "negative"
-    assert report.wall_time > 0.0
-    assert len(report.history) >= report.iterations
+    for init in ("barriers", "eigen"):
+        report = solve_constant_F(g, 1.0, coefficient=F, init=init)
+        assert report.trichotomy is not None
+        assert report.trichotomy.verdict == "negative"
+        assert report.wall_time > 0.0
+        assert len(report.history) >= report.iterations
 
 
 def test_solver_rejects_nonnegative_class():
@@ -532,5 +534,5 @@ def test_eigenfunction_rescale_makes_coefficient_negative():
         integrate(chart, tri.eigenfunction, g.sqrt_det)
         / integrate(chart, np.ones(chart.sizes), g.sqrt_det)
     )
-    F1 = u1 ** (-p) * modified_laplacian_apply(g, 1.0, u1, F=F)
+    F1 = u1 ** (-p) * modified_laplacian_apply(g, u1, F=F)
     assert float(np.max(F1)) < 0.0
