@@ -26,6 +26,11 @@ __all__ = [
 ]
 
 
+def laplacian_factor(n: int) -> float:
+    """a_n = 4 (n - 1) / (n - 2), the factor of -Lap in L."""
+    return 4.0 * (n - 1) / (n - 2)
+
+
 @dataclass(frozen=True)
 class ConformalParams:
     """Coupling t and the dimension-dependent constants of L."""
@@ -39,7 +44,7 @@ class ConformalParams:
 
     @property
     def a_n(self) -> float:
-        return 4.0 * (self.n - 1) / (self.n - 2)
+        return laplacian_factor(self.n)
 
     @property
     def p_n(self) -> float:
@@ -90,15 +95,12 @@ def conformal_metric(g: MetricField, u: np.ndarray) -> MetricField:
 def modified_laplacian_apply(
     g: MetricField | FluxForm, phi: np.ndarray, F: np.ndarray
 ) -> np.ndarray:
-    """Apply L phi = -a_n Lap_g phi + F phi.
+    """Apply L phi = -a_n Lap_g phi + F phi: the one apply of L, which the
+    eigensolve, the conjugate-gradient solves (F replaced by their shifted
+    coefficient), the Newton residual and the barrier history all call.
 
-    ``F`` is the curvature functional, formed once by the caller
-    (``scalar_weyl``, or a coefficient that overrides geometry) and reused
-    for every apply, many thousands of times in the solver, so the coupling
-    t enters only through it; a_n depends on the dimension alone.  ``g``
-    may be a ``FluxForm`` of the metric.
+    ``F`` is formed once by the caller and reused for every apply, so the
+    coupling t enters only through it.  ``g`` may be a ``FluxForm``.
     """
-    n = g.chart.n
-    a_n = 4.0 * (n - 1) / (n - 2)
     phi = np.asarray(phi, dtype=float)
-    return -a_n * flux_laplacian(g, phi) + F * phi
+    return -laplacian_factor(g.chart.n) * flux_laplacian(g, phi) + F * phi

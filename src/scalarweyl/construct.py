@@ -663,7 +663,7 @@ def construct_constant_F(
     it.  The solve takes ``solve_constant_F``'s default eigenfunction start.
     """
     F0 = scalar_weyl(g0, t)
-    tri = first_eigenvalue(g0, t, coefficient=F0)
+    tri = first_eigenvalue(g0, F0)
     search = config = None
     cert = float("nan")
     if tri.verdict == "negative":

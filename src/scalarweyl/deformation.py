@@ -24,20 +24,20 @@ group's blocks.  ``weyl_error`` always sums all fifteen blocks; the tests'
 whole-field oracle assembles any subset of the same table.
 
 The ingredients come in two parts.  The scalar ingredients (the raised
-gradient, the Laplacian and the Hessian and Ricci contractions against it)
-feed the scalar closed form, the energy and the block coefficients; only
-the error tensor needs the (n, n) Kulkarni-Nomizu factors S, Q, V and
-df (x) df.
+gradient and w, both from ``_raised``, the Laplacian and the Hessian and
+Ricci contractions against the raised gradient) feed the scalar closed
+form, the energy and the block coefficients; only the error tensor needs
+the (n, n) Kulkarni-Nomizu factors S, Q, V and df (x) df.
 
 Every closed form is pointwise, so it runs in the curvature stack's slabs
 of axis-0 planes, each split among the workers (``curvature._each_part``):
 the ingredients, the factors and the block products exist for one part at
 a time, and each part writes its planes of the whole-grid outputs (the
 error tensor, R', the integrands of the energy).  The undeformed inverse
-that every part reads was formed by ``deform``.  The energy's two norms
-share one deformed inverse and its pair lift per part, and each integral
-runs once over a whole-grid integrand, so every result is bit-identical to
-one pass over all planes, whatever the worker count.
+that every part reads was formed by ``deform``'s sweep.  The energy's two
+norms share one deformed inverse and its pair lift per part, and each
+integral runs once over a whole-grid integrand, so every result is
+bit-identical to one pass over all planes, whatever the worker count.
 """
 
 from __future__ import annotations
@@ -65,12 +65,12 @@ BLOCK_COUNT = 15
 @dataclass(frozen=True)
 class DeformationBundle:
     """Undeformed curvature stack plus the derivative data of the deforming
-    function; the deformed metric is built on first read and kept."""
+    function; the deformed metric is built on first read and kept.  The
+    raised gradient and w are formed per part, by ``_raised``."""
 
     base: CurvatureBundle
     grad: np.ndarray
     hess: np.ndarray
-    w: np.ndarray
 
     @property
     def chart(self) -> Chart:
@@ -111,13 +111,13 @@ def deform(
         base, hess = _bundle(g, grad)
     else:
         hess = hessian(g, grad)
-    return DeformationBundle(base=base, grad=grad, hess=hess, w=_raised(g, grad)[1])
+    return DeformationBundle(base=base, grad=grad, hess=hess)
 
 
-def _raised(g: MetricField, grad: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``(fup, w)``: the gradient ``grad`` of f raised by g, and
-    w = 1 + |grad f|^2."""
-    fup = np.einsum("...ab,...b->...a", g.inverse, grad)
+def _raised(inv: np.ndarray, grad: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``(fup, w)``: the gradient ``grad`` of f raised by the inverse metric
+    ``inv``, and w = 1 + |grad f|^2."""
+    fup = np.einsum("...ab,...b->...a", inv, grad)
     return fup, 1.0 + np.einsum("...a,...a->...", grad, fup)
 
 
@@ -130,12 +130,12 @@ def _downdate(inv: np.ndarray, fup: np.ndarray, w: np.ndarray) -> np.ndarray:
 
 def _scalar_ingredients(bundle: DeformationBundle, planes: slice) -> dict:
     """Pointwise scalars of the closed forms on the axis-0 ``planes``, plus
-    the raised gradient ``fup``, ``u = h(., fup)`` and the planes of ``w``
-    and of the undeformed scalar curvature."""
+    the raised gradient ``fup`` and ``w`` from ``_raised``, ``u = h(., fup)``
+    and the planes of the undeformed scalar curvature."""
     base = bundle.base
     inv = base.g.inverse[planes]
     h = bundle.hess[planes]
-    fup = np.einsum("...ab,...b->...a", inv, bundle.grad[planes])
+    fup, w = _raised(inv, bundle.grad[planes])
     lap = np.einsum("...ab,...ab->...", inv, h)
     hup = np.matmul(h, inv)  # mixed h_a{}^c
     h2 = np.einsum("...ab,...ab->...", hup, np.matmul(inv, h))
@@ -151,7 +151,7 @@ def _scalar_ingredients(bundle: DeformationBundle, planes: slice) -> dict:
         "rvv": np.einsum("...ab,...a,...b->...", base.ric[planes], fup, fup),
         "c7": lap**2 - h2,
         "c10": lap * beta - u2,
-        "w": bundle.w[planes],
+        "w": w,
         "scal": base.scal[planes],
     }
 
@@ -271,7 +271,7 @@ def deformed_norm(mat: np.ndarray, g: MetricField, grad: np.ndarray) -> np.ndarr
     """Pointwise norm of curvature-type pair matrices under
     g + df (x) df, given the first derivatives ``grad`` of f, contracted
     with the closed-form inverse of ``_downdate``."""
-    return riemann_norm(mat, _downdate(g.inverse, *_raised(g, grad)))
+    return riemann_norm(mat, _downdate(g.inverse, *_raised(g.inverse, grad)))
 
 
 def _energy_terms(bundle: DeformationBundle, planes: slice):

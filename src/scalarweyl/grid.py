@@ -170,12 +170,6 @@ def _interior_shifts(ext: np.ndarray, axis: int):
     return shifted
 
 
-def _ghost_shifts(arr: np.ndarray, axis: int):
-    """Periodic shifts by -2..2 along ``axis``, as slices of one copy padded
-    with two ghost cells at each end: ``shifted(s)[i] == arr[i + s]``."""
-    return _interior_shifts(_with_ghosts(arr, axis, 0, arr.shape[axis]), axis)
-
-
 def _stencil_fd4(ext: np.ndarray, axis: int, spacing: float) -> np.ndarray:
     """5-point centered stencil on ``ext``, which carries two ghost planes at
     each end along ``axis``; the result covers its interior."""

@@ -24,8 +24,9 @@ solves use conjugate gradient on the density-symmetrized operator,
 preconditioned by the constant-coefficient symbol inverted in Fourier space.
 Each stage forms the operator's coefficient once, as a ``grid.FluxForm`` of
 its metric (the trichotomy and Newton on g, the barrier stage on the
-rescaled metric), and every apply goes through ``grid.flux_laplacian`` on
-that form.
+rescaled metric), and every apply goes through
+``conformal.modified_laplacian_apply`` on that form.  L depends on the
+coupling t only through F, so the eigensolve takes F alone.
 
 The trichotomy eigensolve is a single-vector LOBPCG (locally optimal block
 preconditioned conjugate gradient; Knyazev, SIAM J. Sci. Comput. 23(2),
@@ -45,8 +46,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .conformal import ConformalParams, conformal_metric, modified_laplacian_apply, scalar_weyl
-from .grid import FieldError, FluxForm, MetricField, _ghost_shifts, flux_laplacian, integrate
+from .conformal import (
+    ConformalParams,
+    conformal_metric,
+    laplacian_factor,
+    modified_laplacian_apply,
+    scalar_weyl,
+)
+from .grid import FluxForm, MetricField, _interior_shifts, _with_ghosts, integrate
 
 
 @dataclass(frozen=True)
@@ -92,7 +99,8 @@ def _penalty_apply(dens, eta):
     def pen(phi):
         acc = (6.0 * phi.ndim) * phi
         for a in range(phi.ndim):
-            shifted = _ghost_shifts(phi, a)
+            # periodic shifts: shifted(s)[i] == phi[i + s] along axis a
+            shifted = _interior_shifts(_with_ghosts(phi, a, 0, phi.shape[a]), a)
             acc += shifted(-2)
             acc += shifted(2)
             acc -= 4.0 * (shifted(-1) + shifted(1))
@@ -114,8 +122,9 @@ def _penalty_strength(a_n, F):
 # with the Fourier preconditioner (a fixed SPD circulant).
 
 
-def _preconditioner(form, a_n, q, pen_mean=0.0):
-    """Fourier inverse of the mean-coefficient symbol of -a_n Lap + q [+ penalty]."""
+def _preconditioner(form, q, pen_mean):
+    """Fourier inverse of the mean-coefficient symbol of -a_n Lap + q
+    + pen_mean times the penalty's symbol."""
     chart = form.chart
     trace = sum(form.component(a, a) for a in range(chart.n)) / form.sqrt_det
     c_lap = float(np.mean(trace)) / chart.n
@@ -133,9 +142,8 @@ def _preconditioner(form, a_n, q, pen_mean=0.0):
         shape[a] = size
         sym = sym + (d**2).reshape(shape)
         pen_sym = pen_sym + ((2.0 * np.cos(k * h) - 2.0) ** 2).reshape(shape)
-    denom = (
-        a_n * max(c_lap, 1e-12) * sym + pen_mean * pen_sym + max(q_mean, 1e-12)
-    )
+    a_lap = laplacian_factor(chart.n) * max(c_lap, 1e-12)
+    denom = a_lap * sym + pen_mean * pen_sym + max(q_mean, 1e-12)
     # the symbol is even in k, so the real transform's half spectrum of the
     # last axis carries all of it
     denom = denom[..., : chart.sizes[-1] // 2 + 1]
@@ -187,14 +195,13 @@ def _pcg(apply_sym, b, precond, tol):
     )
 
 
-def _shifted_solver(form, a_n, q):
+def _shifted_solver(form, q):
     """Solve (-a_n Lap + q) x = b to a per-call relative tolerance."""
     sd = np.sqrt(form.sqrt_det)
-    precond = _preconditioner(form, a_n, q)
+    precond = _preconditioner(form, q, 0.0)
 
     def apply_sym(y):
-        phi = y / sd
-        return sd * (-a_n * flux_laplacian(form, phi) + q * phi)
+        return sd * modified_laplacian_apply(form, y / sd, q)
 
     def solve(b, tol):
         y, _ = _pcg(apply_sym, sd * b, precond, tol)
@@ -256,15 +263,13 @@ def _ritz_step(y, Ay, w, Aw, p, Ap):
     return y / nrm, Ay / nrm, step, Astep
 
 
-def first_eigenvalue(
-    g: MetricField,
-    t: float,
-    coefficient: np.ndarray | None = None,
-) -> TrichotomyResult:
+def first_eigenvalue(g: MetricField, F: np.ndarray) -> TrichotomyResult:
     """Smallest eigenvalue of -a_n Lap + F by single-vector LOBPCG.
 
-    ``coefficient`` overrides the zeroth-order term (the geometric F when
-    omitted); tests use it to dial in spectra with a known answer.
+    ``F`` is the zeroth-order term: the curvature functional R + t |W| of
+    ``g`` from ``scalar_weyl``, or any coefficient that overrides geometry.
+    The coupling t enters only through it, so one curvature pass serves
+    every t: ``first_eigenvalue(g, R + t * |W|)``.
 
     The locally optimal block preconditioned conjugate gradient method
     (Knyazev, SIAM J. Sci. Comput. 23(2), 2001) runs with one vector on the
@@ -286,8 +291,6 @@ def first_eigenvalue(
     comment; its coefficient is formed once, as a ``FluxForm`` of g.
     """
     chart = g.chart
-    params = ConformalParams(t, chart.n)
-    F = coefficient if coefficient is not None else scalar_weyl(g, t)
     F = np.asarray(F, dtype=float)
     form = FluxForm.of(g)
     dens = form.sqrt_det
@@ -297,11 +300,9 @@ def first_eigenvalue(
     # positive semidefinite), so the preconditioner of the operator shifted
     # by sigma inverts a positive definite symbol with a unit margin
     sigma = float(np.min(F)) - 1.0
-    eta = _penalty_strength(params.a_n, F)
+    eta = _penalty_strength(laplacian_factor(chart.n), F)
     pen = _penalty_apply(dens, eta)
-    precond = _preconditioner(
-        form, params.a_n, F - sigma, pen_mean=eta * float(np.mean(1.0 / dens))
-    )
+    precond = _preconditioner(form, F - sigma, eta * float(np.mean(1.0 / dens)))
 
     applies = 0
 
@@ -359,8 +360,8 @@ _HANDOFF = 1e-3
 _FORCING = 1e-2
 
 
-def _newton_polish(form, a_n, F, p, u, tol_abs, history):
-    res_of = lambda v: -a_n * flux_laplacian(form, v) + F * v + v**p
+def _newton_polish(form, F, p, u, tol_abs, history):
+    res_of = lambda v: modified_laplacian_apply(form, v, F) + v**p
     r = res_of(u)
     res = float(np.max(np.abs(r)))
     for it in range(1, _NEWTON_MAXITER + 1):
@@ -368,7 +369,7 @@ def _newton_polish(form, a_n, F, p, u, tol_abs, history):
         if res <= tol_abs:
             return u, res, it - 1
         q = F + p * u ** (p - 1.0)
-        delta = _shifted_solver(form, a_n, q)(-r, _NEWTON_CG_TOL)
+        delta = _shifted_solver(form, q)(-r, _NEWTON_CG_TOL)
         step = 1.0
         while step > 1e-4:
             cand = u + step * delta
@@ -424,12 +425,10 @@ def solve_constant_F(
         raise ValueError("pass either coefficient or trichotomy, not both")
     started = time.perf_counter()
     chart = g.chart
-    params = ConformalParams(t, chart.n)
-    a_n, p = params.a_n, params.p_n
+    p = ConformalParams(t, chart.n).p_n
     tri = trichotomy
     if tri is None:
-        F = scalar_weyl(g, t) if coefficient is None else coefficient
-        tri = first_eigenvalue(g, t, coefficient=F)
+        tri = first_eigenvalue(g, scalar_weyl(g, t) if coefficient is None else coefficient)
     if tri.verdict != "negative":
         raise ValueError(
             "constant F == -1 requires a negative first eigenvalue; the "
@@ -463,7 +462,7 @@ def solve_constant_F(
         hi = float(np.max(neg)) ** (1.0 / (p - 1.0))
         shift = p * float(np.max(neg))
         # q = F1 + shift is fixed for the stage: one solver serves every step
-        solve1 = _shifted_solver(form1, a_n, F1 + shift)
+        solve1 = _shifted_solver(form1, F1 + shift)
         u = np.full(chart.sizes, hi)
         delta = hi
         for _ in range(60):
@@ -473,7 +472,7 @@ def solve_constant_F(
             u = new
             iterations += 1
             history.append(
-                float(np.max(np.abs(-a_n * flux_laplacian(form1, u) + F1 * u + u**p)))
+                float(np.max(np.abs(modified_laplacian_apply(form1, u, F1) + u**p)))
             )
             if delta <= _HANDOFF * hi:
                 break
@@ -485,9 +484,7 @@ def solve_constant_F(
         u_tot = max(e2 / ep, 1e-8) ** (1.0 / (p - 1.0)) * u1
 
     tol_abs = _SOLVE_TOL * max(1.0, float(np.max(np.abs(F))))
-    u_tot, res, newton_iters = _newton_polish(
-        form, a_n, F, p, u_tot, tol_abs, history
-    )
+    u_tot, res, newton_iters = _newton_polish(form, F, p, u_tot, tol_abs, history)
     iterations += newton_iters
 
     if coefficient is None:

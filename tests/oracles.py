@@ -186,20 +186,20 @@ def exact_deformation(
     """The deformation bundle of g + df (x) df over the curvature stack
     ``base`` of g, from the first derivatives ``grad`` of f and its
     covariant Hessian ``hess``, which may both be analytic."""
-    return DeformationBundle(base=base, grad=grad, hess=hess, w=_raised(base.g, grad)[1])
+    return DeformationBundle(base=base, grad=grad, hess=hess)
 
 
 def deformed_inverse(g: MetricField, grad: np.ndarray) -> np.ndarray:
     """Closed-form inverse of g + df (x) df: the rank-one downdate
     g^{ab} - f^a f^b / (1 + |grad f|^2)."""
-    return _downdate(g.inverse, *_raised(g, grad))
+    return _downdate(g.inverse, *_raised(g.inverse, grad))
 
 
 def whole_field_ingredients(bundle: DeformationBundle) -> dict:
     """Scalar ingredients of the deformation closed forms on every point."""
     inv = bundle.base.g.inverse
     h = bundle.hess
-    fup = np.einsum("...ab,...b->...a", inv, bundle.grad)
+    fup, w = _raised(inv, bundle.grad)
     lap = np.einsum("...ab,...ab->...", inv, h)
     hup = np.matmul(h, inv)
     h2 = np.einsum("...ab,...ab->...", hup, np.matmul(inv, h))
@@ -215,7 +215,7 @@ def whole_field_ingredients(bundle: DeformationBundle) -> dict:
         "rvv": np.einsum("...ab,...a,...b->...", bundle.base.ric, fup, fup),
         "c7": lap**2 - h2,
         "c10": lap * beta - u2,
-        "w": bundle.w,
+        "w": w,
         "scal": bundle.base.scal,
     }
 

@@ -142,7 +142,7 @@ def test_radial_deformation_keeps_the_flat_torus_eigenvalue_at_zero():
         sheared = rescaled + dpsi[..., :, None] * dpsi[..., None, :]
         for kind, dense in (("rescale", rescaled), ("shear", sheared)):
             g = metric_from_dense(chart, dense)
-            lams[kind].append(yamabe.first_eigenvalue(g, 0.0).lam)
+            lams[kind].append(yamabe.first_eigenvalue(g, scalar_weyl(g, 0.0)).lam)
     for kind, (coarse, fine) in lams.items():
         assert fine > 0.0, (kind, fine)
         assert np.log(coarse / fine) / np.log(32 / 24) >= 3.0, (kind, coarse, fine)

@@ -37,6 +37,7 @@ from scalarweyl.construct import RadialFields, make_bump, radial_fields
 from scalarweyl.curvature import christoffel, curvature_bundle, curvature_scalars, hessian
 from scalarweyl.deformation import (
     BLOCK_COUNT,
+    _raised,
     _scalar_ingredients,
     deform,
     deformation_energy,
@@ -122,7 +123,7 @@ def reference_error_lines(bundle):
     ginv = bundle.base.g.inverse
     grad = bundle.grad
     h = bundle.hess
-    w = bundle.w
+    w = _raised(ginv, grad)[1]
     riem = dense_from_pair(bundle.base.riem.pair, n)
     ric = bundle.base.ric
     scal = bundle.base.scal
@@ -200,7 +201,7 @@ def scalar_divergence_identity(bundle):
     chart = bundle.chart
     g = bundle.base.g
     ing = deformation._scalar_ingredients(bundle, slice(None))
-    w = bundle.w
+    w = ing["w"]
     v = (ing["lap"][..., None] * bundle.grad - ing["u"]) / w[..., None]
 
     closed = deformation._scalar_closed_form(ing)
@@ -238,7 +239,7 @@ def test_deform_constant_function_is_identity():
     g = fourier_metric(c, amplitude=0.2, seed=1)
     b = deform(g, np.full(c.shape, 2.5))
     assert np.array_equal(b.g_prime.packed, g.packed)
-    assert np.array_equal(b.w, np.ones(c.shape))
+    assert np.array_equal(_raised(g.inverse, b.grad)[1], np.ones(c.shape))
     assert np.count_nonzero(weyl_error(b).pair) == 0
     assert np.array_equal(deformed_scalar_closed_form(b), b.base.scal)
 
@@ -282,9 +283,8 @@ def test_determinant_and_inverse_closed_forms(seed, amp, famp):
     g = fourier_metric(c, amplitude=amp, seed=seed)
     f = fourier_scalar(c, amplitude=famp, seed=seed + 1)
     b = deform(g, f)
-    det_res = np.max(
-        np.abs(np.linalg.det(b.g_prime.dense) - b.w * np.linalg.det(g.dense))
-    )
+    w = _raised(g.inverse, b.grad)[1]
+    det_res = np.max(np.abs(np.linalg.det(b.g_prime.dense) - w * np.linalg.det(g.dense)))
     inv_res = np.max(np.abs(deformed_inverse(g, b.grad) - b.g_prime.inverse))
     assert det_res < 1e-10
     assert inv_res < 1e-10

@@ -1,7 +1,9 @@
 """Names that the benchmark's tracer and the modules' __all__ lists promise
-must exist, the calls the benchmark's workloads make, and construction work
-that the benchmark's set-up relies on staying lazy."""
+must exist, imports that no module leaves unread, the calls the benchmark's
+workloads make, and construction work that the benchmark's set-up relies on
+staying lazy."""
 
+import ast
 import contextlib
 import importlib
 import importlib.util
@@ -10,6 +12,7 @@ import sys
 from pathlib import Path
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+PACKAGE = Path(__file__).resolve().parent.parent / "src" / "scalarweyl"
 
 
 def _load_perfbench(name: str):
@@ -58,6 +61,30 @@ def test_every_exported_name_exists():
             if not hasattr(module, name)
         ]
     assert not stale, stale
+
+
+def test_no_module_imports_a_name_it_never_reads():
+    # an import left behind after its last reader moved fails here; the
+    # package's __init__ imports only to re-export
+    unused = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text())
+        imported = {}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                for alias in node.names:
+                    imported[(alias.asname or alias.name).split(".")[0]] = node.lineno
+        read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        unused += [
+            f"{path.stem}.{name} (line {line})"
+            for name, line in imported.items()
+            if name not in read
+        ]
+    assert not unused, unused
 
 
 def test_metric_construction_forms_no_dense_inverse_or_det():

@@ -8,6 +8,7 @@ above 3.5.
 """
 
 import re
+import sys
 
 import numpy as np
 import pytest
@@ -15,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import conformal_energy
-from scalarweyl import yamabe
+from scalarweyl import conformal, grid, yamabe
 from scalarweyl.conformal import (
     ConformalParams,
     conformal_metric,
@@ -105,7 +106,7 @@ def test_real_fft_preconditioner_matches_complex_form(sizes, scheme):
     c_lap = float(np.mean(np.trace(g.inverse, axis1=-2, axis2=-1))) / chart.n
     q_mean = float(np.mean(q * g.sqrt_det))
     ref = _complex_preconditioner(chart, a_n, c_lap, q_mean, 0.2)(r)
-    got = _preconditioner(FluxForm.of(g), a_n, q, pen_mean=0.2)(r)
+    got = _preconditioner(FluxForm.of(g), q, 0.2)(r)
     assert got.shape == ref.shape
     assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
 
@@ -143,7 +144,8 @@ def operator_matrix(g, t, coefficient=None):
 
 
 def test_flat_torus_is_zero_class():
-    tri = first_eigenvalue(flat_metric(torus(4, 8)), 1.0)
+    g = flat_metric(torus(4, 8))
+    tri = first_eigenvalue(g, scalar_weyl(g, 1.0))
     assert tri.verdict == "zero"
     assert abs(tri.lam) < 1e-12
     assert tri.iterations == 1
@@ -151,9 +153,7 @@ def test_flat_torus_is_zero_class():
 
 def test_constant_coefficient_shifts_the_spectrum_exactly():
     chart = torus(4, 8)
-    tri = first_eigenvalue(
-        flat_metric(chart), 1.0, coefficient=np.full(chart.sizes, -2.5)
-    )
+    tri = first_eigenvalue(flat_metric(chart), np.full(chart.sizes, -2.5))
     assert tri.verdict == "negative"
     assert abs(tri.lam + 2.5) < 1e-12
 
@@ -161,7 +161,7 @@ def test_constant_coefficient_shifts_the_spectrum_exactly():
 def test_eigenfunction_is_positive_and_normalized():
     chart = torus(4, 8)
     g = fourier_metric(chart, amplitude=0.08, seed=9)
-    tri = first_eigenvalue(g, 1.0)
+    tri = first_eigenvalue(g, scalar_weyl(g, 1.0))
     assert float(np.min(tri.eigenfunction)) > 0.0
     norm = integrate(chart, tri.eigenfunction**2, g.sqrt_det)
     assert abs(norm - 1.0) < 1e-12
@@ -169,7 +169,7 @@ def test_eigenfunction_is_positive_and_normalized():
 
 def test_eigenvalue_matches_dense_oracle():
     g = fourier_metric(torus(3, 8), amplitude=0.1, seed=4)
-    tri = first_eigenvalue(g, 1.0)
+    tri = first_eigenvalue(g, scalar_weyl(g, 1.0))
     evals = np.linalg.eigvalsh(operator_matrix(g, 1.0))
     assert abs(tri.lam - evals[0]) < 1e-10
     # the regularized spectrum has an O(1) gap over the ground state
@@ -182,7 +182,7 @@ def test_eigenfunction_matches_dense_oracle_on_noncubic_chart():
     x1, x2 = waves(chart)
     F = -1.0 + 1.5 * np.sin(x1) * np.cos(x2)
     assert float(np.max(F)) > 0.0 > float(np.min(F))
-    tri = first_eigenvalue(g, 1.0, coefficient=F)
+    tri = first_eigenvalue(g, F)
     evals, evecs = np.linalg.eigh(operator_matrix(g, 1.0, coefficient=F))
     assert abs(tri.lam - evals[0]) < 1e-10
     # the dense ground vector is density-symmetrized: undo the sqrt(sqrt(g))
@@ -199,7 +199,7 @@ def test_eigensolver_failure_names_its_cause(monkeypatch):
     with pytest.raises(
         RuntimeError, match=r"eigensolver did not converge after 2 iterations: "
     ) as err:
-        first_eigenvalue(g, 1.0)
+        first_eigenvalue(g, scalar_weyl(g, 1.0))
     # and why: the applies (the starting one and one per iteration), the
     # last residual against the tolerance, and the spread over the grid of
     # the flux coefficient's trace, which the mean-coefficient
@@ -230,9 +230,8 @@ def test_eigensolver_operator_applies(monkeypatch):
         calls.append(1)
         return flux_laplacian(*args)
 
-    monkeypatch.setattr("scalarweyl.yamabe.flux_laplacian", counted)
     monkeypatch.setattr("scalarweyl.conformal.flux_laplacian", counted)
-    tri = first_eigenvalue(g, 1.0, coefficient=F)
+    tri = first_eigenvalue(g, F)
     assert tri.verdict == "negative"
     # every iteration applies the operator through flux_laplacian
     assert tri.iterations <= len(calls) <= 30
@@ -256,7 +255,7 @@ def test_eigenvalue_converges_at_scheme_order():
     lams = {}
     for N in (8, 16, 32):
         g = fourier_metric(torus(3, N), amplitude=0.1, seed=4)
-        lams[N] = first_eigenvalue(g, 1.0).lam
+        lams[N] = first_eigenvalue(g, scalar_weyl(g, 1.0)).lam
     d1 = abs(lams[8] - lams[16])
     d2 = abs(lams[16] - lams[32])
     assert np.log2(d1 / d2) > 3.5
@@ -265,10 +264,11 @@ def test_eigenvalue_converges_at_scheme_order():
 def test_verdict_is_invariant_under_conformal_rescale():
     chart = torus(4, 10)
     g = fourier_metric(chart, amplitude=0.1, seed=7)
-    tri = first_eigenvalue(g, 1.0)
+    tri = first_eigenvalue(g, scalar_weyl(g, 1.0))
     assert tri.verdict == "positive"
     w = np.abs(1.0 + 0.25 * fourier_scalar(chart, amplitude=1.0, seed=23)) + 0.05
-    assert first_eigenvalue(conformal_metric(g, w), 1.0).verdict == "positive"
+    gw = conformal_metric(g, w)
+    assert first_eigenvalue(gw, scalar_weyl(gw, 1.0)).verdict == "positive"
 
 
 def test_negative_verdict_survives_coefficient_transport():
@@ -278,12 +278,12 @@ def test_negative_verdict_survives_coefficient_transport():
     g = fourier_metric(chart, amplitude=0.1, seed=7)
     x1, x2 = waves(chart)
     F = -2.5 + 0.3 * np.sin(x1)
-    tri = first_eigenvalue(g, 1.0, coefficient=F)
+    tri = first_eigenvalue(g, F)
     assert tri.verdict == "negative"
     w = np.abs(1.0 + 0.25 * fourier_scalar(chart, amplitude=1.0, seed=23)) + 0.05
     p = ConformalParams(1.0, chart.n).p_n
     transported = w ** (-p) * modified_laplacian_apply(g, w, F=F)
-    tri2 = first_eigenvalue(conformal_metric(g, w), 1.0, coefficient=transported)
+    tri2 = first_eigenvalue(conformal_metric(g, w), transported)
     assert tri2.verdict == "negative"
 
 
@@ -292,7 +292,7 @@ def test_negative_class_certificate_at_the_eigenfunction():
     g = fourier_metric(chart, amplitude=0.1, seed=7)
     x1, _ = waves(chart)
     F = -2.5 + 0.3 * np.sin(x1)
-    tri = first_eigenvalue(g, 1.0, coefficient=F)
+    tri = first_eigenvalue(g, F)
     cert = conformal_energy(g, 1.0, tri.eigenfunction, coefficient=F)
     assert cert < 0.0
     assert abs(cert - tri.lam) < 1e-2 * abs(tri.lam)
@@ -414,6 +414,47 @@ def test_solver_recovers_manufactured_solution(init):
     assert report.curvature_residual < 1e-9
 
 
+def test_every_apply_of_L_runs_through_modified_laplacian_apply(monkeypatch):
+    # the eigensolve, the conjugate-gradient applies, the Newton residual
+    # and the barrier stage's history all apply L through the one route:
+    # every scalarweyl module that holds flux_laplacian or
+    # modified_laplacian_apply gets a wrapper, and no flux_laplacian call
+    # may run outside modified_laplacian_apply
+    g, F, _ = manufactured(torus(4, 12))
+    apply_L, flux = conformal.modified_laplacian_apply, grid.flux_laplacian
+    depth = [0]
+    calls = {"inside": 0, "outside": 0}
+
+    def wrapped_apply(*args, **kwargs):
+        depth[0] += 1
+        try:
+            return apply_L(*args, **kwargs)
+        finally:
+            depth[0] -= 1
+
+    def wrapped_flux(*args, **kwargs):
+        calls["inside" if depth[0] else "outside"] += 1
+        return flux(*args, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        if name == "scalarweyl" or name.startswith("scalarweyl."):
+            for attr, value in list(vars(module).items()):
+                if value is apply_L:
+                    monkeypatch.setattr(module, attr, wrapped_apply)
+                elif value is flux:
+                    monkeypatch.setattr(module, attr, wrapped_flux)
+    runs = {
+        "first_eigenvalue": lambda: first_eigenvalue(g, F),
+        "eigen": lambda: solve_constant_F(g, 1.0, coefficient=F, init="eigen"),
+        "barriers": lambda: solve_constant_F(g, 1.0, coefficient=F, init="barriers"),
+    }
+    for label, run in runs.items():
+        calls.update(inside=0, outside=0)
+        run()
+        assert calls["inside"] > 0, label
+        assert calls["outside"] == 0, (label, calls)
+
+
 def test_barrier_solve_cg_work(monkeypatch):
     # the barrier stage is an initializer for Newton: its inner solves are
     # loose while the steps are large, and it hands over early
@@ -515,7 +556,7 @@ def test_solver_rejects_unknown_initialization():
 def test_solver_takes_coefficient_or_trichotomy_not_both():
     chart = torus(4, 8)
     g, F = flat_metric(chart), np.full(chart.sizes, -1.0)
-    tri = first_eigenvalue(g, 1.0, coefficient=F)
+    tri = first_eigenvalue(g, F)
     assert tri.coefficient is F
     with pytest.raises(ValueError, match="not both"):
         solve_constant_F(g, 1.0, coefficient=F, trichotomy=tri)
@@ -528,7 +569,7 @@ def test_eigenfunction_rescale_makes_coefficient_negative():
     g = fourier_metric(chart, amplitude=0.08, seed=9)
     x1, x2 = waves(chart)
     F = -2.0 + 0.4 * np.sin(x1) * np.cos(x2)
-    tri = first_eigenvalue(g, 1.0, coefficient=F)
+    tri = first_eigenvalue(g, F)
     p = ConformalParams(1.0, chart.n).p_n
     u1 = tri.eigenfunction / (
         integrate(chart, tri.eigenfunction, g.sqrt_det)
