@@ -17,10 +17,13 @@ arrays.  The dimension n is the last axis of the (n, n) operand; only
 All operations broadcast over arbitrary leading (grid) axes, so the same
 code serves single points and whole fields.  Fields are point-major (the
 components of one point are adjacent), so a single component of a field is
-strided.  The per-entry kernels ``kulkarni_nomizu`` and ``trace_13`` therefore
-walk the points in blocks small enough that a block of each input, the
-entry scratch and the output block stay in cache: the strided component
-reads then hit cache, and each cache line of the fields crosses memory once.
+strided.  The per-entry kernels ``kulkarni_nomizu`` and ``trace_13`` work
+component-major instead: each block of up to ``_BLOCK`` points is copied
+once into (n, n, B) scratch per (n, n) operand and (m, m, B) per pair-matrix
+operand, every entry's multiply/add sequence runs on contiguous rows of B
+points, and one transposing copy per block writes the (m, m, B) or
+(n, n, B) result into the point-major output.  The arithmetic per entry is
+that of the point-major loop, so the results are the same to the bit.
 """
 
 from __future__ import annotations
@@ -85,11 +88,15 @@ class Riem4Field:
 # ---------------------------------------------------------------------------
 
 
-# Points per block of the per-entry kernels.  For n = 4 a block of both
-# factors and of the product takes about 1.1 MB, inside a 2 MB L2 cache.  On
-# a Xeon with that L2, a 20^4 product ran fastest with 2048 points per block;
-# 512 and 8192 were 1.7x and 2.3x slower.
-_BLOCK = 2048
+# Points per block of the per-entry kernels.  For n = 4 a block of 8192
+# points takes 2 x 1 MB of factor scratch and 2.4 MB of product scratch.  On
+# a 2-CPU Xeon (2 MB L2 per core, numpy 2.4.6) a 20^4 product took 82, 63,
+# 62, 54 and 75 ms with blocks of 1024, 2048, 4096, 8192 and 16384 points
+# (the 1-3 trace of its result 75, 59, 52, 46 and 53 ms), medians of 5
+# alternating runs.  In the benchmark's curvature_4d pass 8192 beat 4096 in 4
+# of 4 alternating pairs and tied with 16384: the stack calls these kernels
+# on slab parts of about 8000 points.
+_BLOCK = 8192
 
 
 def _point_rows(x: np.ndarray, lead: tuple[int, ...]) -> np.ndarray:
@@ -98,16 +105,19 @@ def _point_rows(x: np.ndarray, lead: tuple[int, ...]) -> np.ndarray:
     return np.broadcast_to(x, lead + x.shape[-2:]).reshape((-1,) + x.shape[-2:])
 
 
-def _components(block: np.ndarray) -> list[list[np.ndarray]]:
-    """Views ``c[i][k] = block[:, i, k]``, made once per block rather than
-    once per use."""
-    return [[block[:, i, k] for k in range(block.shape[2])] for i in range(block.shape[1])]
+def _gather(scratch: np.ndarray, block: np.ndarray) -> np.ndarray:
+    """Copy the point-major ``block`` (B, r, c) into the component-major
+    ``scratch`` (r, c, >= B); returns the filled (r, c, B) view, whose
+    component rows ``[i, k]`` are contiguous."""
+    view = scratch[:, :, : len(block)]
+    np.copyto(view, block.transpose(1, 2, 0))
+    return view
 
 
 def kulkarni_nomizu(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Kulkarni-Nomizu product of two symmetric (..., n, n) 2-tensors.
 
-    ``(a ? b)_{ijkt} = a_ik b_jt + a_jt b_ik - a_it b_jk - a_jk b_it``,
+    ``(a ⊙ b)_{ijkt} = a_ik b_jt + a_jt b_ik - a_it b_jk - a_jk b_it``,
     returned as the (..., m, m) pair matrix; leading axes broadcast.
     """
     A = np.asarray(a, dtype=float)
@@ -120,22 +130,24 @@ def kulkarni_nomizu(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     B = _point_rows(B, lead)
     out = np.empty(lead + (m, m))
     rows = out.reshape(-1, m, m)
-    val = np.empty(min(_BLOCK, len(rows)))
-    tmp = np.empty_like(val)
+    size = min(_BLOCK, len(rows))
+    sa, sb, so = np.empty((n, n, size)), np.empty((n, n, size)), np.empty((m, m, size))
+    tmp = np.empty(size)
     for s in range(0, len(rows), _BLOCK):
-        ac, bc = _components(A[s : s + _BLOCK]), _components(B[s : s + _BLOCK])
-        ob = rows[s : s + _BLOCK]
-        v, w = val[: len(ob)], tmp[: len(ob)]
+        ac = _gather(sa, A[s : s + _BLOCK])
+        bc = _gather(sb, B[s : s + _BLOCK])
+        ob, w = so[:, :, : ac.shape[2]], tmp[: ac.shape[2]]
         for p, (i, j) in enumerate(pairs):
             for q in range(p, m):
                 k, t = pairs[q]
-                np.multiply(ac[i][k], bc[j][t], out=v)
-                v += np.multiply(ac[j][t], bc[i][k], out=w)
-                v -= np.multiply(ac[i][t], bc[j][k], out=w)
-                v -= np.multiply(ac[j][k], bc[i][t], out=w)
-                ob[:, p, q] = v
+                v = ob[p, q]
+                np.multiply(ac[i, k], bc[j, t], out=v)
+                v += np.multiply(ac[j, t], bc[i, k], out=w)
+                v -= np.multiply(ac[i, t], bc[j, k], out=w)
+                v -= np.multiply(ac[j, k], bc[i, t], out=w)
                 if q != p:
-                    ob[:, q, p] = v
+                    ob[q, p] = v
+        np.copyto(rows[s : s + _BLOCK], ob.transpose(2, 0, 1))
     return out
 
 
@@ -212,23 +224,25 @@ def trace_13(mat: np.ndarray, inv: np.ndarray) -> np.ndarray:
     G = _point_rows(inv, lead)
     out = np.empty(lead + (n, n))
     rows = out.reshape(-1, n, n)
-    acc = np.empty(min(_BLOCK, len(rows)))
-    tmp = np.empty_like(acc)
+    size = min(_BLOCK, len(rows))
+    sm, sg, so = np.empty((m, m, size)), np.empty((n, n, size)), np.empty((n, n, size))
+    tmp = np.empty(size)
     for s in range(0, len(rows), _BLOCK):
-        mc, gc = _components(M[s : s + _BLOCK]), _components(G[s : s + _BLOCK])
-        ob = rows[s : s + _BLOCK]
-        a, w = acc[: len(ob)], tmp[: len(ob)]
+        mc = _gather(sm, M[s : s + _BLOCK])
+        gc = _gather(sg, G[s : s + _BLOCK])
+        ob, w = so[:, :, : mc.shape[2]], tmp[: mc.shape[2]]
         for (j, t), terms in _trace_terms(n).items():
+            a = ob[j, t]
             a.fill(0.0)
             for i, k, p, q, positive in terms:
-                np.multiply(gc[i][k], mc[p][q], out=w)
+                np.multiply(gc[i, k], mc[p, q], out=w)
                 if positive:
                     a += w
                 else:
                     a -= w
-            ob[:, j, t] = a
             if t != j:
-                ob[:, t, j] = a
+                ob[t, j] = a
+        np.copyto(rows[s : s + _BLOCK], ob.transpose(2, 0, 1))
     return out
 
 

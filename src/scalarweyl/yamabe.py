@@ -21,7 +21,8 @@ spectral gap is small (t = 0.02 on a 12^4 ``fourier_metric``, amplitude
 start stays only because the benchmark's solve workload names it.
 Newton's own inner solves and tolerance fix the accuracy.  Inner linear
 solves use conjugate gradient on the density-symmetrized operator,
-preconditioned by the constant-coefficient symbol inverted in Fourier space.
+preconditioned by the constant-coefficient symbol inverted in Fourier space;
+the report counts their iterations over both stages in ``cg_iterations``.
 Each stage forms the operator's coefficient once, as a ``grid.FluxForm`` of
 its metric (the trichotomy and Newton on g, the barrier stage on the
 rescaled metric), and every apply goes through
@@ -73,7 +74,8 @@ class SolveReport:
     u: np.ndarray
     residual: float  # max |L u + u^p| on the input metric
     curvature_residual: float  # max |F + 1| recomputed on the rescaled metric
-    iterations: int
+    iterations: int  # barrier steps plus Newton steps
+    cg_iterations: int  # conjugate-gradient iterations of all inner solves
     wall_time: float
     history: list = field(default_factory=list)
     trichotomy: TrichotomyResult | None = None
@@ -196,7 +198,8 @@ def _pcg(apply_sym, b, precond, tol):
 
 
 def _shifted_solver(form, q):
-    """Solve (-a_n Lap + q) x = b to a per-call relative tolerance."""
+    """Solve (-a_n Lap + q) x = b to a per-call relative tolerance; each
+    solve returns x and its conjugate-gradient iteration count."""
     sd = np.sqrt(form.sqrt_det)
     precond = _preconditioner(form, q, 0.0)
 
@@ -204,8 +207,8 @@ def _shifted_solver(form, q):
         return sd * modified_laplacian_apply(form, y / sd, q)
 
     def solve(b, tol):
-        y, _ = _pcg(apply_sym, sd * b, precond, tol)
-        return y / sd
+        y, it = _pcg(apply_sym, sd * b, precond, tol)
+        return y / sd, it
 
     return solve
 
@@ -364,12 +367,14 @@ def _newton_polish(form, F, p, u, tol_abs, history):
     res_of = lambda v: modified_laplacian_apply(form, v, F) + v**p
     r = res_of(u)
     res = float(np.max(np.abs(r)))
+    cg_iters = 0
     for it in range(1, _NEWTON_MAXITER + 1):
         history.append(res)
         if res <= tol_abs:
-            return u, res, it - 1
+            return u, res, it - 1, cg_iters
         q = F + p * u ** (p - 1.0)
-        delta = _shifted_solver(form, q)(-r, _NEWTON_CG_TOL)
+        delta, cg = _shifted_solver(form, q)(-r, _NEWTON_CG_TOL)
+        cg_iters += cg
         step = 1.0
         while step > 1e-4:
             cand = u + step * delta
@@ -440,7 +445,7 @@ def solve_constant_F(
     dens = form.sqrt_det
 
     history: list[float] = []
-    iterations = 0
+    iterations = cg_iterations = 0
     # mean-one rescale keeps the conjugated metric O(1); any constant
     # multiple of the eigenfunction spans the same conformal ray
     u1 = tri.eigenfunction / (
@@ -467,7 +472,8 @@ def solve_constant_F(
         delta = hi
         for _ in range(60):
             inner = max(1e-10, min(_FORCING, _FORCING * delta / hi))
-            new = solve1(shift * u - u**p, inner)
+            new, cg = solve1(shift * u - u**p, inner)
+            cg_iterations += cg
             delta = float(np.max(np.abs(new - u)))
             u = new
             iterations += 1
@@ -484,8 +490,9 @@ def solve_constant_F(
         u_tot = max(e2 / ep, 1e-8) ** (1.0 / (p - 1.0)) * u1
 
     tol_abs = _SOLVE_TOL * max(1.0, float(np.max(np.abs(F))))
-    u_tot, res, newton_iters = _newton_polish(form, F, p, u_tot, tol_abs, history)
+    u_tot, res, newton_iters, cg = _newton_polish(form, F, p, u_tot, tol_abs, history)
     iterations += newton_iters
+    cg_iterations += cg
 
     if coefficient is None:
         recomputed = scalar_weyl(conformal_metric(g, u_tot), t)
@@ -498,6 +505,7 @@ def solve_constant_F(
         residual=res,
         curvature_residual=curvature_residual,
         iterations=iterations,
+        cg_iterations=cg_iterations,
         wall_time=time.perf_counter() - started,
         history=history,
         trichotomy=tri,

@@ -46,6 +46,12 @@ The dense (..., n, n, n, n) form of curvature-type tensors lives here too:
 ``src/`` stores them only as pair matrices, and the tests convert to and
 from the dense layout to check the pair kernels against brute-force
 contractions and the four curvature symmetries.
+
+``pointmajor_kulkarni_nomizu`` and ``pointmajor_trace_13`` are the per-entry
+kernels of ``tensor`` on the point-major layout, each entry formed over the
+whole field from strided component views with no blocks: the same
+multiply/add sequence per entry, so the blocked component-major kernels of
+``src/`` must be bit-identical to them.
 """
 
 from __future__ import annotations
@@ -80,6 +86,7 @@ from scalarweyl.grid import (
 from scalarweyl.tensor import (
     _pair_lookup,
     _quad_entries,
+    _trace_terms,
     kulkarni_nomizu,
     pair_indices,
     vv_contract,
@@ -427,6 +434,51 @@ def bianchi_residual(mat: np.ndarray, n: int) -> np.ndarray:
         omega = mat[..., pq1[0], pq1[1]] - mat[..., pq2[0], pq2[1]] + mat[..., pq3[0], pq3[1]]
         worst = np.maximum(worst, np.abs(omega))
     return worst
+
+
+def pointmajor_kulkarni_nomizu(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``tensor.kulkarni_nomizu`` entry by entry on strided component views."""
+    A = np.asarray(a, dtype=float)
+    B = np.asarray(b, dtype=float)
+    pairs = pair_indices(A.shape[-1])
+    m = len(pairs)
+    lead = np.broadcast_shapes(A.shape[:-2], B.shape[:-2])
+    A = np.broadcast_to(A, lead + A.shape[-2:])
+    B = np.broadcast_to(B, lead + B.shape[-2:])
+    out = np.empty(lead + (m, m))
+    v, w = np.empty(lead), np.empty(lead)
+    for p, (i, j) in enumerate(pairs):
+        for q in range(p, m):
+            k, t = pairs[q]
+            np.multiply(A[..., i, k], B[..., j, t], out=v)
+            v += np.multiply(A[..., j, t], B[..., i, k], out=w)
+            v -= np.multiply(A[..., i, t], B[..., j, k], out=w)
+            v -= np.multiply(A[..., j, k], B[..., i, t], out=w)
+            out[..., p, q] = v
+            out[..., q, p] = v
+    return out
+
+
+def pointmajor_trace_13(mat: np.ndarray, inv: np.ndarray) -> np.ndarray:
+    """``tensor.trace_13`` entry by entry on strided component views."""
+    inv = np.asarray(inv, dtype=float)
+    n = inv.shape[-1]
+    lead = np.broadcast_shapes(mat.shape[:-2], inv.shape[:-2])
+    M = np.broadcast_to(mat, lead + mat.shape[-2:])
+    G = np.broadcast_to(inv, lead + inv.shape[-2:])
+    out = np.empty(lead + (n, n))
+    a, w = np.empty(lead), np.empty(lead)
+    for (j, t), terms in _trace_terms(n).items():
+        a.fill(0.0)
+        for i, k, p, q, positive in terms:
+            np.multiply(G[..., i, k], M[..., p, q], out=w)
+            if positive:
+                a += w
+            else:
+                a -= w
+        out[..., j, t] = a
+        out[..., t, j] = a
+    return out
 
 
 def riemann_symmetry_report(dense: np.ndarray) -> dict:

@@ -1,5 +1,7 @@
 """Pair-basis storage, Kulkarni-Nomizu products, norms, symmetry checks."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -9,6 +11,8 @@ from oracles import (
     bianchi_residual,
     dense_from_pair,
     pair_from_dense,
+    pointmajor_kulkarni_nomizu,
+    pointmajor_trace_13,
     riemann_symmetry_report,
     symmetrize_exchange,
 )
@@ -81,7 +85,7 @@ def test_pair_from_dense_recovers_the_pair_matrix(n):
 
 
 def test_kn_identity_component():
-    # (id ? id)_{0101} = 2 for the euclidean metric
+    # (id ⊙ id)_{0101} = 2 for the euclidean metric
     kn = kulkarni_nomizu(np.eye(4), np.eye(4))
     dense = dense_from_pair(kn, 4)
     assert dense[0, 1, 0, 1] == pytest.approx(2.0)
@@ -117,7 +121,7 @@ def test_kn_matches_dense_formula():
 
 
 def test_gkng_norm_is_8n_n_minus_1():
-    # |g ? g|^2 = 8 n (n-1), independent of the metric
+    # |g ⊙ g|^2 = 8 n (n-1), independent of the metric
     for n in (3, 4, 5):
         g = random_spd(n, seed=10 + n)
         inv = np.linalg.inv(g)
@@ -131,7 +135,7 @@ def test_gkng_norm_is_8n_n_minus_1():
 
 
 def test_identity_kn_norm_value():
-    # |id ? id|^2 = 8 n (n-1): 96 at n = 4
+    # |id ⊙ id|^2 = 8 n (n-1): 96 at n = 4
     for n in (3, 4, 5, 6):
         eye = np.eye(n)
         assert riemann_norm(kulkarni_nomizu(eye, eye), eye) == pytest.approx(
@@ -207,7 +211,7 @@ def test_mixed_pair_lift_frame_sums():
 
 
 def test_trace_13_of_kn():
-    # g^{ik} (a ? g)_{ijkt} = (tr_g a) g_jt + (n-2) a_jt
+    # g^{ik} (a ⊙ g)_{ijkt} = (tr_g a) g_jt + (n-2) a_jt
     rng = np.random.default_rng(22)
     for n in (3, 4, 5, 6):
         g = random_spd(n, seed=21)
@@ -217,7 +221,7 @@ def test_trace_13_of_kn():
         ric = trace_13(kulkarni_nomizu(a, g), inv)
         tra = float(np.einsum("ik,ik->", inv, a))
         assert np.allclose(ric, tra * g + (n - 2) * a, atol=1e-12)
-        # sanity: trace of g ? g
+        # sanity: trace of g ⊙ g
         ric2 = trace_13(kulkarni_nomizu(g, g), inv)
         assert np.allclose(ric2, 2 * (n - 1) * g, atol=1e-12)
 
@@ -264,6 +268,67 @@ def test_kernels_across_point_blocks():
     inv = np.linalg.inv(np.eye(n) + 0.1 * a)
     expect = np.einsum("...ik,...ijkt->...jt", inv, dense)
     assert np.allclose(trace_13(kn, inv), expect, atol=1e-12)
+
+
+def sym_field(rng, shape):
+    x = rng.standard_normal(shape)
+    return x + np.swapaxes(x, -1, -2)
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 6])
+def test_kernels_bit_identical_to_pointmajor_reference(n):
+    # the component-major blocks run the reference's per-entry sequence, so
+    # every case must match it exactly, not to a tolerance
+    rng = np.random.default_rng(70 + n)
+    m = len(pair_indices(n))
+    for lead in ((2, tensor._BLOCK // 2 + 3), (3, 5)):
+        a = sym_field(rng, lead + (n, n))
+        b = sym_field(rng, lead + (n, n))
+        inv = np.linalg.inv(np.eye(n) + 0.1 * a)
+        mat = sym_field(rng, lead + (m, m))
+        v = rng.standard_normal(lead + (n,))
+        point = random_spd(n, seed=n)
+        cases = [
+            (kulkarni_nomizu, pointmajor_kulkarni_nomizu, a, b),
+            # a point operand against a field, on either side
+            (kulkarni_nomizu, pointmajor_kulkarni_nomizu, point, b),
+            (kulkarni_nomizu, pointmajor_kulkarni_nomizu, a, point),
+            (trace_13, pointmajor_trace_13, mat, inv),
+            (trace_13, pointmajor_trace_13, mat, point),
+            (trace_13, pointmajor_trace_13, mat[0, 0], inv),
+        ]
+        # strided views: a grid-axis swap and a step along the point axis
+        for view in (lambda x: np.swapaxes(x, 0, 1), lambda x: x[:, ::2]):
+            cases.append((kulkarni_nomizu, pointmajor_kulkarni_nomizu, view(a), view(b)))
+            cases.append((trace_13, pointmajor_trace_13, view(mat), view(inv)))
+        for kernel, reference, x, y in cases:
+            assert np.array_equal(kernel(x, y), reference(x, y)), (kernel.__name__, lead)
+        outer = v[..., :, None] * v[..., None, :]
+        assert np.array_equal(vv_contract(mat, v), pointmajor_trace_13(mat, outer))
+
+
+def test_kernels_scratch_is_a_few_blocks():
+    # on a 20^4 field each kernel allocates its output and a few blocks of
+    # component-major scratch; a whole-field transpose of an operand would
+    # add 20 MB (a (4, 4) field) or 46 MB (a pair-matrix field)
+    rng = np.random.default_rng(80)
+    n, lead = 4, (20,) * 4
+    a = sym_field(rng, lead + (n, n))
+    b = sym_field(rng, lead + (n, n))
+    kn = kulkarni_nomizu(a, b)
+    scratch = 8 * 2**20
+    for kernel, x, y, out_shape in (
+        (kulkarni_nomizu, a, b, lead + (6, 6)),
+        (trace_13, kn, b, lead + (n, n)),
+    ):
+        tracemalloc.start()
+        try:
+            got = kernel(x, y)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert got.shape == out_shape
+        assert peak <= got.nbytes + scratch, (kernel.__name__, peak, got.nbytes)
 
 
 def test_vv_contract_matches_dense():

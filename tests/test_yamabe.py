@@ -472,6 +472,25 @@ def test_barrier_solve_cg_work(monkeypatch):
     assert sum(iterations) <= 200
 
 
+def test_solve_reports_inner_cg_iterations(monkeypatch):
+    # the report carries the inner CG iterations of both stages: the sum
+    # over every conjugate-gradient solve, at least one per outer step
+    counts = []
+
+    def counted(*args):
+        x, it = _pcg(*args)
+        counts.append(it)
+        return x, it
+
+    monkeypatch.setattr("scalarweyl.yamabe._pcg", counted)
+    g, F, _ = manufactured(torus(4, 12))
+    for init in ("barriers", "eigen"):
+        counts.clear()
+        report = solve_constant_F(g, 1.0, coefficient=F, init=init)
+        assert report.cg_iterations == sum(counts) > 0, init
+        assert report.cg_iterations >= report.iterations > 0, init
+
+
 def test_solve_forms_one_operator_per_stage(monkeypatch):
     # the trichotomy, Newton (both on g) and the barrier stage (on the
     # rescaled metric) each form the coefficient once and reuse it for every
