@@ -7,6 +7,10 @@ covariant: L of the rescaled metric equals conjugation by u up to the
 critical exponent p_n = (n+2)/(n-2), so F of the rescaled metric is
 u^{-p_n} L u.  The tests check this law and the pointwise transformation
 laws of the curvature against a direct recomputation on the rescaled metric.
+
+``modified_laplacian_apply`` is the one apply of L.  Its Laplacian is
+``grid.flux_laplacian``, which runs in two phases over the axis-0 planes,
+each split among the workers of the thread pool that ``grid`` holds.
 """
 
 from __future__ import annotations
@@ -100,7 +104,10 @@ def modified_laplacian_apply(
     coefficient), the Newton residual and the barrier history all call.
 
     ``F`` is formed once by the caller and reused for every apply, so the
-    coupling t enters only through it.  ``g`` may be a ``FluxForm``.
+    coupling t enters only through it.  ``g`` may be a ``FluxForm``.  The
+    Laplacian is ``grid.flux_laplacian``, whose two phases run split among
+    the workers of ``grid``'s thread pool; called inside a part, it runs
+    inline.
     """
     phi = np.asarray(phi, dtype=float)
     return -laplacian_factor(g.chart.n) * flux_laplacian(g, phi) + F * phi

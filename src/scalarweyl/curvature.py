@@ -42,9 +42,10 @@ last, so no whole-grid Gamma is formed.  It hands each part of the slab its
 planes of Gamma with their ghost planes, and each caller passes what to do
 with them: ``curvature_bundle`` keeps Riemann, Ricci, R and W
 (``_curvature``), ``curvature_scalars`` keeps only R and |W|^2, so its peak
-is one window and one slab's transients, and ``hessian`` contracts the
-part's own planes with the gradient its caller passes; ``deform`` has the
-bundle's sweep do that contraction too, so it forms Gamma once for both.
+is one window and one slab's transients, and ``hessian`` forms the part's
+second derivatives from the windows of the gradient its caller passes and
+subtracts the part's own planes of Gamma contracted with it; ``deform`` has
+the bundle's sweep do that too, so it forms Gamma once for both.
 Every layer uses the one fd4 stencil of ``grid``, so every slab is
 bit-identical to the same planes of a whole-grid pass.  On a bundle,
 ``curvature_scalars`` forms |W|^2 slab by slab.
@@ -54,11 +55,10 @@ is the whole Gamma with no ghost planes; an fd4 axis no longer than one
 slab is one slab whose window wraps onto itself.
 
 Every slab loop runs each slab on all the CPUs the process may use
-(``_in_parts``): the slab's planes are split into one contiguous part per
-worker, the calling thread runs the first and a module-level thread pool
-the others, and the loop waits for every part before it goes on.  numpy
-releases the interpreter lock inside the ufunc, ``take`` and ``matmul``
-loops that do the work.  The workers share the slab's one window: each
+through ``grid``'s one thread pool (``grid._in_parts``): the slab's planes
+are split into one contiguous part per worker, the calling thread runs the
+first and the pool the others, and the loop waits for every part before it
+goes on.  The workers share the slab's one window: each
 forms its own new planes of Gamma into it, and ``riemann`` reads a part's
 planes with their ghost planes from it, so the points in flight stay one
 slab's.  Each part writes only its own planes of the outputs, and the
@@ -71,9 +71,6 @@ split.
 from __future__ import annotations
 
 import math
-import os
-import threading
-from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -83,7 +80,7 @@ from .grid import (
     Chart,
     MetricField,
     _dense_slots,
-    deriv,
+    _in_parts,
     deriv_window,
     sym2_pack_indices,
     sym2_unpack,
@@ -158,69 +155,6 @@ def _slabs(chart: Chart) -> list[slice]:
         return [slice(0, size)]
     step = max(1, _SLAB_POINTS * size // chart.npoints)
     return [slice(s, min(s + step, size)) for s in range(0, size, step)]
-
-
-def _worker_count() -> int:
-    """Threads a slab is split among: the CPUs this process may run on."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # no affinity call (macOS)
-        return os.cpu_count() or 1
-
-
-_WORKERS = _worker_count()
-# the calling thread runs a slab's first part, the pool the others; the pool
-# starts a thread only on its first submit, so one worker starts none
-_POOL = ThreadPoolExecutor(max_workers=max(1, _WORKERS - 1), thread_name_prefix="slab")
-
-
-class _PartFlag(threading.local):
-    """Whether this thread is running a part."""
-
-    active = False
-
-
-_IN_PART = _PartFlag()
-
-
-def _parts(planes: slice) -> list[slice]:
-    """Contiguous split of ``planes`` into one part per worker (at most one
-    per plane), sizes differing by at most one; a slab loop started inside
-    a part is not split again."""
-    size = planes.stop - planes.start
-    count = 1 if _IN_PART.active else min(_WORKERS, size)
-    cuts = [planes.start + size * k // count for k in range(count + 1)]
-    return [slice(a, b) for a, b in zip(cuts, cuts[1:])]
-
-
-def _run_part(run, part: slice) -> None:
-    """``run(part)``, with any slab loop it starts left unsplit."""
-    outer = _IN_PART.active
-    _IN_PART.active = True
-    try:
-        run(part)
-    finally:
-        _IN_PART.active = outer
-
-
-def _in_parts(run, planes: slice) -> None:
-    """Call ``run(part)`` for each part of ``planes``: the first in the
-    calling thread, the others on the pool.
-
-    Every part has finished when this returns or raises, so none is still
-    writing into a buffer the caller reuses; the error of the first part
-    that raised, in plane order, is the one raised.  Each part writes only
-    its own planes; the caller forms every cached ``MetricField`` property
-    a part reads before the parts start, so no two parts form it at once.
-    """
-    first, *rest = _parts(planes)
-    futures = [_POOL.submit(_run_part, run, part) for part in rest]
-    try:
-        _run_part(run, first)
-    finally:
-        wait(futures)
-    for future in futures:
-        future.result()
 
 
 def _each_part(chart: Chart, run) -> None:
@@ -465,13 +399,13 @@ def _bundle(
     m = len(pair_indices(chart.n))
     riem, W = np.empty(shape + (m, m)), np.empty(shape + (m, m))
     ric, scal = np.empty(shape + (chart.n, chart.n)), np.empty(shape)
-    hess = None if grad is None else _second_derivatives(chart, grad)
+    hess = None if grad is None else np.empty(shape + (chart.n, chart.n))
 
     def run(part: slice, win: np.ndarray) -> None:
         for whole, field in zip((riem, ric, scal, W), _curvature(g, win, part)):
             whole[part] = field
         if hess is not None:
-            hess[part] -= _gamma_term(_own(chart, win), grad[part])
+            _hessian_planes(chart, grad, win, part, hess[part])
 
     _sweep(g, run)
     return CurvatureBundle(g, Riem4Field(chart, riem), ric, scal, Riem4Field(chart, W)), hess
@@ -505,25 +439,27 @@ def curvature_scalars(
     return scal, wnorm2
 
 
-def _second_derivatives(chart: Chart, grad: np.ndarray) -> np.ndarray:
-    """``d_i d_j u`` from the first derivatives ``grad`` = d_k u.  The
-    composed first-derivative stencils commute, so the result is exactly
-    symmetric."""
-    n = chart.n
-    out = np.empty(chart.shape + (n, n))
-    for i in range(n):
-        for j in range(i, n):
-            val = deriv(chart, grad[..., j], i)
-            out[..., i, j] = val
-            if j != i:
-                out[..., j, i] = val
-    return out
-
-
 def _gamma_term(own: np.ndarray, grad: np.ndarray) -> np.ndarray:
     """``Gamma^k_{ij} d_k u`` on the planes of the packed symbols ``own``,
     dense in (i, j)."""
     return sym2_unpack(np.einsum("...kq,...k->...q", own, grad), own.shape[-2])
+
+
+def _hessian_planes(
+    chart: Chart, grad: np.ndarray, win: np.ndarray, part: slice, out: np.ndarray
+) -> None:
+    """``d_i d_j u - Gamma^k_{ij} d_k u`` on the axis-0 planes ``part`` into
+    ``out``, from the first derivatives ``grad`` = d_k u and the part's
+    window ``win`` of Gamma.  The second derivatives differentiate the
+    windows of ``grad`` around the part; the composed first-derivative
+    stencils commute, so they are exactly symmetric."""
+    for j in range(chart.n):
+        wj = window(chart, grad[..., j], part)
+        for i in range(j + 1):
+            out[..., i, j] = deriv_window(chart, wj, i)
+            if i != j:
+                out[..., j, i] = out[..., i, j]
+    out -= _gamma_term(_own(chart, win), grad[part])
 
 
 def hessian(g: MetricField, grad: np.ndarray) -> np.ndarray:
@@ -532,14 +468,16 @@ def hessian(g: MetricField, grad: np.ndarray) -> np.ndarray:
     ones.
 
     The Christoffel symbols stream through the stack's windows: each part of
-    each slab subtracts the term of its own planes, so no whole-grid Gamma
-    is formed, and every point is bit-identical to the whole-field formula.
+    each slab forms the second derivatives of its own planes from the
+    windows of ``grad`` and subtracts the Gamma term of those planes, so no
+    whole-grid Gamma is formed, and every point is bit-identical to the
+    whole-field formula.
     """
     chart = g.chart
-    out = _second_derivatives(chart, grad)
+    out = np.empty(chart.sizes + (chart.n, chart.n))
 
     def run(part: slice, win: np.ndarray) -> None:
-        out[part] -= _gamma_term(_own(chart, win), grad[part])
+        _hessian_planes(chart, grad, win, part, out[part])
 
     _sweep(g, run)
     return out

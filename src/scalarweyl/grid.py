@@ -32,13 +32,29 @@ each periodic axis).
 The Laplace-Beltrami operator is applied in flux form,
 (1/sqrt(det g)) sum_a D_a(sqrt(det g) g^{ab} D_b u).  Its coefficient
 sqrt(det g) g^{ab} is formed once per metric as a ``FluxForm``: the packed
-(a <= b) components, each a contiguous grid array.  An apply is then n
-derivatives of u, contiguous multiply-adds for each flux component, n
-derivatives back and one division by sqrt(det g).
+(a <= b) components, each a contiguous grid array.  An apply runs in two
+phases over the axis-0 planes: n derivatives of u and contiguous
+multiply-adds into the n whole-grid flux components, then n derivatives
+back and one division by sqrt(det g).  Each phase is split among the
+workers, every part reading the windows around its own planes.
+
+The package's one thread pool lives here (``_in_parts``): a range of
+axis-0 planes is split into one contiguous part per CPU the process may
+use, the calling thread runs the first part and the pool the others, and
+the call returns once every part has finished.  numpy releases the
+interpreter lock inside the ufunc, ``take`` and ``matmul`` loops that do
+the work.  Each part writes only its own planes and the arithmetic of a
+point does not depend on the split, so every worker count gives the same
+bits; a split started inside a part runs inline as one part.  The flux
+apply and ``curvature``'s slab loops split their planes through it; a
+spectral apply, whose derivatives need whole axes, is one unsplit part.
 """
 
 from __future__ import annotations
 
+import os
+import threading
+from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -142,6 +158,85 @@ def make_chart(n, sizes, lengths, scheme="fd4") -> Chart:
 
 
 # ---------------------------------------------------------------------------
+# the slab pool
+# ---------------------------------------------------------------------------
+
+
+def _worker_count() -> int:
+    """Threads a range of planes is split among: the CPUs this process may
+    run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call (macOS)
+        return os.cpu_count() or 1
+
+
+_WORKERS = _worker_count()
+# the calling thread runs a range's first part, the pool the others; the
+# pool starts a thread only on its first submit, so one worker starts none
+_POOL = ThreadPoolExecutor(max_workers=max(1, _WORKERS - 1), thread_name_prefix="slab")
+
+
+class _PartFlag(threading.local):
+    """Whether this thread is running a part."""
+
+    active = False
+
+
+_IN_PART = _PartFlag()
+
+
+def _parts(planes: slice) -> list[slice]:
+    """Contiguous split of ``planes`` into one part per worker (at most one
+    per plane), sizes differing by at most one; a split started inside a
+    part is not split again."""
+    size = planes.stop - planes.start
+    count = 1 if _IN_PART.active else min(_WORKERS, size)
+    cuts = [planes.start + size * k // count for k in range(count + 1)]
+    return [slice(a, b) for a, b in zip(cuts, cuts[1:])]
+
+
+def _run_part(run, part: slice) -> None:
+    """``run(part)``, with any split it starts left unsplit."""
+    outer = _IN_PART.active
+    _IN_PART.active = True
+    try:
+        run(part)
+    finally:
+        _IN_PART.active = outer
+
+
+def _in_parts(run, planes: slice) -> None:
+    """Call ``run(part)`` for each part of ``planes``: the first in the
+    calling thread, the others on the pool.
+
+    Every part has finished when this returns or raises, so none is still
+    writing into a buffer the caller reuses; the error of the first part
+    that raised, in plane order, is the one raised.  Each part writes only
+    its own planes; the caller forms every cached ``MetricField`` property
+    a part reads before the parts start, so no two parts form it at once.
+    """
+    first, *rest = _parts(planes)
+    futures = [_POOL.submit(_run_part, run, part) for part in rest]
+    try:
+        _run_part(run, first)
+    finally:
+        wait(futures)
+    for future in futures:
+        future.result()
+
+
+def _split_planes(chart: Chart, run) -> None:
+    """``_in_parts`` over all axis-0 planes of ``chart``; a spectral chart,
+    whose derivatives need whole axes, is one unsplit part."""
+    planes = slice(0, chart.sizes[0])
+    if chart.scheme == "spectral":
+        run(planes)
+    else:
+        _in_parts(run, planes)
+
+
+# ---------------------------------------------------------------------------
 # differentiation
 # ---------------------------------------------------------------------------
 
@@ -151,11 +246,15 @@ def _with_ghosts(arr: np.ndarray, axis: int, start: int, stop: int) -> np.ndarra
     periodically: the range ``[start, stop)`` with two ghost planes past
     each end.
 
-    Indexing copies only those planes; ``np.take`` would first copy a
-    strided input whole.
+    A range whose ghost planes do not wrap is a view, with no copy; a
+    wrapping one is indexed, which copies only those planes, where
+    ``np.take`` would first copy a strided input whole.
     """
+    lead = (slice(None),) * axis
+    if start >= 2 and stop + 2 <= arr.shape[axis]:
+        return arr[lead + (slice(start - 2, stop + 2),)]
     ghosts = np.arange(start - 2, stop + 2) % arr.shape[axis]
-    return arr[(slice(None),) * axis + (ghosts,)]
+    return arr[lead + (ghosts,)]
 
 
 def _interior_shifts(ext: np.ndarray, axis: int):
@@ -319,9 +418,10 @@ class MetricField:
     """SPD metric field, stored deduplicated (i <= j components).
 
     Construction runs one batched LDL^T on the packed components; its pivots
-    check positivity.  ``det`` (the pivots' product) and the inverse each
-    come from a fresh factor when first read, and the dense (n, n) form is
-    built only when read.  The factor itself is never kept.
+    check positivity.  ``det`` (the pivots' product) and the inverse come
+    from a fresh factor when first read, one factor for both when the
+    inverse is read first, and the dense (n, n) form is built only when
+    read.  The factor itself is never kept.
     """
 
     chart: Chart
@@ -386,8 +486,13 @@ class MetricField:
     def inverse(self) -> np.ndarray:
         """g^{-1} = M^T D^{-1} M with M = L^{-1}, dense (*sizes, n, n)."""
         n = self.chart.n
-        out = np.empty(self.chart.sizes + (n, n))  # before the factor, as in _factor
+        # both before the factor, as in _factor; ``det`` comes from the
+        # pivots of the same factor when it is not formed yet
+        out = np.empty(self.chart.sizes + (n, n))
+        det = None if "det" in self.__dict__ else np.empty(self.chart.sizes)
         a, tmp = self._factor()
+        if det is not None:
+            self.det = self._pivot_product(a, det)
         # M_ij = -(L_ij + sum_{j<k<i} L_ik M_kj) overwrites L_ij, column by column
         for j in range(n):
             for i in range(j + 1, n):
@@ -417,13 +522,17 @@ class MetricField:
 
     @cached_property
     def det(self) -> np.ndarray:
-        """Product of the LDL^T pivots."""
+        """Product of the LDL^T pivots; forming the inverse forms it too."""
+        a, tmp = self._factor()
+        return self._pivot_product(a, tmp)
+
+    def _pivot_product(self, a: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """Product of the pivots of the factor ``a`` into ``out``."""
         n = self.chart.n
-        a, det = self._factor()
-        np.multiply(a[0], a[_slot(n, 1, 1)], out=det)
+        np.multiply(a[0], a[_slot(n, 1, 1)], out=out)
         for k in range(2, n):
-            det *= a[_slot(n, k, k)]
-        return det
+            out *= a[_slot(n, k, k)]
+        return out
 
     @cached_property
     def sqrt_det(self) -> np.ndarray:
@@ -490,28 +599,49 @@ class FluxForm:
         return self.coefficient[_slot(self.chart.n, min(a, b), max(a, b))]
 
 
-def _flux_divergence(form: FluxForm, vec: list[np.ndarray]) -> np.ndarray:
-    """sum_a D_a(sum_b sqrt(det g) g^{ab} vec_b), one flux component at a time."""
-    chart = form.chart
-    flux = np.empty(chart.sizes)
-    term = np.empty(chart.sizes)
-    out = np.zeros(chart.sizes)
-    for a in range(chart.n):
-        np.multiply(form.component(a, 0), vec[0], out=flux)
-        for b in range(1, chart.n):
-            flux += np.multiply(form.component(a, b), vec[b], out=term)
-        out += deriv(chart, flux, a)
-    return out
-
-
 def flux_laplacian(g: MetricField | FluxForm, u: np.ndarray) -> np.ndarray:
     """Laplace-Beltrami operator in flux form on raw scalar data.
 
     (1/sqrt(det g)) sum_a D_a(sqrt(det g) g^{ab} D_b u); pass a ``FluxForm``
     to reuse its coefficient across applies.
+
+    Two phases run over the axis-0 planes, each split among the workers
+    (``_split_planes``).  In the first each part differentiates the window
+    of u around its planes and writes its planes of the n flux components
+    sum_b sqrt(det g) g^{ab} D_b u, one whole-grid array each; in the
+    second each part differentiates the windows of those arrays around its
+    planes and divides by sqrt(det g).  Every point takes the same steps in
+    the same order for any split, so every worker count gives the same bits.
     """
     form = g if isinstance(g, FluxForm) else FluxForm.of(g)
-    du = [deriv(form.chart, u, b) for b in range(form.chart.n)]
-    out = _flux_divergence(form, du)
-    out /= form.sqrt_det
+    chart = form.chart
+    n = chart.n
+    u = _grid_broadcast(chart, u)
+    flux = [np.empty(chart.sizes) for _ in range(n)]
+
+    def fluxes(part: slice) -> None:
+        # one derivative of u alive at a time: each flux component takes
+        # its terms in the order of b, as a sum over b per component would
+        win = window(chart, u, part)
+        term = np.empty(flux[0][part].shape)
+        for b in range(n):
+            du = deriv_window(chart, win, b)
+            for a in range(n):
+                coef = form.component(a, b)[part]
+                if b == 0:
+                    np.multiply(coef, du, out=flux[a][part])
+                else:
+                    flux[a][part] += np.multiply(coef, du, out=term)
+
+    def divergence(part: slice) -> None:
+        acc = out[part]
+        acc.fill(0.0)
+        for a in range(n):
+            acc += deriv_window(chart, window(chart, flux[a], part), a)
+        acc /= form.sqrt_det[part]
+
+    _split_planes(chart, fluxes)
+    # formed after the fluxes, so the first phase's peak does not hold it
+    out = np.empty(chart.sizes)
+    _split_planes(chart, divergence)
     return out

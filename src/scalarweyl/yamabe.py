@@ -32,7 +32,16 @@ coupling t only through F, so the eigensolve takes F alone.
 The trichotomy eigensolve is a single-vector LOBPCG (locally optimal block
 preconditioned conjugate gradient; Knyazev, SIAM J. Sci. Comput. 23(2),
 2001) on the same symmetrized operator with the same Fourier preconditioner:
-one operator apply per iteration and no inner linear solves.
+one operator apply per iteration and no inner linear solves.  Its iterate,
+preconditioned residual and last step are the rows of one (3, *sizes)
+block, and their images under the operator of a second, so the Ritz
+step's Gram products read them in place.
+
+Every apply of L runs on ``grid``'s thread pool: the flux-form Laplacian in
+its two split phases, and the eigensolve's checkerboard penalty split the
+same way, each part reading the window around its axis-0 planes.  Every
+worker count gives the same bits.  The Fourier preconditioner stays on one
+thread: two numpy FFTs run at once took as long as the two in turn.
 
 Every tolerance and iteration cap is a module constant: ``_EIG_TOL`` and
 ``_EIG_MAXITER`` for the eigensolve, ``_SOLVE_TOL`` for the constant-F
@@ -54,7 +63,14 @@ from .conformal import (
     modified_laplacian_apply,
     scalar_weyl,
 )
-from .grid import FluxForm, MetricField, _interior_shifts, _with_ghosts, integrate
+from .grid import (
+    FluxForm,
+    MetricField,
+    _in_parts,
+    _interior_shifts,
+    _with_ghosts,
+    integrate,
+)
 
 
 @dataclass(frozen=True)
@@ -98,15 +114,31 @@ class SolveReport:
 
 
 def _penalty_apply(dens, eta):
+    """The penalty eta * sum_a B_a^2 phi / dens, split among the workers
+    like ``grid.flux_laplacian``: each part reads its axis-0 shifts from the
+    window of its planes, the other shifts from its own planes.  Its
+    stencil needs no whole axis, so a spectral chart is split too."""
+
     def pen(phi):
-        acc = (6.0 * phi.ndim) * phi
-        for a in range(phi.ndim):
-            # periodic shifts: shifted(s)[i] == phi[i + s] along axis a
-            shifted = _interior_shifts(_with_ghosts(phi, a, 0, phi.shape[a]), a)
-            acc += shifted(-2)
-            acc += shifted(2)
-            acc -= 4.0 * (shifted(-1) + shifted(1))
-        return eta * acc / dens
+        out = np.empty(phi.shape)
+
+        def run(part):
+            own = phi[part]
+            acc = (6.0 * phi.ndim) * own
+            for a in range(phi.ndim):
+                # periodic shifts: shifted(s)[i] == phi[i + s] along axis a
+                if a == 0:
+                    ext = _with_ghosts(phi, 0, part.start, part.stop)
+                else:
+                    ext = _with_ghosts(own, a, 0, phi.shape[a])
+                shifted = _interior_shifts(ext, a)
+                acc += shifted(-2)
+                acc += shifted(2)
+                acc -= 4.0 * (shifted(-1) + shifted(1))
+            np.divide(eta * acc, dens[part], out=out[part])
+
+        _in_parts(run, slice(0, phi.shape[0]))
+        return out
 
     return pen
 
@@ -225,6 +257,20 @@ def _shifted_solver(form, q):
 _MIN_PIVOT = 1e-6
 
 
+def _block(rows):
+    """``rows`` as one (k, N) array: with no copy the leading rows of the
+    (3, *sizes) block they are views of, when they are those rows, as the
+    eigensolver's iterates are; a stacked copy otherwise."""
+    buf = rows[0].base
+    if (
+        buf is not None
+        and len(buf) >= len(rows)
+        and all(r.__array_interface__ == row.__array_interface__ for r, row in zip(rows, buf))
+    ):
+        return buf[: len(rows)].reshape(len(rows), -1)
+    return np.stack([r.reshape(-1) for r in rows])
+
+
 def _ritz_step(y, Ay, w, Aw, p, Ap):
     """Lowest Ritz pair of span{y, w, p}: the new y, Ay, p and Ap.
 
@@ -232,11 +278,16 @@ def _ritz_step(y, Ay, w, Aw, p, Ap):
     has become numerically dependent on y and w the Cholesky factorization
     fails or leaves a pivot below ``_MIN_PIVOT``, and the step is retried on
     span{y, w}.
+
+    The inputs are left as they are.  The new y and p are rows 0 and 2 of
+    a new (3, *sizes) block, and Ay and Ap of a second; the caller puts the
+    next w and A w in their rows 1, so the next step's Gram products read
+    the block in place (``_block``).
     """
     cols = [y, w] if p is None else [y, w, p]
     imgs = [Ay, Aw] if p is None else [Ay, Aw, Ap]
-    S = np.stack([c.reshape(-1) for c in cols])
-    AS = np.stack([c.reshape(-1) for c in imgs])
+    S = _block(cols)
+    AS = _block(imgs)
     d = 1.0 / np.linalg.norm(S, axis=1)
     gram = d[:, None] * (S @ S.T) * d[None, :]
     H = d[:, None] * (S @ AS.T) * d[None, :]
@@ -255,15 +306,21 @@ def _ritz_step(y, Ay, w, Aw, p, Ap):
     M = np.linalg.solve(chol, np.linalg.solve(chol, 0.5 * (H + H.T)).T)
     _, vecs = np.linalg.eigh(M)
     c = np.linalg.solve(chol.T, vecs[:, 0]) * d
-    step = c[1] * w
-    Astep = c[1] * Aw
+    new, Anew = np.empty((3,) + y.shape), np.empty((3,) + y.shape)
+    step, Astep = new[2], Anew[2]
+    np.multiply(c[1], w, out=step)
+    np.multiply(c[1], Aw, out=Astep)
     if p is not None:
         step += c[2] * p
         Astep += c[2] * Ap
-    y = c[0] * y + step
-    Ay = c[0] * Ay + Astep
+    y = np.multiply(c[0], y, out=new[0])
+    y += step
+    Ay = np.multiply(c[0], Ay, out=Anew[0])
+    Ay += Astep
     nrm = float(np.linalg.norm(y))
-    return y / nrm, Ay / nrm, step, Astep
+    y /= nrm
+    Ay /= nrm
+    return y, Ay, step, Astep
 
 
 def first_eigenvalue(g: MetricField, F: np.ndarray) -> TrichotomyResult:
@@ -317,8 +374,11 @@ def first_eigenvalue(g: MetricField, F: np.ndarray) -> TrichotomyResult:
 
     # for unit y, |A y - rho y| is the residual of u = y / sqrt(sqrt(g)) in
     # the volume-weighted norm, with u of unit L2(dV) norm
-    y = sd / float(np.linalg.norm(sd))
-    Ay = apply_sym(y)
+    # y and p are rows 0 and 2 of a (3, *sizes) block, w row 1, and A y,
+    # A w and A p the same rows of a second: the Ritz step reads them in place
+    y = np.divide(sd, float(np.linalg.norm(sd)), out=np.empty((3,) + chart.sizes)[0])
+    Ay = np.empty((3,) + chart.sizes)[0]
+    Ay[...] = apply_sym(y)
     fresh = True
     p = Ap = None
     scale = max(1.0, float(np.max(np.abs(F))))
@@ -329,11 +389,13 @@ def first_eigenvalue(g: MetricField, F: np.ndarray) -> TrichotomyResult:
         if res <= _EIG_TOL * scale:
             if fresh:
                 break
-            Ay = apply_sym(y)
+            Ay[...] = apply_sym(y)
             fresh = True
             continue
-        w = precond(r)
-        y, Ay, p, Ap = _ritz_step(y, Ay, w, apply_sym(w), p, Ap)
+        w, Aw = y.base[1], Ay.base[1]
+        w[...] = precond(r)
+        Aw[...] = apply_sym(w)
+        y, Ay, p, Ap = _ritz_step(y, Ay, w, Aw, p, Ap)
         fresh = False
     else:
         trace = sum(form.component(a, a) for a in range(chart.n))

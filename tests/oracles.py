@@ -13,7 +13,9 @@ f = psi^{(n-2)/2} and its derivatives from it by the chain rule.
 point by point through g^{-1}; ``grid.flux_laplacian``, which forms the
 coefficient sqrt(det g) g^{ab} once, must agree with it to roundoff.
 ``divergence_total`` is the discrete divergence theorem on the same flux
-form.
+form.  ``whole_field_flux_laplacian`` is ``grid.flux_laplacian`` with
+each step on the whole grid, the serial oracle of its two split phases,
+which must be bit-identical to it.
 
 The ``whole_field_*`` functions are the deformation layer's closed forms
 run over all planes at once, each pointwise step on the whole grid: the
@@ -58,7 +60,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from scalarweyl import curvature
+from scalarweyl import curvature, grid
 from scalarweyl.conformal import ConformalParams, scalar_weyl
 from scalarweyl.construct import RadialFields
 from scalarweyl.curvature import CurvatureBundle, christoffel, riemann
@@ -76,7 +78,6 @@ from scalarweyl.grid import (
     FieldError,
     FluxForm,
     MetricField,
-    _flux_divergence,
     deriv,
     gradient,
     integrate,
@@ -96,7 +97,7 @@ from scalarweyl.tensor import (
 def slab_parts(chart) -> int:
     """Parts the slab loop runs on ``chart``: a layer called once per part
     is called this many times per loop."""
-    return sum(len(curvature._parts(planes)) for planes in curvature._slabs(chart))
+    return sum(len(grid._parts(planes)) for planes in curvature._slabs(chart))
 
 
 def phi_expansion(
@@ -320,6 +321,32 @@ def einsum_flux_laplacian(g: MetricField, u: np.ndarray) -> np.ndarray:
     return out / g.sqrt_det
 
 
+def flux_divergence(form: FluxForm, vec: list[np.ndarray]) -> np.ndarray:
+    """sum_a D_a(sum_b sqrt(det g) g^{ab} vec_b) on the whole grid, one flux
+    component at a time."""
+    chart = form.chart
+    flux = np.empty(chart.sizes)
+    term = np.empty(chart.sizes)
+    out = np.zeros(chart.sizes)
+    for a in range(chart.n):
+        np.multiply(form.component(a, 0), vec[0], out=flux)
+        for b in range(1, chart.n):
+            flux += np.multiply(form.component(a, b), vec[b], out=term)
+        out += deriv(chart, flux, a)
+    return out
+
+
+def whole_field_flux_laplacian(form: FluxForm, u: np.ndarray) -> np.ndarray:
+    """``grid.flux_laplacian`` on all planes at once: n whole-grid
+    derivatives of u, the divergence of one flux component at a time and
+    one division.  Each point takes the steps of the split apply in the
+    same order, so the two are bit-identical."""
+    chart = form.chart
+    out = flux_divergence(form, [deriv(chart, u, b) for b in range(chart.n)])
+    out /= form.sqrt_det
+    return out
+
+
 def divergence_total(X: np.ndarray, g: MetricField) -> float:
     """Integral of the metric divergence of the raised covector field ``X``,
     a (*sizes, n) array.
@@ -330,7 +357,7 @@ def divergence_total(X: np.ndarray, g: MetricField) -> float:
     """
     chart = g.chart
     components = [X[..., b] for b in range(chart.n)]
-    return float(np.sum(_flux_divergence(FluxForm.of(g), components))) * chart.cell_volume
+    return float(np.sum(flux_divergence(FluxForm.of(g), components))) * chart.cell_volume
 
 
 def whole_riemann(g: MetricField) -> np.ndarray:

@@ -15,7 +15,7 @@ from oracles import (
     slab_parts,
     whole_riemann,
 )
-from scalarweyl import curvature
+from scalarweyl import curvature, grid
 from scalarweyl.conformal import scalar_weyl
 from scalarweyl.curvature import (
     _schouten,
@@ -411,8 +411,8 @@ def test_weyl_forms_one_product(monkeypatch):
     monkeypatch.setattr("scalarweyl.curvature.kulkarni_nomizu", counted)
     c = make_chart(4, (8,) * 4, (2 * np.pi,) * 4)
     g = fourier_metric(c, amplitude=0.25, seed=2)
-    for workers, parts in ((curvature._WORKERS, slab_parts(c)), (1, 1)):
-        monkeypatch.setattr(curvature, "_WORKERS", workers)
+    for workers, parts in ((grid._WORKERS, slab_parts(c)), (1, 1)):
+        monkeypatch.setattr(grid, "_WORKERS", workers)
         calls.clear()
         curvature_bundle(g)
         assert len(calls) == parts
@@ -424,7 +424,7 @@ def test_weyl_forms_one_product(monkeypatch):
 def test_a_raising_part_surfaces_after_every_part_has_finished(monkeypatch):
     # no part may still be writing into a buffer the caller reuses when the
     # error reaches it, and the first part's error in plane order wins
-    monkeypatch.setattr(curvature, "_WORKERS", 3)
+    monkeypatch.setattr(grid, "_WORKERS", 3)
     finished = []
 
     def run(part):
@@ -436,7 +436,7 @@ def test_a_raising_part_surfaces_after_every_part_has_finished(monkeypatch):
             raise ValueError("part 2")
 
     with pytest.raises(ValueError, match="part 0"):
-        curvature._in_parts(run, slice(0, 3))
+        grid._in_parts(run, slice(0, 3))
     assert sorted(finished) == [1, 2]
 
     def run_pool_errors(part):
@@ -447,7 +447,7 @@ def test_a_raising_part_surfaces_after_every_part_has_finished(monkeypatch):
             raise ValueError("part 2")
 
     with pytest.raises(ValueError, match="part 1"):
-        curvature._in_parts(run_pool_errors, slice(0, 3))
+        grid._in_parts(run_pool_errors, slice(0, 3))
 
 
 def test_a_slab_loop_inside_a_part_runs_inline(monkeypatch):
@@ -471,8 +471,8 @@ def test_a_slab_loop_inside_a_part_runs_inline(monkeypatch):
             threading.Thread(target=target, daemon=True).start()
             return future
 
-    monkeypatch.setattr(curvature, "_POOL", ThreadPerPart())
-    monkeypatch.setattr(curvature, "_WORKERS", 2)
+    monkeypatch.setattr(grid, "_POOL", ThreadPerPart())
+    monkeypatch.setattr(grid, "_WORKERS", 2)
     c = make_chart(4, (8,) * 4, (2 * np.pi,) * 4)
     g = fourier_metric(c, amplitude=0.25, seed=2)
     want = curvature_scalars(g)
@@ -482,7 +482,7 @@ def test_a_slab_loop_inside_a_part_runs_inline(monkeypatch):
         got[part.start] = curvature_scalars(g)
 
     submitted.clear()
-    curvature._in_parts(run, slice(0, 2))
+    grid._in_parts(run, slice(0, 2))
     assert len(submitted) == 1
     assert sorted(got) == [0, 1]
     for scal, wnorm2 in got.values():
@@ -502,7 +502,7 @@ def test_threaded_stack_factors_the_metric_no_more_often(monkeypatch):
     c = make_chart(4, (8,) * 4, (2 * np.pi,) * 4)
     counts = []
     for workers in (1, 2):
-        monkeypatch.setattr(curvature, "_WORKERS", workers)
+        monkeypatch.setattr(grid, "_WORKERS", workers)
         calls.clear()
         curvature_scalars(fourier_metric(c, amplitude=0.25, seed=2))
         counts.append(len(calls))
@@ -512,7 +512,7 @@ def test_threaded_stack_factors_the_metric_no_more_often(monkeypatch):
 
 def test_worker_count_without_an_affinity_call_is_the_cpu_count(monkeypatch):
     monkeypatch.delattr(os, "sched_getaffinity", raising=False)
-    assert curvature._worker_count() == (os.cpu_count() or 1)
+    assert grid._worker_count() == (os.cpu_count() or 1)
 
 
 def test_one_worker_starts_no_pool_part(monkeypatch):
@@ -520,8 +520,8 @@ def test_one_worker_starts_no_pool_part(monkeypatch):
         def submit(self, *args):
             raise AssertionError("a pool part was started")
 
-    monkeypatch.setattr(curvature, "_WORKERS", 1)
-    monkeypatch.setattr(curvature, "_POOL", NoPool())
+    monkeypatch.setattr(grid, "_WORKERS", 1)
+    monkeypatch.setattr(grid, "_POOL", NoPool())
     monkeypatch.setattr(curvature, "_SLAB_POINTS", 3 * 8**3)
     c = make_chart(4, (8,) * 4, (2 * np.pi,) * 4)
     g = fourier_metric(c, amplitude=0.25, seed=2)

@@ -31,7 +31,7 @@ from oracles import (
     whole_field_scalar_closed_form,
     whole_field_weyl_error,
 )
-from scalarweyl import construct, curvature, deformation
+from scalarweyl import construct, curvature, deformation, grid
 from scalarweyl.conformal import _as_positive
 from scalarweyl.construct import RadialFields, make_bump, radial_fields
 from scalarweyl.curvature import christoffel, curvature_bundle, curvature_scalars, hessian
@@ -411,13 +411,13 @@ def test_every_worker_count_gives_bit_identical_outputs(monkeypatch):
             construct._test_energy_bound(g, 0.7, 0.8, fields)[0],
         ]
 
-    monkeypatch.setattr(curvature, "_WORKERS", 1)
+    monkeypatch.setattr(grid, "_WORKERS", 1)
     want = outputs()
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
         for workers in (2, 3):
-            monkeypatch.setattr(curvature, "_WORKERS", workers)
+            monkeypatch.setattr(grid, "_WORKERS", workers)
             for got, ref in zip(outputs(), want, strict=True):
                 assert np.array_equal(got, ref)
     finally:
@@ -427,8 +427,8 @@ def test_every_worker_count_gives_bit_identical_outputs(monkeypatch):
 def host_then_one_worker(monkeypatch, chart):
     """Yield the slab parts of ``chart`` with the host's workers, then with
     one worker, each set while the caller's loop body runs."""
-    for workers in (curvature._WORKERS, 1):
-        monkeypatch.setattr(curvature, "_WORKERS", workers)
+    for workers in (grid._WORKERS, 1):
+        monkeypatch.setattr(grid, "_WORKERS", workers)
         yield slab_parts(chart)
 
 

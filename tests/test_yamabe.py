@@ -9,13 +9,15 @@ above 3.5.
 
 import re
 import sys
+import threading
+from concurrent.futures import Future
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import conformal_energy
+from oracles import conformal_energy, whole_field_flux_laplacian
 from scalarweyl import conformal, grid, yamabe
 from scalarweyl.conformal import (
     ConformalParams,
@@ -596,3 +598,104 @@ def test_eigenfunction_rescale_makes_coefficient_negative():
     )
     F1 = u1 ** (-p) * modified_laplacian_apply(g, u1, F=F)
     assert float(np.max(F1)) < 0.0
+
+
+# ---------------------------------------------------------------------------
+# the operator layer on the slab pool
+
+
+def test_every_worker_count_gives_bit_identical_operator_outputs(monkeypatch):
+    # 8 planes: two workers split them 4 + 4, three into uneven parts
+    # (2 + 3 + 3), and three workers are more than a 2-core host's; a short
+    # switch interval interleaves the parts' writes into the shared flux
+    # arrays and outputs
+    c = torus(4, 8)
+    g = fourier_metric(c, amplitude=0.08, seed=11)
+    form = FluxForm.of(g)
+    params = ConformalParams(1.0, c.n)
+    u_star = 1.0 + 0.2 * np.sin(c.mesh()[0]) * np.ones(c.sizes)
+    F = (params.a_n * whole_field_flux_laplacian(form, u_star) - u_star**params.p_n) / u_star
+    pen = _penalty_apply(form.sqrt_det, _penalty_strength(params.a_n, F))
+    # a sparse-mesh input: degenerate leading axes broadcast up
+    wave = np.sin(c.mesh()[0]) * np.cos(2.0 * c.mesh()[3])
+    s = torus(4, 8, "spectral")
+    gs = fourier_metric(s, amplitude=0.08, seed=11)
+    us = fourier_scalar(s, amplitude=0.5, seed=112)
+
+    def outputs():
+        tri = first_eigenvalue(g, F)
+        return [
+            flux_laplacian(g, u_star), flux_laplacian(form, u_star),
+            modified_laplacian_apply(form, u_star, F), pen(u_star),
+            flux_laplacian(form, wave), flux_laplacian(gs, us),
+            tri.lam, tri.eigenfunction,
+            *(solve_constant_F(g, 1.0, coefficient=F, init=init).u
+              for init in ("eigen", "barriers")),
+        ]
+
+    monkeypatch.setattr(grid, "_WORKERS", 1)
+    want = outputs()
+    # one worker runs the whole-field steps: the serial oracle's bits
+    assert np.array_equal(want[0], whole_field_flux_laplacian(form, u_star))
+    assert np.array_equal(want[4], whole_field_flux_laplacian(form, np.broadcast_to(wave, c.sizes)))
+    assert np.array_equal(want[5], whole_field_flux_laplacian(FluxForm.of(gs), us))
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for workers in (2, 3):
+            monkeypatch.setattr(grid, "_WORKERS", workers)
+            for got, ref in zip(outputs(), want, strict=True):
+                assert np.array_equal(got, ref)
+    finally:
+        sys.setswitchinterval(interval)
+
+
+class ThreadPerPart:
+    """A pool that runs each submitted part on a thread of its own and
+    records the submits, so a part that waits for the pool fails instead
+    of hanging."""
+
+    def __init__(self):
+        self.submitted = []
+
+    def submit(self, fn, *args):
+        self.submitted.append(args)
+        future = Future()
+
+        def target():
+            try:
+                future.set_result(fn(*args))
+            except BaseException as exc:
+                future.set_exception(exc)
+
+        threading.Thread(target=target, daemon=True).start()
+        return future
+
+
+def test_a_spectral_apply_is_one_part_and_an_apply_inside_a_part_is_not_split(monkeypatch):
+    pool = ThreadPerPart()
+    monkeypatch.setattr(grid, "_POOL", pool)
+    monkeypatch.setattr(grid, "_WORKERS", 3)
+    # a spectral derivative needs whole axes: the apply starts no pool part
+    s = torus(4, 8, "spectral")
+    form = FluxForm.of(fourier_metric(s, amplitude=0.08, seed=11))
+    us = fourier_scalar(s, amplitude=0.5, seed=112)
+    assert np.array_equal(flux_laplacian(form, us), whole_field_flux_laplacian(form, us))
+    assert pool.submitted == []
+    # an apply inside a part runs inline: only the outer split submits
+    c = torus(4, 8)
+    form = FluxForm.of(fourier_metric(c, amplitude=0.08, seed=11))
+    u = fourier_scalar(c, amplitude=0.5, seed=112)
+    F = 1.0 + u * u
+    want = modified_laplacian_apply(form, u, F)
+    pool.submitted.clear()
+    got = {}
+
+    def run(part):
+        got[part.start] = modified_laplacian_apply(form, u, F)
+
+    grid._in_parts(run, slice(0, 3))
+    assert len(pool.submitted) == 2
+    assert sorted(got) == [0, 1, 2]
+    for value in got.values():
+        assert np.array_equal(value, want)
