@@ -21,8 +21,10 @@ spectral gap is small (t = 0.02 on a 12^4 ``fourier_metric``, amplitude
 start stays only because the benchmark's solve workload names it.
 Newton's own inner solves and tolerance fix the accuracy.  Inner linear
 solves use conjugate gradient on the density-symmetrized operator,
-preconditioned by the constant-coefficient symbol inverted in Fourier space;
-the report counts their iterations over both stages in ``cg_iterations``.
+preconditioned by the inverse of the constant-coefficient symbol, applied
+in the real orthonormal Fourier basis of each axis (one matrix product per
+axis each way, no FFT); the report counts their iterations over both stages
+in ``cg_iterations``.
 Each stage forms the operator's coefficient once, as a ``grid.FluxForm`` of
 its metric (the trichotomy and Newton on g, the barrier stage on the
 rescaled metric), and every apply goes through
@@ -41,7 +43,8 @@ Every apply of L runs on ``grid``'s thread pool: the flux-form Laplacian in
 its two split phases, and the eigensolve's checkerboard penalty split the
 same way, each part reading the window around its axis-0 planes.  Every
 worker count gives the same bits.  The Fourier preconditioner stays on one
-thread: two numpy FFTs run at once took as long as the two in turn.
+thread: its basis products take under a tenth of a 16^4 solve, too little
+for a split to repay its hand-offs.
 
 Every tolerance and iteration cap is a module constant: ``_EIG_TOL`` and
 ``_EIG_MAXITER`` for the eigensolve, ``_SOLVE_TOL`` for the constant-F
@@ -51,6 +54,7 @@ and ``_CG_MAXITER`` for each conjugate-gradient solve.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, field
 
@@ -153,40 +157,75 @@ def _penalty_strength(a_n, F):
 # The operator -a_n Lap + q is self-adjoint with respect to sum(a b sqrt(g)),
 # so CG runs on the similarity transform sqrt(sqrt(g)) A sqrt(sqrt(g))^{-1},
 # which is symmetric in the plain Euclidean product and therefore compatible
-# with the Fourier preconditioner (a fixed SPD circulant).
+# with the Fourier preconditioner (a fixed SPD circulant).  Its symbol is a
+# constant plus, for each axis, a function even in that axis's wave number,
+# so it is diagonal in the tensor product of each axis's real orthonormal
+# Fourier basis.
+
+
+def _real_basis(size):
+    """Real orthonormal Fourier basis of a periodic axis of even ``size``
+    points, one row per basis vector: the constant, then the cos and the
+    sin row of each wave number 1 .. size/2 - 1, then the Nyquist row
+    (-1)^j.  Row i has wave number (i + 1) // 2."""
+    j = np.arange(size)
+    # the phase m j reduced mod size first, so every angle is below 2 pi
+    angle = (2.0 * np.pi / size) * (np.outer((j + 1) // 2, j) % size)
+    cos_row = (j % 2 == 1) | (j == 0)
+    Q = np.where(cos_row[:, None], np.cos(angle), np.sin(angle))
+    return Q / np.linalg.norm(Q, axis=1, keepdims=True)
 
 
 def _preconditioner(form, q, pen_mean):
-    """Fourier inverse of the mean-coefficient symbol of -a_n Lap + q
-    + pen_mean times the penalty's symbol."""
+    """Inverse of the mean-coefficient symbol of -a_n Lap + q + pen_mean
+    times the penalty's symbol, applied in each axis's real Fourier basis
+    (``_real_basis``): a product with Q_a along every axis, a division by
+    the symbol, a product with Q_a^T along every axis.  The products
+    alternate between the result and one buffer the preconditioner owns,
+    so a call allocates only its result, and one preconditioner serves one
+    caller at a time."""
     chart = form.chart
     trace = sum(form.component(a, a) for a in range(chart.n)) / form.sqrt_det
     c_lap = float(np.mean(trace)) / chart.n
     q_mean = float(np.mean(q * form.sqrt_det))
     sym = np.zeros(chart.sizes)
     pen_sym = np.zeros(chart.sizes)
+    steps = []
     for a, (size, h) in enumerate(zip(chart.sizes, chart.spacings)):
-        k = 2.0 * np.pi * np.fft.fftfreq(size, d=h)
+        Q = _real_basis(size)
+        m = (np.arange(size) + 1) // 2
+        k = 2.0 * np.pi * m / (size * h)
         if chart.scheme == "spectral":
-            d = k.copy()
-            d[size // 2] = 0.0  # odd Nyquist mode is dropped by the scheme
+            d = np.where(2 * m == size, 0.0, k)  # the scheme drops odd Nyquist
         else:
             d = (8.0 * np.sin(k * h) - np.sin(2.0 * k * h)) / (6.0 * h)
         shape = [1] * chart.n
         shape[a] = size
         sym = sym + (d**2).reshape(shape)
         pen_sym = pen_sym + ((2.0 * np.cos(k * h) - 2.0) ** 2).reshape(shape)
+        steps.append((Q, math.prod(chart.sizes[a + 1 :])))
     a_lap = laplacian_factor(chart.n) * max(c_lap, 1e-12)
     denom = a_lap * sym + pen_mean * pen_sym + max(q_mean, 1e-12)
-    # the symbol is even in k, so the real transform's half spectrum of the
-    # last axis carries all of it
-    denom = denom[..., : chart.sizes[-1] // 2 + 1]
-    axes = tuple(range(chart.n))
+    # Q_a along every axis, then Q_a^T along every axis
+    steps += [(Q.T, post) for Q, post in steps]
+    buf = np.empty(chart.sizes)
 
     def precond(r):
-        spec = np.fft.rfftn(r, s=chart.sizes, axes=axes)
-        spec /= denom
-        return np.fft.irfftn(spec, s=chart.sizes, axes=axes)
+        out = np.empty(chart.sizes)
+        # the 2n products alternate between buf and out and end in out
+        x = r
+        for i, (Q, post) in enumerate(steps):
+            if i == chart.n:
+                x /= denom
+            y = (buf, out)[i % 2]
+            if post == 1:
+                # the last axis as one (rows, N) @ Q^T product: the batched
+                # Q @ (rows, N, 1) form is several times slower there
+                np.matmul(x.reshape(-1, len(Q)), Q.T, out=y.reshape(-1, len(Q)))
+            else:
+                np.matmul(Q, x.reshape(-1, len(Q), post), out=y.reshape(-1, len(Q), post))
+            x = y
+        return out
 
     return precond
 
@@ -274,7 +313,8 @@ def _block(rows):
 def _ritz_step(y, Ay, w, Aw, p, Ap):
     """Lowest Ritz pair of span{y, w, p}: the new y, Ay, p and Ap.
 
-    The columns are normalized before the Gram matrix is factored; when p
+    The columns are normalized, with their norms read from the Gram
+    matrix's diagonal, before the Gram matrix is factored; when p
     has become numerically dependent on y and w the Cholesky factorization
     fails or leaves a pivot below ``_MIN_PIVOT``, and the step is retried on
     span{y, w}.
@@ -288,8 +328,9 @@ def _ritz_step(y, Ay, w, Aw, p, Ap):
     imgs = [Ay, Aw] if p is None else [Ay, Aw, Ap]
     S = _block(cols)
     AS = _block(imgs)
-    d = 1.0 / np.linalg.norm(S, axis=1)
-    gram = d[:, None] * (S @ S.T) * d[None, :]
+    gram = S @ S.T
+    d = 1.0 / np.sqrt(np.diag(gram))
+    gram = d[:, None] * gram * d[None, :]
     H = d[:, None] * (S @ AS.T) * d[None, :]
     try:
         chol = np.linalg.cholesky(gram)

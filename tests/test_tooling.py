@@ -258,3 +258,35 @@ def test_split_apply_peaks_below_the_serial_apply_plus_one_flux_buffer():
     serial = _traced_peak(lambda: whole_field_flux_laplacian(form, u))
     flux = chart.n * chart.npoints * 8
     assert split <= serial + flux, (split, serial, flux)
+
+
+def test_yamabe_uses_no_fft():
+    # the preconditioner has one route, the real basis products; an FFT
+    # fallback in the solver module fails here
+    tree = ast.parse((PACKAGE / "yamabe.py").read_text())
+    fft = [
+        node.lineno
+        for node in ast.walk(tree)
+        if (isinstance(node, ast.Attribute) and node.attr == "fft")
+        or (isinstance(node, ast.ImportFrom) and "fft" in (node.module or ""))
+        or (isinstance(node, ast.Import) and any("fft" in a.name for a in node.names))
+    ]
+    assert not fft, fft
+
+
+def test_preconditioner_call_peaks_at_two_fields():
+    # one call allocates its result, the products alternating between it
+    # and a buffer the preconditioner owns (measured at 20^4: 1.0 field;
+    # the rfftn/irfftn route peaked at 3.3)
+    import numpy as np
+
+    from scalarweyl.grid import FluxForm, make_chart
+    from scalarweyl.presets import fourier_metric
+    from scalarweyl.yamabe import _preconditioner
+
+    chart = make_chart(4, (20,) * 4, (2 * np.pi,) * 4)
+    form = FluxForm.of(fourier_metric(chart, amplitude=0.2, seed=3))
+    r = np.random.default_rng(1).standard_normal(chart.sizes)
+    precond = _preconditioner(form, np.ones(chart.sizes), 0.2)
+    peak = _traced_peak(lambda: precond(r))
+    assert peak <= 2 * chart.npoints * 8, peak / (chart.npoints * 8)

@@ -32,6 +32,7 @@ from scalarweyl.yamabe import (
     _penalty_apply,
     _penalty_strength,
     _preconditioner,
+    _real_basis,
     _ritz_step,
     _shifted_solver,
     first_eigenvalue,
@@ -96,7 +97,8 @@ def _complex_preconditioner(chart, a_n, c_lap, q_mean, pen_mean):
 
 
 @pytest.mark.parametrize("scheme", ["fd4", "spectral"])
-@pytest.mark.parametrize("sizes", [(8, 10, 12), (8, 12, 8, 10)])
+# the last two are the benchmark's 4D grids
+@pytest.mark.parametrize("sizes", [(8, 10, 12), (8, 12, 8, 10), (16,) * 4, (20,) * 4])
 def test_real_fft_preconditioner_matches_complex_form(sizes, scheme):
     chart = make_chart(len(sizes), sizes, (2.0 * np.pi,) * len(sizes), scheme=scheme)
     rng = np.random.default_rng(3)
@@ -111,6 +113,32 @@ def test_real_fft_preconditioner_matches_complex_form(sizes, scheme):
     got = _preconditioner(FluxForm.of(g), q, 0.2)(r)
     assert got.shape == ref.shape
     assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+
+@pytest.mark.parametrize("size", range(2, 26, 2))
+def test_real_basis_is_orthonormal(size):
+    Q = _real_basis(size)
+    eye = np.eye(size)
+    assert np.max(np.abs(Q @ Q.T - eye)) <= 1e-14
+    assert np.max(np.abs(Q.T @ Q - eye)) <= 1e-14
+
+
+@pytest.mark.parametrize("scheme", ["fd4", "spectral"])
+@pytest.mark.parametrize("sizes", [(8, 10, 12), (8, 12, 8, 10)])
+def test_preconditioner_is_symmetric_and_positive(sizes, scheme):
+    # the preconditioner of CG and LOBPCG must be a symmetric positive
+    # definite operator in the plain Euclidean product
+    chart = make_chart(len(sizes), sizes, (2.0 * np.pi,) * len(sizes), scheme=scheme)
+    rng = np.random.default_rng(7)
+    g = fourier_metric(chart, amplitude=0.2, seed=4)
+    precond = _preconditioner(FluxForm.of(g), 0.4 + rng.random(sizes), 0.2)
+    for _ in range(3):
+        a, b = rng.standard_normal((2,) + sizes)
+        Pa, Pb = precond(a), precond(b)
+        aPa, bPb = float(np.vdot(a, Pa)), float(np.vdot(b, Pb))
+        assert aPa > 0.0 and bPb > 0.0
+        # relative to the Cauchy-Schwarz bound sqrt(<a, Pa> <b, Pb>)
+        assert abs(float(np.vdot(a, Pb)) - float(np.vdot(Pa, b))) <= 1e-13 * np.sqrt(aPa * bPb)
 
 
 # ---------------------------------------------------------------------------
