@@ -23,11 +23,13 @@ differentiated through its ``window``, the range with two wrapped ghost
 planes past each end: ``deriv_window`` reads them in place along axis 0 and
 wraps the range's own planes along the other axes, as ``deriv`` does, so
 every range is bit-identical to the same planes of the whole derivative.
-A spectral scheme is available behind the chart's ``scheme`` switch; its
-window is the whole field.  Integration is the plain point sum times the
-cell volume, which is spectrally accurate on periodic grids and makes the
-discrete divergence theorem hold to roundoff (the stencil telescopes over
-each periodic axis).
+A "spectral" chart differentiates along an axis by one ``_axis_product``
+with the axis's dense N x N matrix (``_spectral_matrix``).  Each derived
+plane reads every plane of the axis, so a range of axis-0 planes needs all
+of axis 0: a spectral window is the whole field.  Integration is the plain
+point sum times the cell volume, which is spectrally accurate on periodic
+grids and makes the discrete divergence theorem hold to roundoff (the
+stencil telescopes over each periodic axis).
 
 The Laplace-Beltrami operator is applied in flux form,
 (1/sqrt(det g)) sum_a D_a(sqrt(det g) g^{ab} D_b u).  Its coefficient
@@ -52,11 +54,12 @@ spectral apply, whose derivatives need whole axes, is one unsplit part.
 
 from __future__ import annotations
 
+import math
 import os
 import threading
 from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -280,14 +283,34 @@ def _stencil_fd4(ext: np.ndarray, axis: int, spacing: float) -> np.ndarray:
     return out
 
 
-def _deriv_spectral(arr: np.ndarray, axis: int, size: int, length: float) -> np.ndarray:
-    k = np.fft.rfftfreq(size, d=length / size) * 2.0 * np.pi
-    k[-1] = 0.0  # drop the odd Nyquist mode
-    shape = [1] * arr.ndim
-    shape[axis] = k.size
-    spec = np.fft.rfft(arr, axis=axis)
-    spec *= 1j * k.reshape(shape)
-    return np.fft.irfft(spec, n=size, axis=axis)
+def _axis_product(M: np.ndarray, x: np.ndarray, axis: int, out: np.ndarray) -> np.ndarray:
+    """``M`` (N x N) applied along ``axis`` of ``x`` into the contiguous
+    ``out`` by one matmul: ``M @ x.reshape(-1, N, post)`` on a leading axis,
+    ``x.reshape(-1, N) @ M.T`` on the last, where the batched form is
+    several times slower."""
+    N = len(M)
+    post = math.prod(x.shape[axis + 1 :])
+    if post == 1:
+        np.matmul(x.reshape(-1, N), M.T, out=out.reshape(-1, N))
+    else:
+        np.matmul(M, x.reshape(-1, N, post), out=out.reshape(-1, N, post))
+    return out
+
+
+@lru_cache
+def _spectral_matrix(size: int, length: float) -> np.ndarray:
+    """Spectral derivative of a periodic axis as a read-only circulant
+    (Trefethen, Spectral Methods in MATLAB, ch. 3): entry (1/2) (-1)^s
+    cot(pi s / size) 2 pi / length for s = (i - j) mod size, zero for s = 0
+    and s = size/2, so the odd Nyquist mode (-1)^j is in its kernel."""
+    j = np.arange(size)
+    s = j[1 : size // 2]
+    col = np.zeros(size)
+    col[s] = (np.pi / length) * (-1.0) ** s / np.tan(np.pi * s / size)
+    col[size - s] = -col[s]
+    D = col[(j[:, None] - j) % size]
+    D.flags.writeable = False
+    return D
 
 
 def _grid_broadcast(chart: Chart, arr: np.ndarray) -> np.ndarray:
@@ -319,7 +342,8 @@ def deriv(chart: Chart, arr: np.ndarray, axis: int) -> np.ndarray:
         raise FieldError(f"axis must be in [0, {chart.n}), got {axis}")
     arr = _grid_broadcast(chart, arr)
     if chart.scheme == "spectral":
-        return _deriv_spectral(arr, axis, chart.sizes[axis], chart.lengths[axis])
+        D = _spectral_matrix(chart.sizes[axis], chart.lengths[axis])
+        return _axis_product(D, arr, axis, np.empty(arr.shape))
     return _stencil_fd4(_with_ghosts(arr, axis, 0, chart.sizes[axis]), axis, chart.spacings[axis])
 
 

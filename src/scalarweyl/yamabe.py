@@ -22,9 +22,9 @@ start stays only because the benchmark's solve workload names it.
 Newton's own inner solves and tolerance fix the accuracy.  Inner linear
 solves use conjugate gradient on the density-symmetrized operator,
 preconditioned by the inverse of the constant-coefficient symbol, applied
-in the real orthonormal Fourier basis of each axis (one matrix product per
-axis each way, no FFT); the report counts their iterations over both stages
-in ``cg_iterations``.
+in the real orthonormal Fourier basis of each axis (one
+``grid._axis_product`` per axis each way); the report counts their
+iterations over both stages in ``cg_iterations``.
 Each stage forms the operator's coefficient once, as a ``grid.FluxForm`` of
 its metric (the trichotomy and Newton on g, the barrier stage on the
 rescaled metric), and every apply goes through
@@ -36,8 +36,8 @@ preconditioned conjugate gradient; Knyazev, SIAM J. Sci. Comput. 23(2),
 2001) on the same symmetrized operator with the same Fourier preconditioner:
 one operator apply per iteration and no inner linear solves.  Its iterate,
 preconditioned residual and last step are the rows of one (3, *sizes)
-block, and their images under the operator of a second, so the Ritz
-step's Gram products read them in place.
+block, and their images under the operator of a second, both allocated
+once: the Ritz step reads and updates them in place.
 
 Every apply of L runs on ``grid``'s thread pool: the flux-form Laplacian in
 its two split phases, and the eigensolve's checkerboard penalty split the
@@ -54,7 +54,6 @@ and ``_CG_MAXITER`` for each conjugate-gradient solve.
 
 from __future__ import annotations
 
-import math
 import time
 from dataclasses import dataclass, field
 
@@ -70,6 +69,7 @@ from .conformal import (
 from .grid import (
     FluxForm,
     MetricField,
+    _axis_product,
     _in_parts,
     _interior_shifts,
     _with_ghosts,
@@ -180,10 +180,10 @@ def _preconditioner(form, q, pen_mean):
     """Inverse of the mean-coefficient symbol of -a_n Lap + q + pen_mean
     times the penalty's symbol, applied in each axis's real Fourier basis
     (``_real_basis``): a product with Q_a along every axis, a division by
-    the symbol, a product with Q_a^T along every axis.  The products
-    alternate between the result and one buffer the preconditioner owns,
-    so a call allocates only its result, and one preconditioner serves one
-    caller at a time."""
+    the symbol, a product with Q_a^T along every axis, each one
+    ``grid._axis_product``.  The products alternate between the result and
+    one buffer the preconditioner owns, so a call allocates only its
+    result, and one preconditioner serves one caller at a time."""
     chart = form.chart
     trace = sum(form.component(a, a) for a in range(chart.n)) / form.sqrt_det
     c_lap = float(np.mean(trace)) / chart.n
@@ -192,7 +192,7 @@ def _preconditioner(form, q, pen_mean):
     pen_sym = np.zeros(chart.sizes)
     steps = []
     for a, (size, h) in enumerate(zip(chart.sizes, chart.spacings)):
-        Q = _real_basis(size)
+        steps.append((a, _real_basis(size)))
         m = (np.arange(size) + 1) // 2
         k = 2.0 * np.pi * m / (size * h)
         if chart.scheme == "spectral":
@@ -203,28 +203,20 @@ def _preconditioner(form, q, pen_mean):
         shape[a] = size
         sym = sym + (d**2).reshape(shape)
         pen_sym = pen_sym + ((2.0 * np.cos(k * h) - 2.0) ** 2).reshape(shape)
-        steps.append((Q, math.prod(chart.sizes[a + 1 :])))
     a_lap = laplacian_factor(chart.n) * max(c_lap, 1e-12)
     denom = a_lap * sym + pen_mean * pen_sym + max(q_mean, 1e-12)
     # Q_a along every axis, then Q_a^T along every axis
-    steps += [(Q.T, post) for Q, post in steps]
+    steps += [(a, Q.T) for a, Q in steps]
     buf = np.empty(chart.sizes)
 
     def precond(r):
         out = np.empty(chart.sizes)
         # the 2n products alternate between buf and out and end in out
         x = r
-        for i, (Q, post) in enumerate(steps):
+        for i, (a, Q) in enumerate(steps):
             if i == chart.n:
                 x /= denom
-            y = (buf, out)[i % 2]
-            if post == 1:
-                # the last axis as one (rows, N) @ Q^T product: the batched
-                # Q @ (rows, N, 1) form is several times slower there
-                np.matmul(x.reshape(-1, len(Q)), Q.T, out=y.reshape(-1, len(Q)))
-            else:
-                np.matmul(Q, x.reshape(-1, len(Q), post), out=y.reshape(-1, len(Q), post))
-            x = y
+            x = _axis_product(Q, x, a, (buf, out)[i % 2])
         return out
 
     return precond
@@ -296,22 +288,10 @@ def _shifted_solver(form, q):
 _MIN_PIVOT = 1e-6
 
 
-def _block(rows):
-    """``rows`` as one (k, N) array: with no copy the leading rows of the
-    (3, *sizes) block they are views of, when they are those rows, as the
-    eigensolver's iterates are; a stacked copy otherwise."""
-    buf = rows[0].base
-    if (
-        buf is not None
-        and len(buf) >= len(rows)
-        and all(r.__array_interface__ == row.__array_interface__ for r, row in zip(rows, buf))
-    ):
-        return buf[: len(rows)].reshape(len(rows), -1)
-    return np.stack([r.reshape(-1) for r in rows])
-
-
-def _ritz_step(y, Ay, w, Aw, p, Ap):
-    """Lowest Ritz pair of span{y, w, p}: the new y, Ay, p and Ap.
+def _ritz_step(X, AX, rows):
+    """Lowest Ritz pair of span{y, w, p}, the first ``rows`` rows of the
+    (3, *sizes) block ``X`` (p only when ``rows`` is 3), whose images
+    under the operator are the same rows of ``AX``.
 
     The columns are normalized, with their norms read from the Gram
     matrix's diagonal, before the Gram matrix is factored; when p
@@ -319,15 +299,11 @@ def _ritz_step(y, Ay, w, Aw, p, Ap):
     fails or leaves a pivot below ``_MIN_PIVOT``, and the step is retried on
     span{y, w}.
 
-    The inputs are left as they are.  The new y and p are rows 0 and 2 of
-    a new (3, *sizes) block, and Ay and Ap of a second; the caller puts the
-    next w and A w in their rows 1, so the next step's Gram products read
-    the block in place (``_block``).
+    In both blocks, in place, row 2 becomes the new step c_2 p + c_1 w and
+    row 0 the new y, c_0 y + (row 2) normalized.
     """
-    cols = [y, w] if p is None else [y, w, p]
-    imgs = [Ay, Aw] if p is None else [Ay, Aw, Ap]
-    S = _block(cols)
-    AS = _block(imgs)
+    S = X[:rows].reshape(rows, -1)
+    AS = AX[:rows].reshape(rows, -1)
     gram = S @ S.T
     d = 1.0 / np.sqrt(np.diag(gram))
     gram = d[:, None] * gram * d[None, :]
@@ -337,31 +313,27 @@ def _ritz_step(y, Ay, w, Aw, p, Ap):
     except np.linalg.LinAlgError:
         chol = None
     if chol is None or float(np.min(np.diag(chol))) < _MIN_PIVOT:
-        if p is None:
+        if rows == 2:
             raise RuntimeError(
                 "eigensolver breakdown: the preconditioned residual is "
                 "parallel to the iterate"
             )
-        return _ritz_step(y, Ay, w, Aw, None, None)
+        return _ritz_step(X, AX, 2)
     # H c = theta G c becomes a standard problem in the Cholesky frame
     M = np.linalg.solve(chol, np.linalg.solve(chol, 0.5 * (H + H.T)).T)
     _, vecs = np.linalg.eigh(M)
     c = np.linalg.solve(chol.T, vecs[:, 0]) * d
-    new, Anew = np.empty((3,) + y.shape), np.empty((3,) + y.shape)
-    step, Astep = new[2], Anew[2]
-    np.multiply(c[1], w, out=step)
-    np.multiply(c[1], Aw, out=Astep)
-    if p is not None:
-        step += c[2] * p
-        Astep += c[2] * Ap
-    y = np.multiply(c[0], y, out=new[0])
-    y += step
-    Ay = np.multiply(c[0], Ay, out=Anew[0])
-    Ay += Astep
-    nrm = float(np.linalg.norm(y))
-    y /= nrm
-    Ay /= nrm
-    return y, Ay, step, Astep
+    for B in (X, AX):
+        if rows == 3:
+            B[2] *= c[2]
+            B[2] += c[1] * B[1]
+        else:
+            np.multiply(c[1], B[1], out=B[2])
+        B[0] *= c[0]
+        B[0] += B[2]
+    nrm = float(np.linalg.norm(X[0]))
+    X[0] /= nrm
+    AX[0] /= nrm
 
 
 def first_eigenvalue(g: MetricField, F: np.ndarray) -> TrichotomyResult:
@@ -415,13 +387,14 @@ def first_eigenvalue(g: MetricField, F: np.ndarray) -> TrichotomyResult:
 
     # for unit y, |A y - rho y| is the residual of u = y / sqrt(sqrt(g)) in
     # the volume-weighted norm, with u of unit L2(dV) norm
-    # y and p are rows 0 and 2 of a (3, *sizes) block, w row 1, and A y,
-    # A w and A p the same rows of a second: the Ritz step reads them in place
-    y = np.divide(sd, float(np.linalg.norm(sd)), out=np.empty((3,) + chart.sizes)[0])
-    Ay = np.empty((3,) + chart.sizes)[0]
+    # y, w and p are rows 0, 1 and 2 of X, and A y, A w and A p those of AX:
+    # the Ritz step reads and updates them in place
+    X, AX = np.empty((2, 3) + chart.sizes)
+    y, w, Ay, Aw = X[0], X[1], AX[0], AX[1]
+    np.divide(sd, float(np.linalg.norm(sd)), out=y)
     Ay[...] = apply_sym(y)
     fresh = True
-    p = Ap = None
+    rows = 2  # no last step yet
     scale = max(1.0, float(np.max(np.abs(F))))
     for it in range(1, _EIG_MAXITER + 1):
         lam = float(np.vdot(y, Ay))
@@ -433,10 +406,10 @@ def first_eigenvalue(g: MetricField, F: np.ndarray) -> TrichotomyResult:
             Ay[...] = apply_sym(y)
             fresh = True
             continue
-        w, Aw = y.base[1], Ay.base[1]
         w[...] = precond(r)
         Aw[...] = apply_sym(w)
-        y, Ay, p, Ap = _ritz_step(y, Ay, w, Aw, p, Ap)
+        _ritz_step(X, AX, rows)
+        rows = 3
         fresh = False
     else:
         trace = sum(form.component(a, a) for a in range(chart.n))

@@ -91,6 +91,77 @@ def test_spectral_exact_on_modes():
     assert np.allclose(dfdx, 2 * np.cos(2 * x) * np.cos(y), atol=1e-12)
 
 
+def _fft_deriv(arr, axis, length):
+    # reference: the spectral derivative through the real FFT, i k on each
+    # wave number with the odd Nyquist mode dropped
+    size = arr.shape[axis]
+    k = np.fft.rfftfreq(size, d=length / size) * 2.0 * np.pi
+    k[-1] = 0.0
+    shape = [1] * arr.ndim
+    shape[axis] = k.size
+    return np.fft.irfft(np.fft.rfft(arr, axis=axis) * (1j * k.reshape(shape)), n=size, axis=axis)
+
+
+def _relative_error(got, want):
+    return np.max(np.abs(got - want)) / np.max(np.abs(want))
+
+
+@pytest.mark.parametrize(
+    "sizes, lengths",
+    [
+        ((8, 14, 24), (1.0, 3.5, 7.0)),
+        ((16, 10, 12, 18), (0.5, 2 * np.pi, 4.0, 9.0)),
+        ((12, 12, 12), (2 * np.pi,) * 3),
+    ],
+)
+def test_spectral_deriv_matches_fft_reference(sizes, lengths):
+    c = make_chart(len(sizes), sizes, lengths, scheme="spectral")
+    rng = np.random.default_rng(sum(sizes))
+    for extra in [(), (3,), (2, 5)]:
+        # component axes trail the grid axes
+        arr = rng.standard_normal(c.sizes + extra)
+        for axis in range(c.n):
+            got = deriv(c, arr, axis)
+            assert got.shape == arr.shape
+            assert _relative_error(got, _fft_deriv(arr, axis, c.lengths[axis])) <= 1e-14
+    # a field built from the sparse mesh broadcasts to the whole grid first
+    mesh = c.mesh()
+    sparse = np.sin(2 * np.pi * mesh[0] / c.lengths[0]) * np.cos(
+        6 * np.pi * mesh[-1] / c.lengths[-1]
+    ) + rng.standard_normal(c.sizes[:1] + (1,) * (c.n - 1))
+    assert sparse.shape != c.sizes
+    full = np.broadcast_to(sparse, c.sizes)
+    for axis in (0, c.n - 1):
+        want = _fft_deriv(full, axis, c.lengths[axis])
+        assert _relative_error(deriv(c, sparse, axis), want) <= 1e-14
+    # a middle axis the field is constant along
+    assert np.max(np.abs(deriv(c, sparse, 1))) <= 1e-14 * np.max(np.abs(deriv(c, sparse, 0)))
+
+
+def test_spectral_deriv_kills_the_nyquist_mode():
+    # the odd mode (-1)^j has no derivative the grid can represent
+    c = make_chart(3, (8, 14, 24), (1.0, 3.5, 7.0), scheme="spectral")
+    for axis in range(c.n):
+        j =np.arange(c.sizes[axis]).reshape([-1 if a == axis else 1 for a in range(c.n)])
+        nyquist = np.broadcast_to((-1.0) ** j, c.sizes)
+        # against the size of the derivative of the highest resolved mode
+        scale = np.pi * c.sizes[axis] / c.lengths[axis]
+        assert np.max(np.abs(deriv(c, nyquist, axis))) <= 1e-14 * scale
+
+
+@pytest.mark.parametrize("size", [8, 10, 16, 24])
+@pytest.mark.parametrize("length", [1.0, 2 * np.pi, 7.5])
+def test_spectral_matrix_is_antisymmetric_circulant(size, length):
+    D = grid._spectral_matrix(size, length)
+    assert D.shape == (size, size)
+    assert np.array_equal(D, -D.T)
+    assert np.array_equal(np.diag(D), np.zeros(size))
+    # each row is the one before shifted by one place
+    assert np.array_equal(D, np.roll(D, (1, 1), axis=(0, 1)))
+    # the cached matrix is shared, so it is read-only
+    assert not D.flags.writeable
+
+
 def test_deriv_trailing_component_axes():
     c = chart3(16)
     x = c.mesh()[0]

@@ -260,13 +260,14 @@ def test_split_apply_peaks_below_the_serial_apply_plus_one_flux_buffer():
     assert split <= serial + flux, (split, serial, flux)
 
 
-def test_yamabe_uses_no_fft():
-    # the preconditioner has one route, the real basis products; an FFT
-    # fallback in the solver module fails here
-    tree = ast.parse((PACKAGE / "yamabe.py").read_text())
+def test_src_uses_no_fft():
+    # every periodic per-axis linear map is one matrix product per axis
+    # (``grid._axis_product``): the spectral derivative and the solver's
+    # preconditioner; an FFT route in any module fails here
     fft = [
-        node.lineno
-        for node in ast.walk(tree)
+        f"{path.name}:{node.lineno}"
+        for path in sorted(PACKAGE.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text()))
         if (isinstance(node, ast.Attribute) and node.attr == "fft")
         or (isinstance(node, ast.ImportFrom) and "fft" in (node.module or ""))
         or (isinstance(node, ast.Import) and any("fft" in a.name for a in node.names))

@@ -276,8 +276,13 @@ def test_ritz_step_drops_a_dependent_direction():
         A = A + A.T
         y, w = rng.standard_normal((2, 30))
         for p in (3.0 * y, w - 2.0 * y):
-            got = _ritz_step(y, A @ y, w, A @ w, p, A @ p)[0]
-            want = _ritz_step(y, A @ y, w, A @ w, None, None)[0]
+            # rows 0, 1 and 2 of the blocks are y, w and p and their images
+            X, AX = np.stack([y, w, p]), np.stack([A @ y, A @ w, A @ p])
+            _ritz_step(X, AX, 3)
+            got = X[0]
+            X, AX = np.stack([y, w, p]), np.stack([A @ y, A @ w, A @ p])
+            _ritz_step(X, AX, 2)
+            want = X[0]
             assert np.allclose(got, want * np.sign(np.dot(got, want)), atol=1e-12)
 
 
