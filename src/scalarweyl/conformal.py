@@ -9,8 +9,8 @@ u^{-p_n} L u.  The tests check this law and the pointwise transformation
 laws of the curvature against a direct recomputation on the rescaled metric.
 
 ``modified_laplacian_apply`` is the one apply of L.  Its Laplacian is
-``grid.flux_laplacian``, which runs in two phases over the axis-0 planes,
-each split among the workers of the thread pool that ``grid`` holds.
+``grid.flux_laplacian``: whole-field derivative-matrix products, with the
+pointwise flux sums split among the workers of ``grid``'s thread pool.
 """
 
 from __future__ import annotations
@@ -105,9 +105,9 @@ def modified_laplacian_apply(
 
     ``F`` is formed once by the caller and reused for every apply, so the
     coupling t enters only through it.  ``g`` may be a ``FluxForm``.  The
-    Laplacian is ``grid.flux_laplacian``, whose two phases run split among
-    the workers of ``grid``'s thread pool; called inside a part, it runs
-    inline.
+    Laplacian is ``grid.flux_laplacian``, whose pointwise flux sums run
+    split among the workers of ``grid``'s thread pool; called inside a part,
+    it runs inline.
     """
     phi = np.asarray(phi, dtype=float)
     return -laplacian_factor(g.chart.n) * flux_laplacian(g, phi) + F * phi

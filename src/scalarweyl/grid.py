@@ -32,13 +32,11 @@ grids and makes the discrete divergence theorem hold to roundoff (the
 stencil telescopes over each periodic axis).
 
 The Laplace-Beltrami operator is applied in flux form,
-(1/sqrt(det g)) sum_a D_a(sqrt(det g) g^{ab} D_b u).  Its coefficient
-sqrt(det g) g^{ab} is formed once per metric as a ``FluxForm``: the packed
-(a <= b) components, each a contiguous grid array.  An apply runs in two
-phases over the axis-0 planes: n derivatives of u and contiguous
-multiply-adds into the n whole-grid flux components, then n derivatives
-back and one division by sqrt(det g).  Each phase is split among the
-workers, every part reading the windows around its own planes.
+(1/sqrt(det g)) sum_a D_a(sqrt(det g) g^{ab} D_b u).  A ``FluxForm`` holds
+its coefficient once per metric with the axis scales folded in, so each
+derivative of an apply is one ``_axis_product`` of a whole field: with the
+fd4 band as the integer circulant ``_difference_matrix`` (a constant 1 maps
+to exactly 0), or with the spectral matrix.
 
 The package's one thread pool lives here (``_in_parts``): a range of
 axis-0 planes is split into one contiguous part per CPU the process may
@@ -47,9 +45,8 @@ the call returns once every part has finished.  numpy releases the
 interpreter lock inside the ufunc, ``take`` and ``matmul`` loops that do
 the work.  Each part writes only its own planes and the arithmetic of a
 point does not depend on the split, so every worker count gives the same
-bits; a split started inside a part runs inline as one part.  The flux
-apply and ``curvature``'s slab loops split their planes through it; a
-spectral apply, whose derivatives need whole axes, is one unsplit part.
+bits; a split started inside a part runs inline as one part.  The apply's
+pointwise flux sums and ``curvature``'s slab loops split through it.
 """
 
 from __future__ import annotations
@@ -229,16 +226,6 @@ def _in_parts(run, planes: slice) -> None:
         future.result()
 
 
-def _split_planes(chart: Chart, run) -> None:
-    """``_in_parts`` over all axis-0 planes of ``chart``; a spectral chart,
-    whose derivatives need whole axes, is one unsplit part."""
-    planes = slice(0, chart.sizes[0])
-    if chart.scheme == "spectral":
-        run(planes)
-    else:
-        _in_parts(run, planes)
-
-
 # ---------------------------------------------------------------------------
 # differentiation
 # ---------------------------------------------------------------------------
@@ -309,6 +296,19 @@ def _spectral_matrix(size: int, length: float) -> np.ndarray:
     col[s] = (np.pi / length) * (-1.0) ** s / np.tan(np.pi * s / size)
     col[size - s] = -col[s]
     D = col[(j[:, None] - j) % size]
+    D.flags.writeable = False
+    return D
+
+
+@lru_cache
+def _difference_matrix(size: int) -> np.ndarray:
+    """The fd4 stencil 8 (f[i+1] - f[i-1]) - (f[i+2] - f[i-2]) of a periodic
+    axis as a read-only circulant, without its 1/(12 h): integer entries, so
+    a product with a constant 1 sums exactly to 0."""
+    j = np.arange(size)
+    row = np.zeros(size)
+    row[[1, 2, -2, -1]] = (8.0, -1.0, 1.0, -8.0)
+    D = row[(j - j[:, None]) % size]
     D.flags.writeable = False
     return D
 
@@ -593,14 +593,22 @@ def integrate(chart: Chart, f, density) -> float:
 # the flux-form Laplacian
 
 
+def _apply_axes(chart: Chart) -> list[tuple[np.ndarray, float]]:
+    """Per axis, the flux apply's derivative matrix and the scale s_a it
+    leaves to ``FluxForm``: the integer fd4 band and 1/(12 h), or the
+    spectral matrix (it carries 2 pi / L) and 1."""
+    if chart.scheme == "spectral":
+        return [(_spectral_matrix(N, L), 1.0) for N, L in zip(chart.sizes, chart.lengths)]
+    return [(_difference_matrix(N), 1.0 / (12.0 * h)) for N, h in zip(chart.sizes, chart.spacings)]
+
+
 @dataclass(frozen=True, eq=False)
 class FluxForm:
-    """Coefficient sqrt(det g) g^{ab} of the flux-form Laplacian of a metric.
-
-    ``coefficient[c]`` is the c-th packed (a <= b) component, each a
-    contiguous grid array, so an apply is whole-array multiply-adds.  Form
-    it once per metric and hand it to every apply; ``flux_laplacian`` forms
-    one itself when given the metric.
+    """Coefficient sqrt(det g) g^{ab} s_a s_b of the flux-form Laplacian of
+    a metric, the axis scales s_a of ``_apply_axes`` folded in; ``component``
+    divides them out.  ``coefficient[c]`` is the c-th packed (a <= b)
+    component, a contiguous grid array.  Form it once per metric and hand it
+    to every apply; ``flux_laplacian`` forms one itself from a metric.
     """
 
     chart: Chart
@@ -611,61 +619,53 @@ class FluxForm:
     def of(cls, g: MetricField) -> FluxForm:
         inv = g.inverse
         pairs = sym2_pack_indices(g.chart.n)
+        scales = [s for _, s in _apply_axes(g.chart)]
         coef = np.empty((len(pairs),) + g.chart.sizes)
         # one axis-0 slab at a time, so the strided reads of g^{-1} stay in cache
         for i in range(g.chart.sizes[0]):
             for c, (a, b) in enumerate(pairs):
                 np.multiply(g.sqrt_det[i], inv[i, ..., a, b], out=coef[c, i])
+                coef[c, i] *= scales[a] * scales[b]
         return cls(g.chart, g.sqrt_det, coef)
 
     def component(self, a: int, b: int) -> np.ndarray:
-        """sqrt(det g) g^{ab} for any index order."""
-        return self.coefficient[_slot(self.chart.n, min(a, b), max(a, b))]
+        """The physical sqrt(det g) g^{ab} for any index order."""
+        scales = [s for _, s in _apply_axes(self.chart)]
+        return self.coefficient[_slot(self.chart.n, min(a, b), max(a, b))] / (scales[a] * scales[b])
 
 
 def flux_laplacian(g: MetricField | FluxForm, u: np.ndarray) -> np.ndarray:
     """Laplace-Beltrami operator in flux form on raw scalar data.
 
     (1/sqrt(det g)) sum_a D_a(sqrt(det g) g^{ab} D_b u); pass a ``FluxForm``
-    to reuse its coefficient across applies.
-
-    Two phases run over the axis-0 planes, each split among the workers
-    (``_split_planes``).  In the first each part differentiates the window
-    of u around its planes and writes its planes of the n flux components
-    sum_b sqrt(det g) g^{ab} D_b u, one whole-grid array each; in the
-    second each part differentiates the windows of those arrays around its
-    planes and divides by sqrt(det g).  Every point takes the same steps in
-    the same order for any split, so every worker count gives the same bits.
+    to reuse its coefficient across applies.  Whole-field products of u with
+    each axis's matrix (``_apply_axes``), the flux components sum_b
+    coef^{ab} du_b, products back and one division by sqrt(det g).  Only the
+    pointwise flux sums are split among the workers, each point summing in
+    the order of b, so every worker count gives the same bits.
     """
     form = g if isinstance(g, FluxForm) else FluxForm.of(g)
     chart = form.chart
     n = chart.n
-    u = _grid_broadcast(chart, u)
+    axes = _apply_axes(chart)
+    u = np.ascontiguousarray(_grid_broadcast(chart, u))  # not copied per product
+    du = [_axis_product(M, u, b, np.empty(chart.sizes)) for b, (M, _) in enumerate(axes)]
     flux = [np.empty(chart.sizes) for _ in range(n)]
 
     def fluxes(part: slice) -> None:
-        # one derivative of u alive at a time: each flux component takes
-        # its terms in the order of b, as a sum over b per component would
-        win = window(chart, u, part)
         term = np.empty(flux[0][part].shape)
-        for b in range(n):
-            du = deriv_window(chart, win, b)
-            for a in range(n):
-                coef = form.component(a, b)[part]
-                if b == 0:
-                    np.multiply(coef, du, out=flux[a][part])
-                else:
-                    flux[a][part] += np.multiply(coef, du, out=term)
-
-    def divergence(part: slice) -> None:
-        acc = out[part]
-        acc.fill(0.0)
         for a in range(n):
-            acc += deriv_window(chart, window(chart, flux[a], part), a)
-        acc /= form.sqrt_det[part]
+            acc = flux[a][part]
+            for b in range(n):
+                coef = form.coefficient[_slot(n, min(a, b), max(a, b))][part]
+                np.multiply(coef, du[b][part], out=term if b else acc)
+                if b:
+                    acc += term
 
-    _split_planes(chart, fluxes)
-    # formed after the fluxes, so the first phase's peak does not hold it
-    out = np.empty(chart.sizes)
-    _split_planes(chart, divergence)
+    _in_parts(fluxes, slice(0, chart.sizes[0]))
+    # the derivatives of u are spent, so the products back reuse their buffers
+    out = _axis_product(axes[0][0], flux[0], 0, du[0])
+    for a in range(1, n):
+        out += _axis_product(axes[a][0], flux[a], a, du[a])
+    out /= form.sqrt_det
     return out

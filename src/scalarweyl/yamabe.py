@@ -39,9 +39,9 @@ preconditioned residual and last step are the rows of one (3, *sizes)
 block, and their images under the operator of a second, both allocated
 once: the Ritz step reads and updates them in place.
 
-Every apply of L runs on ``grid``'s thread pool: the flux-form Laplacian in
-its two split phases, and the eigensolve's checkerboard penalty split the
-same way, each part reading the window around its axis-0 planes.  Every
+Every apply of L runs on ``grid``'s thread pool: the flux-form Laplacian
+splits its pointwise flux sums, and the eigensolve's checkerboard penalty
+its stencil, whose parts read the window around their axis-0 planes.  Every
 worker count gives the same bits.  The Fourier preconditioner stays on one
 thread: its basis products take under a tenth of a 16^4 solve, too little
 for a split to repay its hand-offs.
@@ -118,10 +118,9 @@ class SolveReport:
 
 
 def _penalty_apply(dens, eta):
-    """The penalty eta * sum_a B_a^2 phi / dens, split among the workers
-    like ``grid.flux_laplacian``: each part reads its axis-0 shifts from the
-    window of its planes, the other shifts from its own planes.  Its
-    stencil needs no whole axis, so a spectral chart is split too."""
+    """The penalty eta * sum_a B_a^2 phi / dens, split among the workers:
+    each part reads its axis-0 shifts from the window of its planes, the
+    other shifts from its own planes, on either scheme."""
 
     def pen(phi):
         out = np.empty(phi.shape)

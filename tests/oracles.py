@@ -14,8 +14,8 @@ point by point through g^{-1}; ``grid.flux_laplacian``, which forms the
 coefficient sqrt(det g) g^{ab} once, must agree with it to roundoff.
 ``divergence_total`` is the discrete divergence theorem on the same flux
 form.  ``whole_field_flux_laplacian`` is ``grid.flux_laplacian`` with
-each step on the whole grid, the serial oracle of its two split phases,
-which must be bit-identical to it.
+its pointwise step on the whole grid, one flux component at a time, the
+serial oracle of its split flux sums, which must be bit-identical to it.
 
 The ``whole_field_*`` functions are the deformation layer's closed forms
 run over all planes at once, each pointwise step on the whole grid: the
@@ -337,12 +337,24 @@ def flux_divergence(form: FluxForm, vec: list[np.ndarray]) -> np.ndarray:
 
 
 def whole_field_flux_laplacian(form: FluxForm, u: np.ndarray) -> np.ndarray:
-    """``grid.flux_laplacian`` on all planes at once: n whole-grid
-    derivatives of u, the divergence of one flux component at a time and
-    one division.  Each point takes the steps of the split apply in the
-    same order, so the two are bit-identical."""
+    """``grid.flux_laplacian`` on all planes at once: the n derivative-matrix
+    products of u, then per flux component its sum over b of the scaled
+    coefficient times du_b, its product back added to the result, and one
+    division.  Each point takes the steps of the split apply in the same
+    order, so the two are bit-identical."""
     chart = form.chart
-    out = flux_divergence(form, [deriv(chart, u, b) for b in range(chart.n)])
+    axes = grid._apply_axes(chart)
+    u = np.ascontiguousarray(np.broadcast_to(u, chart.sizes))
+    du = [grid._axis_product(M, u, b, np.empty(chart.sizes)) for b, (M, _) in enumerate(axes)]
+    flux = np.empty(chart.sizes)
+    term = np.empty(chart.sizes)
+    out = np.zeros(chart.sizes)
+    for a, (M, _) in enumerate(axes):
+        coef = [form.coefficient[grid._slot(chart.n, min(a, b), max(a, b))] for b in range(chart.n)]
+        np.multiply(coef[0], du[0], out=flux)
+        for b in range(1, chart.n):
+            flux += np.multiply(coef[b], du[b], out=term)
+        out += grid._axis_product(M, flux, a, np.empty(chart.sizes))
     out /= form.sqrt_det
     return out
 

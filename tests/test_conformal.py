@@ -18,7 +18,14 @@ from scalarweyl.conformal import (
     scalar_weyl,
 )
 from scalarweyl.curvature import curvature_bundle, hessian
-from scalarweyl.grid import FieldError, MetricField, gradient, integrate, make_chart
+from scalarweyl.grid import (
+    FieldError,
+    MetricField,
+    flux_laplacian,
+    gradient,
+    integrate,
+    make_chart,
+)
 from scalarweyl.presets import flat_metric, fourier_metric, fourier_scalar
 from scalarweyl.tensor import riemann_norm
 
@@ -260,6 +267,25 @@ def test_modified_laplacian_constant_input():
     out = modified_laplacian_apply(g, one, F=f)
     # grad(1) == 0 exactly, so the operator reduces to multiplication by F
     assert np.array_equal(out, f)
+
+
+@pytest.mark.parametrize(
+    "n, sizes, lengths",
+    [
+        (3, (8, 10, 12), (1.0, 2.0, 3.0)),
+        (4, (16, 12, 10, 8), (7.0, 2.0, 3.0, 4.0)),
+        (5, (8, 10, 8, 12, 8), (1.0, 2.0, 3.0, 4.0, 5.0)),
+    ],
+)
+def test_constant_one_is_exactly_in_the_kernel_on_curved_fd4_charts(n, sizes, lengths):
+    # the apply's integer band maps 1 to exactly 0 on every axis, whatever
+    # the spacings and the coefficient
+    c = make_chart(n, sizes, lengths)
+    g = fourier_metric(c, amplitude=0.25, seed=n)
+    one = np.ones(c.sizes)
+    assert np.count_nonzero(flux_laplacian(g, one)) == 0
+    F = fourier_scalar(c, amplitude=0.5, seed=n + 1)
+    assert np.array_equal(modified_laplacian_apply(g, one, F=F), F)
 
 
 def test_modified_laplacian_flat_eigenfunction():

@@ -180,6 +180,29 @@ def _roll_fd4(arr, axis, spacing):
     return (8.0 * (up1 - dn1) - (up2 - dn2)) / (12.0 * spacing)
 
 
+@pytest.mark.parametrize("size", [8, 10, 16])
+def test_difference_matrix_is_the_integer_fd4_circulant(size):
+    D = grid._difference_matrix(size)
+    assert not D.flags.writeable
+    assert np.array_equal(D, -D.T)
+    assert np.array_equal(D, np.roll(D, (1, 1), axis=(0, 1)))
+    # row 0 is the stencil 8 (f1 - f-1) - (f2 - f-2) with no 1/(12 h)
+    assert np.count_nonzero(D[0]) == 4
+    assert np.array_equal(D[0, [1, 2, -2, -1]], [8.0, -1.0, 1.0, -8.0])
+
+
+def test_difference_matrix_product_matches_deriv_on_every_axis():
+    # a non-cubic field with unequal spacings: the product over 12 h_a is
+    # the stencil derivative, at the roll reference's bound
+    c = make_chart(4, (16, 12, 10, 8), (7.0, 2.0, 3.0, 4.0))
+    x = np.random.default_rng(19).standard_normal(c.sizes)
+    for axis in range(c.n):
+        D = grid._difference_matrix(c.sizes[axis])
+        got = grid._axis_product(D, x, axis, np.empty(c.sizes)) / (12.0 * c.spacings[axis])
+        ref = deriv(c, x, axis)
+        assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+
 def test_fd4_stencil_matches_roll_reference():
     rng = np.random.default_rng(11)
     # axis 0 at the minimum size of 8
@@ -462,6 +485,34 @@ def test_flux_laplacian_matches_einsum_oracle(n, size, scheme):
     oracle = einsum_flux_laplacian(g, u)
     assert np.max(np.abs(lu - oracle)) <= 1e-14 * np.max(np.abs(oracle))
     assert np.array_equal(flux_laplacian(FluxForm.of(g), u), lu)
+
+
+# unequal sizes and spacings on every axis, so a misplaced axis scale shows
+UNEQUAL = [(3, (8, 10, 12), (1.0, 2.0, 3.0)), (4, (16, 12, 10, 8), (7.0, 2.0, 3.0, 4.0))]
+
+
+@pytest.mark.parametrize("scheme", ["fd4", "spectral"])
+@pytest.mark.parametrize("n, sizes, lengths", UNEQUAL)
+def test_flux_laplacian_matches_einsum_oracle_on_unequal_spacings(n, sizes, lengths, scheme):
+    # the coefficient carries the scales s_a s_b of both axes of each entry
+    c = make_chart(n, sizes, lengths, scheme=scheme)
+    g = fourier_metric(c, amplitude=0.25, seed=n)
+    u = fourier_scalar(c, amplitude=0.5, seed=n + 1, terms=6, mean=1.0)
+    oracle = einsum_flux_laplacian(g, u)
+    assert np.max(np.abs(flux_laplacian(g, u) - oracle)) <= 1e-14 * np.max(np.abs(oracle))
+
+
+@pytest.mark.parametrize("scheme", ["fd4", "spectral"])
+@pytest.mark.parametrize("n, sizes, lengths", UNEQUAL)
+def test_flux_form_component_is_the_physical_coefficient(n, sizes, lengths, scheme):
+    # the preconditioner and the eigensolver's message read sqrt(det g) g^{ab}
+    c = make_chart(n, sizes, lengths, scheme=scheme)
+    g = fourier_metric(c, amplitude=0.25, seed=n)
+    form = FluxForm.of(g)
+    for a in range(n):
+        for b in range(n):
+            want = g.sqrt_det * g.inverse[..., a, b]
+            assert np.all(np.abs(form.component(a, b) - want) <= 1e-15 * np.abs(want))
 
 
 def test_integrate_sin_squared():

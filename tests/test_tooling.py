@@ -241,10 +241,10 @@ def test_only_grid_constructs_a_thread_pool():
 
 def test_split_apply_peaks_below_the_serial_apply_plus_one_flux_buffer():
     # the split apply holds the n flux components whole while its parts
-    # form them, where the serial oracle holds one at a time but every
-    # derivative of u (measured at 20^4 on a 2-core host: 81 bytes per
-    # point split, 83 with one worker, 82 serial; the flux components alone
-    # are 32)
+    # form them, where the serial oracle holds one at a time; both hold
+    # every derivative of u (measured at 20^4 on a 2-core host: 72 bytes
+    # per point split and with one worker, 64 serial; the flux components
+    # alone are 32)
     import numpy as np
 
     from oracles import whole_field_flux_laplacian
@@ -258,6 +258,35 @@ def test_split_apply_peaks_below_the_serial_apply_plus_one_flux_buffer():
     serial = _traced_peak(lambda: whole_field_flux_laplacian(form, u))
     flux = chart.n * chart.npoints * 8
     assert split <= serial + flux, (split, serial, flux)
+
+
+def test_one_flux_apply_is_2n_axis_products_and_at_most_one_split(monkeypatch):
+    # every derivative of the apply is a whole-field matrix product on
+    # either scheme; no stencil, window or ghost copy, and only the
+    # pointwise flux sums go to the pool
+    import numpy as np
+
+    from scalarweyl import grid
+    from scalarweyl.presets import fourier_metric, fourier_scalar
+
+    for scheme in ("fd4", "spectral"):
+        chart = grid.make_chart(4, (8, 10, 8, 12), (1.0, 2.0, 3.0, 4.0), scheme)
+        form = grid.FluxForm.of(fourier_metric(chart, amplitude=0.2, seed=3))
+        u = fourier_scalar(chart, amplitude=0.5, seed=4)
+        calls = []
+        with monkeypatch.context() as patch:
+            for name in ("_axis_product", "_stencil_fd4", "window", "deriv_window", "_in_parts"):
+                real = getattr(grid, name)
+
+                def counted(*args, _name=name, _real=real):
+                    calls.append(_name)
+                    return _real(*args)
+
+                patch.setattr(grid, name, counted)
+            grid.flux_laplacian(form, u)
+        assert calls.count("_axis_product") == 2 * chart.n, (scheme, calls)
+        assert calls.count("_in_parts") <= 1, (scheme, calls)
+        assert set(calls) <= {"_axis_product", "_in_parts"}, (scheme, calls)
 
 
 def test_src_uses_no_fft():

@@ -705,16 +705,19 @@ class ThreadPerPart:
         return future
 
 
-def test_a_spectral_apply_is_one_part_and_an_apply_inside_a_part_is_not_split(monkeypatch):
+def test_a_spectral_apply_splits_like_fd4_and_an_apply_inside_a_part_is_not_split(monkeypatch):
     pool = ThreadPerPart()
     monkeypatch.setattr(grid, "_POOL", pool)
     monkeypatch.setattr(grid, "_WORKERS", 3)
-    # a spectral derivative needs whole axes: the apply starts no pool part
-    s = torus(4, 8, "spectral")
-    form = FluxForm.of(fourier_metric(s, amplitude=0.08, seed=11))
-    us = fourier_scalar(s, amplitude=0.5, seed=112)
-    assert np.array_equal(flux_laplacian(form, us), whole_field_flux_laplacian(form, us))
-    assert pool.submitted == []
+    # the derivatives are whole-field products on either scheme and only the
+    # pointwise flux sums split: each apply hands two of three parts over
+    for scheme in ("spectral", "fd4"):
+        s = torus(4, 8, scheme)
+        form = FluxForm.of(fourier_metric(s, amplitude=0.08, seed=11))
+        us = fourier_scalar(s, amplitude=0.5, seed=112)
+        pool.submitted.clear()
+        assert np.array_equal(flux_laplacian(form, us), whole_field_flux_laplacian(form, us))
+        assert [part for _, part in pool.submitted] == [slice(2, 5), slice(5, 8)]
     # an apply inside a part runs inline: only the outer split submits
     c = torus(4, 8)
     form = FluxForm.of(fourier_metric(c, amplitude=0.08, seed=11))
