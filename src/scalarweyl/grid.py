@@ -24,7 +24,7 @@ planes past each end: ``deriv_window`` reads them in place along axis 0 and
 wraps the range's own planes along the other axes, as ``deriv`` does, so
 every range is bit-identical to the same planes of the whole derivative.
 A "spectral" chart differentiates along an axis by one ``_axis_product``
-with the axis's dense N x N matrix (``_spectral_matrix``).  Each derived
+with the axis's dense N x N spectral matrix.  Each derived
 plane reads every plane of the axis, so a range of axis-0 planes needs all
 of axis 0: a spectral window is the whole field.  Integration is the plain
 point sum times the cell volume, which is spectrally accurate on periodic
@@ -35,8 +35,14 @@ The Laplace-Beltrami operator is applied in flux form,
 (1/sqrt(det g)) sum_a D_a(sqrt(det g) g^{ab} D_b u).  A ``FluxForm`` holds
 its coefficient once per metric with the axis scales folded in, so each
 derivative of an apply is one ``_axis_product`` of a whole field: with the
-fd4 band as the integer circulant ``_difference_matrix`` (a constant 1 maps
-to exactly 0), or with the spectral matrix.
+fd4 band as an integer circulant (a constant 1 maps to exactly 0), or with
+the spectral matrix.
+
+``_circulant`` writes each difference operator once: the fd4 band and the
+spectral matrix, which the apply reads through ``_apply_axes``, and the
+second difference.  ``yamabe`` reads its symbols off these matrices and
+squares the second difference for its penalty.  Only the curvature stack
+keeps the fd4 stencil, for exact zeros on every constant and axis-0 windows.
 
 The package's one thread pool lives here (``_in_parts``): a range of
 axis-0 planes is split into one contiguous part per CPU the process may
@@ -45,8 +51,8 @@ the call returns once every part has finished.  numpy releases the
 interpreter lock inside the ufunc, ``take`` and ``matmul`` loops that do
 the work.  Each part writes only its own planes and the arithmetic of a
 point does not depend on the split, so every worker count gives the same
-bits; a split started inside a part runs inline as one part.  The apply's
-pointwise flux sums and ``curvature``'s slab loops split through it.
+bits; a split started inside a part runs inline as one part.  Its users are
+the apply's pointwise flux sums and ``curvature``'s slab loops.
 """
 
 from __future__ import annotations
@@ -247,22 +253,15 @@ def _with_ghosts(arr: np.ndarray, axis: int, start: int, stop: int) -> np.ndarra
     return arr[lead + (ghosts,)]
 
 
-def _interior_shifts(ext: np.ndarray, axis: int):
-    """Shifts by -2..2 of the interior of ``ext``, which carries two ghost
-    planes at each end along ``axis``: ``shifted(s)[i] == ext[2 + i + s]``."""
-    size = ext.shape[axis] - 4
-    lead = (slice(None),) * axis
-
-    def shifted(s: int) -> np.ndarray:
-        return ext[lead + (slice(2 + s, 2 + s + size),)]
-
-    return shifted
-
-
 def _stencil_fd4(ext: np.ndarray, axis: int, spacing: float) -> np.ndarray:
     """5-point centered stencil on ``ext``, which carries two ghost planes at
     each end along ``axis``; the result covers its interior."""
-    shifted = _interior_shifts(ext, axis)
+    size = ext.shape[axis] - 4
+    lead = (slice(None),) * axis
+
+    def shifted(s: int) -> np.ndarray:  # shifted(s)[i] == ext[2 + i + s]
+        return ext[lead + (slice(2 + s, 2 + s + size),)]
+
     out = np.subtract(shifted(1), shifted(-1))
     out *= 8.0
     out -= np.subtract(shifted(2), shifted(-2))
@@ -285,32 +284,28 @@ def _axis_product(M: np.ndarray, x: np.ndarray, axis: int, out: np.ndarray) -> n
 
 
 @lru_cache
-def _spectral_matrix(size: int, length: float) -> np.ndarray:
-    """Spectral derivative of a periodic axis as a read-only circulant
-    (Trefethen, Spectral Methods in MATLAB, ch. 3): entry (1/2) (-1)^s
-    cot(pi s / size) 2 pi / length for s = (i - j) mod size, zero for s = 0
-    and s = size/2, so the odd Nyquist mode (-1)^j is in its kernel."""
+def _circulant(stencil: str, size: int, length: float) -> np.ndarray:
+    """A periodic axis's difference operator as a read-only circulant: "fd4",
+    8 (f[i+1] - f[i-1]) - (f[i+2] - f[i-2]), the fd4 band without its
+    1/(12 h); "second", f[i-1] - 2 f[i] + f[i+1]; "spectral", the spectral
+    derivative on an axis of ``length`` (Trefethen, Spectral Methods in
+    MATLAB, ch. 3), entry (1/2) (-1)^s cot(pi s / size) 2 pi / length for
+    s = (i - j) mod size, zero for s = 0 and s = size/2, so the odd Nyquist
+    mode (-1)^j is in its kernel.  The first two have integer entries, so
+    a product with a constant 1 is exactly 0: every partial sum is exact."""
     j = np.arange(size)
-    s = j[1 : size // 2]
-    col = np.zeros(size)
-    col[s] = (np.pi / length) * (-1.0) ** s / np.tan(np.pi * s / size)
-    col[size - s] = -col[s]
-    D = col[(j[:, None] - j) % size]
-    D.flags.writeable = False
-    return D
-
-
-@lru_cache
-def _difference_matrix(size: int) -> np.ndarray:
-    """The fd4 stencil 8 (f[i+1] - f[i-1]) - (f[i+2] - f[i-2]) of a periodic
-    axis as a read-only circulant, without its 1/(12 h): integer entries, so
-    a product with a constant 1 sums exactly to 0."""
-    j = np.arange(size)
-    row = np.zeros(size)
-    row[[1, 2, -2, -1]] = (8.0, -1.0, 1.0, -8.0)
-    D = row[(j - j[:, None]) % size]
-    D.flags.writeable = False
-    return D
+    col = np.zeros(size)  # entry (i, j) is col[(i - j) mod size]
+    if stencil == "spectral":
+        s = j[1 : size // 2]
+        col[s] = (np.pi / length) * (-1.0) ** s / np.tan(np.pi * s / size)
+        col[size - s] = -col[s]
+    elif stencil == "fd4":
+        col[[1, 2, -2, -1]] = (-8.0, 1.0, -1.0, 8.0)
+    else:
+        col[[-1, 0, 1]] = (1.0, -2.0, 1.0)
+    C = col[(j[:, None] - j) % size]
+    C.flags.writeable = False
+    return C
 
 
 def _grid_broadcast(chart: Chart, arr: np.ndarray) -> np.ndarray:
@@ -342,7 +337,7 @@ def deriv(chart: Chart, arr: np.ndarray, axis: int) -> np.ndarray:
         raise FieldError(f"axis must be in [0, {chart.n}), got {axis}")
     arr = _grid_broadcast(chart, arr)
     if chart.scheme == "spectral":
-        D = _spectral_matrix(chart.sizes[axis], chart.lengths[axis])
+        D = _circulant("spectral", chart.sizes[axis], chart.lengths[axis])
         return _axis_product(D, arr, axis, np.empty(arr.shape))
     return _stencil_fd4(_with_ghosts(arr, axis, 0, chart.sizes[axis]), axis, chart.spacings[axis])
 
@@ -597,9 +592,10 @@ def _apply_axes(chart: Chart) -> list[tuple[np.ndarray, float]]:
     """Per axis, the flux apply's derivative matrix and the scale s_a it
     leaves to ``FluxForm``: the integer fd4 band and 1/(12 h), or the
     spectral matrix (it carries 2 pi / L) and 1."""
-    if chart.scheme == "spectral":
-        return [(_spectral_matrix(N, L), 1.0) for N, L in zip(chart.sizes, chart.lengths)]
-    return [(_difference_matrix(N), 1.0 / (12.0 * h)) for N, h in zip(chart.sizes, chart.spacings)]
+    return [
+        (_circulant(chart.scheme, N, L), 1.0 if chart.scheme == "spectral" else 1.0 / (12.0 * h))
+        for N, L, h in zip(chart.sizes, chart.lengths, chart.spacings)
+    ]
 
 
 @dataclass(frozen=True, eq=False)

@@ -36,15 +36,18 @@ preconditioned conjugate gradient; Knyazev, SIAM J. Sci. Comput. 23(2),
 2001) on the same symmetrized operator with the same Fourier preconditioner:
 one operator apply per iteration and no inner linear solves.  Its iterate,
 preconditioned residual and last step are the rows of one (3, *sizes)
-block, and their images under the operator of a second, both allocated
-once: the Ritz step reads and updates them in place.
+half of a (2, 3, *sizes) block, and their images under the operator the
+rows of the other, allocated once: the Ritz step forms both Gram matrices
+from one product over the block and updates it in place.
 
-Every apply of L runs on ``grid``'s thread pool: the flux-form Laplacian
-splits its pointwise flux sums, and the eigensolve's checkerboard penalty
-its stencil, whose parts read the window around their axis-0 planes.  Every
-worker count gives the same bits.  The Fourier preconditioner stays on one
-thread: its basis products take under a tenth of a 16^4 solve, too little
-for a split to repay its hand-offs.
+Every apply of L runs on ``grid``'s thread pool through the flux-form
+Laplacian, which splits its pointwise flux sums, and every worker count
+gives the same bits.  Nothing else here splits: the eigensolve's
+checkerboard penalty is one whole-field circulant product per axis, and the
+Fourier preconditioner's basis products take under a tenth of a 16^4
+solve, too little for a split to repay its hand-offs.  Every 1-D operator
+factor here is one of ``grid``'s circulants, applied or read through
+``grid._axis_product``, so no stencil is written in this module.
 
 Every tolerance and iteration cap is a module constant: ``_EIG_TOL`` and
 ``_EIG_MAXITER`` for the eigensolve, ``_SOLVE_TOL`` for the constant-F
@@ -69,10 +72,9 @@ from .conformal import (
 from .grid import (
     FluxForm,
     MetricField,
+    _apply_axes,
     _axis_product,
-    _in_parts,
-    _interior_shifts,
-    _with_ghosts,
+    _circulant,
     integrate,
 )
 
@@ -112,35 +114,29 @@ class SolveReport:
 # five-point [1, -4, 6, -4, 1] fourth difference: the penalty is
 # positive semidefinite in the weighted product, kills nothing smooth
 # (O(h^4) on resolved modes, same order as the scheme), leaves constants
-# exactly in the kernel, and lifts the Nyquist cluster by O(eta).  The
-# nonlinear solves never need it; their zeroth-order terms are already
-# positive on those modes.
+# exactly in the kernel, and lifts the Nyquist cluster by O(eta).  B_a and
+# B_a^2 are integer circulants, so 1 is exactly in the kernel of the
+# penalty's one whole-field product per axis.  The nonlinear solves never
+# need it; their zeroth-order terms are already positive on those modes.
+
+
+def _second_difference(size):
+    """B, ``grid``'s integer circulant (its length is unread)."""
+    return _circulant("second", size, float(size))
 
 
 def _penalty_apply(dens, eta):
-    """The penalty eta * sum_a B_a^2 phi / dens, split among the workers:
-    each part reads its axis-0 shifts from the window of its planes, the
-    other shifts from its own planes, on either scheme."""
+    """The penalty eta * sum_a B_a^2 phi / dens, one ``grid._axis_product``
+    of the whole field with the integer circulant B_a^2 per axis."""
+    fourth = [B @ B for B in map(_second_difference, dens.shape)]
 
     def pen(phi):
-        out = np.empty(phi.shape)
-
-        def run(part):
-            own = phi[part]
-            acc = (6.0 * phi.ndim) * own
-            for a in range(phi.ndim):
-                # periodic shifts: shifted(s)[i] == phi[i + s] along axis a
-                if a == 0:
-                    ext = _with_ghosts(phi, 0, part.start, part.stop)
-                else:
-                    ext = _with_ghosts(own, a, 0, phi.shape[a])
-                shifted = _interior_shifts(ext, a)
-                acc += shifted(-2)
-                acc += shifted(2)
-                acc -= 4.0 * (shifted(-1) + shifted(1))
-            np.divide(eta * acc, dens[part], out=out[part])
-
-        _in_parts(run, slice(0, phi.shape[0]))
+        out = _axis_product(fourth[0], phi, 0, np.empty(phi.shape))
+        buf = np.empty(phi.shape)
+        for a in range(1, phi.ndim):
+            out += _axis_product(fourth[a], phi, a, buf)
+        out *= eta
+        out /= dens
         return out
 
     return pen
@@ -157,9 +153,9 @@ def _penalty_strength(a_n, F):
 # so CG runs on the similarity transform sqrt(sqrt(g)) A sqrt(sqrt(g))^{-1},
 # which is symmetric in the plain Euclidean product and therefore compatible
 # with the Fourier preconditioner (a fixed SPD circulant).  Its symbol is a
-# constant plus, for each axis, a function even in that axis's wave number,
-# so it is diagonal in the tensor product of each axis's real orthonormal
-# Fourier basis.
+# constant plus, for each axis, circulants M^T M of that axis, so it is
+# diagonal in the tensor product of each axis's real orthonormal Fourier
+# basis, with entry |M q_i|^2 on basis row q_i: read off the matrix itself.
 
 
 def _real_basis(size):
@@ -175,35 +171,34 @@ def _real_basis(size):
     return Q / np.linalg.norm(Q, axis=1, keepdims=True)
 
 
+def _symbol(M, Q):
+    """|M q_i|^2 for each row q_i of Q, the circulant M^T M's diagonal."""
+    return np.sum(_axis_product(M, Q, 1, np.empty(Q.shape)) ** 2, axis=1)
+
+
 def _preconditioner(form, q, pen_mean):
     """Inverse of the mean-coefficient symbol of -a_n Lap + q + pen_mean
     times the penalty's symbol, applied in each axis's real Fourier basis
     (``_real_basis``): a product with Q_a along every axis, a division by
     the symbol, a product with Q_a^T along every axis, each one
-    ``grid._axis_product``.  The products alternate between the result and
-    one buffer the preconditioner owns, so a call allocates only its
-    result, and one preconditioner serves one caller at a time."""
+    ``grid._axis_product``.  On basis row q_i of axis a the Laplacian's
+    symbol is |s_a D_a q_i|^2, with the apply's matrix D_a and scale s_a
+    (``grid._apply_axes``), and the penalty's |B_a q_i|^2.  The products
+    alternate between the result and one buffer the preconditioner owns,
+    so a call allocates only its result, and one preconditioner serves one
+    caller at a time."""
     chart = form.chart
     trace = sum(form.component(a, a) for a in range(chart.n)) / form.sqrt_det
-    c_lap = float(np.mean(trace)) / chart.n
-    q_mean = float(np.mean(q * form.sqrt_det))
-    sym = np.zeros(chart.sizes)
-    pen_sym = np.zeros(chart.sizes)
+    a_lap = laplacian_factor(chart.n) * max(float(np.mean(trace)) / chart.n, 1e-12)
+    denom = np.full(chart.sizes, max(float(np.mean(q * form.sqrt_det)), 1e-12))
     steps = []
-    for a, (size, h) in enumerate(zip(chart.sizes, chart.spacings)):
-        steps.append((a, _real_basis(size)))
-        m = (np.arange(size) + 1) // 2
-        k = 2.0 * np.pi * m / (size * h)
-        if chart.scheme == "spectral":
-            d = np.where(2 * m == size, 0.0, k)  # the scheme drops odd Nyquist
-        else:
-            d = (8.0 * np.sin(k * h) - np.sin(2.0 * k * h)) / (6.0 * h)
+    for a, (D, scale) in enumerate(_apply_axes(chart)):
+        Q = _real_basis(chart.sizes[a])
+        steps.append((a, Q))
+        sym = a_lap * scale**2 * _symbol(D, Q) + pen_mean * _symbol(_second_difference(len(Q)), Q)
         shape = [1] * chart.n
-        shape[a] = size
-        sym = sym + (d**2).reshape(shape)
-        pen_sym = pen_sym + ((2.0 * np.cos(k * h) - 2.0) ** 2).reshape(shape)
-    a_lap = laplacian_factor(chart.n) * max(c_lap, 1e-12)
-    denom = a_lap * sym + pen_mean * pen_sym + max(q_mean, 1e-12)
+        shape[a] = len(Q)
+        denom += sym.reshape(shape)
     # Q_a along every axis, then Q_a^T along every axis
     steps += [(a, Q.T) for a, Q in steps]
     buf = np.empty(chart.sizes)
@@ -287,26 +282,28 @@ def _shifted_solver(form, q):
 _MIN_PIVOT = 1e-6
 
 
-def _ritz_step(X, AX, rows):
+def _ritz_step(XA, rows):
     """Lowest Ritz pair of span{y, w, p}, the first ``rows`` rows of the
-    (3, *sizes) block ``X`` (p only when ``rows`` is 3), whose images
-    under the operator are the same rows of ``AX``.
+    iterates ``XA[0]`` of the (2, 3, *sizes) block ``XA`` (p only when
+    ``rows`` is 3), whose images under the operator are the same rows of
+    ``XA[1]``.
 
-    The columns are normalized, with their norms read from the Gram
-    matrix's diagonal, before the Gram matrix is factored; when p
-    has become numerically dependent on y and w the Cholesky factorization
-    fails or leaves a pivot below ``_MIN_PIVOT``, and the step is retried on
-    span{y, w}.
+    One product of both halves' rows (a view when ``rows`` is 3) with the
+    iterates' transpose forms S S^T over (A S) S^T.  The columns are
+    normalized by the norms on its diagonal before the Gram matrix is
+    factored; when p has become numerically dependent on y and w the
+    Cholesky factorization fails or leaves a pivot below ``_MIN_PIVOT``,
+    and the step is retried on span{y, w}.
 
-    In both blocks, in place, row 2 becomes the new step c_2 p + c_1 w and
-    row 0 the new y, c_0 y + (row 2) normalized.
+    In both halves, in place, row 2 becomes the new step c_2 p + c_1 w and
+    row 0 the new y, c_0 y + (row 2) normalized; row 1 (w, which the next
+    iteration overwrites) is left scaled by c_1.
     """
-    S = X[:rows].reshape(rows, -1)
-    AS = AX[:rows].reshape(rows, -1)
-    gram = S @ S.T
-    d = 1.0 / np.sqrt(np.diag(gram))
-    gram = d[:, None] * gram * d[None, :]
-    H = d[:, None] * (S @ AS.T) * d[None, :]
+    V = XA[:, :rows].reshape(2 * rows, -1)
+    G = V @ V[:rows].T
+    d = 1.0 / np.sqrt(np.diag(G[:rows]))
+    gram = d[:, None] * G[:rows] * d[None, :]
+    H = d[:, None] * G[rows:] * d[None, :]
     try:
         chol = np.linalg.cholesky(gram)
     except np.linalg.LinAlgError:
@@ -317,22 +314,20 @@ def _ritz_step(X, AX, rows):
                 "eigensolver breakdown: the preconditioned residual is "
                 "parallel to the iterate"
             )
-        return _ritz_step(X, AX, 2)
+        return _ritz_step(XA, 2)
     # H c = theta G c becomes a standard problem in the Cholesky frame
     M = np.linalg.solve(chol, np.linalg.solve(chol, 0.5 * (H + H.T)).T)
     _, vecs = np.linalg.eigh(M)
     c = np.linalg.solve(chol.T, vecs[:, 0]) * d
-    for B in (X, AX):
-        if rows == 3:
-            B[2] *= c[2]
-            B[2] += c[1] * B[1]
-        else:
-            np.multiply(c[1], B[1], out=B[2])
-        B[0] *= c[0]
-        B[0] += B[2]
-    nrm = float(np.linalg.norm(X[0]))
-    X[0] /= nrm
-    AX[0] /= nrm
+    if rows == 3:
+        XA[:, 2] *= c[2]
+        XA[:, 1] *= c[1]
+        XA[:, 2] += XA[:, 1]
+    else:
+        np.multiply(c[1], XA[:, 1], out=XA[:, 2])
+    XA[:, 0] *= c[0]
+    XA[:, 0] += XA[:, 2]
+    XA[:, 0] /= float(np.linalg.norm(XA[0, 0]))
 
 
 def first_eigenvalue(g: MetricField, F: np.ndarray) -> TrichotomyResult:
@@ -386,10 +381,10 @@ def first_eigenvalue(g: MetricField, F: np.ndarray) -> TrichotomyResult:
 
     # for unit y, |A y - rho y| is the residual of u = y / sqrt(sqrt(g)) in
     # the volume-weighted norm, with u of unit L2(dV) norm
-    # y, w and p are rows 0, 1 and 2 of X, and A y, A w and A p those of AX:
-    # the Ritz step reads and updates them in place
-    X, AX = np.empty((2, 3) + chart.sizes)
-    y, w, Ay, Aw = X[0], X[1], AX[0], AX[1]
+    # y, w and p are rows 0, 1 and 2 of XA[0], and A y, A w and A p those
+    # of XA[1]: the Ritz step reads and updates them in place
+    XA = np.empty((2, 3) + chart.sizes)
+    (y, w, _), (Ay, Aw, _) = XA
     np.divide(sd, float(np.linalg.norm(sd)), out=y)
     Ay[...] = apply_sym(y)
     fresh = True
@@ -407,7 +402,7 @@ def first_eigenvalue(g: MetricField, F: np.ndarray) -> TrichotomyResult:
             continue
         w[...] = precond(r)
         Aw[...] = apply_sym(w)
-        _ritz_step(X, AX, rows)
+        _ritz_step(XA, rows)
         rows = 3
         fresh = False
     else:

@@ -152,7 +152,7 @@ def test_spectral_deriv_kills_the_nyquist_mode():
 @pytest.mark.parametrize("size", [8, 10, 16, 24])
 @pytest.mark.parametrize("length", [1.0, 2 * np.pi, 7.5])
 def test_spectral_matrix_is_antisymmetric_circulant(size, length):
-    D = grid._spectral_matrix(size, length)
+    D = grid._circulant("spectral", size, length)
     assert D.shape == (size, size)
     assert np.array_equal(D, -D.T)
     assert np.array_equal(np.diag(D), np.zeros(size))
@@ -182,7 +182,7 @@ def _roll_fd4(arr, axis, spacing):
 
 @pytest.mark.parametrize("size", [8, 10, 16])
 def test_difference_matrix_is_the_integer_fd4_circulant(size):
-    D = grid._difference_matrix(size)
+    D = grid._circulant("fd4", size, 1.0)
     assert not D.flags.writeable
     assert np.array_equal(D, -D.T)
     assert np.array_equal(D, np.roll(D, (1, 1), axis=(0, 1)))
@@ -197,7 +197,7 @@ def test_difference_matrix_product_matches_deriv_on_every_axis():
     c = make_chart(4, (16, 12, 10, 8), (7.0, 2.0, 3.0, 4.0))
     x = np.random.default_rng(19).standard_normal(c.sizes)
     for axis in range(c.n):
-        D = grid._difference_matrix(c.sizes[axis])
+        D = grid._circulant("fd4", c.sizes[axis], c.lengths[axis])
         got = grid._axis_product(D, x, axis, np.empty(c.sizes)) / (12.0 * c.spacings[axis])
         ref = deriv(c, x, axis)
         assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))

@@ -289,6 +289,51 @@ def test_one_flux_apply_is_2n_axis_products_and_at_most_one_split(monkeypatch):
         assert set(calls) <= {"_axis_product", "_in_parts"}, (scheme, calls)
 
 
+def test_yamabe_writes_no_stencil_and_its_penalty_is_n_axis_products(monkeypatch):
+    # each scheme's difference stencils are written once, in ``grid``:
+    # ``yamabe`` reads no chart scheme, names none, and imports no stencil,
+    # ghost-plane or pool helper
+    import numpy as np
+
+    from scalarweyl import grid, yamabe
+
+    tree = ast.parse((PACKAGE / "yamabe.py").read_text())
+    scheme = [
+        node.lineno
+        for node in ast.walk(tree)
+        if (isinstance(node, ast.Attribute) and node.attr == "scheme")
+        or (isinstance(node, ast.Constant) and node.value in ("fd4", "spectral"))
+    ]
+    assert not scheme, scheme
+    imported = {
+        alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+    }
+    helpers = {"_in_parts", "_with_ghosts", "_interior_shifts", "_stencil_fd4"}
+    assert not imported & helpers, imported & helpers
+    # one penalty apply is one whole-field circulant product per axis and
+    # goes to no pool
+    for sizes in ((8, 10, 12), (8, 12, 8, 10), (8, 10, 8, 12, 10)):
+        rng = np.random.default_rng(2)
+        dens = 1.0 + 0.5 * rng.random(sizes)
+        phi = rng.standard_normal(sizes)
+        calls = []
+        with monkeypatch.context() as patch:
+            patched = ((yamabe, "_axis_product"), (grid, "_axis_product"), (grid, "_in_parts"))
+            for module, name in patched:
+                real = getattr(module, name)
+
+                def counted(*args, _name=name, _real=real):
+                    calls.append(_name)
+                    return _real(*args)
+
+                patch.setattr(module, name, counted)
+            yamabe._penalty_apply(dens, 0.7)(phi)
+        assert calls == ["_axis_product"] * len(sizes), (sizes, calls)
+
+
 def test_src_uses_no_fft():
     # every periodic per-axis linear map is one matrix product per axis
     # (``grid._axis_product``): the spectral derivative and the solver's

@@ -67,14 +67,16 @@ def _roll_penalty(phi, dens, eta):
     return eta * acc / dens
 
 
-@pytest.mark.parametrize("sizes", [(8, 10, 12), (8, 8, 10, 8)])
+@pytest.mark.parametrize("sizes", [(8, 10, 12), (8, 8, 10, 8), (8, 10, 8, 12, 10)])
 def test_penalty_matches_roll_reference(sizes):
     rng = np.random.default_rng(5)
-    phi = rng.standard_normal(sizes)
     dens = 1.0 + 0.5 * rng.random(sizes)
-    ref = _roll_penalty(phi, dens, 0.7)
-    got = _penalty_apply(dens, 0.7)(phi)
-    assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
+    # a constant 1 has a zero reference, so a zero bound: 1 stays exactly
+    # in the penalty's kernel
+    for phi in (rng.standard_normal(sizes), np.ones(sizes)):
+        ref = _roll_penalty(phi, dens, 0.7)
+        got = _penalty_apply(dens, 0.7)(phi)
+        assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
 
 
 def _complex_preconditioner(chart, a_n, c_lap, q_mean, pen_mean):
@@ -97,10 +99,22 @@ def _complex_preconditioner(chart, a_n, c_lap, q_mean, pen_mean):
 
 
 @pytest.mark.parametrize("scheme", ["fd4", "spectral"])
-# the last two are the benchmark's 4D grids
-@pytest.mark.parametrize("sizes", [(8, 10, 12), (8, 12, 8, 10), (16,) * 4, (20,) * 4])
-def test_real_fft_preconditioner_matches_complex_form(sizes, scheme):
-    chart = make_chart(len(sizes), sizes, (2.0 * np.pi,) * len(sizes), scheme=scheme)
+# the third and fourth are the benchmark's 4D grids; the last two have
+# unequal spacings, so each axis's symbol must carry its own scale
+@pytest.mark.parametrize(
+    "sizes, lengths",
+    [
+        ((8, 10, 12), (2.0 * np.pi,) * 3),
+        ((8, 12, 8, 10), (2.0 * np.pi,) * 4),
+        ((16,) * 4, (2.0 * np.pi,) * 4),
+        ((20,) * 4, (2.0 * np.pi,) * 4),
+        ((8, 10, 12), (1.0, 2.0, 3.0)),
+        ((8, 12, 8, 10), (7.0, 2.0, 3.0, 4.0)),
+    ],
+    ids=[f"sizes{i}" for i in range(6)],
+)
+def test_real_fft_preconditioner_matches_complex_form(sizes, lengths, scheme):
+    chart = make_chart(len(sizes), sizes, lengths, scheme=scheme)
     rng = np.random.default_rng(3)
     r = rng.standard_normal(sizes)
     q = 0.4 + rng.random(sizes)
@@ -276,13 +290,13 @@ def test_ritz_step_drops_a_dependent_direction():
         A = A + A.T
         y, w = rng.standard_normal((2, 30))
         for p in (3.0 * y, w - 2.0 * y):
-            # rows 0, 1 and 2 of the blocks are y, w and p and their images
-            X, AX = np.stack([y, w, p]), np.stack([A @ y, A @ w, A @ p])
-            _ritz_step(X, AX, 3)
-            got = X[0]
-            X, AX = np.stack([y, w, p]), np.stack([A @ y, A @ w, A @ p])
-            _ritz_step(X, AX, 2)
-            want = X[0]
+            # rows 0, 1 and 2 of the block's halves are y, w and p and their images
+            XA = np.stack([np.stack([y, w, p]), np.stack([A @ y, A @ w, A @ p])])
+            _ritz_step(XA, 3)
+            got = XA[0, 0]
+            XA = np.stack([np.stack([y, w, p]), np.stack([A @ y, A @ w, A @ p])])
+            _ritz_step(XA, 2)
+            want = XA[0, 0]
             assert np.allclose(got, want * np.sign(np.dot(got, want)), atol=1e-12)
 
 
