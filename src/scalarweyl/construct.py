@@ -35,7 +35,7 @@ import numpy as np
 from .conformal import conformal_metric, scalar_weyl
 from .curvature import _each_part, curvature_scalars
 from .deformation import _energy_terms, _ricci_hessian_blocks, deform
-from .grid import Chart, FieldError, MetricField, integrate
+from .grid import Chart, FieldError, MetricField, integrate, sym2_unpack
 from .presets import smooth_bridge
 from .tensor import lifted_norm_squared
 from .yamabe import (
@@ -268,7 +268,8 @@ def _flat_ball_check(g: MetricField, center, limit: float) -> None:
     chart = g.chart
     rho = np.sqrt(np.sum(chart.min_image(chart.mesh(), center) ** 2, axis=-1))
     mask = rho <= limit
-    dev = g.dense[mask] - np.eye(chart.n)
+    # unpacked on the ball only: ``g.dense`` would keep an (n, n) field on ``g``
+    dev = sym2_unpack(g.packed[mask], chart.n) - np.eye(chart.n)
     worst = float(np.max(np.abs(dev))) if dev.size else 0.0
     if worst > 1e-12:
         raise FieldError(

@@ -46,7 +46,7 @@ is one window and one slab's transients, and ``hessian`` forms the part's
 second derivatives from the windows of the gradient its caller passes and
 subtracts the part's own planes of Gamma contracted with it; ``deform`` has
 the bundle's sweep do that too, so it forms Gamma once for both.
-Every layer uses the one fd4 stencil of ``grid``, so every slab is
+Every derivative is one ``grid`` matrix product, so every slab is
 bit-identical to the same planes of a whole-grid pass.  On a bundle,
 ``curvature_scalars`` forms |W|^2 slab by slab.
 The deformation layer runs its closed forms in the same slabs.  A spectral

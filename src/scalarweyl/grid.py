@@ -14,35 +14,33 @@ pivot is positive.  The determinant (the pivots' product), the inverse
 (L^{-1} formed in place, then M^T D^{-1} M) and the dense (n, n) form are
 built when first read.
 
-Differentiation defaults to 4th-order centered stencils; second derivatives
-are compositions of first-derivative stencils, so mixed partials commute to
-roundoff.  There is one fd4 stencil: it takes an array that already carries
-two ghost planes at each end of the differentiated axis.  ``deriv`` builds
-those planes by periodic wraparound.  A range of axis-0 planes is
-differentiated through its ``window``, the range with two wrapped ghost
-planes past each end: ``deriv_window`` reads them in place along axis 0 and
-wraps the range's own planes along the other axes, as ``deriv`` does, so
-every range is bit-identical to the same planes of the whole derivative.
-A "spectral" chart differentiates along an axis by one ``_axis_product``
-with the axis's dense N x N spectral matrix.  Each derived
-plane reads every plane of the axis, so a range of axis-0 planes needs all
-of axis 0: a spectral window is the whole field.  Integration is the plain
-point sum times the cell volume, which is spectrally accurate on periodic
-grids and makes the discrete divergence theorem hold to roundoff (the
-stencil telescopes over each periodic axis).
+Differentiation defaults to 4th-order centered differences; second
+derivatives are compositions of first derivatives, so mixed partials
+commute to roundoff.  Every derivative is one ``_axis_product`` along its
+axis.  An fd4 derivative multiplies by the +-1 differences d1 and d2
+stacked and forms (8 d1 - d2) / (12 h) from the two halves: the bits of
+the 5-point stencil, and exactly 0 on every constant.  A range of axis-0
+planes is differentiated through its ``window``, the range with two
+wrapped ghost planes past each end: ``deriv_window`` takes the rows of the
+own planes along axis 0, which read the ghost planes in place, so every
+range is bit-identical to the same planes of the whole derivative.  A
+"spectral" chart multiplies by the axis's dense N x N spectral matrix;
+each derived plane reads every plane of the axis, so a spectral window is
+the whole field.  Integration is the plain point sum times the cell
+volume, which is spectrally accurate on periodic grids and makes the
+discrete divergence theorem hold to roundoff (each difference telescopes
+over each periodic axis).
 
 The Laplace-Beltrami operator is applied in flux form,
 (1/sqrt(det g)) sum_a D_a(sqrt(det g) g^{ab} D_b u).  A ``FluxForm`` holds
 its coefficient once per metric with the axis scales folded in, so each
-derivative of an apply is one ``_axis_product`` of a whole field: with the
-fd4 band as an integer circulant (a constant 1 maps to exactly 0), or with
-the spectral matrix.
+derivative of an apply is one ``_axis_product`` of a whole field with the
+fd4 band (a constant 1 maps to exactly 0) or the spectral matrix.
 
-``_circulant`` writes each difference operator once: the fd4 band and the
-spectral matrix, which the apply reads through ``_apply_axes``, and the
-second difference.  ``yamabe`` reads its symbols off these matrices and
-squares the second difference for its penalty.  Only the curvature stack
-keeps the fd4 stencil, for exact zeros on every constant and axis-0 windows.
+``_circulant`` writes each difference operator once: d1 and d2, the fd4
+band 8 d1 - d2 and the spectral matrix, which the apply reads through
+``_apply_axes``, and the second difference.  ``yamabe`` reads its symbols
+off these matrices and squares the second difference for its penalty.
 
 The package's one thread pool lives here (``_in_parts``): a range of
 axis-0 planes is split into one contiguous part per CPU the process may
@@ -237,75 +235,67 @@ def _in_parts(run, planes: slice) -> None:
 # ---------------------------------------------------------------------------
 
 
-def _with_ghosts(arr: np.ndarray, axis: int, start: int, stop: int) -> np.ndarray:
-    """Planes ``start - 2 .. stop + 1`` of ``arr`` along ``axis``, wrapped
-    periodically: the range ``[start, stop)`` with two ghost planes past
-    each end.
-
-    A range whose ghost planes do not wrap is a view, with no copy; a
-    wrapping one is indexed, which copies only those planes, where
-    ``np.take`` would first copy a strided input whole.
-    """
-    lead = (slice(None),) * axis
-    if start >= 2 and stop + 2 <= arr.shape[axis]:
-        return arr[lead + (slice(start - 2, stop + 2),)]
-    ghosts = np.arange(start - 2, stop + 2) % arr.shape[axis]
-    return arr[lead + (ghosts,)]
-
-
-def _stencil_fd4(ext: np.ndarray, axis: int, spacing: float) -> np.ndarray:
-    """5-point centered stencil on ``ext``, which carries two ghost planes at
-    each end along ``axis``; the result covers its interior."""
-    size = ext.shape[axis] - 4
-    lead = (slice(None),) * axis
-
-    def shifted(s: int) -> np.ndarray:  # shifted(s)[i] == ext[2 + i + s]
-        return ext[lead + (slice(2 + s, 2 + s + size),)]
-
-    out = np.subtract(shifted(1), shifted(-1))
-    out *= 8.0
-    out -= np.subtract(shifted(2), shifted(-2))
-    out /= 12.0 * spacing
-    return out
-
-
 def _axis_product(M: np.ndarray, x: np.ndarray, axis: int, out: np.ndarray) -> np.ndarray:
-    """``M`` (N x N) applied along ``axis`` of ``x`` into the contiguous
-    ``out`` by one matmul: ``M @ x.reshape(-1, N, post)`` on a leading axis,
+    """``M`` (K x N) applied along ``axis`` of ``x``, which has N planes
+    there, into the contiguous ``out``, which has K, by one matmul:
+    ``M @ x.reshape(-1, N, post)`` on a leading axis,
     ``x.reshape(-1, N) @ M.T`` on the last, where the batched form is
     several times slower."""
-    N = len(M)
+    K, N = M.shape
     post = math.prod(x.shape[axis + 1 :])
     if post == 1:
-        np.matmul(x.reshape(-1, N), M.T, out=out.reshape(-1, N))
+        np.matmul(x.reshape(-1, N), M.T, out=out.reshape(-1, K))
     else:
-        np.matmul(M, x.reshape(-1, N, post), out=out.reshape(-1, N, post))
+        np.matmul(M, x.reshape(-1, N, post), out=out.reshape(-1, K, post))
     return out
 
 
 @lru_cache
 def _circulant(stencil: str, size: int, length: float) -> np.ndarray:
-    """A periodic axis's difference operator as a read-only circulant: "fd4",
-    8 (f[i+1] - f[i-1]) - (f[i+2] - f[i-2]), the fd4 band without its
-    1/(12 h); "second", f[i-1] - 2 f[i] + f[i+1]; "spectral", the spectral
-    derivative on an axis of ``length`` (Trefethen, Spectral Methods in
-    MATLAB, ch. 3), entry (1/2) (-1)^s cot(pi s / size) 2 pi / length for
+    """A periodic axis's difference operator as a read-only circulant: "d1"
+    and "d2", the differences f[i+1] - f[i-1] and f[i+2] - f[i-2]; "fd4",
+    8 d1 - d2, the fd4 band without its 1/(12 h); "second",
+    f[i-1] - 2 f[i] + f[i+1]; "spectral", the spectral derivative on an
+    axis of ``length`` (Trefethen, Spectral Methods in MATLAB, ch. 3),
+    entry (1/2) (-1)^s cot(pi s / size) 2 pi / length for
     s = (i - j) mod size, zero for s = 0 and s = size/2, so the odd Nyquist
-    mode (-1)^j is in its kernel.  The first two have integer entries, so
-    a product with a constant 1 is exactly 0: every partial sum is exact."""
-    j = np.arange(size)
-    col = np.zeros(size)  # entry (i, j) is col[(i - j) mod size]
-    if stencil == "spectral":
-        s = j[1 : size // 2]
-        col[s] = (np.pi / length) * (-1.0) ** s / np.tan(np.pi * s / size)
-        col[size - s] = -col[s]
-    elif stencil == "fd4":
-        col[[1, 2, -2, -1]] = (-8.0, 1.0, -1.0, 8.0)
+    mode (-1)^j is in its kernel.  Only "spectral" reads ``length``.  The
+    others have integer entries, so a product with a constant 1 is exactly
+    0: every partial sum is exact."""
+    if stencil == "fd4":
+        C = 8.0 * _circulant("d1", size, 1.0) - _circulant("d2", size, 1.0)
     else:
-        col[[-1, 0, 1]] = (1.0, -2.0, 1.0)
-    C = col[(j[:, None] - j) % size]
+        j = np.arange(size)
+        col = np.zeros(size)  # entry (i, j) is col[(i - j) mod size]
+        if stencil == "spectral":
+            s = j[1 : size // 2]
+            col[s] = (np.pi / length) * (-1.0) ** s / np.tan(np.pi * s / size)
+            col[size - s] = -col[s]
+        elif stencil == "second":
+            col[[-1, 0, 1]] = (1.0, -2.0, 1.0)
+        else:  # "d1" or "d2"
+            s = int(stencil[1])
+            col[[-s, s]] = (1.0, -1.0)
+        C = col[(j[:, None] - j) % size]
     C.flags.writeable = False
     return C
+
+
+def _fd4(x: np.ndarray, axis: int, spacing: float, trim: int) -> np.ndarray:
+    """fd4 derivative along ``axis`` of ``x``, on all but its first and last
+    ``trim`` planes there: one ``_axis_product`` with those rows of d1 and
+    d2 stacked, then 8 d1 - d2 over 12 h in the 5-point stencil's order.
+    Each row has two non-zero entries, +1 and -1, so in any summation
+    order, with or without FMA, it gives the one rounding of the stencil's
+    difference: the stencil's bits, and exactly 0 on a constant."""
+    N = x.shape[axis]
+    P = np.concatenate([_circulant(d, N, 1.0)[trim : N - trim] for d in ("d1", "d2")])
+    both = _axis_product(P, x, axis, np.empty(x.shape[:axis] + (len(P),) + x.shape[axis + 1 :]))
+    d1, d2 = np.split(both, 2, axis=axis)
+    out = np.multiply(d1, 8.0)
+    out -= d2
+    out /= 12.0 * spacing
+    return out
 
 
 def _grid_broadcast(chart: Chart, arr: np.ndarray) -> np.ndarray:
@@ -339,7 +329,7 @@ def deriv(chart: Chart, arr: np.ndarray, axis: int) -> np.ndarray:
     if chart.scheme == "spectral":
         D = _circulant("spectral", chart.sizes[axis], chart.lengths[axis])
         return _axis_product(D, arr, axis, np.empty(arr.shape))
-    return _stencil_fd4(_with_ghosts(arr, axis, 0, chart.sizes[axis]), axis, chart.spacings[axis])
+    return _fd4(arr, axis, chart.spacings[axis], 0)
 
 
 def window(chart: Chart, arr: np.ndarray, planes: slice = slice(None)) -> np.ndarray:
@@ -355,7 +345,12 @@ def window(chart: Chart, arr: np.ndarray, planes: slice = slice(None)) -> np.nda
             raise FieldError("a spectral chart differentiates whole axes; pass all planes")
         return arr
     start, stop, _ = planes.indices(chart.sizes[0])
-    return _with_ghosts(arr, 0, start, stop)
+    # a range whose ghost planes do not wrap is a view, with no copy; a
+    # wrapping one is indexed, which copies only those planes, where
+    # ``np.take`` would first copy a strided input whole
+    if start >= 2 and stop + 2 <= arr.shape[0]:
+        return arr[start - 2 : stop + 2]
+    return arr[np.arange(start - 2, stop + 2) % arr.shape[0]]
 
 
 def deriv_window(chart: Chart, window: np.ndarray, axis: int) -> np.ndarray:
@@ -364,17 +359,18 @@ def deriv_window(chart: Chart, window: np.ndarray, axis: int) -> np.ndarray:
     On an fd4 chart ``window`` holds a range of axis-0 planes with two
     ghost planes past each end (as ``window`` cuts them), and the result
     covers the range: bit-identical to the same planes of ``deriv`` of the
-    whole field.  Along axis 0 the stencil reads the ghost planes in place,
-    with no copy; along the others it wraps the own planes as ``deriv``
-    does.  A spectral window is the whole field, with no ghost planes.
+    whole field.  Along axis 0 the product takes the rows of the window's
+    own planes, which read the ghost planes in place, with no copy; along
+    the others it takes the own planes, as ``deriv`` does.  A spectral
+    window is the whole field, with no ghost planes.
     """
     if not 0 <= axis < chart.n:
         raise FieldError(f"axis must be in [0, {chart.n}), got {axis}")
     if chart.scheme == "spectral":
         return deriv(chart, window, axis)
-    if axis > 0:
-        window = _with_ghosts(window[2:-2], axis, 0, chart.sizes[axis])
-    return _stencil_fd4(window, axis, chart.spacings[axis])
+    if axis == 0:
+        return _fd4(window, 0, chart.spacings[0], 2)
+    return _fd4(window[2:-2], axis, chart.spacings[axis], 0)
 
 
 def gradient(chart: Chart, arr: np.ndarray) -> np.ndarray:

@@ -284,6 +284,18 @@ def test_search_names_the_grid_its_largest_radius_needs():
     assert any(np.isfinite(c.value) for c in search_parameters(g, 1.0).landscape)
 
 
+def test_search_and_radial_fields_cache_no_dense_metric():
+    # the flatness check unpacks the metric on each ball only: a dense
+    # (n, n) field cached on the background would live as long as it does
+    chart = make_chart(4, (12,) * 4, (L,) * 4)
+    g = flat_metric(chart)
+    report = search_parameters(g, 1.0, r_grid=(L / 4,), k_grid=(4.0,))
+    assert any(np.isfinite(c.value) for c in report.landscape), report.message
+    assert "dense" not in g.__dict__
+    radial_fields(g, _default_centers(chart)[:2], L / 8, make_bump(0.1, 4))
+    assert "dense" not in g.__dict__
+
+
 def test_radial_fields_adds_disjoint_balls():
     chart = make_chart(4, (12,) * 4, (L,) * 4)
     g = flat_metric(chart)

@@ -29,7 +29,15 @@ from scalarweyl.curvature import (
     weyl,
 )
 from scalarweyl.deformation import deform
-from scalarweyl.grid import MetricField, deriv, gradient, make_chart, sym2_unpack, window
+from scalarweyl.grid import (
+    MetricField,
+    deriv,
+    gradient,
+    make_chart,
+    sym2_pack,
+    sym2_unpack,
+    window,
+)
 from scalarweyl.presets import (
     conformally_flat_metric,
     flat_metric,
@@ -164,14 +172,19 @@ def test_slab_loop_is_bit_identical_to_one_whole_field_pass(
 def test_flat_curvature_identically_zero():
     for n, size in ((3, 8), (4, 8)):
         c = make_chart(n, (size,) * n, (2 * np.pi,) * n)
-        g = flat_metric(c)
-        gamma = christoffel(g)
-        assert np.count_nonzero(gamma) == 0
-        rm = riemann(g, window(c, gamma), slice(None))
-        assert np.count_nonzero(rm) == 0
-        ric, scal = ricci_scalar(rm, g.inverse)
-        assert np.count_nonzero(ric) == 0 and np.count_nonzero(scal) == 0
-        assert decomposition_residual(g) == 0.0
+        # and a constant SPD metric other than the identity: every
+        # derivative of its components is exactly 0, so no layer leaves a
+        # rounding residue
+        a = np.random.default_rng(n).uniform(0.1, 2.9, (n, n))
+        constant = np.tile(sym2_pack(a @ a.T + np.eye(n), n), c.shape + (1,))
+        for g in (flat_metric(c), MetricField(c, constant)):
+            gamma = christoffel(g)
+            assert np.count_nonzero(gamma) == 0
+            rm = riemann(g, window(c, gamma), slice(None))
+            assert np.count_nonzero(rm) == 0
+            ric, scal = ricci_scalar(rm, g.inverse)
+            assert np.count_nonzero(ric) == 0 and np.count_nonzero(scal) == 0
+            assert decomposition_residual(g) == 0.0
 
 
 # --- assembly kernels against per-entry references -------------------------

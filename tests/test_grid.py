@@ -189,6 +189,13 @@ def test_difference_matrix_is_the_integer_fd4_circulant(size):
     # row 0 is the stencil 8 (f1 - f-1) - (f2 - f-2) with no 1/(12 h)
     assert np.count_nonzero(D[0]) == 4
     assert np.array_equal(D[0, [1, 2, -2, -1]], [8.0, -1.0, 1.0, -8.0])
+    # and exactly 8 d1 - d2, the +-1 differences f[i+1] - f[i-1] and
+    # f[i+2] - f[i-2] that every fd4 derivative multiplies by
+    d1, d2 = (grid._circulant(d, size, 1.0) for d in ("d1", "d2"))
+    assert np.array_equal(D, 8.0 * d1 - d2)
+    for s, d in ((1, d1), (2, d2)):
+        assert np.count_nonzero(d) == 2 * size
+        assert np.array_equal(d[0, [s, -s]], [1.0, -1.0])
 
 
 def test_difference_matrix_product_matches_deriv_on_every_axis():
@@ -263,13 +270,14 @@ def test_ghost_plane_stencil_matches_periodic_deriv_on_its_planes():
     rng = np.random.default_rng(13)
     c = make_chart(3, (10, 8, 12), (1.0, 2.0, 3.0))
     arr = rng.standard_normal(c.sizes + (3,))
-    # the stencil takes an array carrying two ghost planes per end
+    # on an array carrying two ghost planes per end, the product with the
+    # rows of its own planes reads the ghosts in place, as a window's does
     for axis in range(c.n):
         ext = np.take(arr, np.arange(-2, c.sizes[axis] + 2) % c.sizes[axis], axis=axis)
-        assert np.array_equal(grid._stencil_fd4(ext, axis, c.spacings[axis]), deriv(c, arr, axis))
+        assert np.array_equal(grid._fd4(ext, axis, c.spacings[axis], 2), deriv(c, arr, axis))
     ext = np.take(arr, np.arange(1, 9), axis=0)  # planes 3..6 with their ghosts
-    assert np.array_equal(grid._stencil_fd4(ext, 0, c.spacings[0]), deriv(c, arr, 0)[3:7])
-    # a window of 2^20 output elements runs the stencil in one shot too
+    assert np.array_equal(deriv_window(c, ext, 0), deriv(c, arr, 0)[3:7])
+    # a window of 2^20 output elements runs the product in one shot too
     big = make_chart(4, (16,) * 4, (1.0,) * 4)
     wide = rng.standard_normal(big.sizes + (32,))
     win = window(big, wide, slice(4, 12))
@@ -287,14 +295,29 @@ def test_window_derivative_matches_periodic_deriv_on_its_planes():
     arr = rng.standard_normal(c.sizes + (3,))
     # ranges inside the axis, at both ends (ghost planes wrap) and whole
     ranges = [slice(3, 6), slice(0, 2), slice(8, 10), slice(9, 10), slice(0, 10), slice(None)]
-    for axis in range(c.n):
-        whole = deriv(c, arr, axis)
-        for planes in ranges:
-            win = window(c, arr, planes)
-            assert win.shape[0] == len(range(*planes.indices(10))) + 4
-            assert np.array_equal(deriv_window(c, win, axis), whole[planes])
+    # and a strided component, as the Hessian differentiates grad[..., j]
+    for x in (arr, arr[..., 1]):
+        for axis in range(c.n):
+            whole = deriv(c, x, axis)
+            for planes in ranges:
+                win = window(c, x, planes)
+                assert win.shape[0] == len(range(*planes.indices(10))) + 4
+                assert np.array_equal(deriv_window(c, win, axis), whole[planes])
     with pytest.raises(FieldError):
         deriv_window(c, window(c, arr, slice(0, 8)), 3)
+
+
+def test_fd4_derivatives_of_a_constant_are_exactly_zero():
+    # each +-1 difference of a constant is exactly 0; one product with the
+    # [1, -8, 0, 8, -1] band leaves rounding residues on such constants
+    c = make_chart(3, (10, 8, 12), (1.0, 2.0, 3.0))
+    for value in (0.1, 1.3, 2.9, 0.7):
+        const = np.full(c.sizes, value)
+        for axis in range(c.n):
+            assert np.count_nonzero(deriv(c, const, axis)) == 0
+            for planes in (slice(3, 6), slice(0, 2), slice(8, 10), slice(None)):
+                win = window(c, const, planes)
+                assert np.count_nonzero(deriv_window(c, win, axis)) == 0
 
 
 def test_window_spectral_takes_whole_axes_only():

@@ -275,7 +275,7 @@ def test_one_flux_apply_is_2n_axis_products_and_at_most_one_split(monkeypatch):
         u = fourier_scalar(chart, amplitude=0.5, seed=4)
         calls = []
         with monkeypatch.context() as patch:
-            for name in ("_axis_product", "_stencil_fd4", "window", "deriv_window", "_in_parts"):
+            for name in ("_axis_product", "window", "deriv_window", "_in_parts"):
                 real = getattr(grid, name)
 
                 def counted(*args, _name=name, _real=real):
@@ -287,6 +287,37 @@ def test_one_flux_apply_is_2n_axis_products_and_at_most_one_split(monkeypatch):
         assert calls.count("_axis_product") == 2 * chart.n, (scheme, calls)
         assert calls.count("_in_parts") <= 1, (scheme, calls)
         assert set(calls) <= {"_axis_product", "_in_parts"}, (scheme, calls)
+
+
+def test_one_derivative_is_one_axis_product(monkeypatch):
+    # every derivative is one whole-field matrix product on either scheme,
+    # along every axis, of whole fields and of windows, wrapping or not
+    import numpy as np
+
+    from scalarweyl import grid
+
+    for scheme in ("fd4", "spectral"):
+        chart = grid.make_chart(3, (10, 8, 12), (1.0, 2.0, 3.0), scheme)
+        x = np.random.default_rng(3).standard_normal(chart.sizes + (2,))
+        ranges = [slice(None)] if scheme == "spectral" else [slice(3, 6), slice(0, 2), slice(None)]
+        windows = [grid.window(chart, x, planes) for planes in ranges]
+        calls = []
+        real = grid._axis_product
+
+        def counted(*args):
+            calls.append(args[2])
+            return real(*args)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(grid, "_axis_product", counted)
+            for axis in range(chart.n):
+                grid.deriv(chart, x, axis)
+                assert calls == [axis], (scheme, calls)
+                for win in windows:
+                    calls.clear()
+                    grid.deriv_window(chart, win, axis)
+                    assert calls == [axis], (scheme, calls)
+                calls.clear()
 
 
 def test_yamabe_writes_no_stencil_and_its_penalty_is_n_axis_products(monkeypatch):
@@ -311,7 +342,7 @@ def test_yamabe_writes_no_stencil_and_its_penalty_is_n_axis_products(monkeypatch
         if isinstance(node, ast.ImportFrom)
         for alias in node.names
     }
-    helpers = {"_in_parts", "_with_ghosts", "_interior_shifts", "_stencil_fd4"}
+    helpers = {"_in_parts", "_fd4", "window"}
     assert not imported & helpers, imported & helpers
     # one penalty apply is one whole-field circulant product per axis and
     # goes to no pool
