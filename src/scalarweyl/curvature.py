@@ -40,8 +40,9 @@ keeps the four planes the two windows share and runs ``christoffel`` on the
 new planes only; planes 0 and 1 are kept from the first window for the
 last, so no whole-grid Gamma is formed.  It hands each part of the slab its
 planes of Gamma with their ghost planes, and each caller passes what to do
-with them: ``curvature_bundle`` keeps Riemann, Ricci, R and W
-(``_curvature``), ``curvature_scalars`` keeps only R and |W|^2, so its peak
+with them: ``curvature_bundle`` keeps Ricci, R and W (``_curvature``
+forms each part's Riemann pair matrices, which die with the part),
+``curvature_scalars`` keeps only R and |W|^2, so its peak
 is one window and one slab's transients, and ``hessian`` forms the part's
 second derivatives from the windows of the gradient its caller passes and
 subtracts the part's own planes of Gamma contracted with it; ``deform`` has
@@ -357,14 +358,16 @@ class CurvatureBundle:
     """Curvature stack of one metric, computed once and passed around.
 
     Every field is whole-grid, written slab by slab by the one slab loop
-    that ``curvature_scalars`` also runs: ``riem`` and ``W`` are pair-matrix
-    fields, ``ric`` dense (..., n, n) and ``scal`` scalar.  The Christoffel
-    symbols are not kept: each slab's window of them is overwritten by the
-    next, and ``hessian`` streams them again.
+    that ``curvature_scalars`` also runs: ``W`` is a pair-matrix field,
+    ``ric`` dense (..., n, n) and ``scal`` scalar.  Riemann is not kept:
+    each part forms its pair matrices for Ricci and W and drops them, and
+    Riem = W + KN(P, g), with the Schouten tensor P of Ricci and R, gives
+    back whatever a reader needs of it.  Nor are the Christoffel symbols:
+    each slab's window of them is overwritten by the next, and ``hessian``
+    streams them again.
     """
 
     g: MetricField
-    riem: Riem4Field
     ric: np.ndarray
     scal: np.ndarray
     W: Riem4Field
@@ -375,16 +378,15 @@ class CurvatureBundle:
 
 
 def _curvature(g: MetricField, win: np.ndarray, part: slice):
-    """Riemann, Ricci, R and W of ``g`` on the axis-0 planes ``part``, from
-    their window ``win`` of Gamma."""
+    """Ricci, R and W of ``g`` on the axis-0 planes ``part``, from their
+    window ``win`` of Gamma."""
     riem = riemann(g, win, part)
     ric, scal = ricci_scalar(riem, g.inverse[part])
-    return riem, ric, scal, weyl(riem, ric, scal, sym2_unpack(g.packed[part], g.chart.n))
+    return ric, scal, weyl(riem, ric, scal, sym2_unpack(g.packed[part], g.chart.n))
 
 
 def curvature_bundle(g: MetricField) -> CurvatureBundle:
-    """The whole curvature stack of ``g``: the slab loop keeping every field
-    but the Christoffel symbols."""
+    """The curvature stack of ``g``: the slab loop keeping Ricci, R and W."""
     return _bundle(g, None)[0]
 
 
@@ -397,18 +399,18 @@ def _bundle(
     chart = g.chart
     shape = chart.sizes
     m = len(pair_indices(chart.n))
-    riem, W = np.empty(shape + (m, m)), np.empty(shape + (m, m))
     ric, scal = np.empty(shape + (chart.n, chart.n)), np.empty(shape)
+    W = np.empty(shape + (m, m))
     hess = None if grad is None else np.empty(shape + (chart.n, chart.n))
 
     def run(part: slice, win: np.ndarray) -> None:
-        for whole, field in zip((riem, ric, scal, W), _curvature(g, win, part)):
+        for whole, field in zip((ric, scal, W), _curvature(g, win, part)):
             whole[part] = field
         if hess is not None:
             _hessian_planes(chart, grad, win, part, hess[part])
 
     _sweep(g, run)
-    return CurvatureBundle(g, Riem4Field(chart, riem), ric, scal, Riem4Field(chart, W)), hess
+    return CurvatureBundle(g, ric, scal, Riem4Field(chart, W)), hess
 
 
 def curvature_scalars(
@@ -432,7 +434,7 @@ def curvature_scalars(
     scal = np.empty(g.chart.sizes)
 
     def run(part: slice, win: np.ndarray) -> None:
-        _, _, scal[part], W = _curvature(g, win, part)
+        _, scal[part], W = _curvature(g, win, part)
         wnorm2[part] = riemann_norm_squared(W, g.inverse[part])
 
     _sweep(g, run)

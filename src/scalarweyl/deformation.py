@@ -27,7 +27,12 @@ The ingredients come in two parts.  The scalar ingredients (the raised
 gradient and w, both from ``_raised``, the Laplacian and the Hessian and
 Ricci contractions against the raised gradient) feed the scalar closed
 form, the energy and the block coefficients; only the error tensor needs
-the (n, n) Kulkarni-Nomizu factors S, Q, V and df (x) df.
+the (n, n) Kulkarni-Nomizu factors S, Q, V and df (x) df.  The Riemann
+tensor of g enters only through S_ik = Riem_{ipkq} f^p f^q, and the
+curvature bundle keeps W, not Riemann: with Riem = W + KN(P, g), P the
+Schouten tensor of Ricci and R, S is the 1-3 trace of W against
+f^ (x) f^ plus the closed form |f^|^2 P + P(f^, f^) g - (P f^) (x) df
+- df (x) (P f^) (``_riemann_vv``).
 
 Every closed form is pointwise, so it runs in the curvature stack's slabs
 of axis-0 planes, each split among the workers (``curvature._each_part``):
@@ -47,7 +52,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .curvature import CurvatureBundle, _bundle, _each_part, hessian
+from .curvature import CurvatureBundle, _bundle, _each_part, _schouten, hessian
 from .grid import Chart, MetricField, gradient, integrate, sym2_pack, sym2_unpack
 from .tensor import (
     Riem4Field,
@@ -156,22 +161,45 @@ def _scalar_ingredients(bundle: DeformationBundle, planes: slice) -> dict:
     }
 
 
+def _riemann_vv(
+    W: np.ndarray, P: np.ndarray, gdense: np.ndarray, grad: np.ndarray, fup: np.ndarray
+) -> np.ndarray:
+    """``S_ik = Riem_{ipkq} f^p f^q`` from Riem = W + KN(P, g), for the
+    Weyl pair matrices ``W``, the Schouten tensor ``P`` and the dense metric
+    ``gdense``, with ``grad`` = df and ``fup`` = f^ = g^{-1} df:
+    ``vv_contract(W, fup) + |f^|^2 P + P(f^, f^) g - (P f^) (x) df
+    - df (x) (P f^)``, the four correction terms added in place through
+    one scratch field."""
+    S = vv_contract(W, fup)
+    pf = np.einsum("...ab,...b->...a", P, fup)
+    tmp = np.multiply(np.einsum("...a,...a->...", grad, fup)[..., None, None], P)
+    S += tmp
+    S += np.multiply(np.einsum("...a,...a->...", fup, pf)[..., None, None], gdense, out=tmp)
+    # one outer product; its transpose is the symmetric term
+    S -= np.multiply(pf[..., :, None], grad[..., None, :], out=tmp)
+    S -= tmp.swapaxes(-1, -2)
+    return S
+
+
 def _kn_factors(bundle: DeformationBundle, ing: dict, planes: slice) -> dict:
     """Kulkarni-Nomizu factors of the fifteen blocks on the axis-0
     ``planes``, by block-table name."""
-    g = bundle.base.g
+    base = bundle.base
     h = bundle.hess[planes]
     grad = bundle.grad[planes]
     u = ing["u"]
-    hh = np.matmul(np.matmul(h, g.inverse[planes]), h)  # (h g^{-1} h)_ab
+    gdense = sym2_unpack(base.g.packed[planes], bundle.n)
+    ric = base.ric[planes]
+    hh = np.matmul(np.matmul(h, base.g.inverse[planes]), h)  # (h g^{-1} h)_ab
+    P = _schouten(ric, ing["scal"], gdense)
     return {
-        "gdense": sym2_unpack(g.packed[planes], bundle.n),
+        "gdense": gdense,
         "F2": grad[..., :, None] * grad[..., None, :],
         "h": h,
-        "S": vv_contract(bundle.base.riem.pair[planes], ing["fup"]),
+        "S": _riemann_vv(base.W.pair[planes], P, gdense, grad, ing["fup"]),
         "Q": ing["lap"][..., None, None] * h - hh,
         "V": ing["beta"][..., None, None] * h - u[..., :, None] * u[..., None, :],
-        "ric": bundle.base.ric[planes],
+        "ric": ric,
     }
 
 

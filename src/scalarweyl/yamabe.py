@@ -176,44 +176,54 @@ def _symbol(M, Q):
     return np.sum(_axis_product(M, Q, 1, np.empty(Q.shape)) ** 2, axis=1)
 
 
-def _preconditioner(form, q, pen_mean):
-    """Inverse of the mean-coefficient symbol of -a_n Lap + q + pen_mean
-    times the penalty's symbol, applied in each axis's real Fourier basis
-    (``_real_basis``): a product with Q_a along every axis, a division by
-    the symbol, a product with Q_a^T along every axis, each one
-    ``grid._axis_product``.  On basis row q_i of axis a the Laplacian's
-    symbol is |s_a D_a q_i|^2, with the apply's matrix D_a and scale s_a
-    (``grid._apply_axes``), and the penalty's |B_a q_i|^2.  The products
-    alternate between the result and one buffer the preconditioner owns,
-    so a call allocates only its result, and one preconditioner serves one
-    caller at a time."""
+def _preconditioner(form, pen_mean):
+    """``shifted(q)``: the inverse of the mean-coefficient symbol of
+    -a_n Lap + q + pen_mean times the penalty's symbol, applied in each
+    axis's real Fourier basis (``_real_basis``): a product with Q_a along
+    every axis, a division by the symbol, a product with Q_a^T along every
+    axis, each one ``grid._axis_product``.  On basis row q_i of axis a the
+    Laplacian's symbol is |s_a D_a q_i|^2, with the apply's matrix D_a and
+    scale s_a (``grid._apply_axes``), and the penalty's |B_a q_i|^2.
+
+    The bases, the axis symbols and the mean flux trace depend on ``form``
+    alone and are formed here, once; each ``shifted(q)`` forms only its
+    denominator, the mean of q sqrt(det g) plus the axis symbols.  The
+    products alternate between the result and one buffer shared by every
+    ``shifted(q)``, so a call allocates only its result, and the
+    preconditioners of one ``form`` serve one caller at a time."""
     chart = form.chart
     trace = sum(form.component(a, a) for a in range(chart.n)) / form.sqrt_det
     a_lap = laplacian_factor(chart.n) * max(float(np.mean(trace)) / chart.n, 1e-12)
-    denom = np.full(chart.sizes, max(float(np.mean(q * form.sqrt_det)), 1e-12))
-    steps = []
+    steps, symbols = [], []
     for a, (D, scale) in enumerate(_apply_axes(chart)):
         Q = _real_basis(chart.sizes[a])
         steps.append((a, Q))
         sym = a_lap * scale**2 * _symbol(D, Q) + pen_mean * _symbol(_second_difference(len(Q)), Q)
         shape = [1] * chart.n
         shape[a] = len(Q)
-        denom += sym.reshape(shape)
+        symbols.append(sym.reshape(shape))
     # Q_a along every axis, then Q_a^T along every axis
     steps += [(a, Q.T) for a, Q in steps]
     buf = np.empty(chart.sizes)
 
-    def precond(r):
-        out = np.empty(chart.sizes)
-        # the 2n products alternate between buf and out and end in out
-        x = r
-        for i, (a, Q) in enumerate(steps):
-            if i == chart.n:
-                x /= denom
-            x = _axis_product(Q, x, a, (buf, out)[i % 2])
-        return out
+    def shifted(q):
+        denom = np.full(chart.sizes, max(float(np.mean(q * form.sqrt_det)), 1e-12))
+        for sym in symbols:
+            denom += sym
 
-    return precond
+        def precond(r):
+            out = np.empty(chart.sizes)
+            # the 2n products alternate between buf and out and end in out
+            x = r
+            for i, (a, Q) in enumerate(steps):
+                if i == chart.n:
+                    x /= denom
+                x = _axis_product(Q, x, a, (buf, out)[i % 2])
+            return out
+
+        return precond
+
+    return shifted
 
 
 #: iteration cap of one conjugate-gradient solve
@@ -254,20 +264,27 @@ def _pcg(apply_sym, b, precond, tol):
     )
 
 
-def _shifted_solver(form, q):
-    """Solve (-a_n Lap + q) x = b to a per-call relative tolerance; each
-    solve returns x and its conjugate-gradient iteration count."""
+def _shifted_solver(form):
+    """``shifted(q)``: the solver of (-a_n Lap + q) x = b to a per-call
+    relative tolerance; each solve returns x and its conjugate-gradient
+    iteration count.  What depends on ``form`` alone, the preconditioner's
+    bases and symbols included, is formed once for every q."""
     sd = np.sqrt(form.sqrt_det)
-    precond = _preconditioner(form, q, 0.0)
+    preconditioner = _preconditioner(form, 0.0)
 
-    def apply_sym(y):
-        return sd * modified_laplacian_apply(form, y / sd, q)
+    def shifted(q):
+        precond = preconditioner(q)
 
-    def solve(b, tol):
-        y, it = _pcg(apply_sym, sd * b, precond, tol)
-        return y / sd, it
+        def apply_sym(y):
+            return sd * modified_laplacian_apply(form, y / sd, q)
 
-    return solve
+        def solve(b, tol):
+            y, it = _pcg(apply_sym, sd * b, precond, tol)
+            return y / sd, it
+
+        return solve
+
+    return shifted
 
 
 # ---------------------------------------------------------------------------
@@ -369,7 +386,7 @@ def first_eigenvalue(g: MetricField, F: np.ndarray) -> TrichotomyResult:
     sigma = float(np.min(F)) - 1.0
     eta = _penalty_strength(laplacian_factor(chart.n), F)
     pen = _penalty_apply(dens, eta)
-    precond = _preconditioner(form, F - sigma, eta * float(np.mean(1.0 / dens)))
+    precond = _preconditioner(form, eta * float(np.mean(1.0 / dens)))(F - sigma)
 
     applies = 0
 
@@ -438,12 +455,13 @@ def _newton_polish(form, F, p, u, tol_abs, history):
     r = res_of(u)
     res = float(np.max(np.abs(r)))
     cg_iters = 0
+    shifted = _shifted_solver(form)
     for it in range(1, _NEWTON_MAXITER + 1):
         history.append(res)
         if res <= tol_abs:
             return u, res, it - 1, cg_iters
         q = F + p * u ** (p - 1.0)
-        delta, cg = _shifted_solver(form, q)(-r, _NEWTON_CG_TOL)
+        delta, cg = shifted(q)(-r, _NEWTON_CG_TOL)
         cg_iters += cg
         step = 1.0
         while step > 1e-4:
@@ -537,7 +555,7 @@ def solve_constant_F(
         hi = float(np.max(neg)) ** (1.0 / (p - 1.0))
         shift = p * float(np.max(neg))
         # q = F1 + shift is fixed for the stage: one solver serves every step
-        solve1 = _shifted_solver(form1, F1 + shift)
+        solve1 = _shifted_solver(form1)(F1 + shift)
         u = np.full(chart.sizes, hi)
         delta = hi
         for _ in range(60):

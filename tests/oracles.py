@@ -21,15 +21,17 @@ The ``whole_field_*`` functions are the deformation layer's closed forms
 run over all planes at once, each pointwise step on the whole grid: the
 oracle of the slab loops of ``deformation`` and of
 ``construct._test_energy_bound``, which must be bit-identical to them.
-They read the block table of ``deformation`` and measure norms with the
-whole-field ``deformed_norm``.  ``exact_deformation`` builds the
+They read the block table of ``deformation``, form the factor S by its
+closed form from W and the Schouten tensor (``deformation._riemann_vv``,
+which ``tests/test_deformation.py`` checks against the Riemann route), and
+measure norms with the whole-field ``deformed_norm``.  ``exact_deformation`` builds the
 deformation bundle from closed-form first and covariant second derivatives,
 so closed-form test fields get an exact one; ``deformed_inverse`` is the
 closed-form inverse of g + df (x) df that ``deformed_norm`` contracts with.
 
 ``whole_riemann`` is ``curvature.riemann`` on all planes at once, from
 the whole-grid Christoffel symbols cut as one window; ``src/`` only ever
-forms Riemann slab by slab from a rolling window.
+forms Riemann slab by slab from a rolling window, and keeps none of it.
 
 ``conformal_energy`` is the integral certificate
 int F u^2 dV + a_n int |grad u|^2 dV, the quadratic form of the operator
@@ -63,13 +65,14 @@ import numpy as np
 from scalarweyl import curvature, grid
 from scalarweyl.conformal import ConformalParams, scalar_weyl
 from scalarweyl.construct import RadialFields
-from scalarweyl.curvature import CurvatureBundle, christoffel, riemann
+from scalarweyl.curvature import CurvatureBundle, _schouten, christoffel, riemann
 from scalarweyl.deformation import (
     BLOCK_COUNT,
     DeformationBundle,
     _block_table,
     _downdate,
     _raised,
+    _riemann_vv,
     deform,
     deformed_norm,
     weyl_error,
@@ -90,7 +93,6 @@ from scalarweyl.tensor import (
     _trace_terms,
     kulkarni_nomizu,
     pair_indices,
-    vv_contract,
 )
 
 
@@ -244,7 +246,13 @@ def whole_field_weyl_error(
         "gdense": g.dense,
         "F2": grad[..., :, None] * grad[..., None, :],
         "h": h,
-        "S": vv_contract(bundle.base.riem.pair, ing["fup"]),
+        "S": _riemann_vv(
+            bundle.base.W.pair,
+            _schouten(bundle.base.ric, bundle.base.scal, g.dense),
+            g.dense,
+            grad,
+            ing["fup"],
+        ),
         "Q": ing["lap"][..., None, None] * h - np.matmul(np.matmul(h, g.inverse), h),
         "V": ing["beta"][..., None, None] * h - u[..., :, None] * u[..., None, :],
         "ric": bundle.base.ric,

@@ -144,7 +144,7 @@ def test_slab_loop_is_bit_identical_to_one_whole_field_pass(
     W = weyl(riem, ric, scal, g.dense)
     wnorm2 = riemann_norm_squared(W, g.inverse)
     b = curvature_bundle(g)
-    for got, want in ((b.riem.pair, riem), (b.ric, ric), (b.scal, scal), (b.W.pair, W)):
+    for got, want in ((b.ric, ric), (b.scal, scal), (b.W.pair, W)):
         assert np.array_equal(got, want)
     for streamed in (curvature_scalars(g), curvature_scalars(g, bundle=b)):
         assert np.array_equal(streamed[0], scal)
@@ -346,7 +346,7 @@ def test_cap_weyl_vanishes_4d():
     b = curvature_bundle(g)
     mask = rho <= 0.4
     wn = np.max(riemann_norm(b.W.pair, g.inverse)[mask])
-    rn = np.max(riemann_norm(b.riem.pair, g.inverse)[mask])
+    rn = np.max(riemann_norm(whole_riemann(g), g.inverse)[mask])
     assert rn > 1.0  # the cap really is curved
     assert wn < 1e-8 * rn
 
@@ -396,7 +396,7 @@ def test_weyl_vanishes_in_3d():
     g = fourier_metric(c, amplitude=0.25, seed=2)
     b = curvature_bundle(g)
     assert np.max(riemann_norm(b.W.pair, g.inverse)) < 1e-8 * np.max(
-        riemann_norm(b.riem.pair, g.inverse)
+        riemann_norm(whole_riemann(g), g.inverse)
     )
 
 
@@ -407,8 +407,9 @@ def test_weyl_trace_free_4d():
     tr = trace_13(b.W.pair, g.inverse)
     assert np.max(np.abs(tr)) < 1e-8 * np.max(np.abs(b.W.pair))
     # end-to-end symmetry of the assembled curvature tensor
-    scale = float(np.max(np.abs(b.riem.pair)))
-    report = riemann_symmetry_report(dense_from_pair(b.riem.pair, 4))
+    riem = whole_riemann(g)
+    scale = float(np.max(np.abs(riem)))
+    report = riemann_symmetry_report(dense_from_pair(riem, 4))
     assert report["max_violation"] < 1e-9 * scale
 
 
@@ -549,9 +550,10 @@ def decomposition_residual(g):
     product plumbing.
     """
     bundle = curvature_bundle(g)
+    riem = whole_riemann(g)
     recomposed = bundle.W.pair + kulkarni_nomizu(_schouten(bundle.ric, bundle.scal, g.dense), g.dense)
-    diff = riemann_norm(recomposed - bundle.riem.pair, g.inverse)
-    scale = max(float(np.max(riemann_norm(bundle.riem.pair, g.inverse))), 1e-300)
+    diff = riemann_norm(recomposed - riem, g.inverse)
+    scale = max(float(np.max(riemann_norm(riem, g.inverse))), 1e-300)
     return float(np.max(diff)) / scale
 
 
@@ -569,7 +571,7 @@ def test_decomposition_residual_and_corruption():
     recomposed -= (
         b.scal[..., None, None] / (2.0 * (n - 1) * (n - 2))
     ) * kulkarni_nomizu(g.dense, g.dense)
-    diff = np.max(riemann_norm(recomposed - b.riem.pair, g.inverse))
+    diff = np.max(riemann_norm(recomposed - whole_riemann(g), g.inverse))
     assert diff > 0.05
 
 

@@ -30,14 +30,22 @@ from oracles import (
     whole_field_energy_bound,
     whole_field_scalar_closed_form,
     whole_field_weyl_error,
+    whole_riemann,
 )
 from scalarweyl import construct, curvature, deformation, grid
 from scalarweyl.conformal import _as_positive
 from scalarweyl.construct import RadialFields, make_bump, radial_fields
-from scalarweyl.curvature import christoffel, curvature_bundle, curvature_scalars, hessian
+from scalarweyl.curvature import (
+    _schouten,
+    christoffel,
+    curvature_bundle,
+    curvature_scalars,
+    hessian,
+)
 from scalarweyl.deformation import (
     BLOCK_COUNT,
     _raised,
+    _riemann_vv,
     _scalar_ingredients,
     deform,
     deformation_energy,
@@ -124,7 +132,7 @@ def reference_error_lines(bundle):
     grad = bundle.grad
     h = bundle.hess
     w = _raised(ginv, grad)[1]
-    riem = dense_from_pair(bundle.base.riem.pair, n)
+    riem = dense_from_pair(whole_riemann(bundle.base.g), n)
     ric = bundle.base.ric
     scal = bundle.base.scal
 
@@ -404,7 +412,7 @@ def test_every_worker_count_gives_bit_identical_outputs(monkeypatch):
         return [
             b.hess, hessian(g, gradient(c, f)),
             deform(gs, fs).hess, hessian(gs, gradient(s, fs)),
-            base.riem.pair, base.ric, base.scal, base.W.pair,
+            base.ric, base.scal, base.W.pair,
             *curvature_scalars(g), *curvature_scalars(g, bundle=base),
             weyl_error(b).pair, deformed_scalar_closed_form(b),
             deformation_energy(g, f, 0.7, base=base),
@@ -448,6 +456,35 @@ def test_error_forms_one_product_per_second_factor(monkeypatch):
         assert len(calls) == 3 * parts
     # one worker: the 8^4 grid is one slab of one part
     assert parts == 1
+
+
+@pytest.mark.parametrize("scheme", ["fd4", "spectral"])
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_closed_form_S_matches_the_riemann_route(n, scheme):
+    # the bundle keeps W, not Riemann: S = Riem(., f^, ., f^) comes from
+    # Riem = W + KN(P, g) in closed form, and the whole-field oracle follows
+    # the same closed form, so this is S's independent check
+    c = torus(n, 8, scheme)
+    g = fourier_metric(c, amplitude=0.2, seed=8)
+    grad = gradient(c, fourier_scalar(c, amplitude=0.3, seed=108))
+    fup = _raised(g.inverse, grad)[0]
+    base = curvature_bundle(g)
+    P = _schouten(base.ric, base.scal, g.dense)
+    want = vv_contract(whole_riemann(g), fup)
+    scale = float(np.max(np.abs(want)))
+
+    def mismatch(W):
+        return float(np.max(np.abs(_riemann_vv(W, P, g.dense, grad, fup) - want))) / scale
+
+    assert mismatch(base.W.pair) < 1e-13
+    if n == 3:
+        # W vanishes to roundoff: the Schouten terms alone give S
+        assert mismatch(np.zeros_like(base.W.pair)) < 1e-13
+    # one corrupted entry pair of W must break the match
+    bad = base.W.pair.copy()
+    bad[..., 0, 1] += 0.1
+    bad[..., 1, 0] += 0.1
+    assert mismatch(bad) > 0.1
 
 
 def test_only_the_error_tensor_contracts_riemann(monkeypatch):

@@ -131,11 +131,11 @@ def test_streamed_curvature_scalars_hold_no_whole_grid_christoffel_field():
 
 
 def test_curvature_bundle_holds_no_whole_grid_christoffel_field():
-    # the bundle keeps Riemann, Ricci, R and W (712 bytes per point at
-    # n = 4); above them the peak holds one slab's transients and window,
-    # 2^14 points, a quarter of a 16^4 grid (measured: 1412 bytes per
-    # point, 700 above the kept fields).  A whole-grid packed Gamma adds
-    # 320 bytes per point (measured: 1732)
+    # the bundle keeps Ricci, R and W (424 bytes per point at n = 4), and
+    # no Riemann field; above them the peak holds one slab's transients and
+    # window, 2^14 points, a quarter of a 16^4 grid (measured: 1125 bytes
+    # per point, 701 above the kept fields).  A whole-grid packed Gamma
+    # adds 320 bytes per point (measured: 1445)
     import numpy as np
 
     from scalarweyl.curvature import curvature_bundle
@@ -148,20 +148,19 @@ def test_curvature_bundle_holds_no_whole_grid_christoffel_field():
 
     def run():
         b = curvature_bundle(g)
-        kept.update(riem=b.riem.pair, ric=b.ric, scal=b.scal, W=b.W.pair)
+        kept.update(ric=b.ric, scal=b.scal, W=b.W.pair)
 
     peak = _traced_peak(run)
     npoints = g.chart.npoints
     kept_per_point = sum(field.nbytes for field in kept.values()) / npoints
-    assert kept_per_point == 712
+    assert kept_per_point == 424
     assert peak / npoints <= kept_per_point + 900, peak / npoints
 
 
 def test_streamed_scalar_weyl_peaks_below_half_the_bundle_route():
     # without a bundle the curvature stack runs slab by slab and keeps only
     # a window of Christoffel planes, R and |W|^2; the bundle route keeps
-    # every curvature field (measured at 20^4: 344 against 1360 bytes per
-    # point)
+    # Ricci, R and W (measured at 20^4: 344 against 752 bytes per point)
     import numpy as np
 
     from scalarweyl.conformal import scalar_weyl
@@ -393,6 +392,6 @@ def test_preconditioner_call_peaks_at_two_fields():
     chart = make_chart(4, (20,) * 4, (2 * np.pi,) * 4)
     form = FluxForm.of(fourier_metric(chart, amplitude=0.2, seed=3))
     r = np.random.default_rng(1).standard_normal(chart.sizes)
-    precond = _preconditioner(form, np.ones(chart.sizes), 0.2)
+    precond = _preconditioner(form, 0.2)(np.ones(chart.sizes))
     peak = _traced_peak(lambda: precond(r))
     assert peak <= 2 * chart.npoints * 8, peak / (chart.npoints * 8)

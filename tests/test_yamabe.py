@@ -124,7 +124,7 @@ def test_real_fft_preconditioner_matches_complex_form(sizes, lengths, scheme):
     c_lap = float(np.mean(np.trace(g.inverse, axis1=-2, axis2=-1))) / chart.n
     q_mean = float(np.mean(q * g.sqrt_det))
     ref = _complex_preconditioner(chart, a_n, c_lap, q_mean, 0.2)(r)
-    got = _preconditioner(FluxForm.of(g), q, 0.2)(r)
+    got = _preconditioner(FluxForm.of(g), 0.2)(q)(r)
     assert got.shape == ref.shape
     assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
 
@@ -145,7 +145,7 @@ def test_preconditioner_is_symmetric_and_positive(sizes, scheme):
     chart = make_chart(len(sizes), sizes, (2.0 * np.pi,) * len(sizes), scheme=scheme)
     rng = np.random.default_rng(7)
     g = fourier_metric(chart, amplitude=0.2, seed=4)
-    precond = _preconditioner(FluxForm.of(g), 0.4 + rng.random(sizes), 0.2)
+    precond = _preconditioner(FluxForm.of(g), 0.2)(0.4 + rng.random(sizes))
     for _ in range(3):
         a, b = rng.standard_normal((2,) + sizes)
         Pa, Pb = precond(a), precond(b)
@@ -542,34 +542,49 @@ def test_solve_reports_inner_cg_iterations(monkeypatch):
 
 def test_solve_forms_one_operator_per_stage(monkeypatch):
     # the trichotomy, Newton (both on g) and the barrier stage (on the
-    # rescaled metric) each form the coefficient once and reuse it for every
-    # apply, however many Newton steps run
-    metrics, solvers = [], []
+    # rescaled metric) each form the coefficient, and the preconditioner's
+    # bases and symbols, once and reuse them for every apply and every
+    # shift, however many Newton steps run
+    metrics, solvers, shifts, bases = [], [], [], []
     of = FluxForm.of.__func__
 
     def counted_form(cls, g):
         metrics.append(g)
         return of(cls, g)
 
-    def counted_solver(*args):
-        solvers.append(args[0])
-        return _shifted_solver(*args)
+    def counted_solver(form):
+        solvers.append(form)
+        shifted = _shifted_solver(form)
+
+        def counted_shift(q):
+            shifts.append(form)
+            return shifted(q)
+
+        return counted_shift
+
+    def counted_basis(size):
+        bases.append(size)
+        return _real_basis(size)
 
     monkeypatch.setattr(FluxForm, "of", classmethod(counted_form))
     monkeypatch.setattr("scalarweyl.yamabe._shifted_solver", counted_solver)
+    monkeypatch.setattr("scalarweyl.yamabe._real_basis", counted_basis)
     g, F, _ = manufactured(torus(4, 12))
     newton_steps = []
     for tol in (1e-4, 1e-12):
         monkeypatch.setattr(yamabe, "_SOLVE_TOL", tol)
-        metrics.clear()
-        solvers.clear()
+        for calls in (metrics, solvers, shifts, bases):
+            calls.clear()
         solve_constant_F(g, 1.0, coefficient=F, init="barriers")
         assert len(metrics) == 3
         assert metrics[0] is g and metrics[1] is g and metrics[2] is not g
-        # one solver for the barrier stage, then one per Newton step, all on
-        # the two forms of the stages
-        assert len({id(form) for form in solvers}) == 2
-        newton_steps.append(len(solvers) - 1)
+        # one solver for the barrier stage and one for Newton, on the forms
+        # of the stages; one shift for the barrier stage, then one per
+        # Newton step
+        assert len(solvers) == 2 and solvers[0] is not solvers[1]
+        newton_steps.append(len(shifts) - 1)
+        # one basis per axis for each of the three preconditioners
+        assert len(bases) == 3 * 4
     assert newton_steps[0] < newton_steps[1]
 
 
