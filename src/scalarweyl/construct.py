@@ -379,12 +379,12 @@ def _default_centers(chart: Chart) -> tuple:
 
 
 def _resolving_size(chart: Chart, r: float) -> int:
-    """Smallest even number of points per axis at which a radius ``r`` spans
+    """Smallest number of points per axis at which a radius ``r`` spans
     MIN_CELLS_PER_RADIUS cells of every axis (charts take 8 at least)."""
     length = max(chart.lengths)
-    size = max(8, 2 * math.floor(MIN_CELLS_PER_RADIUS * length / r / 2))
+    size = max(8, math.floor(MIN_CELLS_PER_RADIUS * length / r))
     while r < MIN_CELLS_PER_RADIUS * (length / size):
-        size += 2
+        size += 1
     return size
 
 
@@ -505,6 +505,8 @@ def search_parameters(
     chart = g.chart
     if centers is None:
         centers = _default_centers(chart)
+    if len(centers) == 0:
+        raise ValueError("need at least one ball center")
     length = float(min(chart.lengths))
     if r_grid is None:
         r_grid = tuple(length / d for d in RADIUS_DIVISORS)
@@ -512,7 +514,7 @@ def search_parameters(
         k_grid = SHEAR_GRID
     if coefficient is None:
         coefficient = scalar_weyl(g, max(t, 0.0))
-    background = integrate(chart, coefficient, g.sqrt_det)
+    background = integrate(g, coefficient)
     profile = make_bump(PROFILE_FLOOR, chart.n)
     spacing = float(max(chart.spacings))
 
@@ -520,12 +522,6 @@ def search_parameters(
     unresolved = []
     for r in sorted(r_grid):
         kept = _disjoint_prefix(chart, centers, r)
-        if not kept:
-            landscape.append(
-                SearchCell(r=r, k=float("nan"), balls=0, value=float("nan"),
-                           note="no disjoint balls at this radius")
-            )
-            continue
         if r < MIN_CELLS_PER_RADIUS * spacing:
             unresolved.append(r)
             note = f"radius below {MIN_CELLS_PER_RADIUS:g} grid cells; profile unresolvable"
@@ -606,10 +602,9 @@ def _test_energy_bound(
 
     _each_part(chart, run)
     ricci_block, hess_block = _ricci_hessian_blocks(bundle, ricci, hess)
-    dens = scaled.sqrt_det
-    scal = integrate(chart, base.scal, dens)
+    scal = integrate(scaled, base.scal)
     return (
-        float(scal + t * integrate(chart, snorm, dens) + (ricci_block + hess_block)),
+        float(scal + t * integrate(scaled, snorm) + (ricci_block + hess_block)),
         bundle.g_prime,
     )
 

@@ -325,9 +325,9 @@ def _ricci_hessian_blocks(
     (n-1)/(n-2) int (|u|^2 / w^2 - beta^2 / w^3) dV of the deformation
     functionals, over the undeformed volume, from their whole-grid
     integrands."""
-    chart, dens = bundle.chart, bundle.base.g.sqrt_det
-    ricci_block = -integrate(chart, ricci, dens)
-    hess_block = ((bundle.n - 1.0) / (bundle.n - 2.0)) * integrate(chart, hess, dens)
+    g = bundle.base.g
+    ricci_block = -integrate(g, ricci)
+    hess_block = ((bundle.n - 1.0) / (bundle.n - 2.0)) * integrate(g, hess)
     return ricci_block, hess_block
 
 
@@ -359,8 +359,7 @@ def deformation_energy(
         enorm[part] = np.sqrt(lifted_norm_squared(E, lift))
 
     _each_part(chart, run)
-    dens = base.g.sqrt_det
-    i1 = integrate(chart, curv, dens)
-    i2 = t * integrate(chart, enorm, dens)
+    i1 = integrate(base.g, curv)
+    i2 = t * integrate(base.g, enorm)
     i3, i4 = _ricci_hessian_blocks(bundle, ricci, hess_term)
     return i1 + i2 + i3 + i4

@@ -3,16 +3,18 @@
 A chart is a uniform grid on the n-torus: axis ``a`` has ``sizes[a]`` points
 spanning ``[0, lengths[a])`` with periodic wraparound.
 
-Each argument takes one representation.  A field is a raw array: a scalar
-field has the grid shape ``sizes``, and a field with components stores them
-in trailing axes after the grid axes (point-major layout, components
-contiguous per point).  The metric is the one wrapped field: a
-``MetricField`` holds the ``n*(n+1)//2`` lexicographic (i <= j) packed
-components.  Construction factors them by one batched LDL^T, run in place on
-a component-major copy with one scratch grid array, and checks that every
-pivot is positive.  The determinant (the pivots' product), the inverse
-(L^{-1} formed in place, then M^T D^{-1} M) and the dense (n, n) form are
-built when first read.
+Each argument takes one representation.  A field is a full-grid float
+array: a scalar field has exactly the grid shape ``sizes``, and a field with
+components stores them in trailing axes after the grid axes (point-major
+layout, components contiguous per point).  One check (``_field``) holds
+every input to this rule and nothing is broadcast, so a field built from
+the sparse ``mesh`` is expanded by its caller.  The metric is the one
+wrapped field: a ``MetricField`` holds the ``n*(n+1)//2`` lexicographic
+(i <= j) packed components.  Construction factors them by one batched
+LDL^T, run in place on a component-major copy with one scratch grid array,
+and checks that every pivot is positive.  The determinant (the pivots'
+product), the inverse (L^{-1} formed in place, then M^T D^{-1} M) and the
+dense (n, n) form are built when first read.
 
 Differentiation defaults to 4th-order centered differences; second
 derivatives are compositions of first derivatives, so mixed partials
@@ -26,10 +28,10 @@ own planes along axis 0, which read the ghost planes in place, so every
 range is bit-identical to the same planes of the whole derivative.  A
 "spectral" chart multiplies by the axis's dense N x N spectral matrix;
 each derived plane reads every plane of the axis, so a spectral window is
-the whole field.  Integration is the plain point sum times the cell
-volume, which is spectrally accurate on periodic grids and makes the
-discrete divergence theorem hold to roundoff (each difference telescopes
-over each periodic axis).
+the whole field.  Integration is over a metric's volume element: the point
+sum of f sqrt(det g) times the cell volume, which is spectrally accurate on
+periodic grids and makes the discrete divergence theorem hold to roundoff
+(each difference telescopes over each periodic axis).
 
 The Laplace-Beltrami operator is applied in flux form,
 (1/sqrt(det g)) sum_a D_a(sqrt(det g) g^{ab} D_b u).  A ``FluxForm`` holds
@@ -151,14 +153,23 @@ def make_chart(n, sizes, lengths, scheme="fd4") -> Chart:
     if len(lengths) != n:
         raise ChartError(f"expected {n} lengths, got {len(lengths)}")
     for a, size in enumerate(sizes):
-        if size < 8 or size % 2 != 0:
-            raise ChartError(f"axis {a}: size must be even and >= 8, got {size}")
+        if size < 8:
+            raise ChartError(f"axis {a}: size must be >= 8, got {size}")
     for a, length in enumerate(lengths):
         if not np.isfinite(length) or length <= 0:
             raise ChartError(f"axis {a}: length must be positive, got {length}")
     if scheme not in _SCHEMES:
         raise ChartError(f"scheme must be one of {_SCHEMES}, got {scheme!r}")
     return Chart(n=int(n), sizes=sizes, lengths=lengths, scheme=scheme)
+
+
+def _field(chart: Chart, data, trailing: tuple[int, ...], kind: str) -> np.ndarray:
+    """``data`` as a float array, which must have exactly the grid shape
+    ``sizes`` followed by the ``trailing`` component axes."""
+    data = np.asarray(data, dtype=float)
+    if data.shape != chart.sizes + trailing:
+        raise FieldError(f"{kind}: expected shape {chart.sizes + trailing}, got {data.shape}")
+    return data
 
 
 # ---------------------------------------------------------------------------
@@ -257,9 +268,10 @@ def _circulant(stencil: str, size: int, length: float) -> np.ndarray:
     8 d1 - d2, the fd4 band without its 1/(12 h); "second",
     f[i-1] - 2 f[i] + f[i+1]; "spectral", the spectral derivative on an
     axis of ``length`` (Trefethen, Spectral Methods in MATLAB, ch. 3),
-    entry (1/2) (-1)^s cot(pi s / size) 2 pi / length for
-    s = (i - j) mod size, zero for s = 0 and s = size/2, so the odd Nyquist
-    mode (-1)^j is in its kernel.  Only "spectral" reads ``length``.  The
+    entry (1/2) (-1)^s cot(pi s / size) 2 pi / length on an even axis and
+    csc in place of cot on an odd one, for s = (i - j) mod size, zero for
+    s = 0; on an even axis also for s = size/2, so the odd Nyquist mode
+    (-1)^j is in its kernel.  Only "spectral" reads ``length``.  The
     others have integer entries, so a product with a constant 1 is exactly
     0: every partial sum is exact."""
     if stencil == "fd4":
@@ -268,8 +280,9 @@ def _circulant(stencil: str, size: int, length: float) -> np.ndarray:
         j = np.arange(size)
         col = np.zeros(size)  # entry (i, j) is col[(i - j) mod size]
         if stencil == "spectral":
-            s = j[1 : size // 2]
-            col[s] = (np.pi / length) * (-1.0) ** s / np.tan(np.pi * s / size)
+            s = j[1 : (size + 1) // 2]
+            trig = np.tan if size % 2 == 0 else np.sin
+            col[s] = (np.pi / length) * (-1.0) ** s / trig(np.pi * s / size)
             col[size - s] = -col[s]
         elif stencil == "second":
             col[[-1, 0, 1]] = (1.0, -2.0, 1.0)
@@ -298,44 +311,24 @@ def _fd4(x: np.ndarray, axis: int, spacing: float, trim: int) -> np.ndarray:
     return out
 
 
-def _grid_broadcast(chart: Chart, arr: np.ndarray) -> np.ndarray:
-    """Expand degenerate leading axes (from sparse meshes) to full grid shape."""
-    arr = np.asarray(arr, dtype=float)
-    if arr.ndim < chart.n:
-        raise FieldError(
-            f"array with {arr.ndim} axes cannot cover a {chart.n}-axis grid"
-        )
-    lead = arr.shape[: chart.n]
-    if lead == chart.sizes:
-        return arr
-    for a, (have, want) in enumerate(zip(lead, chart.sizes)):
-        if have not in (1, want):
-            raise FieldError(
-                f"axis {a}: grid extent {have} incompatible with chart size {want}"
-            )
-    return np.broadcast_to(arr, chart.sizes + arr.shape[chart.n :])
-
-
 def deriv(chart: Chart, arr: np.ndarray, axis: int) -> np.ndarray:
-    """Partial derivative of a raw array along a chart axis.
+    """Partial derivative of a full-grid field along a chart axis.
 
     Component axes may trail the grid axes; ``axis`` always refers to the
-    grid axis.  Degenerate leading axes broadcast to full grid shape first,
-    so fields built from sparse meshes differentiate correctly.
+    grid axis.
     """
     if not 0 <= axis < chart.n:
         raise FieldError(f"axis must be in [0, {chart.n}), got {axis}")
-    arr = _grid_broadcast(chart, arr)
+    arr = _field(chart, arr, np.shape(arr)[chart.n :], "deriv")
     if chart.scheme == "spectral":
         D = _circulant("spectral", chart.sizes[axis], chart.lengths[axis])
         return _axis_product(D, arr, axis, np.empty(arr.shape))
     return _fd4(arr, axis, chart.spacings[axis], 0)
 
 
-def window(chart: Chart, arr: np.ndarray, planes: slice = slice(None)) -> np.ndarray:
-    """The axis-0 ``planes`` of ``arr`` (all of them by default) with two
-    ghost planes past each end, wrapped periodically: the input of
-    ``deriv_window``.
+def window(chart: Chart, arr: np.ndarray, planes: slice) -> np.ndarray:
+    """The axis-0 ``planes`` of ``arr`` with two ghost planes past each end,
+    wrapped periodically: the input of ``deriv_window``.
 
     A spectral derivative needs whole axes, so on a spectral chart the
     window is ``arr`` itself and only the whole plane range is accepted.
@@ -383,26 +376,6 @@ def gradient(chart: Chart, arr: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def _check_grid_shape(chart: Chart, data: np.ndarray, extra: tuple[int, ...], kind: str):
-    expected = chart.sizes + extra
-    if data.shape != expected:
-        raise FieldError(f"{kind}: expected shape {expected}, got {data.shape}")
-
-
-def _coerce_grid_shape(chart: Chart, data, extra: tuple[int, ...], kind: str):
-    """As _check_grid_shape, but degenerate leading axes broadcast up."""
-    data = np.asarray(data, dtype=float)
-    expected = chart.sizes + extra
-    if data.shape == expected:
-        return data
-    if data.ndim == len(expected) and data.shape[chart.n :] == extra:
-        try:
-            return np.array(np.broadcast_to(data, expected))
-        except ValueError:
-            pass
-    raise FieldError(f"{kind}: expected shape {expected}, got {data.shape}")
-
-
 def _slot(n: int, a: int, b: int) -> int:
     """Index of component (a, b), a <= b, in the packed order."""
     # rows 0..a-1 of the packed order hold n + (n-1) + ... + (n-a+1) slots
@@ -444,9 +417,7 @@ class MetricField:
 
     def __post_init__(self):
         n = self.chart.n
-        self.packed = _coerce_grid_shape(
-            self.chart, self.packed, (n * (n + 1) // 2,), "MetricField"
-        )
+        self.packed = _field(self.chart, self.packed, (n * (n + 1) // 2,), "MetricField")
         self._factor()
 
     @cached_property
@@ -559,25 +530,17 @@ class MetricField:
 # ---------------------------------------------------------------------------
 
 
-def integrate(chart: Chart, f, density) -> float:
-    """Point-sum quadrature of ``f`` against a positive density.
+def integrate(g: MetricField, f) -> float:
+    """Point-sum quadrature of the scalar field ``f`` over the volume
+    element of ``g``: sum f sqrt(det g) times the cell volume.
 
-    The density is the discrete volume element (for a metric, its
-    ``sqrt_det``); pass 1.0 for the coordinate measure.
+    ``g.sqrt_det`` is positive by construction, so it is not checked again:
+    a metric checks its LDL^T pivots, and ``conformal_metric`` forms it in
+    closed form from a u > 0 it has checked.  ``flat_metric``'s is exactly
+    1, the coordinate measure.
     """
-    fd = np.asarray(f, dtype=float)
-    dens = np.asarray(density, dtype=float)
-    # a NaN density fails too
-    if dens.ndim == 0:
-        if not dens > 0:
-            raise FieldError(f"density must be positive, got {float(dens)}")
-    elif not np.min(dens) > 0:
-        bad = tuple(int(i) for i in np.argwhere(~(dens > 0))[0])
-        raise FieldError(
-            f"density must be positive everywhere, first violation "
-            f"{float(dens[bad])} at {bad}"
-        )
-    return float(np.sum(fd * dens) * chart.cell_volume)
+    f = _field(g.chart, f, (), "integrate")
+    return float(np.sum(f * g.sqrt_det) * g.chart.cell_volume)
 
 
 # ---------------------------------------------------------------------------
@@ -627,7 +590,7 @@ class FluxForm:
 
 
 def flux_laplacian(g: MetricField | FluxForm, u: np.ndarray) -> np.ndarray:
-    """Laplace-Beltrami operator in flux form on raw scalar data.
+    """Laplace-Beltrami operator in flux form on a full-grid scalar field.
 
     (1/sqrt(det g)) sum_a D_a(sqrt(det g) g^{ab} D_b u); pass a ``FluxForm``
     to reuse its coefficient across applies.  Whole-field products of u with
@@ -640,7 +603,7 @@ def flux_laplacian(g: MetricField | FluxForm, u: np.ndarray) -> np.ndarray:
     chart = form.chart
     n = chart.n
     axes = _apply_axes(chart)
-    u = np.ascontiguousarray(_grid_broadcast(chart, u))  # not copied per product
+    u = np.ascontiguousarray(_field(chart, u, (), "flux_laplacian"))  # not copied per product
     du = [_axis_product(M, u, b, np.empty(chart.sizes)) for b, (M, _) in enumerate(axes)]
     flux = [np.empty(chart.sizes) for _ in range(n)]
 

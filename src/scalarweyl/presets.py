@@ -34,12 +34,12 @@ def flat_metric(chart: Chart) -> MetricField:
     return MetricField(chart, np.tile(sym2_pack(np.eye(chart.n), chart.n), chart.shape + (1,)))
 
 
-def _mode_table(rng: np.random.Generator, n: int, terms: int, max_mode: int):
-    # integer wavevectors with |m_a| <= max_mode, never all zero
+def _mode_table(rng: np.random.Generator, n: int, terms: int):
+    # integer wavevectors with |m_a| <= 1, never all zero
     modes = np.zeros((terms, n), dtype=int)
     for r in range(terms):
         while not modes[r].any():
-            modes[r] = rng.integers(-max_mode, max_mode + 1, size=n)
+            modes[r] = rng.integers(-1, 2, size=n)
     coeffs = rng.standard_normal(terms)
     phases = rng.uniform(0.0, 2.0 * np.pi, size=terms)
     return modes, coeffs, phases
@@ -67,25 +67,19 @@ def _sample_modes(chart: Chart, modes, coeffs, phases) -> np.ndarray:
 
 
 def fourier_scalar(
-    chart: Chart,
-    amplitude: float = 0.1,
-    seed: int = 0,
-    max_mode: int = 1,
-    terms: int = 4,
-    mean: float = 0.0,
+    chart: Chart, amplitude: float = 0.1, seed: int = 0, terms: int = 4
 ) -> np.ndarray:
-    """Band-limited random scalar with |field - mean| <= amplitude."""
+    """Band-limited random scalar with mean 0 and |field| <= amplitude."""
     rng = np.random.default_rng(seed)
-    modes, coeffs, phases = _mode_table(rng, chart.n, terms, max_mode)
+    modes, coeffs, phases = _mode_table(rng, chart.n, terms)
     coeffs *= amplitude / np.sum(np.abs(coeffs))
-    return mean + _sample_modes(chart, modes, coeffs, phases)
+    return _sample_modes(chart, modes, coeffs, phases)
 
 
 def fourier_metric(
     chart: Chart,
     amplitude: float = 0.25,
     seed: int = 0,
-    max_mode: int = 1,
     terms: int = 3,
 ) -> MetricField:
     """Identity plus a band-limited symmetric perturbation, SPD by bound.
@@ -106,7 +100,7 @@ def fourier_metric(
     # the draws follow the packed (i <= j) order; each component fills a
     # contiguous grid array, and one transpose makes them point-major
     for c, (i, j) in enumerate(sym2_pack_indices(n)):
-        modes, coeffs, phases = _mode_table(rng, n, terms, max_mode)
+        modes, coeffs, phases = _mode_table(rng, n, terms)
         coeffs *= per_entry / np.sum(np.abs(coeffs))
         np.add(float(i == j), _sample_modes(chart, modes, coeffs, phases), out=comps[c])
     np.copyto(packed, np.moveaxis(comps, 0, -1))

@@ -34,7 +34,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .grid import Chart, FieldError, _check_grid_shape
+from .grid import Chart, FieldError, _field
 
 __all__ = [
     "Riem4Field",
@@ -78,9 +78,8 @@ class Riem4Field:
     pair: np.ndarray  # (*sizes, m, m), symmetric in the last two axes
 
     def __post_init__(self):
-        self.pair = np.asarray(self.pair, dtype=float)
         m = len(pair_indices(self.chart.n))
-        _check_grid_shape(self.chart, self.pair, (m, m), "Riem4Field")
+        self.pair = _field(self.chart, self.pair, (m, m), "Riem4Field")
 
 
 # ---------------------------------------------------------------------------

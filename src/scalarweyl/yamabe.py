@@ -159,10 +159,10 @@ def _penalty_strength(a_n, F):
 
 
 def _real_basis(size):
-    """Real orthonormal Fourier basis of a periodic axis of even ``size``
-    points, one row per basis vector: the constant, then the cos and the
-    sin row of each wave number 1 .. size/2 - 1, then the Nyquist row
-    (-1)^j.  Row i has wave number (i + 1) // 2."""
+    """Real orthonormal Fourier basis of a periodic axis of ``size`` points,
+    one row per basis vector: the constant, then the cos and the sin row of
+    each wave number 1 .. (size - 1) // 2, then on an even axis the Nyquist
+    row (-1)^j.  Row i has wave number (i + 1) // 2."""
     j = np.arange(size)
     # the phase m j reduced mod size first, so every angle is below 2 pi
     angle = (2.0 * np.pi / size) * (np.outer((j + 1) // 2, j) % size)
@@ -432,8 +432,8 @@ def first_eigenvalue(g: MetricField, F: np.ndarray) -> TrichotomyResult:
             f"spread the mean-coefficient Fourier preconditioner leaves out)"
         )
     u = y / sd
-    u /= np.sqrt(integrate(chart, u * u, dens))
-    if integrate(chart, u, dens) < 0.0:
+    u /= np.sqrt(integrate(g, u * u))
+    if integrate(g, u) < 0.0:
         u = -u
     band = 1e-6 * scale
     verdict = "zero" if abs(lam) < band else ("negative" if lam < 0.0 else "positive")
@@ -530,14 +530,13 @@ def solve_constant_F(
         )
     F = tri.coefficient
     form = FluxForm.of(g)
-    dens = form.sqrt_det
 
     history: list[float] = []
     iterations = cg_iterations = 0
     # mean-one rescale keeps the conjugated metric O(1); any constant
     # multiple of the eigenfunction spans the same conformal ray
     u1 = tri.eigenfunction / (
-        integrate(chart, tri.eigenfunction, dens) / integrate(chart, np.ones(chart.sizes), dens)
+        integrate(g, tri.eigenfunction) / integrate(g, np.ones(chart.sizes))
     )
 
     if init == "barriers":
@@ -573,8 +572,8 @@ def solve_constant_F(
         u_tot = u1 * u
     else:
         # Rayleigh-matched amplitude for the bare eigenfunction start
-        e2 = integrate(chart, -F * u1 * u1, dens)
-        ep = integrate(chart, u1 ** (p + 1.0), dens)
+        e2 = integrate(g, -F * u1 * u1)
+        ep = integrate(g, u1 ** (p + 1.0))
         u_tot = max(e2 / ep, 1e-8) ** (1.0 / (p - 1.0)) * u1
 
     tol_abs = _SOLVE_TOL * max(1.0, float(np.max(np.abs(F))))

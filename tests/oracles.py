@@ -128,7 +128,6 @@ def phi_expansion(
     chart = g.chart
     n = chart.n
     inv = g.inverse
-    dens = g.sqrt_det
     psi = fields.psi
     # the volume weight f = psi^{(n-2)/2} (the profile itself) by the chain rule
     e = 0.5 * (n - 2.0)
@@ -160,7 +159,7 @@ def phi_expansion(
         w_norm = deformed_norm(base.W.pair, g, grad_eta)
         e_norm = deformed_norm(weyl_error(sheared).pair, g, grad_eta)
         scal_block = scal_block + t * w_norm * f
-        error_term = t * integrate(chart, e_norm * f, dens)
+        error_term = t * integrate(g, e_norm * f)
     else:
         error_term = 0.0
 
@@ -173,14 +172,14 @@ def phi_expansion(
 
     cnn = (n - 1.0) / (n - 2.0)
     total = (
-        integrate(chart, scal_block, dens)
+        integrate(g, scal_block)
         + error_term
-        + integrate(chart, hess_pp / dhat, dens)
-        + (0.5 * (n - 1.0) / k**2) * integrate(chart, grad_fp / dhat, dens)
-        - (1.0 / (k**2 * (n - 2.0))) * integrate(chart, psi * lap_f / dhat, dens)
-        + cnn * integrate(chart, (hp2 / dhat**2 - beta**2 / dhat**3) * f, dens)
+        + integrate(g, hess_pp / dhat)
+        + (0.5 * (n - 1.0) / k**2) * integrate(g, grad_fp / dhat)
+        - (1.0 / (k**2 * (n - 2.0))) * integrate(g, psi * lap_f / dhat)
+        + cnn * integrate(g, (hp2 / dhat**2 - beta**2 / dhat**3) * f)
         + (cnn / k**2)
-        * integrate(chart, (0.25 * s2**3 / psi - s2 * beta) / dhat**3 * f, dens)
+        * integrate(g, (0.25 * s2**3 / psi - s2 * beta) / dhat**3 * f)
     )
     return float(total)
 
@@ -279,10 +278,10 @@ def whole_field_scalar_closed_form(bundle: DeformationBundle) -> np.ndarray:
 
 
 def _whole_field_ricci_hessian(bundle: DeformationBundle, ing: dict) -> tuple[float, float]:
-    chart, w, dens = bundle.chart, ing["w"], bundle.base.g.sqrt_det
-    ricci = -integrate(chart, ing["rvv"] / w, dens)
+    g, w = bundle.base.g, ing["w"]
+    ricci = -integrate(g, ing["rvv"] / w)
     hess = ((bundle.n - 1.0) / (bundle.n - 2.0)) * integrate(
-        chart, ing["u2"] / w**2 - ing["beta"] ** 2 / w**3, dens
+        g, ing["u2"] / w**2 - ing["beta"] ** 2 / w**3
     )
     return ricci, hess
 
@@ -291,14 +290,12 @@ def whole_field_energy(
     g: MetricField, phi, t: float, base: CurvatureBundle | None = None
 ) -> float:
     """``deformation_energy`` with each norm formed by ``deformed_norm``."""
-    chart = g.chart
     bundle = deform(g, phi, base=base)
-    dens = bundle.base.g.sqrt_det
     ing = whole_field_ingredients(bundle)
     wnorm = deformed_norm(bundle.base.W.pair, g, bundle.grad)
     enorm = deformed_norm(whole_field_weyl_error(bundle), g, bundle.grad)
-    i1 = integrate(chart, bundle.base.scal + t * wnorm, dens)
-    i2 = t * integrate(chart, enorm, dens)
+    i1 = integrate(bundle.base.g, bundle.base.scal + t * wnorm)
+    i2 = t * integrate(bundle.base.g, enorm)
     i3, i4 = _whole_field_ricci_hessian(bundle, ing)
     return i1 + i2 + i3 + i4
 
@@ -308,14 +305,13 @@ def whole_field_energy_bound(g: MetricField, t: float, k: float, fields: RadialF
     chart = g.chart
     scaled = MetricField(chart, fields.psi[..., None] * g.packed)
     bundle = deform(scaled, k * fields.psi, grad=k * fields.grad_psi)
-    dens = scaled.sqrt_det
     ing = whole_field_ingredients(bundle)
     snorm = deformed_norm(
         bundle.base.W.pair + whole_field_weyl_error(bundle), scaled, bundle.grad
     )
     ricci, hess = _whole_field_ricci_hessian(bundle, ing)
-    scal = integrate(chart, bundle.base.scal, dens)
-    return float(scal + t * integrate(chart, snorm, dens) + (ricci + hess))
+    scal = integrate(scaled, bundle.base.scal)
+    return float(scal + t * integrate(scaled, snorm) + (ricci + hess))
 
 
 def einsum_flux_laplacian(g: MetricField, u: np.ndarray) -> np.ndarray:
@@ -383,7 +379,7 @@ def divergence_total(X: np.ndarray, g: MetricField) -> float:
 def whole_riemann(g: MetricField) -> np.ndarray:
     """Riemann pair matrices of ``g`` on all planes, from one window of the
     whole-grid Christoffel symbols."""
-    return riemann(g, window(g.chart, christoffel(g)), slice(None))
+    return riemann(g, window(g.chart, christoffel(g), slice(None)), slice(None))
 
 
 def conformal_energy(g: MetricField, t: float, u: np.ndarray, coefficient=None) -> float:
@@ -402,7 +398,7 @@ def conformal_energy(g: MetricField, t: float, u: np.ndarray, coefficient=None) 
     F = coefficient if coefficient is not None else scalar_weyl(g, t)
     du = gradient(chart, u)
     grad2 = np.einsum("...ab,...a,...b->...", g.inverse, du, du)
-    return integrate(chart, F * u * u + params.a_n * grad2, g.sqrt_det)
+    return integrate(g, F * u * u + params.a_n * grad2)
 
 
 def metric_from_dense(chart, dense: np.ndarray) -> MetricField:

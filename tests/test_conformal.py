@@ -201,15 +201,15 @@ def test_conformal_metric_identity_and_constant():
     scaled = conformal_metric(g, const * np.ones(c.shape))
     n = 4
     vol_factor = const ** (2.0 * n / (n - 2.0))
-    v0 = integrate(c, np.ones(c.shape), g.sqrt_det)
-    v1 = integrate(c, np.ones(c.shape), scaled.sqrt_det)
+    v0 = integrate(g, np.ones(c.shape))
+    v1 = integrate(scaled, np.ones(c.shape))
     assert v1 == pytest.approx(vol_factor * v0, rel=1e-12)
 
 
 def test_conformal_metric_determinant_identity():
     c = torus(4, 8)
     g = fourier_metric(c, amplitude=0.25, seed=2)
-    u = fourier_scalar(c, amplitude=0.25, seed=11, mean=1.0)
+    u = 1.0 + fourier_scalar(c, amplitude=0.25, seed=11)
     gt = conformal_metric(g, u)
     n = 4
     expected = u ** (4.0 * n / (n - 2.0)) * g.det
@@ -224,7 +224,7 @@ def test_conformal_metric_closed_forms_match_lapack(n, size, scheme):
     # from the background's; LAPACK on the rescaled dense metric agrees
     c = torus(n, size, scheme)
     g = fourier_metric(c, amplitude=0.25, seed=n + size)
-    u = fourier_scalar(c, amplitude=0.5, seed=size, terms=6, mean=1.0)
+    u = 1.0 + fourier_scalar(c, amplitude=0.5, seed=size, terms=6)
     gt = conformal_metric(g, u)
     inv = np.linalg.inv(gt.dense)
     vol = np.sqrt(np.linalg.det(gt.dense))
@@ -307,9 +307,9 @@ def test_modified_laplacian_self_adjoint():
     F = scalar_weyl(g, 1.0)
     lphi = modified_laplacian_apply(g, phi, F=F)
     lchi = modified_laplacian_apply(g, chi, F=F)
-    a = integrate(c, chi * lphi, g.sqrt_det)
-    b = integrate(c, phi * lchi, g.sqrt_det)
-    scale = integrate(c, np.abs(chi * lphi), g.sqrt_det)
+    a = integrate(g, chi * lphi)
+    b = integrate(g, phi * lchi)
+    scale = integrate(g, np.abs(chi * lphi))
     assert abs(a - b) < 1e-12 * scale
 
 
@@ -327,7 +327,7 @@ def test_covariance_residual_converges():
     for size in (12, 24):
         c = torus(3, size)
         g = fourier_metric(c, amplitude=0.25, seed=3)
-        u = fourier_scalar(c, amplitude=0.25, seed=11, mean=1.0)
+        u = 1.0 + fourier_scalar(c, amplitude=0.25, seed=11)
         phi = fourier_scalar(c, amplitude=0.5, seed=12)
         res[size] = covariance_residual(g, u, phi, t=1.0)
     assert res[24] < 0.1
@@ -349,7 +349,7 @@ def test_formula_check_converges():
     for size in (12, 24):
         c = torus(3, size)
         g = fourier_metric(c, amplitude=0.25, seed=3)
-        psi = fourier_scalar(c, amplitude=0.3, seed=7, mean=1.0)
+        psi = 1.0 + fourier_scalar(c, amplitude=0.3, seed=7)
         reps[size] = conformal_formula_check(g, psi)
     for key, cap in (("scalar", 4e-3), ("ricci", 1e-3), ("hessian", 5e-5)):
         assert reps[24][key] < cap, key
@@ -362,7 +362,7 @@ def test_formula_check_weyl_convention():
     # competing 1/psi scaling must lose by a wide margin.
     c = torus(4, 12)
     g = fourier_metric(c, amplitude=0.25, seed=2)
-    psi = fourier_scalar(c, amplitude=0.3, seed=7, mean=1.0)
+    psi = 1.0 + fourier_scalar(c, amplitude=0.3, seed=7)
     rep = conformal_formula_check(g, psi)
     assert rep["weyl_convention"] == "psi"
     assert rep["weyl_times_psi"] < 5e-3
@@ -377,7 +377,7 @@ def test_scalar_weyl_covariance():
     for size in (8, 16):
         c = torus(4, size)
         g = fourier_metric(c, amplitude=0.25, seed=2)
-        u = fourier_scalar(c, amplitude=0.25, seed=11, mean=1.0)
+        u = 1.0 + fourier_scalar(c, amplitude=0.25, seed=11)
         p_n = ConformalParams(1.0, 4).p_n
         lhs = scalar_weyl(conformal_metric(g, u), 1.0)
         rhs = u ** (-p_n) * modified_laplacian_apply(g, u, F=scalar_weyl(g, 1.0))

@@ -76,6 +76,18 @@ def test_construct_solves_the_positive_t_class_directly():
     assert f"final curvature residual {res.residual:.3e}" in res.message
 
 
+def test_construct_meets_final_tol_on_an_odd_spectral_grid():
+    # the class of the test above on a spectral 13^4 chart, which carries no
+    # Nyquist mode: the recomputed max |F + 1| measured 1.21e-3 after 4
+    # Newton steps and 56 CG iterations, under the default final_tol 5e-3;
+    # the even spectral 12^4 grid reads 1.03e-1
+    chart = make_chart(4, (13,) * 4, (L,) * 4, scheme="spectral")
+    res = construct_constant_F(fourier_metric(chart, amplitude=0.5, seed=3), 0.02)
+    assert res.path == "direct", res.message
+    assert res.succeeded, res.message
+    assert res.residual <= 5e-3
+
+
 def test_direct_path_names_a_missed_final_tol(monkeypatch):
     # a solve whose residual misses final_tol: the message names both
     chart = make_chart(4, (12,) * 4, (L,) * 4)
@@ -232,6 +244,12 @@ def test_config_rejects_invalid_input(change, match):
             make_bump(change["floor"], chart.n)
         else:
             ConstructionConfig(**{**args, **change})
+
+
+def test_search_rejects_an_empty_center_list():
+    g = flat_metric(make_chart(4, (8,) * 4, (L,) * 4))
+    with pytest.raises(ValueError, match="need at least one ball center"):
+        search_parameters(g, 1.0, centers=())
 
 
 def test_search_rejects_invalid_cells_through_the_config():

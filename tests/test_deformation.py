@@ -653,7 +653,7 @@ def test_flat_deformed_scalar_integrates_to_zero():
     c = torus(4, 16)
     g = flat_metric(c)
     b = deform(g, fourier_scalar(c, amplitude=0.4, seed=9))
-    total = integrate(c, deformed_scalar_closed_form(b), g.sqrt_det)
+    total = integrate(g, deformed_scalar_closed_form(b))
     assert abs(total) < 1e-12
 
 
@@ -751,7 +751,7 @@ def test_deformation_energy_constant_input_is_total_curvature():
     g = fourier_metric(c, amplitude=0.1, seed=3)
     t = 1.5
     en = deformation_energy(g, np.full(c.shape, 0.7), t)
-    direct = integrate(c, scalar_weyl(g, t), g.sqrt_det)
+    direct = integrate(g, scalar_weyl(g, t))
     assert en == pytest.approx(direct, rel=1e-12)
 
 
@@ -770,9 +770,7 @@ def test_deformation_energy_flat_termwise_quadrature():
     u = np.einsum("...ab,...b->...a", b.hess, gup)
     u2 = np.einsum("...a,...ab,...b->...", u, ginv, u)
     beta = np.einsum("...a,...a->...", u, gup)
-    expected = t * integrate(c, norm_e, g.sqrt_det) + (3.0 / 2.0) * integrate(
-        c, u2 / w**2 - beta**2 / w**3, g.sqrt_det
-    )
+    expected = t * integrate(g, norm_e) + (3.0 / 2.0) * integrate(g, u2 / w**2 - beta**2 / w**3)
     got = deformation_energy(g, phi, t)
     assert got == pytest.approx(expected, rel=1e-10)
 

@@ -30,17 +30,17 @@ def charts():
 @pytest.mark.parametrize("chart", list(charts()), ids=lambda c: "x".join(map(str, c.sizes)))
 def test_fourier_fields_match_termwise_oracle(chart):
     n, amplitude = chart.n, 0.7
-    got = fourier_scalar(chart, amplitude=amplitude, seed=4, max_mode=2, terms=9, mean=1.0)
+    got = 1.0 + fourier_scalar(chart, amplitude=amplitude, seed=4, terms=9)
     rng = np.random.default_rng(4)
-    modes, coeffs, phases = _mode_table(rng, n, 9, 2)
+    modes, coeffs, phases = _mode_table(rng, n, 9)
     coeffs *= amplitude / np.sum(np.abs(coeffs))
     want = 1.0 + fourier_sum(chart, modes, coeffs, phases)
     assert np.max(np.abs(got - want)) <= 1e-14 * amplitude
 
-    g = fourier_metric(chart, amplitude=amplitude, seed=5, max_mode=2, terms=4)
+    g = fourier_metric(chart, amplitude=amplitude, seed=5, terms=4)
     rng = np.random.default_rng(5)
     for c, (i, j) in enumerate(sym2_pack_indices(n)):
-        modes, coeffs, phases = _mode_table(rng, n, 4, 2)
+        modes, coeffs, phases = _mode_table(rng, n, 4)
         coeffs *= amplitude / n / np.sum(np.abs(coeffs))
         want = float(i == j) + fourier_sum(chart, modes, coeffs, phases)
         assert np.max(np.abs(g.packed[..., c] - want)) <= 1e-14 * amplitude
@@ -55,8 +55,8 @@ def test_fourier_fields_consistent_across_resolutions(n):
     coarse_chart = make_chart(n, (8,) * n, LENGTHS[:n])
     fine_chart = make_chart(n, (16,) * n, LENGTHS[:n])
     every_other = (slice(None, None, 2),) * n
-    coarse = fourier_scalar(coarse_chart, amplitude=0.5, seed=9, max_mode=2, terms=6)
-    fine = fourier_scalar(fine_chart, amplitude=0.5, seed=9, max_mode=2, terms=6)
+    coarse = fourier_scalar(coarse_chart, amplitude=0.5, seed=9, terms=6)
+    fine = fourier_scalar(fine_chart, amplitude=0.5, seed=9, terms=6)
     assert np.max(np.abs(coarse - fine[every_other])) <= 1e-15
     coarse = fourier_metric(coarse_chart, amplitude=0.5, seed=9).packed
     fine = fourier_metric(fine_chart, amplitude=0.5, seed=9).packed
@@ -67,7 +67,7 @@ def test_fourier_fields_consistent_across_resolutions(n):
 @pytest.mark.parametrize("n", [3, 4, 5, 6])
 def test_fourier_metric_eigenvalues_within_gershgorin_bound(n, amplitude):
     chart = make_chart(n, (8,) * n, LENGTHS[:n])
-    g = fourier_metric(chart, amplitude=amplitude, seed=n, max_mode=2, terms=5)
+    g = fourier_metric(chart, amplitude=amplitude, seed=n, terms=5)
     eig = np.linalg.eigvalsh(g.dense)
     assert np.all(eig > 1.0 - amplitude)
     assert np.all(eig < 1.0 + amplitude)

@@ -87,6 +87,22 @@ def test_no_module_imports_a_name_it_never_reads():
     assert not unused, unused
 
 
+# Parameters with a default over every def in the package.  A new option
+# raises this bound in the same change, where its reason is stated.
+MAX_DEFAULTED_PARAMETERS = 28
+
+
+def test_defaulted_parameter_count_does_not_grow():
+    counts = {}
+    for path in sorted(PACKAGE.glob("*.py")):
+        counts[path.stem] = sum(
+            len(node.args.defaults) + sum(d is not None for d in node.args.kw_defaults)
+            for node in ast.walk(ast.parse(path.read_text()))
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda))
+        )
+    assert sum(counts.values()) <= MAX_DEFAULTED_PARAMETERS, counts
+
+
 def test_metric_construction_forms_no_dense_inverse_or_det():
     # the dense form, the inverse and det are built when first read; the
     # first two at construction would double the set-up memory of every
