@@ -91,7 +91,7 @@ def conformal_metric(g: MetricField, u: np.ndarray) -> MetricField:
     n = g.chart.n
     psi = u ** (4.0 / (n - 2))
     out = MetricField(g.chart, psi[..., None] * g.packed)
-    out.inverse = g.inverse / psi[..., None, None]
+    out.inverse = g.inverse / psi[..., None]
     out.sqrt_det = psi ** (0.5 * n) * g.sqrt_det
     return out
 

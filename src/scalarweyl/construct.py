@@ -35,7 +35,7 @@ import numpy as np
 from .conformal import conformal_metric, scalar_weyl
 from .curvature import _each_part, curvature_scalars
 from .deformation import _energy_terms, _ricci_hessian_blocks, deform
-from .grid import Chart, FieldError, MetricField, integrate, sym2_unpack
+from .grid import Chart, FieldError, MetricField, integrate, sym2_pack_indices, sym2_unpack
 from .presets import smooth_bridge
 from .tensor import lifted_norm_squared
 from .yamabe import (
@@ -234,7 +234,8 @@ class RadialFields:
 
     ``psi`` is the profile raised to 2/(n-2) on each ball, with covariant
     gradient and Hessian from the closed-form radial chain rule; all three
-    are identically (1, 0, 0) outside the union of balls.
+    are identically (1, 0, 0) outside the union of balls.  The Hessian is
+    packed (i <= j) like the metric.
     """
 
     chart: Chart
@@ -268,7 +269,7 @@ def _flat_ball_check(g: MetricField, center, limit: float) -> None:
     chart = g.chart
     rho = np.sqrt(np.sum(chart.min_image(chart.mesh(), center) ** 2, axis=-1))
     mask = rho <= limit
-    # unpacked on the ball only: ``g.dense`` would keep an (n, n) field on ``g``
+    # unpacked on the ball only, so no whole-grid (n, n) field is formed
     dev = sym2_unpack(g.packed[mask], chart.n) - np.eye(chart.n)
     worst = float(np.max(np.abs(dev))) if dev.size else 0.0
     if worst > 1e-12:
@@ -301,9 +302,10 @@ def radial_fields(g: MetricField, centers, r: float, profile: BumpProfile) -> Ra
     n = chart.n
     _check_balls(chart, centers, r)
     q = 2.0 / (n - 2.0)
-    psi = np.ones(chart.shape)
-    grad = np.zeros(chart.shape + (n,))
-    hess = np.zeros(chart.shape + (n, n))
+    i, j = np.array(sym2_pack_indices(n)).T
+    psi = np.ones(chart.sizes)
+    grad = np.zeros(chart.sizes + (n,))
+    hess = np.zeros(chart.sizes + (len(i),))
     for center in centers:
         _flat_ball_check(g, center, 1.1 * r)
         disp = chart.min_image(chart.mesh(), center)
@@ -317,10 +319,10 @@ def radial_fields(g: MetricField, centers, r: float, profile: BumpProfile) -> Ra
         )
         psi += ball - 1.0
         grad += p1[..., None] * direction
-        radial = direction[..., :, None] * direction[..., None, :]
+        radial = direction[..., i] * direction[..., j]
         coef_t = np.where(core, 0.0, p1 / safe)
-        part = p2[..., None, None] * radial + coef_t[..., None, None] * (np.eye(n) - radial)
-        hess += np.where(core[..., None, None], 0.0, part)
+        part = p2[..., None] * radial + coef_t[..., None] * (np.eye(n)[i, j] - radial)
+        hess += np.where(core[..., None], 0.0, part)
     return RadialFields(chart=chart, psi=psi, grad_psi=grad, hess_psi=hess)
 
 

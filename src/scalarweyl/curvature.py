@@ -12,6 +12,11 @@ antisymmetry after lowering and the pair exchange hold only to truncation
 order; assembly therefore projects onto the fully symmetric subspace, which
 downstream Weyl norms need.
 
+Symmetric 2-tensor fields follow ``grid``'s one layout rule: whole-grid
+ones (the metric and its inverse, the bundle's Ricci tensor, ``hessian``'s
+result) are packed (..., n (n + 1) / 2), and each part unpacks the planes
+it reads into the dense (n, n) form that the ``tensor`` kernels take.
+
 The Christoffel symbols come from the derivatives of the packed metric
 (n (n + 1) / 2 components): three whole-field gathers on the point-major
 (points, components) view form the lowered bracket for every lower index
@@ -82,7 +87,9 @@ from .grid import (
     MetricField,
     _dense_slots,
     _in_parts,
+    _slot,
     deriv_window,
+    sym2_pack,
     sym2_pack_indices,
     sym2_unpack,
     window,
@@ -173,7 +180,7 @@ def christoffel(g: MetricField, planes: slice = slice(None)) -> np.ndarray:
     chart = g.chart
     n = chart.n
     npack = g.packed.shape[-1]
-    inv = g.inverse[planes]
+    inv = sym2_unpack(g.inverse[planes], n)
     lead = inv.shape[:-2]
     dg = np.empty(lead + (npack, n))
     win = window(chart, g.packed, planes)
@@ -359,12 +366,12 @@ class CurvatureBundle:
 
     Every field is whole-grid, written slab by slab by the one slab loop
     that ``curvature_scalars`` also runs: ``W`` is a pair-matrix field,
-    ``ric`` dense (..., n, n) and ``scal`` scalar.  Riemann is not kept:
-    each part forms its pair matrices for Ricci and W and drops them, and
-    Riem = W + KN(P, g), with the Schouten tensor P of Ricci and R, gives
-    back whatever a reader needs of it.  Nor are the Christoffel symbols:
-    each slab's window of them is overwritten by the next, and ``hessian``
-    streams them again.
+    ``ric`` packed (..., n (n + 1) / 2) like the metric, and ``scal``
+    scalar.  Riemann is not kept: each part forms its pair matrices for
+    Ricci and W and drops them, and Riem = W + KN(P, g), with the Schouten
+    tensor P of Ricci and R, gives back whatever a reader needs of it.  Nor
+    are the Christoffel symbols: each slab's window of them is overwritten
+    by the next, and ``hessian`` streams them again.
     """
 
     g: MetricField
@@ -378,11 +385,14 @@ class CurvatureBundle:
 
 
 def _curvature(g: MetricField, win: np.ndarray, part: slice):
-    """Ricci, R and W of ``g`` on the axis-0 planes ``part``, from their
-    window ``win`` of Gamma."""
+    """g^{-1} and Ricci (both dense), R and W of ``g`` on the axis-0 planes
+    ``part``, from their window ``win`` of Gamma.  g^{-1} is unpacked after
+    Riemann, so it is not alive through Riemann's transients."""
     riem = riemann(g, win, part)
-    ric, scal = ricci_scalar(riem, g.inverse[part])
-    return ric, scal, weyl(riem, ric, scal, sym2_unpack(g.packed[part], g.chart.n))
+    n = g.chart.n
+    inv = sym2_unpack(g.inverse[part], n)
+    ric, scal = ricci_scalar(riem, inv)
+    return inv, ric, scal, weyl(riem, ric, scal, sym2_unpack(g.packed[part], n))
 
 
 def curvature_bundle(g: MetricField) -> CurvatureBundle:
@@ -397,15 +407,16 @@ def _bundle(
     the same slab loop: each part contracts its own planes of Gamma with
     the gradient, so the symbols are formed once for both."""
     chart = g.chart
+    n = chart.n
     shape = chart.sizes
-    m = len(pair_indices(chart.n))
-    ric, scal = np.empty(shape + (chart.n, chart.n)), np.empty(shape)
+    m = len(pair_indices(n))
+    ric, scal = np.empty(g.packed.shape), np.empty(shape)
     W = np.empty(shape + (m, m))
-    hess = None if grad is None else np.empty(shape + (chart.n, chart.n))
+    hess = None if grad is None else np.empty(g.packed.shape)
 
     def run(part: slice, win: np.ndarray) -> None:
-        for whole, field in zip((ric, scal, W), _curvature(g, win, part)):
-            whole[part] = field
+        _, ric_part, scal[part], W[part] = _curvature(g, win, part)
+        ric[part] = sym2_pack(ric_part, n)
         if hess is not None:
             _hessian_planes(chart, grad, win, part, hess[part])
 
@@ -427,15 +438,16 @@ def curvature_scalars(
         inverse = g.inverse
 
         def run(part: slice) -> None:
-            wnorm2[part] = riemann_norm_squared(bundle.W.pair[part], inverse[part])
+            inv = sym2_unpack(inverse[part], g.chart.n)
+            wnorm2[part] = riemann_norm_squared(bundle.W.pair[part], inv)
 
         _each_part(g.chart, run)
         return bundle.scal, wnorm2
     scal = np.empty(g.chart.sizes)
 
     def run(part: slice, win: np.ndarray) -> None:
-        _, scal[part], W = _curvature(g, win, part)
-        wnorm2[part] = riemann_norm_squared(W, g.inverse[part])
+        inv, _, scal[part], W = _curvature(g, win, part)
+        wnorm2[part] = riemann_norm_squared(W, inv)
 
     _sweep(g, run)
     return scal, wnorm2
@@ -443,31 +455,30 @@ def curvature_scalars(
 
 def _gamma_term(own: np.ndarray, grad: np.ndarray) -> np.ndarray:
     """``Gamma^k_{ij} d_k u`` on the planes of the packed symbols ``own``,
-    dense in (i, j)."""
-    return sym2_unpack(np.einsum("...kq,...k->...q", own, grad), own.shape[-2])
+    packed in (i <= j)."""
+    return np.einsum("...kq,...k->...q", own, grad)
 
 
 def _hessian_planes(
     chart: Chart, grad: np.ndarray, win: np.ndarray, part: slice, out: np.ndarray
 ) -> None:
     """``d_i d_j u - Gamma^k_{ij} d_k u`` on the axis-0 planes ``part`` into
-    ``out``, from the first derivatives ``grad`` = d_k u and the part's
-    window ``win`` of Gamma.  The second derivatives differentiate the
-    windows of ``grad`` around the part; the composed first-derivative
-    stencils commute, so they are exactly symmetric."""
-    for j in range(chart.n):
+    the packed (i <= j) ``out``, from the first derivatives ``grad`` = d_k u
+    and the part's window ``win`` of Gamma.  The second derivatives
+    differentiate the windows of ``grad`` around the part; the composed
+    first-derivative stencils commute, so d_j d_i u is the same field."""
+    n = chart.n
+    for j in range(n):
         wj = window(chart, grad[..., j], part)
         for i in range(j + 1):
-            out[..., i, j] = deriv_window(chart, wj, i)
-            if i != j:
-                out[..., j, i] = out[..., i, j]
+            out[..., _slot(n, i, j)] = deriv_window(chart, wj, i)
     out -= _gamma_term(_own(chart, win), grad[part])
 
 
 def hessian(g: MetricField, grad: np.ndarray) -> np.ndarray:
     """Covariant Hessian ``u_{;ij} = d_i d_j u - Gamma^k_{ij} d_k u`` of
     ``g`` from the first derivatives ``grad`` = d_k u, which may be analytic
-    ones.
+    ones, packed (i <= j) like the metric.
 
     The Christoffel symbols stream through the stack's windows: each part of
     each slab forms the second derivatives of its own planes from the
@@ -476,7 +487,7 @@ def hessian(g: MetricField, grad: np.ndarray) -> np.ndarray:
     whole-field formula.
     """
     chart = g.chart
-    out = np.empty(chart.sizes + (chart.n, chart.n))
+    out = np.empty(g.packed.shape)
 
     def run(part: slice, win: np.ndarray) -> None:
         _hessian_planes(chart, grad, win, part, out[part])

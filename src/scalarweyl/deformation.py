@@ -11,17 +11,21 @@ the oracle in the tests.
 
 Index bookkeeping: ``grad`` holds the covariant components f_a (coordinate
 partials), ``hess`` the covariant Hessian with respect to the undeformed
-metric, and raised objects are produced on the fly with g^{-1}.  The
-Hessian's Christoffel term comes from the curvature stack's windows of
-symbols, part by part.  ``deform`` takes one of two routes: without a
-curvature bundle, the sweep that forms the bundle contracts the symbols
-too; given one, ``hessian`` streams them once more.  No whole-grid
-Christoffel field is formed.  Every block's second Kulkarni-Nomizu factor
-is h, g or df (x) df; the product is bilinear, so the error tensor is
-assembled in pair storage from one product per second factor, whose first
-factor is the coefficient-weighted sum of the first factors of that
-group's blocks.  ``weyl_error`` always sums all fifteen blocks; the tests'
-whole-field oracle assembles any subset of the same table.
+metric, and raised objects are produced on the fly with g^{-1}.  Symmetric
+2-tensor fields follow ``grid``'s one layout rule: the whole-grid ones (g,
+g^{-1}, Ricci, ``hess``) are packed, and each part unpacks the planes it
+reads once, in ``_scalar_ingredients``, into the dense (n, n) form that the
+closed forms and the ``tensor`` kernels take.  The Hessian's Christoffel
+term comes from the curvature stack's windows of symbols, part by part.
+``deform`` takes one of two routes: without a curvature bundle, the sweep
+that forms the bundle contracts the symbols too; given one, ``hessian``
+streams them once more.  No whole-grid Christoffel field is formed.  Every
+block's second Kulkarni-Nomizu factor is h, g or df (x) df; the product is
+bilinear, so the error tensor is assembled in pair storage from one product
+per second factor, whose first factor is the coefficient-weighted sum of the
+first factors of that group's blocks.  ``weyl_error`` always sums all
+fifteen blocks; the tests' whole-field oracle assembles any subset of the
+same table.
 
 The ingredients come in two parts.  The scalar ingredients (the raised
 gradient and w, both from ``_raised``, the Laplacian and the Hessian and
@@ -53,7 +57,7 @@ from functools import cached_property
 import numpy as np
 
 from .curvature import CurvatureBundle, _bundle, _each_part, _schouten, hessian
-from .grid import Chart, MetricField, gradient, integrate, sym2_pack, sym2_unpack
+from .grid import Chart, MetricField, gradient, integrate, sym2_pack_indices, sym2_unpack
 from .tensor import (
     Riem4Field,
     kulkarni_nomizu,
@@ -70,8 +74,9 @@ BLOCK_COUNT = 15
 @dataclass(frozen=True)
 class DeformationBundle:
     """Undeformed curvature stack plus the derivative data of the deforming
-    function; the deformed metric is built on first read and kept.  The
-    raised gradient and w are formed per part, by ``_raised``."""
+    function: ``grad`` (..., n) and the packed (..., n (n + 1) / 2)
+    Hessian ``hess``.  The deformed metric is built on first read and kept.
+    The raised gradient and w are formed per part, by ``_raised``."""
 
     base: CurvatureBundle
     grad: np.ndarray
@@ -90,8 +95,8 @@ class DeformationBundle:
         """The metric g + df (x) df.  The closed forms never read it, so
         ``deformation_energy`` pays neither its packed field nor its
         factorization."""
-        grad = self.grad
-        packed = self.base.g.packed + sym2_pack(grad[..., :, None] * grad[..., None, :], self.n)
+        i, j = np.array(sym2_pack_indices(self.n)).T
+        packed = self.base.g.packed + self.grad[..., i] * self.grad[..., j]
         return MetricField(self.chart, packed)
 
 
@@ -135,12 +140,16 @@ def _downdate(inv: np.ndarray, fup: np.ndarray, w: np.ndarray) -> np.ndarray:
 
 def _scalar_ingredients(bundle: DeformationBundle, planes: slice) -> dict:
     """Pointwise scalars of the closed forms on the axis-0 ``planes``, plus
-    the raised gradient ``fup`` and ``w`` from ``_raised``, ``u = h(., fup)``
-    and the planes of the undeformed scalar curvature."""
+    the raised gradient ``fup`` and ``w`` from ``_raised``, ``u = h(., fup)``,
+    the planes of the undeformed scalar curvature and of ``grad``, and the
+    dense (n, n) g^{-1}, h and Ricci of those planes, each unpacked once."""
     base = bundle.base
-    inv = base.g.inverse[planes]
-    h = bundle.hess[planes]
-    fup, w = _raised(inv, bundle.grad[planes])
+    n = bundle.n
+    inv = sym2_unpack(base.g.inverse[planes], n)
+    h = sym2_unpack(bundle.hess[planes], n)
+    ric = sym2_unpack(base.ric[planes], n)
+    grad = bundle.grad[planes]
+    fup, w = _raised(inv, grad)
     lap = np.einsum("...ab,...ab->...", inv, h)
     hup = np.matmul(h, inv)  # mixed h_a{}^c
     h2 = np.einsum("...ab,...ab->...", hup, np.matmul(inv, h))
@@ -148,12 +157,16 @@ def _scalar_ingredients(bundle: DeformationBundle, planes: slice) -> dict:
     beta = np.einsum("...a,...a->...", u, fup)
     u2 = np.einsum("...a,...ab,...b->...", u, inv, u)
     return {
+        "inv": inv,
+        "h": h,
+        "ric": ric,
+        "grad": grad,
         "fup": fup,
         "lap": lap,
         "u": u,
         "beta": beta,
         "u2": u2,
-        "rvv": np.einsum("...ab,...a,...b->...", base.ric[planes], fup, fup),
+        "rvv": np.einsum("...ab,...a,...b->...", ric, fup, fup),
         "c7": lap**2 - h2,
         "c10": lap * beta - u2,
         "w": w,
@@ -183,14 +196,12 @@ def _riemann_vv(
 
 def _kn_factors(bundle: DeformationBundle, ing: dict, planes: slice) -> dict:
     """Kulkarni-Nomizu factors of the fifteen blocks on the axis-0
-    ``planes``, by block-table name."""
+    ``planes``, by block-table name, from the dense fields of the scalar
+    ingredients ``ing`` of those planes."""
     base = bundle.base
-    h = bundle.hess[planes]
-    grad = bundle.grad[planes]
-    u = ing["u"]
+    h, ric, grad, u = ing["h"], ing["ric"], ing["grad"], ing["u"]
     gdense = sym2_unpack(base.g.packed[planes], bundle.n)
-    ric = base.ric[planes]
-    hh = np.matmul(np.matmul(h, base.g.inverse[planes]), h)  # (h g^{-1} h)_ab
+    hh = np.matmul(np.matmul(h, ing["inv"]), h)  # (h g^{-1} h)_ab
     P = _schouten(ric, ing["scal"], gdense)
     return {
         "gdense": gdense,
@@ -299,7 +310,8 @@ def deformed_norm(mat: np.ndarray, g: MetricField, grad: np.ndarray) -> np.ndarr
     """Pointwise norm of curvature-type pair matrices under
     g + df (x) df, given the first derivatives ``grad`` of f, contracted
     with the closed-form inverse of ``_downdate``."""
-    return riemann_norm(mat, _downdate(g.inverse, *_raised(g.inverse, grad)))
+    inv = sym2_unpack(g.inverse, g.chart.n)
+    return riemann_norm(mat, _downdate(inv, *_raised(inv, grad)))
 
 
 def _energy_terms(bundle: DeformationBundle, planes: slice):
@@ -309,7 +321,7 @@ def _energy_terms(bundle: DeformationBundle, planes: slice):
     of the Ricci and Hessian blocks."""
     ing = _scalar_ingredients(bundle, planes)
     w = ing["w"]
-    inv = _downdate(bundle.base.g.inverse[planes], ing["fup"], w)
+    inv = _downdate(ing["inv"], ing["fup"], w)
     return (
         pair_lift(inv, inv),
         _error_tensor(bundle, ing, planes),

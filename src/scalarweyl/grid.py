@@ -8,13 +8,19 @@ array: a scalar field has exactly the grid shape ``sizes``, and a field with
 components stores them in trailing axes after the grid axes (point-major
 layout, components contiguous per point).  One check (``_field``) holds
 every input to this rule and nothing is broadcast, so a field built from
-the sparse ``mesh`` is expanded by its caller.  The metric is the one
-wrapped field: a ``MetricField`` holds the ``n*(n+1)//2`` lexicographic
-(i <= j) packed components.  Construction factors them by one batched
-LDL^T, run in place on a component-major copy with one scratch grid array,
-and checks that every pivot is positive.  The determinant (the pivots'
-product), the inverse (L^{-1} formed in place, then M^T D^{-1} M) and the
-dense (n, n) form are built when first read.
+the sparse ``mesh`` is expanded by its caller.
+
+Every whole-grid symmetric 2-tensor field (a metric, its inverse, a Ricci
+tensor, a Hessian) is stored packed: its ``n*(n+1)//2`` lexicographic
+(i <= j) components, in ``sym2_pack_indices`` order, trail the grid axes.
+Pointwise kernels (``tensor``) take dense (n, n) input, so each part of a
+computation unpacks the planes it reads (``sym2_unpack``).  The metric is
+the one wrapped field: a ``MetricField`` holds the packed components.
+Construction factors them by one batched LDL^T, run in place on a
+component-major copy with one scratch grid array, and checks that every
+pivot is positive.  The determinant (the pivots' product) and the packed
+inverse (L^{-1} formed in place, then M^T D^{-1} M) are built when first
+read.
 
 Differentiation defaults to 4th-order centered differences; second
 derivatives are compositions of first derivatives, so mixed partials
@@ -108,10 +114,6 @@ class Chart:
     @property
     def spacings(self) -> tuple[float, ...]:
         return tuple(length / size for length, size in zip(self.lengths, self.sizes))
-
-    @property
-    def shape(self) -> tuple[int, ...]:
-        return self.sizes
 
     @property
     def npoints(self) -> int:
@@ -406,10 +408,10 @@ class MetricField:
     """SPD metric field, stored deduplicated (i <= j components).
 
     Construction runs one batched LDL^T on the packed components; its pivots
-    check positivity.  ``det`` (the pivots' product) and the inverse come
-    from a fresh factor when first read, one factor for both when the
-    inverse is read first, and the dense (n, n) form is built only when
-    read.  The factor itself is never kept.
+    check positivity.  ``det`` (the pivots' product) and the packed inverse
+    come from a fresh factor when first read, one factor for both when the
+    inverse is read first.  The factor itself is never kept, and no dense
+    (n, n) field is.
     """
 
     chart: Chart
@@ -419,10 +421,6 @@ class MetricField:
         n = self.chart.n
         self.packed = _field(self.chart, self.packed, (n * (n + 1) // 2,), "MetricField")
         self._factor()
-
-    @cached_property
-    def dense(self) -> np.ndarray:
-        return sym2_unpack(self.packed, self.chart.n)
 
     def _factor(self) -> tuple[np.ndarray, np.ndarray]:
         """LDL^T in place on a component-major copy of ``packed``.
@@ -458,7 +456,7 @@ class MetricField:
     def _not_positive(self, pivot: np.ndarray):
         """Raise at the first point with a failed pivot or a non-positive
         eigenvalue; the quoted minimum is nan if some entry is not finite."""
-        dense = self.dense
+        dense = sym2_unpack(self.packed, self.chart.n)
         finite = np.isfinite(dense).all(axis=(-2, -1))
         eigmin = np.full(self.chart.sizes, np.nan)
         eigmin[finite] = np.linalg.eigvalsh(dense[finite])[:, 0]
@@ -470,11 +468,11 @@ class MetricField:
 
     @cached_property
     def inverse(self) -> np.ndarray:
-        """g^{-1} = M^T D^{-1} M with M = L^{-1}, dense (*sizes, n, n)."""
+        """g^{-1} = M^T D^{-1} M with M = L^{-1}, packed like ``packed``."""
         n = self.chart.n
         # both before the factor, as in _factor; ``det`` comes from the
         # pivots of the same factor when it is not formed yet
-        out = np.empty(self.chart.sizes + (n, n))
+        out = np.empty(self.packed.shape)
         det = None if "det" in self.__dict__ else np.empty(self.chart.sizes)
         a, tmp = self._factor()
         if det is not None:
@@ -500,10 +498,10 @@ class MetricField:
                     np.multiply(a[_slot(n, i, k)], a[_slot(n, j, k)], out=tmp)
                     tmp *= a[_slot(n, k, k)]
                     e += tmp
-        # transpose into ``out`` slab by slab, as in _factor
-        full = _dense_slots(n)
+        # slot (i, j) is the packed entry (i, j): transposed point-major
+        # into ``out`` slab by slab, as in _factor
         for s in range(self.chart.sizes[0]):
-            np.copyto(out[s].reshape(-1, n * n), a[:, s].reshape(len(a), -1)[full].T)
+            np.copyto(out[s], np.moveaxis(a[:, s], 0, -1))
         return out
 
     @cached_property
@@ -573,14 +571,15 @@ class FluxForm:
     @classmethod
     def of(cls, g: MetricField) -> FluxForm:
         inv = g.inverse
-        pairs = sym2_pack_indices(g.chart.n)
         scales = [s for _, s in _apply_axes(g.chart)]
-        coef = np.empty((len(pairs),) + g.chart.sizes)
-        # one axis-0 slab at a time, so the strided reads of g^{-1} stay in cache
+        pair_scales = np.array([scales[a] * scales[b] for a, b in sym2_pack_indices(g.chart.n)])
+        pair_scales = pair_scales.reshape((-1,) + (1,) * (g.chart.n - 1))
+        coef = np.empty(inv.shape[-1:] + g.chart.sizes)
+        # one axis-0 slab at a time, so the transposing reads of the packed
+        # g^{-1} stay in cache
         for i in range(g.chart.sizes[0]):
-            for c, (a, b) in enumerate(pairs):
-                np.multiply(g.sqrt_det[i], inv[i, ..., a, b], out=coef[c, i])
-                coef[c, i] *= scales[a] * scales[b]
+            np.multiply(g.sqrt_det[i], np.moveaxis(inv[i], -1, 0), out=coef[:, i])
+            coef[:, i] *= pair_scales
         return cls(g.chart, g.sqrt_det, coef)
 
     def component(self, a: int, b: int) -> np.ndarray:

@@ -31,7 +31,7 @@ __all__ = [
 
 
 def flat_metric(chart: Chart) -> MetricField:
-    return MetricField(chart, np.tile(sym2_pack(np.eye(chart.n), chart.n), chart.shape + (1,)))
+    return MetricField(chart, np.tile(sym2_pack(np.eye(chart.n), chart.n), chart.sizes + (1,)))
 
 
 def _mode_table(rng: np.random.Generator, n: int, terms: int):
@@ -63,7 +63,7 @@ def _sample_modes(chart: Chart, modes, coeffs, phases) -> np.ndarray:
     B = phase(range(h, chart.n))
     left = np.concatenate([coeffs * np.sin(A), coeffs * np.cos(A)], axis=1)
     right = np.concatenate([np.cos(B), np.sin(B)], axis=1).T
-    return (left @ right).reshape(chart.shape)
+    return (left @ right).reshape(chart.sizes)
 
 
 def fourier_scalar(
@@ -95,8 +95,8 @@ def fourier_metric(
     npack = n * (n + 1) // 2
     # the kept array comes before the transient component-major one, so
     # freeing that leaves no heap hole under a kept array
-    packed = np.empty(chart.shape + (npack,))
-    comps = np.empty((npack,) + chart.shape)
+    packed = np.empty(chart.sizes + (npack,))
+    comps = np.empty((npack,) + chart.sizes)
     # the draws follow the packed (i <= j) order; each component fills a
     # contiguous grid array, and one transpose makes them point-major
     for c, (i, j) in enumerate(sym2_pack_indices(n)):
@@ -145,7 +145,7 @@ def ball_flat_metric(
     r_flat + r_rise (periodic minimum-image distance).
     """
     pert = fourier_metric(chart, amplitude=amplitude, seed=seed)
-    window = np.ones(chart.shape)
+    window = np.ones(chart.sizes)
     mesh = chart.mesh()
     for center in np.atleast_2d(np.asarray(centers, dtype=float)):
         d = chart.min_image(mesh, center)

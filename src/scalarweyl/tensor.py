@@ -9,10 +9,12 @@ instead of 256 dense components.
 Each argument takes one representation: curvature-type tensors are
 (..., m, m) pair matrices with m = n (n - 1) / 2, and symmetric 2-tensors
 (metrics, inverse metrics, Ricci-type tensors) are dense (..., n, n)
-arrays.  The dimension n is the last axis of the (n, n) operand; only
-``bianchi_project``, which has none, takes it as an argument.  A
-``Riem4Field`` is the grid record of a pair-matrix field: callers pass its
-``pair`` array.
+arrays.  Whole-grid symmetric fields are stored packed (``grid``'s layout
+rule), so a caller unpacks the planes it passes, one part at a time, with
+``grid.sym2_unpack``.  The dimension n is the last axis of the (n, n)
+operand; only ``bianchi_project``, which has none, takes it as an
+argument.  A ``Riem4Field`` is the grid record of a pair-matrix field:
+callers pass its ``pair`` array.
 
 All operations broadcast over arbitrary leading (grid) axes, so the same
 code serves single points and whole fields.  Fields are point-major (the

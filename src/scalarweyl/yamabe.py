@@ -27,7 +27,8 @@ in the real orthonormal Fourier basis of each axis (one
 iterations over both stages in ``cg_iterations``.
 Each stage forms the operator's coefficient once, as a ``grid.FluxForm`` of
 its metric (the trichotomy and Newton on g, the barrier stage on the
-rescaled metric), and every apply goes through
+rescaled metric; that stage is one function, ``_barrier_stage``, so what
+it forms is freed before Newton starts), and every apply goes through
 ``conformal.modified_laplacian_apply`` on that form.  L depends on the
 coupling t only through F, so the eigensolve takes F alone.
 
@@ -450,6 +451,45 @@ _HANDOFF = 1e-3
 _FORCING = 1e-2
 
 
+def _barrier_stage(g, form, F, p, u1, history):
+    """``(u, iterations, cg_iterations)``: the monotone iteration between
+    constant barriers on the metric conformally changed by ``u1``, handed
+    over as the Newton start u = u1 * (its last iterate) on ``g``, whose
+    ``form`` gives the transported coefficient.  Its rescaled ``FluxForm``,
+    solver and iterates die when it returns, before Newton allocates."""
+    # conformal change by the eigenfunction: the transported coefficient
+    # is lambda_1 u1^{1-p} up to the eigen-residual, hence negative
+    F1 = u1 ** (-p) * modified_laplacian_apply(form, u1, F)
+    if float(np.max(F1)) >= 0.0:
+        raise RuntimeError(
+            "eigenfunction rescale left the coefficient sign-indefinite "
+            f"(max {float(np.max(F1)):.3e}); spectral gap too small at "
+            "this resolution"
+        )
+    form1 = FluxForm.of(conformal_metric(g, u1))
+    neg = -F1
+    hi = float(np.max(neg)) ** (1.0 / (p - 1.0))
+    shift = p * float(np.max(neg))
+    # q = F1 + shift is fixed for the stage: one solver serves every step
+    solve1 = _shifted_solver(form1)(F1 + shift)
+    u = np.full(g.chart.sizes, hi)
+    delta = hi
+    iterations = cg_iterations = 0
+    for _ in range(60):
+        inner = max(1e-10, min(_FORCING, _FORCING * delta / hi))
+        new, cg = solve1(shift * u - u**p, inner)
+        cg_iterations += cg
+        delta = float(np.max(np.abs(new - u)))
+        u = new
+        iterations += 1
+        history.append(
+            float(np.max(np.abs(modified_laplacian_apply(form1, u, F1) + u**p)))
+        )
+        if delta <= _HANDOFF * hi:
+            break
+    return u1 * u, iterations, cg_iterations
+
+
 def _newton_polish(form, F, p, u, tol_abs, history):
     res_of = lambda v: modified_laplacian_apply(form, v, F) + v**p
     r = res_of(u)
@@ -532,7 +572,6 @@ def solve_constant_F(
     form = FluxForm.of(g)
 
     history: list[float] = []
-    iterations = cg_iterations = 0
     # mean-one rescale keeps the conjugated metric O(1); any constant
     # multiple of the eigenfunction spans the same conformal ray
     u1 = tri.eigenfunction / (
@@ -540,37 +579,9 @@ def solve_constant_F(
     )
 
     if init == "barriers":
-        # conformal change by the eigenfunction: the transported coefficient
-        # is lambda_1 u1^{1-p} up to the eigen-residual, hence negative
-        F1 = u1 ** (-p) * modified_laplacian_apply(form, u1, F)
-        if float(np.max(F1)) >= 0.0:
-            raise RuntimeError(
-                "eigenfunction rescale left the coefficient sign-indefinite "
-                f"(max {float(np.max(F1)):.3e}); spectral gap too small at "
-                "this resolution"
-            )
-        form1 = FluxForm.of(conformal_metric(g, u1))
-        neg = -F1
-        hi = float(np.max(neg)) ** (1.0 / (p - 1.0))
-        shift = p * float(np.max(neg))
-        # q = F1 + shift is fixed for the stage: one solver serves every step
-        solve1 = _shifted_solver(form1)(F1 + shift)
-        u = np.full(chart.sizes, hi)
-        delta = hi
-        for _ in range(60):
-            inner = max(1e-10, min(_FORCING, _FORCING * delta / hi))
-            new, cg = solve1(shift * u - u**p, inner)
-            cg_iterations += cg
-            delta = float(np.max(np.abs(new - u)))
-            u = new
-            iterations += 1
-            history.append(
-                float(np.max(np.abs(modified_laplacian_apply(form1, u, F1) + u**p)))
-            )
-            if delta <= _HANDOFF * hi:
-                break
-        u_tot = u1 * u
+        u_tot, iterations, cg_iterations = _barrier_stage(g, form, F, p, u1, history)
     else:
+        iterations = cg_iterations = 0
         # Rayleigh-matched amplitude for the bare eigenfunction start
         e2 = integrate(g, -F * u1 * u1)
         ep = integrate(g, u1 ** (p + 1.0))

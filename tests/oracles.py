@@ -85,6 +85,7 @@ from scalarweyl.grid import (
     gradient,
     integrate,
     sym2_pack,
+    sym2_unpack,
     window,
 )
 from scalarweyl.tensor import (
@@ -127,13 +128,14 @@ def phi_expansion(
     """
     chart = g.chart
     n = chart.n
-    inv = g.inverse
+    inv = sym2_unpack(g.inverse, n)
+    hess_psi = sym2_unpack(fields.hess_psi, n)
     psi = fields.psi
     # the volume weight f = psi^{(n-2)/2} (the profile itself) by the chain rule
     e = 0.5 * (n - 2.0)
     f = psi**e
     grad_f = (e * psi ** (e - 1.0))[..., None] * fields.grad_psi
-    hess_f = (e * psi ** (e - 1.0))[..., None, None] * fields.hess_psi + (
+    hess_f = (e * psi ** (e - 1.0))[..., None, None] * hess_psi + (
         e * (e - 1.0) * psi ** (e - 2.0)
     )[..., None, None] * (fields.grad_psi[..., :, None] * fields.grad_psi[..., None, :])
 
@@ -143,19 +145,19 @@ def phi_expansion(
 
     lap_f = np.einsum("...ab,...ab->...", inv, hess_f)
 
-    ric_pp = np.einsum("...ab,...a,...b->...", base.ric, psi_up, psi_up)
+    ric_pp = np.einsum("...ab,...a,...b->...", sym2_unpack(base.ric, n), psi_up, psi_up)
     scal_block = base.scal * f - ric_pp / dhat * f
 
     if include_weyl:
         root = np.sqrt(psi)
         eta = 2.0 * k * root
         grad_eta = (k / root)[..., None] * fields.grad_psi
-        hess_eta = (k / root)[..., None, None] * fields.hess_psi - (
+        hess_eta = (k / root)[..., None, None] * hess_psi - (
             0.5 * k / root**3
         )[..., None, None] * (
             fields.grad_psi[..., :, None] * fields.grad_psi[..., None, :]
         )
-        sheared = exact_deformation(base, grad_eta, hess_eta)
+        sheared = exact_deformation(base, grad_eta, sym2_pack(hess_eta, n))
         w_norm = deformed_norm(base.W.pair, g, grad_eta)
         e_norm = deformed_norm(weyl_error(sheared).pair, g, grad_eta)
         scal_block = scal_block + t * w_norm * f
@@ -166,7 +168,7 @@ def phi_expansion(
     hess_pp = np.einsum("...ab,...a,...b->...", hess_f, psi_up, psi_up)
     grad_fp = np.einsum("...a,...a->...", grad_f, psi_up)
 
-    hp = np.einsum("...ab,...b->...a", fields.hess_psi, psi_up)
+    hp = np.einsum("...ab,...b->...a", hess_psi, psi_up)
     hp2 = np.einsum("...a,...ab,...b->...", hp, inv, hp)
     beta = np.einsum("...a,...a->...", hp, psi_up)
 
@@ -194,20 +196,22 @@ def exact_deformation(
 ) -> DeformationBundle:
     """The deformation bundle of g + df (x) df over the curvature stack
     ``base`` of g, from the first derivatives ``grad`` of f and its
-    covariant Hessian ``hess``, which may both be analytic."""
+    covariant Hessian ``hess``, packed as the bundle keeps it, which may
+    both be analytic."""
     return DeformationBundle(base=base, grad=grad, hess=hess)
 
 
 def deformed_inverse(g: MetricField, grad: np.ndarray) -> np.ndarray:
     """Closed-form inverse of g + df (x) df: the rank-one downdate
     g^{ab} - f^a f^b / (1 + |grad f|^2)."""
-    return _downdate(g.inverse, *_raised(g.inverse, grad))
+    inv = sym2_unpack(g.inverse, g.chart.n)
+    return _downdate(inv, *_raised(inv, grad))
 
 
 def whole_field_ingredients(bundle: DeformationBundle) -> dict:
     """Scalar ingredients of the deformation closed forms on every point."""
-    inv = bundle.base.g.inverse
-    h = bundle.hess
+    inv = sym2_unpack(bundle.base.g.inverse, bundle.n)
+    h = sym2_unpack(bundle.hess, bundle.n)
     fup, w = _raised(inv, bundle.grad)
     lap = np.einsum("...ab,...ab->...", inv, h)
     hup = np.matmul(h, inv)
@@ -221,7 +225,7 @@ def whole_field_ingredients(bundle: DeformationBundle) -> dict:
         "u": u,
         "beta": beta,
         "u2": u2,
-        "rvv": np.einsum("...ab,...a,...b->...", bundle.base.ric, fup, fup),
+        "rvv": np.einsum("...ab,...a,...b->...", sym2_unpack(bundle.base.ric, bundle.n), fup, fup),
         "c7": lap**2 - h2,
         "c10": lap * beta - u2,
         "w": w,
@@ -240,21 +244,24 @@ def whole_field_weyl_error(
     in ``weyl_error``.
     """
     ing = whole_field_ingredients(bundle)
-    g, h, grad, u = bundle.base.g, bundle.hess, bundle.grad, ing["u"]
+    n = bundle.n
+    g, grad, u = bundle.base.g, bundle.grad, ing["u"]
+    h, ric = sym2_unpack(bundle.hess, n), sym2_unpack(bundle.base.ric, n)
+    gdense, inv = sym2_unpack(g.packed, n), sym2_unpack(g.inverse, n)
     factors = {
-        "gdense": g.dense,
+        "gdense": gdense,
         "F2": grad[..., :, None] * grad[..., None, :],
         "h": h,
         "S": _riemann_vv(
             bundle.base.W.pair,
-            _schouten(bundle.base.ric, bundle.base.scal, g.dense),
-            g.dense,
+            _schouten(ric, bundle.base.scal, gdense),
+            gdense,
             grad,
             ing["fup"],
         ),
-        "Q": ing["lap"][..., None, None] * h - np.matmul(np.matmul(h, g.inverse), h),
+        "Q": ing["lap"][..., None, None] * h - np.matmul(np.matmul(h, inv), h),
         "V": ing["beta"][..., None, None] * h - u[..., :, None] * u[..., None, :],
-        "ric": bundle.base.ric,
+        "ric": ric,
     }
     picked = set(range(1, BLOCK_COUNT + 1)) if include is None else set(include)
     firsts: dict[str, np.ndarray] = {}
@@ -318,7 +325,9 @@ def einsum_flux_laplacian(g: MetricField, u: np.ndarray) -> np.ndarray:
     """(1/sqrt(det g)) sum_a D_a(sqrt(det g) g^{ab} D_b u), raised per point."""
     chart = g.chart
     du = gradient(chart, u)
-    flux = g.sqrt_det[..., None] * np.einsum("...ab,...b->...a", g.inverse, du)
+    flux = g.sqrt_det[..., None] * np.einsum(
+        "...ab,...b->...a", sym2_unpack(g.inverse, chart.n), du
+    )
     out = deriv(chart, flux[..., 0], 0)
     for a in range(1, chart.n):
         out += deriv(chart, flux[..., a], a)
@@ -397,7 +406,7 @@ def conformal_energy(g: MetricField, t: float, u: np.ndarray, coefficient=None) 
         raise FieldError(f"certificate requires u > 0, min {float(np.min(u)):.3e}")
     F = coefficient if coefficient is not None else scalar_weyl(g, t)
     du = gradient(chart, u)
-    grad2 = np.einsum("...ab,...a,...b->...", g.inverse, du, du)
+    grad2 = np.einsum("...ab,...a,...b->...", sym2_unpack(g.inverse, chart.n), du, du)
     return integrate(g, F * u * u + params.a_n * grad2)
 
 
@@ -415,13 +424,14 @@ def metric_from_dense(chart, dense: np.ndarray) -> MetricField:
 
 def linalg_inverse_det(g: MetricField) -> tuple[np.ndarray, np.ndarray]:
     """g^{-1} and det g by per-point LAPACK calls on the dense metric."""
-    return np.linalg.inv(g.dense), np.linalg.det(g.dense)
+    dense = sym2_unpack(g.packed, g.chart.n)
+    return np.linalg.inv(dense), np.linalg.det(dense)
 
 
 def fourier_sum(chart, modes, coeffs, phases) -> np.ndarray:
     """sum_t c_t sin(k_t . x + phase_t) with k_t = 2 pi m_t / L, term by term."""
     xs = chart.mesh()
-    out = np.zeros(chart.shape)
+    out = np.zeros(chart.sizes)
     for mode, c, ph in zip(modes, coeffs, phases):
         arg = ph
         for m, length, x in zip(mode, chart.lengths, xs):

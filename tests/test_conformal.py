@@ -25,6 +25,7 @@ from scalarweyl.grid import (
     gradient,
     integrate,
     make_chart,
+    sym2_unpack,
 )
 from scalarweyl.presets import flat_metric, fourier_metric, fourier_scalar
 from scalarweyl.tensor import riemann_norm
@@ -71,11 +72,12 @@ def conformal_formula_check(g, psi):
     g2 = MetricField(chart, psi[..., None] * g.packed)
     direct = curvature_bundle(g2)
 
+    dense, inv = sym2_unpack(g.packed, n), sym2_unpack(g.inverse, n)
     f = psi ** ((n - 2) / 2.0)
     grad_f = gradient(chart, f)
-    hess_f = hessian(g, grad_f)
-    lap_f = np.einsum("...ij,...ij->...", g.inverse, hess_f)
-    grad2_f = np.einsum("...ij,...i,...j->...", g.inverse, grad_f, grad_f)
+    hess_f = sym2_unpack(hessian(g, grad_f), n)
+    lap_f = np.einsum("...ij,...ij->...", inv, hess_f)
+    grad2_f = np.einsum("...ij,...i,...j->...", inv, grad_f, grad_f)
 
     report: dict = {}
 
@@ -89,14 +91,14 @@ def conformal_formula_check(g, psi):
 
     # Ricci law
     ric_formula = (
-        base.ric
+        sym2_unpack(base.ric, n)
         - hess_f[..., :, :] / f[..., None, None]
         + ((n - 1) / (n - 2))
         * np.einsum("...i,...j->...ij", grad_f, grad_f)
         / f[..., None, None] ** 2
-        - (lap_f / f / (n - 2))[..., None, None] * g.dense
+        - (lap_f / f / (n - 2))[..., None, None] * dense
     )
-    report["ricci"] = float(np.max(np.abs(ric_formula - direct.ric)))
+    report["ricci"] = float(np.max(np.abs(ric_formula - sym2_unpack(direct.ric, n))))
 
     # volume element: exact scaling of the determinant
     report["volume"] = float(
@@ -105,12 +107,12 @@ def conformal_formula_check(g, psi):
 
     # Hessian law, applied to psi itself
     grad_psi = gradient(chart, psi)
-    hess_base = hessian(g, grad_psi)
-    hess_direct = hessian(g2, grad_psi)
-    grad2_psi = np.einsum("...ij,...i,...j->...", g.inverse, grad_psi, grad_psi)
+    hess_base = sym2_unpack(hessian(g, grad_psi), n)
+    hess_direct = sym2_unpack(hessian(g2, grad_psi), n)
+    grad2_psi = np.einsum("...ij,...i,...j->...", inv, grad_psi, grad_psi)
     hess_formula = hess_base - (
         np.einsum("...i,...j->...ij", grad_psi, grad_psi)
-        - 0.5 * grad2_psi[..., None, None] * g.dense
+        - 0.5 * grad2_psi[..., None, None] * dense
     ) / psi[..., None, None]
     report["hessian"] = float(np.max(np.abs(hess_formula - hess_direct)))
 
@@ -133,8 +135,8 @@ def conformal_formula_check(g, psi):
     report["weyl_norm"] = float(
         np.max(
             np.abs(
-                riemann_norm(direct.W.pair, g2.inverse)
-                - riemann_norm(base.W.pair, g.inverse) / psi
+                riemann_norm(direct.W.pair, sym2_unpack(g2.inverse, n))
+                - riemann_norm(base.W.pair, inv) / psi
             )
         )
     )
@@ -183,7 +185,7 @@ def test_scalar_weyl_t_dependence_is_weyl_norm():
     c = torus(4, 10)
     g = fourier_metric(c, amplitude=0.25, seed=2)
     bundle = curvature_bundle(g)
-    wn = riemann_norm(bundle.W.pair, g.inverse)
+    wn = riemann_norm(bundle.W.pair, sym2_unpack(g.inverse, 4))
     f0 = scalar_weyl(g, 0.0, bundle=bundle)
     f1 = scalar_weyl(g, 1.0, bundle=bundle)
     scale = np.max(np.abs(f1)) + np.max(np.abs(f0))
@@ -194,15 +196,15 @@ def test_scalar_weyl_t_dependence_is_weyl_norm():
 def test_conformal_metric_identity_and_constant():
     c = torus(4, 8)
     g = fourier_metric(c, amplitude=0.25, seed=2)
-    same = conformal_metric(g, np.ones(c.shape))
+    same = conformal_metric(g, np.ones(c.sizes))
     assert np.array_equal(same.packed, g.packed)
 
     const = 1.3
-    scaled = conformal_metric(g, const * np.ones(c.shape))
+    scaled = conformal_metric(g, const * np.ones(c.sizes))
     n = 4
     vol_factor = const ** (2.0 * n / (n - 2.0))
-    v0 = integrate(g, np.ones(c.shape))
-    v1 = integrate(scaled, np.ones(c.shape))
+    v0 = integrate(g, np.ones(c.sizes))
+    v1 = integrate(scaled, np.ones(c.sizes))
     assert v1 == pytest.approx(vol_factor * v0, rel=1e-12)
 
 
@@ -226,16 +228,17 @@ def test_conformal_metric_closed_forms_match_lapack(n, size, scheme):
     g = fourier_metric(c, amplitude=0.25, seed=n + size)
     u = 1.0 + fourier_scalar(c, amplitude=0.5, seed=size, terms=6)
     gt = conformal_metric(g, u)
-    inv = np.linalg.inv(gt.dense)
-    vol = np.sqrt(np.linalg.det(gt.dense))
-    assert np.max(np.abs(gt.inverse - inv)) <= 1e-13 * np.max(np.abs(inv))
+    dense = sym2_unpack(gt.packed, n)
+    inv = np.linalg.inv(dense)
+    vol = np.sqrt(np.linalg.det(dense))
+    assert np.max(np.abs(sym2_unpack(gt.inverse, n) - inv)) <= 1e-13 * np.max(np.abs(inv))
     assert np.max(np.abs(gt.sqrt_det - vol)) <= 1e-13 * np.max(vol)
 
 
 def test_conformal_metric_rejects_nonpositive_factor():
     c = torus(3, 8)
     g = flat_metric(c)
-    u = np.ones(c.shape)
+    u = np.ones(c.sizes)
     u[0, 0, 0] = 0.0
     with pytest.raises(FieldError, match="positive"):
         conformal_metric(g, u)
@@ -244,7 +247,7 @@ def test_conformal_metric_rejects_nonpositive_factor():
 def test_conformal_metric_names_a_nan_factor():
     # a NaN factor is named as u, not reported as an indefinite metric
     c = torus(3, 8)
-    u = np.ones(c.shape)
+    u = np.ones(c.sizes)
     u[1, 2, 3] = np.nan
     u[4, 4, 4] = -1.0
     with pytest.raises(
@@ -257,7 +260,7 @@ def test_conformal_metric_names_a_nan_factor():
 
 def test_modified_laplacian_constant_input():
     c = torus(3, 12)
-    one = np.ones(c.shape)
+    one = np.ones(c.sizes)
 
     flat = flat_metric(c)
     assert np.count_nonzero(modified_laplacian_apply(flat, one, F=scalar_weyl(flat, 1.0))) == 0
@@ -293,7 +296,7 @@ def test_modified_laplacian_flat_eigenfunction():
     for scheme, tol in (("fd4", 4e-3), ("spectral", 1e-12)):
         c = torus(3, 16, scheme=scheme)
         g = flat_metric(c)
-        phi = np.sin(c.mesh()[0]) * np.ones(c.shape)
+        phi = np.sin(c.mesh()[0]) * np.ones(c.sizes)
         a_n = ConformalParams(1.0, 3).a_n
         out = modified_laplacian_apply(g, phi, F=scalar_weyl(g, 1.0))
         assert np.max(np.abs(out - a_n * phi)) < tol * a_n
@@ -317,8 +320,8 @@ def test_covariance_trivial_factors():
     c = torus(3, 12)
     g = fourier_metric(c, amplitude=0.25, seed=3)
     phi = fourier_scalar(c, amplitude=0.5, seed=12)
-    assert covariance_residual(g, np.ones(c.shape), phi, t=1.0) == 0.0
-    assert covariance_residual(g, 1.7 * np.ones(c.shape), phi, t=1.0) < 1e-12
+    assert covariance_residual(g, np.ones(c.sizes), phi, t=1.0) == 0.0
+    assert covariance_residual(g, 1.7 * np.ones(c.sizes), phi, t=1.0) < 1e-12
 
 
 def test_covariance_residual_converges():
@@ -337,7 +340,7 @@ def test_covariance_residual_converges():
 def test_formula_check_constant_factor():
     c = torus(3, 12)
     g = fourier_metric(c, amplitude=0.25, seed=3)
-    rep = conformal_formula_check(g, 1.7 * np.ones(c.shape))
+    rep = conformal_formula_check(g, 1.7 * np.ones(c.sizes))
     for key in ("scalar", "ricci", "volume", "hessian", "weyl_norm"):
         assert rep[key] < 1e-12, key
 
@@ -389,8 +392,8 @@ def test_scalar_weyl_covariance():
 def test_rejects_nonpositive_conformal_factor_in_residual():
     c = torus(3, 8)
     g = flat_metric(c)
-    phi = np.ones(c.shape)
-    bad = np.ones(c.shape)
+    phi = np.ones(c.sizes)
+    bad = np.ones(c.sizes)
     bad[1, 2, 3] = -0.5
     with pytest.raises(FieldError, match=r"\(1, 2, 3\)"):
         covariance_residual(g, bad, phi, t=1.0)

@@ -303,15 +303,22 @@ def test_search_names_the_grid_its_largest_radius_needs():
 
 
 def test_search_and_radial_fields_cache_no_dense_metric():
-    # the flatness check unpacks the metric on each ball only: a dense
-    # (n, n) field cached on the background would live as long as it does
+    # the flatness check unpacks the metric on each ball only, and what the
+    # background caches is packed: a dense (n, n) field cached on it would
+    # live as long as it does
     chart = make_chart(4, (12,) * 4, (L,) * 4)
     g = flat_metric(chart)
+
+    def cached_shapes():
+        return {np.shape(v) for v in vars(g).values() if isinstance(v, np.ndarray)}
+
+    allowed = {chart.sizes, chart.sizes + (10,)}
     report = search_parameters(g, 1.0, r_grid=(L / 4,), k_grid=(4.0,))
     assert any(np.isfinite(c.value) for c in report.landscape), report.message
-    assert "dense" not in g.__dict__
-    radial_fields(g, _default_centers(chart)[:2], L / 8, make_bump(0.1, 4))
-    assert "dense" not in g.__dict__
+    assert cached_shapes() <= allowed, cached_shapes()
+    fields = radial_fields(g, _default_centers(chart)[:2], L / 8, make_bump(0.1, 4))
+    assert cached_shapes() <= allowed, cached_shapes()
+    assert fields.hess_psi.shape == chart.sizes + (10,)
 
 
 def test_radial_fields_adds_disjoint_balls():

@@ -66,24 +66,24 @@ def phi_and_derivs(chart):
     a, b = 0.1, 0.07
     phi = a * np.sin(x) * np.cos(y) + b * np.sin(z)
     d = [a * np.cos(x) * np.cos(y), -a * np.sin(x) * np.sin(y), b * np.cos(z)]
-    d = [np.broadcast_to(v, chart.shape) for v in d]
-    dd = np.zeros(chart.shape + (3, 3))
+    d = [np.broadcast_to(v, chart.sizes) for v in d]
+    dd = np.zeros(chart.sizes + (3, 3))
     dd[..., 0, 0] = -a * np.sin(x) * np.cos(y)
     dd[..., 0, 1] = dd[..., 1, 0] = -a * np.cos(x) * np.sin(y)
     dd[..., 1, 1] = -a * np.sin(x) * np.cos(y)
     dd[..., 2, 2] = -b * np.sin(z)
-    return np.broadcast_to(phi, chart.shape), d, dd
+    return np.broadcast_to(phi, chart.sizes), d, dd
 
 
 def gamma_oracle(chart):
     # exp(2 phi) * id has Gamma^k_ij = d_ik phi_j + d_jk phi_i - d_ij phi_k
     _, d, _ = phi_and_derivs(chart)
     n = chart.n
-    G = np.zeros(chart.shape + (n, n, n))
+    G = np.zeros(chart.sizes + (n, n, n))
     for k in range(n):
         for i in range(n):
             for j in range(n):
-                v = np.zeros(chart.shape)
+                v = np.zeros(chart.sizes)
                 if i == k:
                     v = v + d[j]
                 if j == k:
@@ -140,11 +140,12 @@ def test_slab_loop_is_bit_identical_to_one_whole_field_pass(
     # the reference: each layer once on all planes
     gamma = christoffel(g)
     riem = riemann(g, window(c, gamma, slice(None)), slice(None))
-    ric, scal = ricci_scalar(riem, g.inverse)
-    W = weyl(riem, ric, scal, g.dense)
-    wnorm2 = riemann_norm_squared(W, g.inverse)
+    inv = sym2_unpack(g.inverse, n)
+    ric, scal = ricci_scalar(riem, inv)
+    W = weyl(riem, ric, scal, sym2_unpack(g.packed, n))
+    wnorm2 = riemann_norm_squared(W, inv)
     b = curvature_bundle(g)
-    for got, want in ((b.ric, ric), (b.scal, scal), (b.W.pair, W)):
+    for got, want in ((sym2_unpack(b.ric, n), ric), (b.scal, scal), (b.W.pair, W)):
         assert np.array_equal(got, want)
     for streamed in (curvature_scalars(g), curvature_scalars(g, bundle=b)):
         assert np.array_equal(streamed[0], scal)
@@ -176,13 +177,13 @@ def test_flat_curvature_identically_zero():
         # derivative of its components is exactly 0, so no layer leaves a
         # rounding residue
         a = np.random.default_rng(n).uniform(0.1, 2.9, (n, n))
-        constant = np.tile(sym2_pack(a @ a.T + np.eye(n), n), c.shape + (1,))
+        constant = np.tile(sym2_pack(a @ a.T + np.eye(n), n), c.sizes + (1,))
         for g in (flat_metric(c), MetricField(c, constant)):
             gamma = christoffel(g)
             assert np.count_nonzero(gamma) == 0
             rm = riemann(g, window(c, gamma, slice(None)), slice(None))
             assert np.count_nonzero(rm) == 0
-            ric, scal = ricci_scalar(rm, g.inverse)
+            ric, scal = ricci_scalar(rm, sym2_unpack(g.inverse, n))
             assert np.count_nonzero(ric) == 0 and np.count_nonzero(scal) == 0
             assert decomposition_residual(g) == 0.0
 
@@ -194,13 +195,14 @@ def christoffel_reference(g):
     """Per-(a, b) einsum over the derivatives of the dense metric."""
     chart = g.chart
     n = chart.n
-    dg = np.stack([deriv(chart, g.dense, a) for a in range(n)], axis=-1)
-    gamma = np.empty(chart.shape + (n, n, n))
+    dg = np.stack([deriv(chart, sym2_unpack(g.packed, n), a) for a in range(n)], axis=-1)
+    inv = sym2_unpack(g.inverse, n)
+    gamma = np.empty(chart.sizes + (n, n, n))
     for a in range(n):
         for b in range(a, n):
             brk = dg[..., b, :, a] + dg[..., a, :, b] - dg[..., a, b, :]
             gamma[..., a, b] = gamma[..., b, a] = 0.5 * np.einsum(
-                "...cd,...d->...c", g.inverse, brk
+                "...cd,...d->...c", inv, brk
             )
     return gamma
 
@@ -211,13 +213,14 @@ def riemann_reference(g, gamma):
     chart = g.chart
     n = chart.n
     pairs = pair_indices(n)
-    mat = np.empty(chart.shape + (len(pairs),) * 2)
+    dense = sym2_unpack(g.packed, n)
+    mat = np.empty(chart.sizes + (len(pairs),) * 2)
     for q, (mu, nu) in enumerate(pairs):
         gm = gamma[..., mu, :]
         gn = gamma[..., nu, :]
         r13 = deriv(chart, gn, mu) - deriv(chart, gm, nu)
         r13 += np.matmul(gm, gn) - np.matmul(gn, gm)
-        low = np.matmul(g.dense, r13)
+        low = np.matmul(dense, r13)
         for p, (a, b) in enumerate(pairs):
             mat[..., p, q] = 0.5 * (low[..., a, b] - low[..., b, a])
     mat = 0.5 * (mat + np.swapaxes(mat, -1, -2))
@@ -273,7 +276,7 @@ def test_christoffel_single_axis_component():
     c = chart3(24)
     x = c.mesh()[0]
     phi = 0.1 * np.sin(x)
-    g = conformally_flat_metric(c, np.broadcast_to(phi, c.shape))
+    g = conformally_flat_metric(c, np.broadcast_to(phi, c.sizes))
     gamma = sym2_unpack(christoffel(g), 3)
     assert np.max(np.abs(gamma[..., 0, 0, 0] - 0.1 * np.cos(x))) < 1e-4
     # lower symmetry is exact by construction
@@ -285,7 +288,7 @@ def test_ricci_scalar_conformal_oracle_order():
     for size in (12, 24):
         c = chart3(size)
         g = conf_metric(c)
-        ric, scal = ricci_scalar(whole_riemann(g), g.inverse)
+        ric, scal = ricci_scalar(whole_riemann(g), sym2_unpack(g.inverse, 3))
         ric_o, scal_o = ricci_oracle(c)
         errs_ric.append(np.max(np.abs(ric - ric_o)))
         errs_scal.append(np.max(np.abs(scal - scal_o)))
@@ -300,10 +303,11 @@ def test_trace_linearity():
     c = chart3(8)
     g = fourier_metric(c, amplitude=0.2, seed=1)
     r1 = whole_riemann(g)
-    r2 = kulkarni_nomizu(g.dense, g.dense)
-    ric_sum, scal_sum = ricci_scalar(r1 + r2, g.inverse)
-    ric1, scal1 = ricci_scalar(r1, g.inverse)
-    ric2, scal2 = ricci_scalar(r2, g.inverse)
+    dense, inv = sym2_unpack(g.packed, 3), sym2_unpack(g.inverse, 3)
+    r2 = kulkarni_nomizu(dense, dense)
+    ric_sum, scal_sum = ricci_scalar(r1 + r2, inv)
+    ric1, scal1 = ricci_scalar(r1, inv)
+    ric2, scal2 = ricci_scalar(r2, inv)
     assert np.allclose(ric_sum, ric1 + ric2, atol=1e-12)
     assert np.allclose(scal_sum, scal1 + scal2, atol=1e-12)
 
@@ -330,11 +334,12 @@ def test_cap_sectional_curvature_is_one():
         g, rho = cap_metric(c)
         rm = whole_riemann(g)
         # pair slot 0 is (0,1): plane of the first two coordinate directions
-        plane = g.dense[..., 0, 0] * g.dense[..., 1, 1] - g.dense[..., 0, 1] ** 2
+        dense = sym2_unpack(g.packed, 3)
+        plane = dense[..., 0, 0] * dense[..., 1, 1] - dense[..., 0, 1] ** 2
         K = rm[..., 0, 0] / plane
         mask = rho <= 0.4
         errs_k.append(np.max(np.abs(K[mask] - 1.0)))
-        _, scal = ricci_scalar(rm, g.inverse)
+        _, scal = ricci_scalar(rm, sym2_unpack(g.inverse, 3))
         errs_r.append(np.max(np.abs(scal[mask] - 6.0)))
     # measured at 32^3: 5.9e-3 and 3.6e-2, ratio ~10
     assert errs_k[1] < 2.5e-2 and errs_k[0] / errs_k[1] > 6.0
@@ -346,8 +351,9 @@ def test_cap_weyl_vanishes_4d():
     g, rho = cap_metric(c)
     b = curvature_bundle(g)
     mask = rho <= 0.4
-    wn = np.max(riemann_norm(b.W.pair, g.inverse)[mask])
-    rn = np.max(riemann_norm(whole_riemann(g), g.inverse)[mask])
+    inv = sym2_unpack(g.inverse, 4)
+    wn = np.max(riemann_norm(b.W.pair, inv)[mask])
+    rn = np.max(riemann_norm(whole_riemann(g), inv)[mask])
     assert rn > 1.0  # the cap really is curved
     assert wn < 1e-8 * rn
 
@@ -372,9 +378,9 @@ def test_einstein_divergence_refines_away():
     def einstein_div(g):
         c = g.chart
         b = curvature_bundle(g)
-        G = b.ric - 0.5 * b.scal[..., None, None] * g.dense
+        G = sym2_unpack(b.ric, c.n) - 0.5 * b.scal[..., None, None] * sym2_unpack(g.packed, c.n)
         dG = np.stack([deriv(c, G, a) for a in range(c.n)], axis=-1)
-        inv = g.inverse
+        inv = sym2_unpack(g.inverse, c.n)
         gamma = sym2_unpack(christoffel(g), c.n)
         div = np.einsum("...ac,...cba->...b", inv, dG)
         div -= np.einsum("...ac,...dac,...db->...b", inv, gamma, G)
@@ -396,8 +402,9 @@ def test_weyl_vanishes_in_3d():
     c = chart3(12)
     g = fourier_metric(c, amplitude=0.25, seed=2)
     b = curvature_bundle(g)
-    assert np.max(riemann_norm(b.W.pair, g.inverse)) < 1e-8 * np.max(
-        riemann_norm(whole_riemann(g), g.inverse)
+    inv = sym2_unpack(g.inverse, 3)
+    assert np.max(riemann_norm(b.W.pair, inv)) < 1e-8 * np.max(
+        riemann_norm(whole_riemann(g), inv)
     )
 
 
@@ -405,7 +412,7 @@ def test_weyl_trace_free_4d():
     c = make_chart(4, (8,) * 4, (2 * np.pi,) * 4)
     g = fourier_metric(c, amplitude=0.25, seed=2)
     b = curvature_bundle(g)
-    tr = trace_13(b.W.pair, g.inverse)
+    tr = trace_13(b.W.pair, sym2_unpack(g.inverse, 4))
     assert np.max(np.abs(tr)) < 1e-8 * np.max(np.abs(b.W.pair))
     # end-to-end symmetry of the assembled curvature tensor
     riem = whole_riemann(g)
@@ -552,9 +559,12 @@ def decomposition_residual(g):
     """
     bundle = curvature_bundle(g)
     riem = whole_riemann(g)
-    recomposed = bundle.W.pair + kulkarni_nomizu(_schouten(bundle.ric, bundle.scal, g.dense), g.dense)
-    diff = riemann_norm(recomposed - riem, g.inverse)
-    scale = max(float(np.max(riemann_norm(riem, g.inverse))), 1e-300)
+    n = g.chart.n
+    dense, inv = sym2_unpack(g.packed, n), sym2_unpack(g.inverse, n)
+    ric = sym2_unpack(bundle.ric, n)
+    recomposed = bundle.W.pair + kulkarni_nomizu(_schouten(ric, bundle.scal, dense), dense)
+    diff = riemann_norm(recomposed - riem, inv)
+    scale = max(float(np.max(riemann_norm(riem, inv))), 1e-300)
     return float(np.max(diff)) / scale
 
 
@@ -568,11 +578,12 @@ def test_decomposition_residual_and_corruption():
     w_bad = b.W.pair.copy()
     w_bad[..., 0, 1] += 0.1
     w_bad[..., 1, 0] += 0.1
-    recomposed = w_bad + kulkarni_nomizu(b.ric, g.dense) / (n - 2)
+    dense = sym2_unpack(g.packed, n)
+    recomposed = w_bad + kulkarni_nomizu(sym2_unpack(b.ric, n), dense) / (n - 2)
     recomposed -= (
         b.scal[..., None, None] / (2.0 * (n - 1) * (n - 2))
-    ) * kulkarni_nomizu(g.dense, g.dense)
-    diff = np.max(riemann_norm(recomposed - whole_riemann(g), g.inverse))
+    ) * kulkarni_nomizu(dense, dense)
+    diff = np.max(riemann_norm(recomposed - whole_riemann(g), sym2_unpack(g.inverse, n)))
     assert diff > 0.05
 
 
@@ -583,9 +594,9 @@ def test_hessian_flat_matches_plain_second_derivatives():
     c = chart3(16)
     g = flat_metric(c)
     x, y, _ = c.mesh()
-    u = np.broadcast_to(np.sin(x + 2 * y), c.shape)
+    u = np.broadcast_to(np.sin(x + 2 * y), c.sizes)
     grad = gradient(c, u)
-    H = hessian(g, grad)
+    H = sym2_unpack(hessian(g, grad), 3)
     assert np.array_equal(H, np.swapaxes(H, -1, -2))
     assert np.allclose(H[..., 0, 1], deriv(c, grad[..., 1], 0), atol=1e-14)
 
@@ -601,17 +612,17 @@ def test_hessian_reads_the_packed_symbols_as_the_dense_route(monkeypatch, n, sch
     g = fourier_metric(c, amplitude=0.2, seed=3)
     u = fourier_metric(c, amplitude=0.5, seed=8).packed[..., 0]
     gamma = christoffel(g)
-    assert gamma.shape == c.shape + (n, n * (n + 1) // 2)
+    assert gamma.shape == c.sizes + (n, n * (n + 1) // 2)
     grad = gradient(c, u)
-    want = np.empty(c.shape + (n, n))
+    want = np.empty(c.sizes + (n, n))
     for i in range(n):
         for j in range(n):
             want[..., i, j] = deriv(c, grad[..., max(i, j)], min(i, j))
     want -= np.einsum("...kij,...k->...ij", sym2_unpack(gamma, n), grad)
     for slab_points in (curvature._SLAB_POINTS, 3 * 8 ** (n - 1)):
         monkeypatch.setattr(curvature, "_SLAB_POINTS", slab_points)
-        assert np.array_equal(hessian(g, grad), want)
-        assert np.array_equal(deform(g, u).hess, want)
+        assert np.array_equal(sym2_unpack(hessian(g, grad), n), want)
+        assert np.array_equal(sym2_unpack(deform(g, u).hess, n), want)
 
 
 def test_hessian_conformal_oracle():
@@ -620,18 +631,18 @@ def test_hessian_conformal_oracle():
         c = chart3(size)
         g = conf_metric(c)
         x, y, _ = c.mesh()
-        u = np.broadcast_to(np.sin(x) * np.cos(y), c.shape)
-        H = hessian(g, gradient(c, u))
+        u = np.broadcast_to(np.sin(x) * np.cos(y), c.sizes)
+        H = sym2_unpack(hessian(g, gradient(c, u)), 3)
         # analytic covariant hessian from the oracle symbols
         du = np.stack(
             [
-                np.broadcast_to(np.cos(x) * np.cos(y), c.shape),
-                np.broadcast_to(-np.sin(x) * np.sin(y), c.shape),
-                np.zeros(c.shape),
+                np.broadcast_to(np.cos(x) * np.cos(y), c.sizes),
+                np.broadcast_to(-np.sin(x) * np.sin(y), c.sizes),
+                np.zeros(c.sizes),
             ],
             axis=-1,
         )
-        ddu = np.zeros(c.shape + (3, 3))
+        ddu = np.zeros(c.sizes + (3, 3))
         ddu[..., 0, 0] = -np.sin(x) * np.cos(y)
         ddu[..., 0, 1] = ddu[..., 1, 0] = -np.cos(x) * np.sin(y)
         ddu[..., 1, 1] = -np.sin(x) * np.cos(y)

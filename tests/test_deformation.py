@@ -61,6 +61,7 @@ from scalarweyl.grid import (
     integrate,
     make_chart,
     sym2_pack,
+    sym2_unpack,
 )
 from scalarweyl.presets import flat_metric, fourier_metric, fourier_scalar
 from scalarweyl.tensor import (
@@ -127,13 +128,13 @@ def _gg(g):
 
 def reference_error_lines(bundle):
     n = bundle.n
-    g = bundle.base.g.dense
-    ginv = bundle.base.g.inverse
+    g = sym2_unpack(bundle.base.g.packed, n)
+    ginv = sym2_unpack(bundle.base.g.inverse, n)
     grad = bundle.grad
-    h = bundle.hess
+    h = sym2_unpack(bundle.hess, n)
     w = _raised(ginv, grad)[1]
     riem = dense_from_pair(whole_riemann(bundle.base.g), n)
-    ric = bundle.base.ric
+    ric = sym2_unpack(bundle.base.ric, n)
     scal = bundle.base.scal
 
     fup = np.einsum("...ab,...b->...a", ginv, grad)
@@ -184,7 +185,7 @@ def frame_split_norm(mat, g, grad):
     """Norm of the pair matrices ``mat`` under g + df (x) df, split along the gradient direction
     into tangential, once-contracted and twice-contracted blocks weighted 1,
     4/D and 4/D^2 with D = 1 + |grad f|^2."""
-    inv = g.inverse
+    inv = sym2_unpack(g.inverse, g.chart.n)
     vup = np.einsum("...ab,...b->...a", inv, grad)
     s2 = np.einsum("...a,...a->...", grad, vup)
     unit = np.zeros_like(vup)
@@ -214,7 +215,7 @@ def scalar_divergence_identity(bundle):
 
     closed = deformation._scalar_closed_form(ing)
 
-    vup = np.einsum("...ab,...b->...a", g.inverse, v)
+    vup = np.einsum("...ab,...b->...a", sym2_unpack(g.inverse, chart.n), v)
     div_pt = 0.0
     for a in range(chart.n):
         div_pt = div_pt + deriv(chart, g.sqrt_det * vup[..., a], a)
@@ -245,9 +246,9 @@ def weyl_error_conformal_residual(g, psi, k):
 def test_deform_constant_function_is_identity():
     c = torus(4, 8)
     g = fourier_metric(c, amplitude=0.2, seed=1)
-    b = deform(g, np.full(c.shape, 2.5))
+    b = deform(g, np.full(c.sizes, 2.5))
     assert np.array_equal(b.g_prime.packed, g.packed)
-    assert np.array_equal(_raised(g.inverse, b.grad)[1], np.ones(c.shape))
+    assert np.array_equal(_raised(sym2_unpack(g.inverse, 4), b.grad)[1], np.ones(c.sizes))
     assert np.count_nonzero(weyl_error(b).pair) == 0
     assert np.array_equal(deformed_scalar_closed_form(b), b.base.scal)
 
@@ -291,9 +292,10 @@ def test_determinant_and_inverse_closed_forms(seed, amp, famp):
     g = fourier_metric(c, amplitude=amp, seed=seed)
     f = fourier_scalar(c, amplitude=famp, seed=seed + 1)
     b = deform(g, f)
-    w = _raised(g.inverse, b.grad)[1]
-    det_res = np.max(np.abs(np.linalg.det(b.g_prime.dense) - w * np.linalg.det(g.dense)))
-    inv_res = np.max(np.abs(deformed_inverse(g, b.grad) - b.g_prime.inverse))
+    w = _raised(sym2_unpack(g.inverse, 3), b.grad)[1]
+    det_prime = np.linalg.det(sym2_unpack(b.g_prime.packed, 3))
+    det_res = np.max(np.abs(det_prime - w * np.linalg.det(sym2_unpack(g.packed, 3))))
+    inv_res = np.max(np.abs(deformed_inverse(g, b.grad) - sym2_unpack(b.g_prime.inverse, 3)))
     assert det_res < 1e-10
     assert inv_res < 1e-10
 
@@ -385,7 +387,7 @@ def test_streamed_closed_forms_are_bit_identical_to_the_whole_field_oracle(
     # a smooth positive multiplier stands in for the radial fields: the
     # bound reads only psi and its gradient
     psi = np.exp(0.2 * fourier_scalar(c, amplitude=0.5, seed=11))
-    fields = RadialFields(c, psi, gradient(c, psi), np.zeros(c.shape + (n, n)))
+    fields = RadialFields(c, psi, gradient(c, psi), np.zeros(c.sizes + (n * (n + 1) // 2,)))
     cert, _ = construct._test_energy_bound(g, t, 0.8, fields)
     assert cert == whole_field_energy_bound(g, t, 0.8, fields)
 
@@ -400,7 +402,7 @@ def test_every_worker_count_gives_bit_identical_outputs(monkeypatch):
     g = fourier_metric(c, amplitude=0.2, seed=6)
     f = fourier_scalar(c, amplitude=0.3, seed=106)
     psi = np.exp(0.2 * fourier_scalar(c, amplitude=0.5, seed=11))
-    fields = RadialFields(c, psi, gradient(c, psi), np.zeros(c.shape + (4, 4)))
+    fields = RadialFields(c, psi, gradient(c, psi), np.zeros(c.sizes + (10,)))
     # a spectral sweep is one unsplit part, whatever the worker count
     s = torus(4, 8, "spectral")
     gs = fourier_metric(s, amplitude=0.2, seed=6)
@@ -467,14 +469,15 @@ def test_closed_form_S_matches_the_riemann_route(n, scheme):
     c = torus(n, 8, scheme)
     g = fourier_metric(c, amplitude=0.2, seed=8)
     grad = gradient(c, fourier_scalar(c, amplitude=0.3, seed=108))
-    fup = _raised(g.inverse, grad)[0]
+    dense = sym2_unpack(g.packed, n)
+    fup = _raised(sym2_unpack(g.inverse, n), grad)[0]
     base = curvature_bundle(g)
-    P = _schouten(base.ric, base.scal, g.dense)
+    P = _schouten(sym2_unpack(base.ric, n), base.scal, dense)
     want = vv_contract(whole_riemann(g), fup)
     scale = float(np.max(np.abs(want)))
 
     def mismatch(W):
-        return float(np.max(np.abs(_riemann_vv(W, P, g.dense, grad, fup) - want))) / scale
+        return float(np.max(np.abs(_riemann_vv(W, P, dense, grad, fup) - want))) / scale
 
     assert mismatch(base.W.pair) < 1e-13
     if n == 3:
@@ -668,7 +671,7 @@ def test_deformed_norm_zero_deformation_matches_riemann_norm():
     phi = fourier_scalar(c, amplitude=0.5, seed=42)
     assert np.array_equal(
         deformed_norm(bun.W.pair, g, gradient(c, 0.0 * phi)),
-        riemann_norm(bun.W.pair, g.inverse),
+        riemann_norm(bun.W.pair, sym2_unpack(g.inverse, 4)),
     )
 
 
@@ -705,14 +708,14 @@ def test_deformed_norm_paths_agree():
 def test_conformal_residual_trivial_factors():
     c = torus(4, 8)
     g = fourier_metric(c, amplitude=0.1, seed=7)
-    assert weyl_error_conformal_residual(g, np.ones(c.shape), 0.8) == 0.0
-    assert weyl_error_conformal_residual(g, np.full(c.shape, 2.0), 0.8) == 0.0
+    assert weyl_error_conformal_residual(g, np.ones(c.sizes), 0.8) == 0.0
+    assert weyl_error_conformal_residual(g, np.full(c.sizes, 2.0), 0.8) == 0.0
 
 
 def test_conformal_residual_rejects_nonpositive_factor():
     c = torus(4, 8)
     g = fourier_metric(c, amplitude=0.1, seed=7)
-    psi = np.ones(c.shape)
+    psi = np.ones(c.sizes)
     psi[1, 2, 3, 0] = -0.5
     with pytest.raises(FieldError, match=r"\(1, 2, 3, 0\)"):
         weyl_error_conformal_residual(g, psi, 0.8)
@@ -750,7 +753,7 @@ def test_deformation_energy_constant_input_is_total_curvature():
     c = torus(4, 10)
     g = fourier_metric(c, amplitude=0.1, seed=3)
     t = 1.5
-    en = deformation_energy(g, np.full(c.shape, 0.7), t)
+    en = deformation_energy(g, np.full(c.sizes, 0.7), t)
     direct = integrate(g, scalar_weyl(g, t))
     assert en == pytest.approx(direct, rel=1e-12)
 
@@ -764,10 +767,10 @@ def test_deformation_energy_flat_termwise_quadrature():
     t = 2.0
     b = deform(g, phi)
     norm_e = frame_split_norm(weyl_error(b).pair, g, b.grad)
-    ginv = g.inverse
+    ginv = sym2_unpack(g.inverse, 4)
     gup = np.einsum("...ab,...b->...a", ginv, b.grad)
     w = 1.0 + np.einsum("...a,...a->...", b.grad, gup)
-    u = np.einsum("...ab,...b->...a", b.hess, gup)
+    u = np.einsum("...ab,...b->...a", sym2_unpack(b.hess, 4), gup)
     u2 = np.einsum("...a,...ab,...b->...", u, ginv, u)
     beta = np.einsum("...a,...a->...", u, gup)
     expected = t * integrate(g, norm_e) + (3.0 / 2.0) * integrate(g, u2 / w**2 - beta**2 / w**3)

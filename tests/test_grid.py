@@ -174,7 +174,7 @@ def test_deriv_trailing_component_axes():
     x = np.broadcast_to(c.mesh()[0], c.sizes)
     stacked = np.stack([np.sin(x), np.cos(x)], axis=-1)
     d = deriv(c, stacked, 0)
-    assert d.shape == c.shape + (2,)
+    assert d.shape == c.sizes + (2,)
     assert np.allclose(d[..., 0], deriv(c, np.sin(x), 0))
 
 
@@ -346,7 +346,7 @@ def test_gradient_shape_and_values():
     c = chart3(16, scheme="spectral")
     x, y, _ = c.mesh()
     g = gradient(c, np.broadcast_to(np.sin(x + 2 * y), c.sizes))
-    assert g.shape == c.shape + (3,)
+    assert g.shape == c.sizes + (3,)
     assert np.allclose(g[..., 1], 2 * np.cos(x + 2 * y), atol=1e-12)
 
 
@@ -360,7 +360,7 @@ def test_sym2_pack_roundtrip():
 
 def test_sym2field_rejects_asymmetric():
     c = chart3(8)
-    dense = np.zeros(c.shape + (3, 3))
+    dense = np.zeros(c.sizes + (3, 3))
     dense[..., 0, 1] = 1.0
     with pytest.raises(FieldError, match="not symmetric"):
         metric_from_dense(c, dense)
@@ -370,10 +370,10 @@ def _random_metric(chart, amp=0.3, seed=0):
     rng = np.random.default_rng(seed)
     xs = chart.mesh()
     n = chart.n
-    dense = np.tile(np.eye(n), chart.shape + (1, 1))
+    dense = np.tile(np.eye(n), chart.sizes + (1, 1))
     for i in range(n):
         for j in range(i, n):
-            bump = np.zeros(chart.shape)
+            bump = np.zeros(chart.sizes)
             for ax in range(n):
                 k = int(rng.integers(1, 3))
                 ph = rng.uniform(0, 2 * np.pi)
@@ -387,7 +387,7 @@ def _random_metric(chart, amp=0.3, seed=0):
 
 def test_metric_spd_check_reports_point():
     c = chart3(8)
-    dense = np.tile(np.eye(3), c.shape + (1, 1))
+    dense = np.tile(np.eye(3), c.sizes + (1, 1))
     dense[3, 4, 5] = np.diag([1.0, -2.0, 1.0])
     with pytest.raises(FieldError, match=r"\(3, 4, 5\)"):
         metric_from_dense(c, dense)
@@ -397,7 +397,7 @@ def test_metric_spd_check_reports_point():
 def test_metric_spd_check_names_first_bad_point_without_warning(case):
     # a zero or NaN pivot is caught before any division by it
     c = chart3(8)
-    dense = np.tile(np.eye(3), c.shape + (1, 1))
+    dense = np.tile(np.eye(3), c.sizes + (1, 1))
     bad = {
         "singular": np.array([[1.0, 1.0, 0.0], [1.0, 1.0, 0.0], [0.0, 0.0, 1.0]]),
         "nan_diagonal": np.diag([np.nan, 1.0, 1.0]),
@@ -418,7 +418,7 @@ def test_metric_inverse_and_det_match_linalg(n, amplitude):
     c = make_chart(n, (8,) * n, (2 * np.pi,) * n)
     g = fourier_metric(c, amplitude=amplitude, seed=n, terms=5)
     inv, det = linalg_inverse_det(g)
-    assert np.max(np.abs(g.inverse - inv)) <= 1e-13 * np.max(np.abs(inv))
+    assert np.max(np.abs(sym2_unpack(g.inverse, n) - inv)) <= 1e-13 * np.max(np.abs(inv))
     assert np.max(np.abs(g.det - det) / det) <= 1e-13
     assert g.inverse.flags.c_contiguous
 
@@ -426,23 +426,25 @@ def test_metric_inverse_and_det_match_linalg(n, amplitude):
 def test_flat_metric_inverse_and_det_exact():
     for n in (3, 4, 5, 6):
         g = flat_metric(make_chart(n, (8,) * n, (1.0,) * n))
-        assert np.array_equal(g.inverse, np.broadcast_to(np.eye(n), g.inverse.shape))
+        inv = sym2_unpack(g.inverse, n)
+        assert np.array_equal(inv, np.broadcast_to(np.eye(n), inv.shape))
         assert np.array_equal(g.det, np.ones(g.chart.sizes))
 
 
 def test_metric_inverse_and_det():
     c = chart3(8)
     g = _random_metric(c, seed=3)
-    ident = np.einsum("...ij,...jk->...ik", g.dense, g.inverse)
+    dense = sym2_unpack(g.packed, 3)
+    ident = np.einsum("...ij,...jk->...ik", dense, sym2_unpack(g.inverse, 3))
     assert np.allclose(ident, np.eye(3), atol=1e-12)
-    assert np.allclose(g.det, np.linalg.det(g.dense), rtol=1e-12)
+    assert np.allclose(g.det, np.linalg.det(dense), rtol=1e-12)
     assert np.all(g.sqrt_det > 0)
 
 
 def test_integrate_constant_is_volume():
     c = make_chart(3, (8, 8, 8), (1.0, 2.0, 3.0))
     g = _random_metric(c, amp=0.0)
-    vol = integrate(g, np.ones(c.shape))
+    vol = integrate(g, np.ones(c.sizes))
     assert np.isclose(vol, 6.0, rtol=1e-13)
 
 
@@ -452,7 +454,7 @@ def test_divergence_total_telescopes_to_zero():
     g = _random_metric(c, seed=11)
     x, y, z = c.mesh()
     comps = [np.sin(x + y), np.cos(y) * np.sin(z), np.sin(2 * z) + np.cos(x)]
-    data = np.stack([np.broadcast_to(v, c.shape) for v in comps], axis=-1)
+    data = np.stack([np.broadcast_to(v, c.sizes) for v in comps], axis=-1)
     total = divergence_total(data, g)
     scale = integrate(g, np.sum(np.abs(data), axis=-1))
     assert abs(total) < 1e-12 * scale
@@ -462,8 +464,8 @@ def test_flux_laplacian_self_adjoint_and_null():
     c = chart3(8)
     g = _random_metric(c, seed=5)
     rng = np.random.default_rng(2)
-    u = rng.standard_normal(c.shape)
-    v = rng.standard_normal(c.shape)
+    u = rng.standard_normal(c.sizes)
+    v = rng.standard_normal(c.sizes)
     lu = flux_laplacian(g, u)
     lv = flux_laplacian(g, v)
     w = g.sqrt_det * c.cell_volume
@@ -474,12 +476,12 @@ def test_flux_laplacian_self_adjoint_and_null():
     # integral of the laplacian vanishes identically
     assert abs(np.sum(lu * w)) < 1e-10 * float(np.sum(np.abs(lu) * w) + 1e-300)
     # constants are in the kernel
-    assert np.allclose(flux_laplacian(g, np.ones(c.shape)), 0.0, atol=1e-13)
+    assert np.allclose(flux_laplacian(g, np.ones(c.sizes)), 0.0, atol=1e-13)
 
 
 def test_flux_laplacian_flat_matches_spectrum():
     c = chart3(32)
-    g = metric_from_dense(c, np.tile(np.eye(3), c.shape + (1, 1)))
+    g = metric_from_dense(c, np.tile(np.eye(3), c.sizes + (1, 1)))
     u = np.broadcast_to(np.sin(c.mesh()[0]), c.sizes)
     # flat laplacian of sin(x) is -sin(x) up to fd4 truncation
     assert np.max(np.abs(flux_laplacian(g, u) + u)) < 2e-4
@@ -522,16 +524,17 @@ def test_flux_form_component_is_the_physical_coefficient(n, sizes, lengths, sche
     c = make_chart(n, sizes, lengths, scheme=scheme)
     g = fourier_metric(c, amplitude=0.25, seed=n)
     form = FluxForm.of(g)
+    inv = sym2_unpack(g.inverse, n)
     for a in range(n):
         for b in range(n):
-            want = g.sqrt_det * g.inverse[..., a, b]
+            want = g.sqrt_det * inv[..., a, b]
             assert np.all(np.abs(form.component(a, b) - want) <= 1e-15 * np.abs(want))
 
 
 def test_integrate_sin_squared():
     c = chart3(16)
     x = c.mesh()[0]
-    val = integrate(flat_metric(c), np.broadcast_to(np.sin(x) ** 2, c.shape))
+    val = integrate(flat_metric(c), np.broadcast_to(np.sin(x) ** 2, c.sizes))
     assert val == pytest.approx((2 * np.pi) ** 3 / 2, rel=1e-13)
 
 
@@ -542,15 +545,15 @@ def test_integrate_refinement_stable():
         c = chart3(size)
         x, y, z = c.mesh()
         f = np.exp(np.sin(x) * np.cos(y)) * (1 + 0.3 * np.sin(2 * z))
-        vals.append(integrate(flat_metric(c), np.broadcast_to(f, c.shape)))
+        vals.append(integrate(flat_metric(c), np.broadcast_to(f, c.sizes)))
     assert abs(vals[0] - vals[1]) < 1e-8 * abs(vals[1])
 
 
 def test_deriv_linearity():
     c = chart3(16)
     rng = np.random.default_rng(8)
-    f = rng.standard_normal(c.shape)
-    g = rng.standard_normal(c.shape)
+    f = rng.standard_normal(c.sizes)
+    g = rng.standard_normal(c.sizes)
     lhs = deriv(c, f + g, 0)
     rhs = deriv(c, f, 0) + deriv(c, g, 0)
     assert np.allclose(lhs, rhs, atol=1e-13 * np.max(np.abs(lhs)))

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from oracles import fourier_sum, metric_from_dense
-from scalarweyl.grid import make_chart, sym2_pack_indices
+from scalarweyl.grid import make_chart, sym2_pack_indices, sym2_unpack
 from scalarweyl.presets import (
     _mode_table,
     _sample_modes,
@@ -68,7 +68,7 @@ def test_fourier_fields_consistent_across_resolutions(n):
 def test_fourier_metric_eigenvalues_within_gershgorin_bound(n, amplitude):
     chart = make_chart(n, (8,) * n, LENGTHS[:n])
     g = fourier_metric(chart, amplitude=amplitude, seed=n, terms=5)
-    eig = np.linalg.eigvalsh(g.dense)
+    eig = np.linalg.eigvalsh(sym2_unpack(g.packed, n))
     assert np.all(eig > 1.0 - amplitude)
     assert np.all(eig < 1.0 + amplitude)
 
@@ -76,7 +76,7 @@ def test_fourier_metric_eigenvalues_within_gershgorin_bound(n, amplitude):
 def test_flat_and_conformal_metrics_pack_as_from_dense():
     for chart in charts():
         n = chart.n
-        eye = np.broadcast_to(np.eye(n), chart.shape + (n, n))
+        eye = np.broadcast_to(np.eye(n), chart.sizes + (n, n))
         assert np.array_equal(flat_metric(chart).packed, metric_from_dense(chart, eye).packed)
         phi = fourier_scalar(chart, amplitude=0.3, seed=n)
         dense = np.exp(2.0 * phi)[..., None, None] * np.eye(n)

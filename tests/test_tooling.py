@@ -104,17 +104,42 @@ def test_defaulted_parameter_count_does_not_grow():
 
 
 def test_metric_construction_forms_no_dense_inverse_or_det():
-    # the dense form, the inverse and det are built when first read; the
-    # first two at construction would double the set-up memory of every
-    # metric, and a det nobody reads adds a grid array to the peak of
-    # curvature_4d, whose sheared metric never reads its own
-    from scalarweyl.grid import make_chart
+    # a metric has no dense (n, n) form, and the inverse and det are built
+    # when first read; the inverse at construction would nearly double the
+    # set-up memory of every metric, and a det nobody reads adds a grid
+    # array to the peak of curvature_4d, whose sheared metric never reads
+    # its own
+    from scalarweyl.grid import MetricField, make_chart
     from scalarweyl.presets import fourier_metric
 
     g = fourier_metric(make_chart(4, (8,) * 4, (1.0,) * 4), seed=1)
-    assert "dense" not in g.__dict__
-    assert "inverse" not in g.__dict__
-    assert "det" not in g.__dict__
+    assert not hasattr(MetricField, "dense")
+    assert set(vars(g)) == {"chart", "packed"}
+
+
+def test_metric_keeps_176_bytes_per_point_at_n4():
+    # packed g 80, packed inverse 80, det 8 and sqrt(det g) 8; a dense
+    # inverse would keep 128 in place of 80
+    from scalarweyl.grid import make_chart
+    from scalarweyl.presets import fourier_metric
+
+    chart = make_chart(4, (8,) * 4, (1.0,) * 4)
+    g = fourier_metric(chart, seed=1)
+    g.inverse, g.sqrt_det
+    kept = sum(v.nbytes for v in vars(g).values() if hasattr(v, "nbytes"))
+    assert kept / chart.npoints == 176
+
+
+def test_deformation_bundle_keeps_112_bytes_per_point_at_n4():
+    # the gradient 32 and the packed Hessian 80; a dense Hessian would keep
+    # 128 in place of 80
+    from scalarweyl.deformation import deform
+    from scalarweyl.grid import make_chart
+    from scalarweyl.presets import fourier_metric, fourier_scalar
+
+    chart = make_chart(4, (8,) * 4, (1.0,) * 4)
+    b = deform(fourier_metric(chart, seed=1), fourier_scalar(chart, amplitude=0.3, seed=2))
+    assert (b.grad.nbytes + b.hess.nbytes) / chart.npoints == 112
 
 
 def _traced_peak(run) -> int:
@@ -147,11 +172,12 @@ def test_streamed_curvature_scalars_hold_no_whole_grid_christoffel_field():
 
 
 def test_curvature_bundle_holds_no_whole_grid_christoffel_field():
-    # the bundle keeps Ricci, R and W (424 bytes per point at n = 4), and
-    # no Riemann field; above them the peak holds one slab's transients and
-    # window, 2^14 points, a quarter of a 16^4 grid (measured: 1125 bytes
-    # per point, 701 above the kept fields).  A whole-grid packed Gamma
-    # adds 320 bytes per point (measured: 1445)
+    # the bundle keeps the packed Ricci, R and W (376 bytes per point at
+    # n = 4), and no Riemann field; above them the peak holds one slab's
+    # transients and window, 2^14 points, a quarter of a 16^4 grid
+    # (measured: 1076 bytes per point, 700 above the kept fields).  A
+    # whole-grid packed Gamma adds 320 bytes per point (measured with one
+    # held: 1396)
     import numpy as np
 
     from scalarweyl.curvature import curvature_bundle
@@ -169,14 +195,14 @@ def test_curvature_bundle_holds_no_whole_grid_christoffel_field():
     peak = _traced_peak(run)
     npoints = g.chart.npoints
     kept_per_point = sum(field.nbytes for field in kept.values()) / npoints
-    assert kept_per_point == 424
+    assert kept_per_point == 376
     assert peak / npoints <= kept_per_point + 900, peak / npoints
 
 
 def test_streamed_scalar_weyl_peaks_below_half_the_bundle_route():
     # without a bundle the curvature stack runs slab by slab and keeps only
     # a window of Christoffel planes, R and |W|^2; the bundle route keeps
-    # Ricci, R and W (measured at 20^4: 344 against 752 bytes per point)
+    # Ricci, R and W (measured at 20^4: 344 against 704 bytes per point)
     import numpy as np
 
     from scalarweyl.conformal import scalar_weyl

@@ -10,6 +10,7 @@ above 3.5.
 import re
 import sys
 import threading
+import weakref
 from concurrent.futures import Future
 
 import numpy as np
@@ -25,7 +26,14 @@ from scalarweyl.conformal import (
     modified_laplacian_apply,
     scalar_weyl,
 )
-from scalarweyl.grid import FieldError, FluxForm, flux_laplacian, integrate, make_chart
+from scalarweyl.grid import (
+    FieldError,
+    FluxForm,
+    flux_laplacian,
+    integrate,
+    make_chart,
+    sym2_unpack,
+)
 from scalarweyl.presets import flat_metric, fourier_metric, fourier_scalar
 from scalarweyl.yamabe import (
     _pcg,
@@ -121,7 +129,8 @@ def test_real_fft_preconditioner_matches_complex_form(sizes, lengths, scheme):
     g = fourier_metric(chart, amplitude=0.2, seed=4)
     a_n = ConformalParams(1.0, chart.n).a_n
     # the symbol's coefficients: the mean of tr g^{-1} / n and of q dV
-    c_lap = float(np.mean(np.trace(g.inverse, axis1=-2, axis2=-1))) / chart.n
+    inv = sym2_unpack(g.inverse, chart.n)
+    c_lap = float(np.mean(np.trace(inv, axis1=-2, axis2=-1))) / chart.n
     q_mean = float(np.mean(q * g.sqrt_det))
     ref = _complex_preconditioner(chart, a_n, c_lap, q_mean, 0.2)(r)
     got = _preconditioner(FluxForm.of(g), 0.2)(q)(r)
@@ -517,6 +526,34 @@ def test_barrier_solve_cg_work(monkeypatch):
     report = solve_constant_F(g, 1.0, coefficient=F, init="barriers")
     assert float(np.max(np.abs(report.u - u_star))) < 1e-10
     assert sum(iterations) <= 200
+
+
+def test_barrier_stage_is_freed_before_newton(monkeypatch):
+    # the barrier stage's rescaled FluxForm (and its solver, F1 and iterates
+    # with it) dies when the stage hands over, so Newton's allocations do
+    # not stack on it: no form of a metric other than g is alive when
+    # Newton starts.  Checked by reference count alone, with no collection
+    built = []
+    of = FluxForm.of.__func__
+
+    def tracked(cls, metric):
+        form = of(cls, metric)
+        built.append((weakref.ref(form), metric is g))
+        return form
+
+    newton = yamabe._newton_polish
+    alive = []
+
+    def checked(*args):
+        alive.extend(ref() is not None for ref, on_g in built if not on_g)
+        return newton(*args)
+
+    g, F, u_star = manufactured(torus(4, 12))
+    monkeypatch.setattr(FluxForm, "of", classmethod(tracked))
+    monkeypatch.setattr(yamabe, "_newton_polish", checked)
+    report = solve_constant_F(g, 1.0, coefficient=F, init="barriers")
+    assert float(np.max(np.abs(report.u - u_star))) < 1e-10
+    assert alive == [False], alive
 
 
 def test_solve_reports_inner_cg_iterations(monkeypatch):
