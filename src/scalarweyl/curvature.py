@@ -262,7 +262,10 @@ def _sweep(g: MetricField, run) -> None:
             run(part, window[start : part.stop - planes.start + 4])
 
         _in_parts(each, planes)
-        window[:4] = window[-4:]
+        # plane by plane, each source above its target: the overlapping
+        # slices would be staged through a temporary of four planes
+        for i in range(4):
+            window[i] = window[i - 4]
 
 
 @lru_cache(maxsize=None)

@@ -95,8 +95,10 @@ class DeformationBundle:
         """The metric g + df (x) df.  The closed forms never read it, so
         ``deformation_energy`` pays neither its packed field nor its
         factorization."""
-        i, j = np.array(sym2_pack_indices(self.n)).T
-        packed = self.base.g.packed + self.grad[..., i] * self.grad[..., j]
+        packed = np.empty(self.base.g.packed.shape)
+        for k, (i, j) in enumerate(sym2_pack_indices(self.n)):
+            np.multiply(self.grad[..., i], self.grad[..., j], out=packed[..., k])
+        packed += self.base.g.packed
         return MetricField(self.chart, packed)
 
 

@@ -525,7 +525,42 @@ def test_barrier_solve_cg_work(monkeypatch):
     g, F, u_star = manufactured(torus(4, 12))
     report = solve_constant_F(g, 1.0, coefficient=F, init="barriers")
     assert float(np.max(np.abs(report.u - u_star))) < 1e-10
-    assert sum(iterations) <= 200
+    assert sum(iterations) <= 45
+
+
+def test_newton_inner_solves_follow_the_forcing_sequence(monkeypatch):
+    # the eigen start runs Newton alone: its first inner solve is as loose
+    # as the forcing term allows, and the later ones tighten with the fall
+    # of the outer residual, down to the floor at most, while the answer
+    # keeps the accuracy of a Newton with tight inner solves
+    calls = []
+
+    def recorded(apply_sym, b, precond, tol, x0):
+        x, it = _pcg(apply_sym, b, precond, tol, x0)
+        calls.append((tol, it))
+        return x, it
+
+    monkeypatch.setattr("scalarweyl.yamabe._pcg", recorded)
+    g, F, u_star = manufactured(torus(4, 12))
+    report = solve_constant_F(g, 1.0, coefficient=F, init="eigen")
+    tols = [tol for tol, _ in calls]
+    assert tols[0] == yamabe._FORCING
+    assert all(b <= a for a, b in zip(tols, tols[1:])), tols
+    assert min(tols) >= yamabe._FORCING_FLOOR, tols
+    # inner solves to the floor would take 6 iterations each, 24 in all
+    assert sum(it for _, it in calls) <= 16, calls
+    assert float(np.max(np.abs(report.u - u_star))) < 1e-10
+
+
+def test_pcg_returns_an_exact_start_without_iterating():
+    rng = np.random.default_rng(2)
+    M = rng.standard_normal((6, 6))
+    A = M @ M.T + 6.0 * np.eye(6)
+    x_star = rng.standard_normal(6)
+    b = A @ x_star
+    x, it = _pcg(lambda v: A @ v, b, lambda r: r, 1e-12, x_star)
+    assert it == 0
+    assert np.array_equal(x, x_star)
 
 
 def test_barrier_stage_is_freed_before_newton(monkeypatch):
